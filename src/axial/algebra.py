@@ -21,6 +21,54 @@ class ConsistencyError(Exception):
     """An internal cross-check failed; the model is wrong, not the input."""
 
 
+class ShapeError(ValueError):
+    """A tensor or vector does not have the algebra's dimension."""
+
+
+# -- the product, form and defect kernel ---------------------------------------
+#
+# Every bilinear product, form pairing and associativity defect in the
+# package goes through these three functions.  They work on bare tables, so
+# the symbolic build can use them while its tables are still filling in.
+
+
+def bilinear(table, x, y, labels):
+    """x y by bilinear extension of a product table.
+
+    Entries may be Fraction or MultiPoly.  A table that is still being
+    filled holds None for the products not yet known; needing one raises
+    ConsistencyError naming the pair by its basis labels.
+    """
+    out = [0 * xi for xi in x]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            entry = row[j]
+            if entry is None:
+                raise ConsistencyError(f"product ({labels[i]}, {labels[j]}) not yet available")
+            c = xi * yj
+            out = [o + c * e for o, e in zip(out, entry)]
+    return out
+
+
+def pair(row, v):
+    """<e_k, v> from row k of the Gram matrix: the contraction sum_r v_r row[r]."""
+    total = 0 * row[0]
+    for c, g in zip(v, row):
+        if c:
+            total = total + c * g
+    return total
+
+
+def defect(table, gram, i, j, k):
+    """<e_i e_j, e_k> - <e_i, e_j e_k>, zero when the form associates."""
+    return pair(gram[k], table[i][j]) - pair(gram[i], table[j][k])
+
+
 class StructureAlgebra:
     """Commutative algebra with product tensor, Gram matrix and marked axes."""
 
@@ -30,10 +78,11 @@ class StructureAlgebra:
         self.product = product
         self.gram = gram
         self.marked = list(marked)
-        if len(product) != self.dim or any(len(row) != self.dim for row in product):
-            raise ValueError("product tensor has the wrong shape")
+        if (len(product) != self.dim or any(len(row) != self.dim for row in product)
+                or any(len(vec) != self.dim for row in product for vec in row)):
+            raise ShapeError("product tensor has the wrong shape")
         if len(gram) != self.dim or any(len(row) != self.dim for row in gram):
-            raise ValueError("gram matrix has the wrong shape")
+            raise ShapeError("gram matrix has the wrong shape")
         for i in range(self.dim):
             for j in range(i):
                 if product[i][j] != product[j][i]:
@@ -54,19 +103,8 @@ class StructureAlgebra:
     def multiply(self, x, y):
         """Bilinear extension of the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector length does not match the algebra dimension")
-        zero, _ = self._zero_one()
-        out = [zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                row = self.product[i][j]
-                out = [o + c * r for o, r in zip(out, row)]
-        return out
+            raise ShapeError("vector length does not match the algebra dimension")
+        return bilinear(self.product, x, y, self.labels)
 
     def ad_matrix(self, a):
         """Matrix of left multiplication by a, acting on column vectors."""
@@ -77,12 +115,9 @@ class StructureAlgebra:
         """Value of the bilinear form on two coordinate vectors."""
         zero, _ = self._zero_one()
         total = zero
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    total = total + xi * yj * self.gram[i][j]
+        for xi, row in zip(x, self.gram):
+            if xi:
+                total = total + xi * pair(row, y)
         return total
 
     # -- serialization ------------------------------------------------------
@@ -262,7 +297,7 @@ def miyamoto(algebra: StructureAlgebra, a, grading: Grading, rules: FusionRules)
     tau = linalg.matmul(linalg.matmul(p, d), linalg.inverse(p))
 
     n = algebra.dim
-    if not linalg.mat_eq(linalg.matmul(tau, tau), linalg.identity(n)):
+    if linalg.matmul(tau, tau) != linalg.identity(n):
         raise ConsistencyError("the involution does not square to the identity")
     gram = algebra.gram
     if linalg.matmul(linalg.matmul(linalg.transpose(tau), gram), tau) != gram:
@@ -308,17 +343,8 @@ def verify_form(algebra: StructureAlgebra, rules: FusionRules | None = None) -> 
     n = algebra.dim
     symmetric = all(algebra.gram[i][j] == algebra.gram[j][i]
                     for i in range(n) for j in range(n))
-    failures = []
-    gram = algebra.gram
-    for i in range(n):
-        for j in range(n):
-            xy = algebra.product[i][j]
-            for k in range(n):
-                lhs = sum((xy[r] * gram[r][k] for r in range(n)), start=0 * gram[0][0])
-                yz = algebra.product[j][k]
-                rhs = sum((gram[i][r] * yz[r] for r in range(n)), start=0 * gram[0][0])
-                if lhs != rhs:
-                    failures.append((i, j, k))
+    failures = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                if defect(algebra.product, algebra.gram, i, j, k)]
     perpendicular = {}
     if rules is not None:
         for m in algebra.marked:
@@ -364,14 +390,22 @@ def resurrect(algebra: StructureAlgebra, a, b_lm, b_0, lm):
 # -- ideals and quotients -----------------------------------------------------
 
 
-def ideal_closure(algebra: StructureAlgebra, gens):
-    """Smallest subspace containing gens and stable under multiplication."""
+def ideal_closure(algebra: StructureAlgebra, gens, maps=()):
+    """Smallest subspace containing gens and stable under multiplication
+    and under each matrix in maps.
+
+    A subspace stable under an invertible matrix is stable under its
+    inverse, so with the generators of a group as maps the result is the
+    smallest ideal the whole group preserves; no words in the generators
+    are needed.
+    """
     basis = linalg.echelon_span(gens)
     while True:
         extended = list(basis)
         for v in basis:
             for i in range(algebra.dim):
                 extended.append(algebra.multiply(algebra.basis_vector(i), v))
+            extended.extend(linalg.matvec(m, v) for m in maps)
         new_basis = linalg.echelon_span(extended)
         if len(new_basis) == len(basis):
             return new_basis
@@ -391,7 +425,7 @@ def quotient(algebra: StructureAlgebra, ideal):
         for i in range(algebra.dim):
             if not linalg.in_span(basis, algebra.multiply(algebra.basis_vector(i), v)):
                 raise ConsistencyError("subspace is not closed under multiplication")
-            if algebra.form(v, algebra.basis_vector(i)) != 0:
+            if pair(algebra.gram[i], v) != 0:
                 raise ConsistencyError("the form does not vanish on the ideal")
     pivots = [next(c for c, x in enumerate(row) if x != 0) for row in basis]
     complement = [c for c in range(algebra.dim) if c not in pivots]

@@ -10,7 +10,8 @@ Subcommands::
     axial sakuma rederive
 
 Exit codes: 0 on success/all-pass, 1 on verification failure, 2 on usage
-errors.  All machine output is JSON with sorted keys, so identical inputs
+errors (bad arguments or unreadable input files, reported on one stderr
+line).  All machine output is JSON with sorted keys, so identical inputs
 produce byte-identical output.
 """
 
@@ -26,17 +27,38 @@ from . import sakuma as sakuma_mod
 from .algebra import ConsistencyError
 
 
+class UsageError(Exception):
+    """Bad command-line input; main reports it on one line and exits 2."""
+
+
 def _emit(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {path} as JSON: {exc}") from None
+
+
+def _virasoro(p: int, q: int) -> fusion_mod.FusionRules:
+    try:
+        return fusion_mod.virasoro_rules(p, q)
+    except ValueError as exc:
+        raise UsageError(f"no Virasoro table V({p},{q}): {exc}") from None
+
+
 def _load_rules(spec: str, refine: bool) -> fusion_mod.FusionRules:
     if spec.startswith("vir:"):
-        p, q = (int(x) for x in spec[4:].split(","))
-        rules = fusion_mod.virasoro_rules(p, q)
+        try:
+            p, q = (int(x) for x in spec[4:].split(","))
+        except ValueError:
+            raise UsageError(f"--fusion {spec}: expected vir:P,Q with integers P, Q") from None
+        rules = _virasoro(p, q)
     else:
-        with open(spec, encoding="utf-8") as fh:
-            rules = fusion_mod.FusionRules.from_json(json.load(fh))
+        rules = fusion_mod.FusionRules.from_json(_read_json(spec))
     if refine and fusion_mod.ZERO in rules.fields:
         rules = fusion_mod.frobenius_refine(rules)
     return rules
@@ -45,7 +67,7 @@ def _load_rules(spec: str, refine: bool) -> fusion_mod.FusionRules:
 def _cmd_fusion(args) -> int:
     if args.kind != "vir":
         raise SystemExit(2)
-    rules = fusion_mod.virasoro_rules(args.p, args.q)
+    rules = _virasoro(args.p, args.q)
     gradings = fusion_mod.find_z2_gradings(rules)
     if args.json:
         data = rules.to_json()
@@ -67,8 +89,10 @@ def _cmd_fusion(args) -> int:
 
 
 def _cmd_algebra_check(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        alg = algebra_mod.StructureAlgebra.from_json(json.load(fh))
+    try:
+        alg = algebra_mod.StructureAlgebra.from_json(_read_json(args.file))
+    except algebra_mod.ShapeError as exc:
+        raise UsageError(f"{args.file}: {exc}") from None
     rules = _load_rules(args.fusion, refine=not args.raw)
     axis_reports = {}
     for idx in alg.marked:
@@ -189,7 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"axial: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -62,10 +62,6 @@ class FusionRules:
     def product(self, f, g) -> frozenset:
         return self.star[(Fraction(f), Fraction(g))]
 
-    def annihilator_roots(self, f, g):
-        """The fields whose product polynomial kills A_f * A_g."""
-        return sorted(self.product(f, g))
-
     def to_json(self) -> dict:
         pairs = []
         for i, f in enumerate(self.fields):
@@ -141,7 +137,9 @@ def highest_weights(p: int, q: int):
             by_weight.setdefault(_weight(p, q, r, s), set()).add((r, s))
     out = [(h, frozenset(reps)) for h, reps in by_weight.items()]
     out.sort(key=lambda t: min(t[1]))
-    assert len(out) == (p - 1) * (q - 1) // 2
+    if len(out) != (p - 1) * (q - 1) // 2:
+        raise ArithmeticError(f"found {len(out)} distinct weights for V({p},{q}), "
+                              f"expected (p-1)(q-1)/2")
     return out
 
 

@@ -36,10 +36,6 @@ def matmul(a, b):
     return [[sum((ra[k] * cb[k] for k in range(len(ra))), start=0 * ra[0]) for cb in bt] for ra in a]
 
 
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def scale_vec(c, v):
     return [c * x for x in v]
 
@@ -169,7 +165,7 @@ def matrix_order(m, bound: int) -> int | None:
     ident = identity(n)
     power = m
     for k in range(1, bound + 1):
-        if mat_eq(power, ident):
+        if power == ident:
             return k
         power = matmul(power, m)
     return None

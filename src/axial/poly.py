@@ -369,7 +369,8 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
                 if val == 0:
                     roots.add(cand)
     for r in roots:
-        assert f.evaluate(r, r) == 0
+        if f.evaluate(r, r) != 0:
+            raise ArithmeticError(f"candidate root {r} does not annihilate {f}")
     return roots
 
 

@@ -13,9 +13,11 @@ everything outside the window is reached through the two symmetries
 
 with the out-of-window axis a_3 expanded over the basis by requiring
 sigma_1 * sigma_1 to be flip-symmetric.  Evaluating (lam, mu) at the nine
-common zeros of the two associativity polynomials and quotienting by the
-failures of the symmetries to be automorphisms yields exactly the nine
-Norton-Sakuma algebras.
+common zeros of the two associativity polynomials leaves an algebra on
+which tau0 and the flip need not be automorphisms.  Their failures
+xy - t(t(x) t(y)) generate an ideal, closed under multiplication and under
+both symmetries (each is its own inverse, so no longer words are needed);
+the nine quotients by these ideals are exactly the Norton-Sakuma algebras.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (ConsistencyError, StructureAlgebra, check_axis,
-                      ideal_closure, miyamoto, quotient)
+from .algebra import (ConsistencyError, StructureAlgebra, bilinear, check_axis,
+                      defect, ideal_closure, miyamoto, pair, quotient)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
+from .linalg import add_vec, scale_vec, sub_vec
 from .poly import (LAM, MU, MultiPoly, rational_roots, resultant,
                    univariate_gcd)
 
@@ -75,18 +78,6 @@ def _vec(entries: dict) -> list[MultiPoly]:
     for idx, val in entries.items():
         out[idx] = _c(val)
     return out
-
-
-def _add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def _sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def _scale(c, v):
-    return [_c(c) * x for x in v]
 
 
 @dataclass
@@ -148,7 +139,7 @@ def _window_products():
         AM2: Q(7, 2**11), A2: Q(7, 2**11),
     }))
     third = Q(-1, 3)
-    put(A0, S2O, _scale(third, _vec({
+    put(A0, S2O, scale_vec(third, _vec({
         S1: -32 * lam + Q(19, 16),
         S2E: Q(-7, 32),
         A0: 32 * lam * lam - 5 * lam + Q(1, 8) * mu + Q(127, 2**10),
@@ -156,21 +147,21 @@ def _window_products():
         AM1: Q(-1, 2) * lam + Q(19, 2**10),
         A2: Q(-7, 2**11), AM2: Q(-7, 2**11),
     })))
-    put(S1, S1, _add(
-        _scale(Q(1, 3), _vec({
+    put(S1, S1, add_vec(
+        scale_vec(Q(1, 3), _vec({
             S1: Q(-5, 4) * lam - Q(13, 2**9),
             S2E: Q(-7, 2**9),
             S2O: Q(21, 2**11),
         })),
-        _scale(Q(7, 3), _vec({
+        scale_vec(Q(7, 3), _vec({
             A0: Q(1, 2) * lam * lam - Q(1, 2**7) * lam + Q(1, 2**9) * mu - Q(1, 2**15),
             A1: Q(7, 2**8) * lam - Q(35, 2**16),
             AM1: Q(7, 2**8) * lam - Q(35, 2**16),
             A2: Q(7, 2**16), AM2: Q(7, 2**16),
         }))))
     lam2, lam3 = lam * lam, lam * lam * lam
-    put(S1, S2E, _add(
-        _scale(Q(1, 3), _vec({
+    put(S1, S2E, add_vec(
+        scale_vec(Q(1, 3), _vec({
             A0: 2**8 * lam3 - Q(27, 2) * lam2 + lam * mu + Q(17, 2**7) * lam
                 - Q(19, 2**9) * mu + Q(19, 2**15),
             A1: 14 * lam2 - Q(203, 2**8) * lam + Q(665, 2**16),
@@ -237,23 +228,6 @@ def _flip_matrix(a3):
     return m
 
 
-def _mult_with(prod, x, y):
-    """Bilinear product using a (possibly partial) table."""
-    out = [MultiPoly() for _ in range(8)]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            entry = prod[i][j]
-            if entry is None:
-                raise ConsistencyError(f"product ({LABELS[i]}, {LABELS[j]}) not yet available")
-            c = xi * yj
-            out = [o + c * e for o, e in zip(out, entry)]
-    return out
-
-
 def _basis(i):
     return _vec({i: 1})
 
@@ -280,10 +254,10 @@ def build_universal() -> UniversalAlgebra:
         return linalg.matvec(m, v)
 
     # axis pairs at distance 3 and 4
-    a0_a3 = _mult_with(prod, _basis(A0), a3)
+    a0_a3 = bilinear(prod, _basis(A0), a3, LABELS)
     put(AM2, A1, t(flip, a0_a3))
     put(AM1, A2, t(tau0, prod[AM2][A1]))
-    a0_a4 = _mult_with(prod, _basis(A0), a4)
+    a0_a4 = bilinear(prod, _basis(A0), a4, LABELS)
     put(AM2, A2, t(flip, t(tau0, t(flip, a0_a4))))
 
     # transport the sigma products along the axis orbit
@@ -317,8 +291,8 @@ def build_universal() -> UniversalAlgebra:
     rest[S2O] = MultiPoly()
     rest[S2E] = MultiPoly()
     a3_s2e = t(flip, prod[AM2][S2O])  # a_3 * s2e is the flip of a_{-2} * s2o
-    rest_s2e = _mult_with(prod, rest, _basis(S2E))
-    put(S2E, S2O, _add(prod[S2E][S2E], _scale(e_inv, _sub(a3_s2e, rest_s2e))))
+    rest_s2e = bilinear(prod, rest, _basis(S2E), LABELS)
+    put(S2E, S2O, add_vec(prod[S2E][S2E], scale_vec(e_inv, sub_vec(a3_s2e, rest_s2e))))
 
     gram = _complete_gram(prod, a3, a4)
     algebra = StructureAlgebra(LABELS, prod, gram, marked=[A0, A1])
@@ -384,17 +358,12 @@ def _complete_gram(prod, a3, a4):
             put(k, S2O, even_2)
     put(S1, S1, Q(3, 4) * lam * lam + Q(65, 2**9) * lam + Q(7, 2**11) * mu - _c(Q(3, 2**11)))
 
-    def form_a_row(k, vector):
-        total = MultiPoly()
-        for i, coeff in enumerate(vector):
-            if coeff:
-                total = total + coeff * g[k][i]
-        return total
+    def sigma_form(p, q, w):
+        """<a_p a_q - (a_p + a_q)/32, e_w>, associated as <a_p, a_q e_w>."""
+        return pair(g[p], prod[q][w]) - _c(Q(1, 32)) * (g[p][w] + g[q][w])
 
     def derive(sig, w):
-        p, q = SIGMA_PAIRS[sig]
-        aw = prod[q][w]
-        return form_a_row(p, aw) - _c(Q(1, 32)) * (g[p][w] + g[q][w])
+        return sigma_form(*SIGMA_PAIRS[sig], w)
 
     check = derive(S1, S1)
     if check != g[S1][S1]:
@@ -406,9 +375,9 @@ def _complete_gram(prod, a3, a4):
     put(S2O, S2O, derive(S2O, S2O))
 
     # second routes: the distance 3 and 4 values through the expansions
-    if form_a_row(A0, a3) != nu3:
+    if pair(g[A0], a3) != nu3:
         raise ConsistencyError("two routes disagree for <a0, a3>")
-    if form_a_row(A0, a4) != nu4:
+    if pair(g[A0], a4) != nu4:
         raise ConsistencyError("two routes disagree for <a0, a4>")
     # and the axis-sigma entries through associativity, re-associating only
     # across window products (beyond distance 2 the form genuinely fails to
@@ -418,21 +387,11 @@ def _complete_gram(prod, a3, a4):
             p, q = SIGMA_PAIRS[sig]
             if abs(k - q) < abs(k - p):
                 p, q = q, p
-            via = _form_a_sigma(g, prod, k, p, q)
-            if via != g[k][sig]:
+            # <a_k, a_p a_q - (a_p + a_q)/32> via <a_q, a_p a_k>
+            if sigma_form(q, p, k) != g[k][sig]:
                 raise ConsistencyError(
                     f"two routes disagree for <{LABELS[k]}, {LABELS[sig]}>")
     return g
-
-
-def _form_a_sigma(g, prod, k, p, q):
-    """<a_k, a_p a_q - (a_p + a_q)/32> via <a_k a_p, a_q>."""
-    vector = prod[k][p]
-    total = MultiPoly()
-    for i, coeff in enumerate(vector):
-        if coeff:
-            total = total + coeff * g[i][q]
-    return total - _c(Q(1, 32)) * (g[k][p] + g[k][q])
 
 
 def gram_complete(uni: UniversalAlgebra):
@@ -442,10 +401,6 @@ def gram_complete(uni: UniversalAlgebra):
     if g != uni.algebra.gram:
         raise ConsistencyError("gram re-derivation does not match the stored matrix")
     return g
-
-
-def t_matrices(uni: UniversalAlgebra):
-    return uni.tau0, uni.flip
 
 
 # -- associativity polynomials and the nine points ----------------------------
@@ -458,24 +413,10 @@ def associativity_defects(uni: UniversalAlgebra):
     for i in range(8):
         for j in range(8):
             for k in range(8):
-                d = _defect(alg, i, j, k)
+                d = defect(alg.product, alg.gram, i, j, k)
                 if d:
                     out.append(((i, j, k), d))
     return out
-
-
-def _defect(alg, i, j, k):
-    xy = alg.product[i][j]
-    lhs = MultiPoly()
-    for r, c in enumerate(xy):
-        if c:
-            lhs = lhs + c * alg.gram[r][k]
-    yz = alg.product[j][k]
-    rhs = MultiPoly()
-    for r, c in enumerate(yz):
-        if c:
-            rhs = rhs + alg.gram[i][r] * c
-    return lhs - rhs
 
 
 def associativity_polynomials(uni: UniversalAlgebra):
@@ -484,8 +425,9 @@ def associativity_polynomials(uni: UniversalAlgebra):
     (a_{-2}, a_{-2}, a_1).  The raw defects are rational multiples of
     these; scaling does not move the zero locus."""
     if uni._p1 is None:
-        uni._p1 = _monic(_defect(uni.algebra, AM1, AM2, A1))
-        uni._p2 = _monic(_defect(uni.algebra, AM2, AM2, A1))
+        prod, gram = uni.algebra.product, uni.algebra.gram
+        uni._p1 = _monic(defect(prod, gram, AM1, AM2, A1))
+        uni._p2 = _monic(defect(prod, gram, AM2, AM2, A1))
     return uni._p1, uni._p2
 
 
@@ -562,29 +504,6 @@ def evaluate_point(uni: UniversalAlgebra, pt: EvalPoint) -> StructureAlgebra:
     return StructureAlgebra(LABELS, product, gram, marked=[A0, A1])
 
 
-def _symmetry_words(t_mat, f_mat, bound):
-    """Alternating words in the two involutions, up to the given length.
-
-    Returns (matrix, inverse) pairs; inverses are the reversed words.
-    """
-    words = []
-    for start in (0, 1):
-        for length in range(1, bound + 1):
-            seq = [(start + k) % 2 for k in range(length)]
-            words.append(seq)
-    out = []
-    gens = (t_mat, f_mat)
-    for seq in words:
-        m = gens[seq[0]]
-        for s in seq[1:]:
-            m = linalg.matmul(m, gens[s])
-        minv = gens[seq[-1]]
-        for s in reversed(seq[:-1]):
-            minv = linalg.matmul(minv, gens[s])
-        out.append((m, minv))
-    return out
-
-
 @dataclass
 class Discrepancy:
     point: EvalPoint
@@ -592,40 +511,40 @@ class Discrepancy:
     ideal: list
     quotient: StructureAlgebra
     projection: list
-    word_bound: int
 
     @property
     def ideal_dim(self) -> int:
         return len(self.ideal)
 
 
-def discrepancy_quotient(uni: UniversalAlgebra, pt: EvalPoint,
-                         word_bound: int = 3) -> Discrepancy:
+def discrepancy_quotient(uni: UniversalAlgebra, pt: EvalPoint) -> Discrepancy:
     """Quotient the evaluated algebra by the failures of the symmetries.
 
-    Generators are x y - t^{-1}(t(x) t(y)) for basis pairs and symmetry
-    words t; the span is closed into an ideal, the form is checked to
-    vanish on it, and the quotient is formed.
+    Generators are x y - t(t(x) t(y)) for basis pairs and t in {tau0, flip},
+    each its own inverse.  Their span is closed under multiplication and
+    under both symmetries, which gives the smallest ideal containing them
+    that the whole symmetry group preserves; modulo it every word in tau0
+    and the flip is an automorphism.  The form is checked to vanish on the
+    ideal, and the quotient is formed.
     """
     alg = evaluate_point(uni, pt)
-    t_mat = _eval_matrix(uni.tau0, pt)
-    f_mat = _eval_matrix(uni.flip, pt)
+    symmetries = [_eval_matrix(uni.tau0, pt), _eval_matrix(uni.flip, pt)]
     gens = []
-    for m, minv in _symmetry_words(t_mat, f_mat, word_bound):
+    for m in symmetries:
         cols = linalg.transpose(m)
         for i in range(8):
             for j in range(i, 8):
                 w = alg.multiply(cols[i], cols[j])
-                d = linalg.sub_vec(alg.product[i][j], linalg.matvec(minv, w))
+                d = sub_vec(alg.product[i][j], linalg.matvec(m, w))
                 if not linalg.is_zero_vec(d):
                     gens.append(d)
-    ideal = ideal_closure(alg, gens)
+    ideal = ideal_closure(alg, gens, symmetries)
     for v in ideal:
         for i in range(8):
-            if alg.form(v, alg.basis_vector(i)) != 0:
+            if pair(alg.gram[i], v) != 0:
                 raise ConsistencyError(f"form does not vanish on the ideal at {pt.name}")
     quot, proj = quotient(alg, ideal)
-    return Discrepancy(pt, alg, ideal, quot, proj, word_bound)
+    return Discrepancy(pt, alg, ideal, quot, proj)
 
 
 # -- the classification --------------------------------------------------------
@@ -652,7 +571,6 @@ class PointReport:
     rho_order: int  # order of tau0 * tau1 on the quotient
     shift_order: int  # order of the axis-shift a_i -> a_{i+1} on the quotient
     gram_values: dict
-    notes: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -676,7 +594,6 @@ class PointReport:
             "rho_order": self.rho_order,
             "shift_order": self.shift_order,
             "gram": {k: str(v) for k, v in self.gram_values.items()},
-            "notes": self.notes,
             "passed": self.passed,
         }
 
@@ -718,6 +635,8 @@ class ClassificationReport:
 def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
     """Build, evaluate and certify the nine Norton-Sakuma quotients.
 
+    Each point's quotient is taken once, by the ideal closed under
+    multiplication and the two symmetries (see discrepancy_quotient).
     Both generators must verify as axes in every quotient; the axis-shift
     symmetry must have the order named by the algebra; and the product of
     the two Miyamoto involutions must have its orbit-determined order.
@@ -733,14 +652,7 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
     reports = []
     total = 0
     for pt in solve_points(uni):
-        expected_ideal = next(row[3] for row in POINT_TABLE if row[0] == pt.name)
-        notes = []
         disc = discrepancy_quotient(uni, pt)
-        bound = 3
-        while disc.ideal_dim != expected_ideal and bound < 6:
-            bound += 1
-            notes.append(f"symmetry word bound raised to {bound}")
-            disc = discrepancy_quotient(uni, pt, word_bound=bound)
         quot, proj = disc.quotient, disc.projection
         ax0 = linalg.matvec(proj, [Q(1) if i == A0 else Q(0) for i in range(8)])
         ax1 = linalg.matvec(proj, [Q(1) if i == A1 else Q(0) for i in range(8)])
@@ -771,7 +683,7 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
         total += quot.dim
         reports.append(PointReport(pt.name, pt.lam, pt.mu, disc.ideal_dim,
                                    quot.dim, [rep0, rep1], order, shift_order,
-                                   gram_values, notes))
+                                   gram_values))
     signatures = {(p.lam, p.mu) for p in reports}
     report = ClassificationReport(reports, total, len(signatures) == len(reports))
     if not report.passed:
@@ -854,10 +766,8 @@ def rederive_products(uni: UniversalAlgebra) -> RederiveReport:
     prod = alg.product
     ev = axis_eigenvectors()
     e = _basis
+    mult = alg.multiply
     results = []
-
-    def mult(x, y):
-        return _mult_with(prod, x, y)
 
     def record(name, got, want):
         ok = got == want
@@ -865,7 +775,7 @@ def rederive_products(uni: UniversalAlgebra) -> RederiveReport:
 
     # a_0 alpha1 = 0 isolates a_0 s1
     rest1 = _vec({A0: 3 * LAM - Q(1, 8), A1: Q(7, 16), AM1: Q(7, 16)})
-    record("a0*s1", _scale(Q(1, 4), mult(e(A0), rest1)), prod[A0][S1])
+    record("a0*s1", scale_vec(Q(1, 4), mult(e(A0), rest1)), prod[A0][S1])
 
     # the squared quarter-projection norm, needed next
     beta1 = ev["beta1"]
@@ -878,49 +788,49 @@ def rederive_products(uni: UniversalAlgebra) -> RederiveReport:
     # fusion forces a_0 (alpha1^2 - beta1^2 + <beta1^2, a0> a0) = 0;
     # expand the difference so that s1*s1 cancels, then isolate a_0 s2o
     alpha1 = ev["alpha1"]
-    u1 = _sub(alpha1, _vec({S1: -4}))
-    v1 = _sub(beta1, _vec({S1: 4}))
-    diff = _add(_scale(-8, mult(e(S1), _add(u1, v1))),
-                _sub(mult(u1, u1), mult(v1, v1)))
-    eq = _add(diff, _scale(_c(Q(1, 4)) * bb, e(A0)))
+    u1 = sub_vec(alpha1, _vec({S1: -4}))
+    v1 = sub_vec(beta1, _vec({S1: 4}))
+    diff = add_vec(scale_vec(-8, mult(e(S1), add_vec(u1, v1))),
+                sub_vec(mult(u1, u1), mult(v1, v1)))
+    eq = add_vec(diff, scale_vec(_c(Q(1, 4)) * bb, e(A0)))
     c = eq[S2O]
     if not c.is_constant() or c.constant_value() == 0:
         raise ConsistencyError("unexpected shape for the odd-sigma relation")
     known = list(eq)
     known[S2O] = MultiPoly()
-    derived = _scale(Q(-1) / c.constant_value(), mult(e(A0), known))
+    derived = scale_vec(Q(-1) / c.constant_value(), mult(e(A0), known))
     record("a0*s2o", derived, prod[A0][S2O])
 
     # partial associativity (a_0 a_1) alpha1 = a_0 (a_1 alpha1) isolates s1*s1
-    lhs_rest = _add(mult(e(S1), u1),
-                    _scale(Q(1, 32), _add(mult(e(A0), alpha1), mult(e(A1), alpha1))))
+    lhs_rest = add_vec(mult(e(S1), u1),
+                    scale_vec(Q(1, 32), add_vec(mult(e(A0), alpha1), mult(e(A1), alpha1))))
     rhs = mult(e(A0), mult(e(A1), alpha1))
-    record("s1*s1", _scale(Q(1, 4), _sub(lhs_rest, rhs)), prod[S1][S1])
+    record("s1*s1", scale_vec(Q(1, 4), sub_vec(lhs_rest, rhs)), prod[S1][S1])
 
     # resurrection for s1*s2e: with x = 16 s1 s2e, the corrections
     # b_{1/4} = -alpha1 beta2 - x and b_0 = alpha1 alpha2 - x are x-free
     alpha2, beta2 = ev["alpha2"], ev["beta2"]
-    u2 = _sub(alpha2, _vec({S2E: -4}))
-    v2 = _sub(beta2, _vec({S2E: 4}))
-    p_free = _add(_add(_scale(-4, mult(e(S1), v2)), _scale(4, mult(u1, e(S2E)))),
+    u2 = sub_vec(alpha2, _vec({S2E: -4}))
+    v2 = sub_vec(beta2, _vec({S2E: 4}))
+    p_free = add_vec(add_vec(scale_vec(-4, mult(e(S1), v2)), scale_vec(4, mult(u1, e(S2E)))),
                   mult(u1, v2))
-    q_free = _add(_add(_scale(-4, mult(e(S1), u2)), _scale(-4, mult(u1, e(S2E)))),
+    q_free = add_vec(add_vec(scale_vec(-4, mult(e(S1), u2)), scale_vec(-4, mult(u1, e(S2E)))),
                   mult(u1, u2))
-    b_quarter = _scale(-1, p_free)
+    b_quarter = scale_vec(-1, p_free)
     b_zero = q_free
-    x = _sub(_scale(4, mult(e(A0), _sub(b_quarter, b_zero))), b_quarter)
-    record("s1*s2e", _scale(Q(1, 16), x), prod[S1][S2E])
+    x = sub_vec(scale_vec(4, mult(e(A0), sub_vec(b_quarter, b_zero))), b_quarter)
+    record("s1*s2e", scale_vec(Q(1, 16), x), prod[S1][S2E])
 
     # resurrection for s2e*s2e
-    p2_free = _add(_scale(4, mult(_sub(u2, v2), e(S2E))), mult(u2, v2))
-    q2_free = _add(_scale(-8, mult(u2, e(S2E))), mult(u2, u2))
-    b_quarter = _scale(-1, p2_free)
+    p2_free = add_vec(scale_vec(4, mult(sub_vec(u2, v2), e(S2E))), mult(u2, v2))
+    q2_free = add_vec(scale_vec(-8, mult(u2, e(S2E))), mult(u2, u2))
+    b_quarter = scale_vec(-1, p2_free)
     b_zero = q2_free
-    x = _sub(_scale(4, mult(e(A0), _sub(b_quarter, b_zero))), b_quarter)
-    record("s2e*s2e", _scale(Q(1, 16), x), prod[S2E][S2E])
+    x = sub_vec(scale_vec(4, mult(e(A0), sub_vec(b_quarter, b_zero))), b_quarter)
+    record("s2e*s2e", scale_vec(Q(1, 16), x), prod[S2E][S2E])
 
     # the odd eigenvector: a_0 gamma1 = gamma1 / 32
     gamma1 = ev["gamma1"]
-    record("a0*gamma1", mult(e(A0), gamma1), _scale(Q(1, 32), gamma1))
+    record("a0*gamma1", mult(e(A0), gamma1), scale_vec(Q(1, 32), gamma1))
 
     return RederiveReport(results)

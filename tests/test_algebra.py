@@ -7,7 +7,7 @@ import pytest
 
 from axial import linalg
 from axial.algebra import (ConsistencyError, StructureAlgebra, annihilator_coeffs,
-                           apply_ad_poly, check_axis, eigen_decompose,
+                           apply_ad_poly, bilinear, check_axis, eigen_decompose,
                            ideal_closure, miyamoto, quotient, resurrect,
                            seress_assoc_check, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
@@ -55,6 +55,15 @@ def test_multiply_commutative_bilinear(alg):
         lhs = alg.multiply(x, [c * yi + zi for yi, zi in zip(y, z)])
         rhs = [c * p + q for p, q in zip(alg.multiply(x, y), alg.multiply(x, z))]
         assert lhs == rhs
+
+
+def test_partial_table_names_the_missing_product(alg):
+    table = [list(row) for row in alg.product]
+    table[0][2] = table[2][0] = None
+    # a product that never needs the missing entry still works
+    assert bilinear(table, e(0), e(1), alg.labels) == alg.multiply(e(0), e(1))
+    with pytest.raises(ConsistencyError, match=r"product \(a, c\) not yet available"):
+        bilinear(table, e(0), [Q(1), Q(0), Q(2)], alg.labels)
 
 
 def test_three_c_eigenspaces(alg, rules):

@@ -39,8 +39,37 @@ def test_fusion_table_json_round_trips(capsys):
 
 
 def test_fusion_rejects_bad_pq(capsys):
-    with pytest.raises(ValueError):
-        main(["fusion", "vir", "4", "2"])
+    assert main(["fusion", "vir", "4", "2"]) == 2
+    assert "coprime" in capsys.readouterr().err
+
+
+def _not_json(path):
+    path.write_text("not json")
+
+
+def _short_product(path):
+    data = three_c().to_json()
+    data["product"] = data["product"][:2]
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("argv, make_file", [
+    (["algebra", "check", str(FIXTURE), "--fusion", "vir:4"], None),
+    (["algebra", "check", str(FIXTURE), "--fusion", "vir:6,4"], None),
+    (["fusion", "vir", "4", "2"], None),
+    (["algebra", "check", "{file}"], _not_json),
+    (["algebra", "check", "{file}"], _short_product),
+], ids=["fusion-one-number", "fusion-not-coprime", "fusion-table-not-coprime",
+        "algebra-not-json", "algebra-wrong-shape"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file):
+    path = tmp_path / "input.json"
+    if make_file is not None:
+        make_file(path)
+    code = main([arg.format(file=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("axial: error: ")
 
 
 def test_algebra_check_fixture(capsys):

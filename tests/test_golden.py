@@ -1,0 +1,43 @@
+"""The command outputs pinned byte for byte.
+
+The files under ``golden/`` were written by the commands below before the
+product/form kernel was unified and the discrepancy ideal was re-derived
+from the symmetry closure; the classification report there lacks the
+retired ``notes`` key.  The table digest is the one the benchmark checks.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from axial.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_table_json_digest(capsys):
+    code, out = run(capsys, "sakuma", "table", "--format", "json")
+    assert code == 0
+    reference = json.loads((ROOT / "bench" / "reference" / "symbolic.json").read_text())
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["table_sha256"]
+
+
+def test_solve_json(capsys):
+    code, out = run(capsys, "sakuma", "solve")
+    assert code == 0
+    assert out == (GOLDEN / "solve.json").read_text(encoding="utf-8")
+
+
+def test_classify_report_and_summary(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    code, out = run(capsys, "sakuma", "classify", "--out", str(out_file))
+    assert code == 0
+    assert out == (GOLDEN / "classify.txt").read_text(encoding="utf-8")
+    assert out_file.read_text(encoding="utf-8") == \
+        (GOLDEN / "classify.json").read_text(encoding="utf-8")

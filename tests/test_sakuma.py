@@ -106,9 +106,7 @@ def test_flip_transports_products(uni):
 
 
 def test_symmetry_images(uni):
-    from axial.sakuma import t_matrices
-
-    tau0, flip = t_matrices(uni)
+    tau0, flip = uni.tau0, uni.flip
     assert linalg.matvec(tau0, sym_vec({A2: 1})) == sym_vec({AM2: 1})
     assert linalg.matvec(tau0, sym_vec({S2O: 1})) == sym_vec({S2O: 1})
     assert linalg.matvec(flip, sym_vec({S2E: 1})) == sym_vec({S2O: 1})
@@ -252,6 +250,10 @@ def test_ideal_and_quotient_dims(uni, points):
         disc = discrepancy_quotient(uni, points[name])
         assert disc.ideal_dim == ideal_dim, name
         assert disc.quotient.dim == dim, name
+        for m in (uni.tau0, uni.flip):
+            t = [[c.evaluate(lam, mu) for c in row] for row in m]
+            assert all(linalg.in_span(disc.ideal, linalg.matvec(t, v))
+                       for v in disc.ideal), name
 
 
 def test_2b_eigen_dims(uni, points):
