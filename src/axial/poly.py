@@ -240,6 +240,20 @@ def from_coefficients(coeffs, var: str) -> MultiPoly:
     return MultiPoly(terms)
 
 
+def _univariate_coeffs(f: MultiPoly, var: str) -> list[Fraction]:
+    """Rational coefficients of f in `var`, low to high; f must involve no
+    other variable."""
+    return [c.constant_value() for c in coefficients_in(f, var)]
+
+
+def _horner(coeffs, x) -> Fraction:
+    """Value at x of the univariate polynomial with `coeffs`, low to high."""
+    val = Fraction(0)
+    for c in reversed(coeffs):
+        val = val * x + c
+    return val
+
+
 def _other_var(var: str) -> str:
     return VARS[1 - _var_index(var)]
 
@@ -281,11 +295,11 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
     if m < 1 or n < 1:
         raise ValueError(f"inputs must have positive degree in {eliminate}")
     kept = _other_var(eliminate)
-    fc = coefficients_in(f, eliminate)
-    gc = coefficients_in(g, eliminate)
-    kf = max((c.degree(kept) for c in fc if c), default=0)
-    kg = max((c.degree(kept) for c in gc if c), default=0)
-    bound = n * max(kf, 0) + m * max(kg, 0)
+    fc = [_univariate_coeffs(c, kept) for c in coefficients_in(f, eliminate)]
+    gc = [_univariate_coeffs(c, kept) for c in coefficients_in(g, eliminate)]
+    kf = max(len(c) - 1 for c in fc)
+    kg = max(len(c) - 1 for c in gc)
+    bound = n * kf + m * kg
 
     # Evaluate the Sylvester determinant at bound+1 points of the kept
     # variable and interpolate; this avoids polynomial-entry elimination.
@@ -295,8 +309,8 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
         point = Fraction(t)
         size = m + n
         rows = []
-        fr = [c.evaluate(point, point) for c in fc]  # univariate: safe to pass both
-        gr = [c.evaluate(point, point) for c in gc]
+        fr = [_horner(c, point) for c in fc]
+        gr = [_horner(c, point) for c in gc]
         for shift in range(n):
             row = [Fraction(0)] * size
             for k, c in enumerate(fr):
@@ -314,8 +328,42 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
     return from_coefficients(coeffs, kept)
 
 
+def _prime_factors(n: int) -> dict[int, int]:
+    """Prime factorisation {p: k} of |n| > 0 by trial division.
+
+    Each prime is divided out as soon as it is found and the search stops
+    at the square root of the remaining cofactor, which is then prime, so
+    a smooth n such as 2^43 costs a few dozen divisions, and no n costs
+    more than trial division up to its own square root.
+    """
+    n = abs(n)
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def _divisors(n: int) -> list[int]:
+    """All positive divisors of a nonzero integer, from its factorisation."""
+    divs = [1]
+    for p, k in _prime_factors(n).items():
+        divs = [d * p**e for d in divs for e in range(k + 1)]
+    return divs
+
+
 def rational_roots(f: MultiPoly) -> set[Fraction]:
-    """All rational roots of a nonzero univariate polynomial, verified exactly."""
+    """All rational roots of a nonzero univariate polynomial, verified exactly.
+
+    By the rational root test every root p/q in lowest terms of the
+    primitive integer form has p dividing the constant and q the leading
+    coefficient; each such candidate is tested exactly.
+    """
     if not f:
         raise ValueError("rational_roots of the zero polynomial")
     deg_l, deg_m = f.degree("lam"), f.degree("mu")
@@ -324,15 +372,15 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
     var = "lam" if deg_l > 0 else "mu"
     if f.is_constant():
         return set()
-    coeffs = [c.constant_value() for c in coefficients_in(f, var)]
+    all_coeffs = _univariate_coeffs(f, var)
 
     roots = set()
     low = 0
-    while coeffs[low] == 0:
+    while all_coeffs[low] == 0:
         low += 1
     if low > 0:
         roots.add(Fraction(0))
-    coeffs = coeffs[low:]
+    coeffs = all_coeffs[low:]
     if len(coeffs) == 1:
         return roots
 
@@ -347,29 +395,13 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
         content = gcd(content, abs(c))
     ints = [c // content for c in ints]
 
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
-
-    for p in divisors(ints[0]):
-        for q in divisors(ints[-1]):
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                val = Fraction(0)
-                for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0:
+                if cand not in roots and _horner(ints, cand) == 0:
                     roots.add(cand)
     for r in roots:
-        if f.evaluate(r, r) != 0:
+        if _horner(all_coeffs, r) != 0:
             raise ArithmeticError(f"candidate root {r} does not annihilate {f}")
     return roots
 
@@ -377,15 +409,12 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
 def univariate_gcd(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Monic gcd of two univariate polynomials in `var` over Q."""
 
-    def coeff_list(p):
-        return [c.constant_value() for c in coefficients_in(p, var)]
-
     def strip(cs):
         while cs and cs[-1] == 0:
             cs.pop()
         return cs
 
-    a, b = strip(coeff_list(f)), strip(coeff_list(g))
+    a, b = strip(_univariate_coeffs(f, var)), strip(_univariate_coeffs(g, var))
     while b:
         # remainder of a modulo b
         a = a[:]

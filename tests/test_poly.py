@@ -7,6 +7,7 @@ from axial.poly import (LAM, MU, MultiPoly, buchberger, coefficients_in,
                         from_coefficients, leading_term, rational_roots,
                         reduce_poly, resultant, s_polynomial,
                         standard_monomial_count, univariate_gcd)
+from axial.sakuma import associativity_polynomials
 
 
 def rand_poly(rng, max_deg=3, max_terms=5):
@@ -151,6 +152,32 @@ def test_rational_roots_complete_against_brute_force():
         assert rational_roots(f) == brute_force_roots(f, "lam")
 
 
+def planted(var, roots, extra):
+    """c * prod (q x - p) * extra over the planted roots p/q, with c > 0."""
+    x = MultiPoly.variable(var)
+    f = extra
+    for r in roots:
+        f = f * (r.denominator * x - r.numerator)
+    return f
+
+
+@pytest.mark.parametrize("var", ["lam", "mu"])
+def test_rational_roots_hard_end_coefficients(var):
+    x = MultiPoly.variable(var)
+    # Trial division up to the square root of 2^64 * 3^40 would take about
+    # 10^16 steps; the smooth end coefficient is factored in a few dozen.
+    smooth = 2**64 * 3**40
+    roots = {Q(0), Q(-1, smooth), Q(5, 2)}
+    assert rational_roots(planted(var, roots, x**2 + x + 1)) == roots
+    roots = {Q(smooth), Q(-1, 3)}
+    assert rational_roots(planted(var, roots, x**2 + 2)) == roots
+    # 2^20 * 1000003 leaves the prime 1000003 as the cofactor once the 2s
+    # are divided out.
+    roots = {Q(0), Q(-1), Q(9, 2**20 * 1000003)}
+    assert rational_roots(planted(var, roots, x**2 - 2)) == roots
+    assert rational_roots(planted(var, set(), 2**20 * 1000003 * x**2 + 3)) == set()
+
+
 def test_univariate_gcd():
     f = (MU - 1) * (MU - Q(1, 2))
     g = (MU - 1) * (MU + 3)
@@ -196,3 +223,50 @@ def test_standard_monomials_rejects_zero():
 def test_from_coefficients():
     f = from_coefficients([Q(1), Q(0), Q(-2)], "lam")
     assert f == 1 - 2 * LAM**2
+
+
+# -- sympy as an independent oracle ---------------------------------------------
+
+
+def sympy_setup():
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+    return sympy, {"lam": lam, "mu": mu}
+
+
+def to_sympy(sympy, syms, f):
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * syms["lam"] ** i * syms["mu"] ** j
+                       for (i, j), c in f.terms.items()))
+
+
+def from_sympy(sympy, syms, expr):
+    terms = sympy.Poly(expr, syms["lam"], syms["mu"]).terms()
+    return MultiPoly({e: Q(int(c.p), int(c.q)) for e, c in terms})
+
+
+@pytest.mark.parametrize("eliminate, kept", [("mu", "lam"), ("lam", "mu")])
+def test_resultant_and_roots_against_sympy(uni, eliminate, kept):
+    sympy, syms = sympy_setup()
+    p1, p2 = associativity_polynomials(uni)
+    theirs = sympy.resultant(to_sympy(sympy, syms, p1), to_sympy(sympy, syms, p2),
+                             syms[eliminate])
+    ours = resultant(p1, p2, eliminate)
+    assert ours == from_sympy(sympy, syms, theirs)
+    sympy_roots = sympy.roots(sympy.Poly(theirs, syms[kept]), filter="Q")
+    assert rational_roots(ours) == {Q(int(r.p), int(r.q)) for r in sympy_roots}
+
+
+def test_standard_monomial_count_against_sympy(uni):
+    sympy, syms = sympy_setup()
+    p1, p2 = associativity_polynomials(uni)
+    basis = sympy.groebner([to_sympy(sympy, syms, p) for p in (p1, p2)],
+                           syms["lam"], syms["mu"], order="grevlex")
+    assert basis.is_zero_dimensional
+    leads = [sympy.Poly(g, syms["lam"], syms["mu"]).monoms(order="grevlex")[0]
+             for g in basis.exprs]
+    n_lam = min(i for i, j in leads if j == 0)
+    n_mu = min(j for i, j in leads if i == 0)
+    count = sum(1 for i in range(n_lam) for j in range(n_mu)
+                if not any(a <= i and b <= j for a, b in leads))
+    assert standard_monomial_count([p1, p2]) == count

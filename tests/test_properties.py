@@ -1,4 +1,5 @@
-"""Property tests of the product/form/defect kernel on random rational vectors."""
+"""Property tests: the product/form/defect kernel on random rational vectors,
+the MultiPoly ring laws, and rational roots planted in random polynomials."""
 
 from fractions import Fraction as Q
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from axial.algebra import defect, three_c  # noqa: E402
+from axial.poly import MultiPoly, rational_roots  # noqa: E402
 from axial.sakuma import EvalPoint, evaluate_point  # noqa: E402
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
@@ -54,3 +56,35 @@ def test_kernel_off_the_nine_points(uni, data):
     alg = evaluate_point(uni, pt)
     x, y, z = (data.draw(vectors(8)) for _ in range(3))
     check_kernel(alg, x, y, z, data.draw(rationals))
+
+
+polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals,
+                        max_size=6).map(MultiPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, polys)
+def test_multipoly_ring_laws(f, g, h):
+    assert f + g == g + f
+    assert f * g == g * f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f - f == MultiPoly()
+    assert MultiPoly.from_json(f.to_json()) == f
+
+
+small_roots = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(small_roots, max_size=4), st.sampled_from(["lam", "mu"]),
+       st.integers(1, 6), st.integers(1, 4), st.integers(-3, 3))
+def test_planted_rational_roots(roots, var, scale, a, b):
+    # scale * prod (q x - p) * (a x^2 + b x + a + b*b) has exactly the planted
+    # rational roots: the quadratic's discriminant b^2 - 4a(a + b^2) is negative
+    x = MultiPoly.variable(var)
+    f = scale * (a * x**2 + b * x + a + b * b)
+    for r in roots:
+        f = f * (r.denominator * x - r.numerator)
+    assert rational_roots(f) == roots
