@@ -4,7 +4,9 @@ An algebra carries a symmetric product tensor, a symmetric bilinear form
 (the Frobenius form), and a list of marked generator indices.  Entries
 are either Fraction (evaluated algebras) or MultiPoly (the symbolic
 algebra over Q[lam, mu]); only the eigenspace machinery requires the
-rational case.
+rational case.  A rational algebra also keeps its product tensor and Gram
+matrix as integers over one common denominator each, and runs the kernel
+below on those.
 """
 
 from __future__ import annotations
@@ -22,20 +24,23 @@ class ConsistencyError(Exception):
 
 
 class ShapeError(ValueError):
-    """A tensor or vector does not have the algebra's dimension."""
+    """The input does not describe an algebra: a tensor or vector of the wrong
+    shape, a marked index out of range, a missing table or an entry that is
+    not a rational literal."""
 
 
 # -- the product, form and defect kernel ---------------------------------------
 #
 # Every bilinear product, form pairing and associativity defect in the
 # package goes through these three functions.  They work on bare tables, so
-# the symbolic build can use them while its tables are still filling in.
+# the symbolic build can use them while its tables are still filling in, and
+# they are generic over the ring: Fraction, MultiPoly or int entries.
 
 
 def bilinear(table, x, y, labels):
     """x y by bilinear extension of a product table.
 
-    Entries may be Fraction or MultiPoly.  A table that is still being
+    Entries may be Fraction, MultiPoly or int.  A table that is still being
     filled holds None for the products not yet known; needing one raises
     ConsistencyError naming the pair by its basis labels.
     """
@@ -78,6 +83,8 @@ class StructureAlgebra:
         self.product = product
         self.gram = gram
         self.marked = list(marked)
+        if any(not isinstance(m, int) or not 0 <= m < self.dim for m in self.marked):
+            raise ShapeError(f"marked indices {self.marked} are not all in 0..{self.dim - 1}")
         if (len(product) != self.dim or any(len(row) != self.dim for row in product)
                 or any(len(vec) != self.dim for row in product for vec in row)):
             raise ShapeError("product tensor has the wrong shape")
@@ -89,6 +96,7 @@ class StructureAlgebra:
                     raise ValueError(f"product is not commutative at ({i}, {j})")
                 if gram[i][j] != gram[j][i]:
                     raise ValueError(f"gram matrix is not symmetric at ({i}, {j})")
+        self._integer = _integer_tables(product, gram)
 
     def basis_vector(self, i: int):
         zero, one = self._zero_one()
@@ -104,7 +112,12 @@ class StructureAlgebra:
         """Bilinear extension of the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError("vector length does not match the algebra dimension")
-        return bilinear(self.product, x, y, self.labels)
+        if self._integer is None:
+            return bilinear(self.product, x, y, self.labels)
+        table, den, _, _ = self._integer
+        (x, dx), (y, dy) = linalg.clear_denominators(x), linalg.clear_denominators(y)
+        den *= dx * dy
+        return [Fraction(c, den) for c in bilinear(table, x, y, self.labels)]
 
     def ad_matrix(self, a):
         """Matrix of left multiplication by a, acting on column vectors."""
@@ -113,12 +126,15 @@ class StructureAlgebra:
 
     def form(self, x, y):
         """Value of the bilinear form on two coordinate vectors."""
-        zero, _ = self._zero_one()
-        total = zero
-        for xi, row in zip(x, self.gram):
-            if xi:
-                total = total + xi * pair(row, y)
-        return total
+        if self._integer is None:
+            total, _ = self._zero_one()
+            for xi, row in zip(x, self.gram):
+                if xi:
+                    total = total + xi * pair(row, y)
+            return total
+        _, _, gram, den = self._integer
+        (x, dx), (y, dy) = linalg.clear_denominators(x), linalg.clear_denominators(y)
+        return Fraction(sum(xi * pair(row, y) for xi, row in zip(x, gram) if xi), den * dx * dy)
 
     # -- serialization ------------------------------------------------------
 
@@ -136,12 +152,42 @@ class StructureAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "StructureAlgebra":
-        def entry(e):
-            return MultiPoly.from_json(e) if isinstance(e, dict) else Fraction(e)
+        """Parse an algebra; input that does not describe one raises ShapeError."""
+        if not isinstance(data, dict):
+            raise ShapeError("an algebra is a JSON object with labels, product and gram")
+        missing = [key for key in ("labels", "product", "gram") if key not in data]
+        if missing:
+            raise ShapeError(f"missing {', '.join(missing)}")
+        marked = data.get("marked", [])
+        if not isinstance(data["labels"], list) or not isinstance(marked, list):
+            raise ShapeError("labels and marked must be lists")
 
-        product = [[[entry(c) for c in vec] for vec in row] for row in data["product"]]
-        gram = [[entry(c) for c in row] for row in data["gram"]]
-        return StructureAlgebra(data["labels"], product, gram, data.get("marked", ()))
+        def entry(e):
+            try:
+                return MultiPoly.from_json(e) if isinstance(e, dict) else Fraction(e)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ShapeError(f"entry {e!r} is not a rational literal") from None
+
+        try:
+            product = [[[entry(c) for c in vec] for vec in row] for row in data["product"]]
+            gram = [[entry(c) for c in row] for row in data["gram"]]
+        except TypeError:
+            raise ShapeError("product and gram must be nested lists") from None
+        return StructureAlgebra(data["labels"], product, gram, marked)
+
+
+def _integer_tables(product, gram):
+    """(product, den_p, gram, den_g) with every entry an integer over its
+    table's common denominator, or None unless the tables are rational."""
+    flat = [c for row in product for vec in row for c in vec]
+    flat_gram = [c for row in gram for c in row]
+    if not linalg.is_rational([flat, flat_gram]):
+        return None
+    n = len(gram)
+    nums, den_p = linalg.clear_denominators(flat)
+    gnums, den_g = linalg.clear_denominators(flat_gram)
+    table = [[nums[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    return table, den_p, [gnums[i * n:(i + 1) * n] for i in range(n)], den_g
 
 
 def three_c() -> StructureAlgebra:
@@ -343,8 +389,12 @@ def verify_form(algebra: StructureAlgebra, rules: FusionRules | None = None) -> 
     n = algebra.dim
     symmetric = all(algebra.gram[i][j] == algebra.gram[j][i]
                     for i in range(n) for j in range(n))
+    product, gram = algebra.product, algebra.gram
+    if algebra._integer is not None:
+        # integer defects are the rational ones times den_p * den_g
+        product, _, gram, _ = algebra._integer
     failures = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
-                if defect(algebra.product, algebra.gram, i, j, k)]
+                if defect(product, gram, i, j, k)]
     perpendicular = {}
     if rules is not None:
         for m in algebra.marked:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .linalg import det
+from .linalg import clear_denominators, det
 
 VARS = ("lam", "mu")
 
@@ -146,11 +146,22 @@ class MultiPoly:
         return self.coefficient(0, 0)
 
     def evaluate(self, lam, mu) -> Fraction:
+        """Value at a rational point, accumulated over the integers.
+
+        With lam = a/b, mu = c/d, coefficients n_ij / den and degrees I, J,
+        the value is sum n_ij a^i b^(I-i) c^j d^(J-j) over den b^I d^J.
+        """
+        if not self.terms:
+            return Fraction(0)
         lam, mu = Fraction(lam), Fraction(mu)
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * lam**i * mu**j
-        return total
+        nums, den = clear_denominators(list(self.terms.values()))
+        deg_l = max(i for i, _ in self.terms)
+        deg_m = max(j for _, j in self.terms)
+        a, b = _powers(lam.numerator, deg_l), _powers(lam.denominator, deg_l)
+        c, d = _powers(mu.numerator, deg_m), _powers(mu.denominator, deg_m)
+        total = sum(n * a[i] * b[deg_l - i] * c[j] * d[deg_m - j]
+                    for (i, j), n in zip(self.terms, nums))
+        return Fraction(total, den * b[deg_l] * d[deg_m])
 
     def substitute(self, lam=None, mu=None) -> "MultiPoly":
         """Partially evaluate; variables left as None stay symbolic."""
@@ -206,6 +217,14 @@ class MultiPoly:
         return MultiPoly(terms)
 
 
+def _powers(x: int, k: int) -> list[int]:
+    """[1, x, x^2, ..., x^k]."""
+    out = [1]
+    for _ in range(k):
+        out.append(out[-1] * x)
+    return out
+
+
 ZERO = MultiPoly()
 ONE = MultiPoly.const(1)
 LAM = MultiPoly.variable("lam")
@@ -251,6 +270,16 @@ def _horner(coeffs, x) -> Fraction:
     val = Fraction(0)
     for c in reversed(coeffs):
         val = val * x + c
+    return val
+
+
+def _homogeneous(coeffs, p: int, q: int) -> int:
+    """q^n f(p/q) for the integer coefficients of f, low to high, degree n:
+    zero exactly when p/q is a root, computed without leaving the integers."""
+    val, qk = 0, 1
+    for c in reversed(coeffs):
+        val = val * p + c * qk
+        qk *= q
     return val
 
 
@@ -362,7 +391,8 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
 
     By the rational root test every root p/q in lowest terms of the
     primitive integer form has p dividing the constant and q the leading
-    coefficient; each such candidate is tested exactly.
+    coefficient.  Each such candidate with gcd(p, q) = 1 is tested exactly,
+    on the integer value of q^n f(p/q).
     """
     if not f:
         raise ValueError("rational_roots of the zero polynomial")
@@ -386,20 +416,17 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
 
     # Clear denominators and divide by content to get a primitive integer
     # polynomial with the same roots.
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
+    ints, _ = clear_denominators(coeffs)
+    content = gcd(*ints)
     ints = [c // content for c in ints]
 
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and _horner(ints, cand) == 0:
-                    roots.add(cand)
+            if gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                if _homogeneous(ints, num, q) == 0:
+                    roots.add(Fraction(num, q))
     for r in roots:
         if _horner(all_coeffs, r) != 0:
             raise ArithmeticError(f"candidate root {r} does not annihilate {f}")

@@ -53,14 +53,46 @@ def _short_product(path):
     path.write_text(json.dumps(data))
 
 
+def _edited(edit):
+    def make(path):
+        data = three_c().to_json()
+        edit(data)
+        path.write_text(json.dumps(data))
+    return make
+
+
+def _marked(index):
+    return _edited(lambda data: data.update(marked=[0, index]))
+
+
+def _missing(key):
+    return _edited(lambda data: data.pop(key))
+
+
+def _array(path):
+    path.write_text(json.dumps([three_c().to_json()]))
+
+
 @pytest.mark.parametrize("argv, make_file", [
     (["algebra", "check", str(FIXTURE), "--fusion", "vir:4"], None),
     (["algebra", "check", str(FIXTURE), "--fusion", "vir:6,4"], None),
     (["fusion", "vir", "4", "2"], None),
     (["algebra", "check", "{file}"], _not_json),
     (["algebra", "check", "{file}"], _short_product),
+    (["algebra", "check", "{file}"], _marked(3)),
+    (["algebra", "check", "{file}"], _marked(-1)),
+    (["algebra", "check", "{file}"], _edited(lambda data: data["gram"][0].__setitem__(0, "x"))),
+    (["algebra", "check", "{file}"], _missing("gram")),
+    (["algebra", "check", "{file}"], _missing("product")),
+    (["algebra", "check", "{file}"], _missing("labels")),
+    (["algebra", "check", "{file}"], _array),
+    (["algebra", "check", "{file}"], _edited(lambda data: data.update(marked=5))),
+    (["algebra", "check", "{file}"], _edited(lambda data: data.update(labels=3))),
 ], ids=["fusion-one-number", "fusion-not-coprime", "fusion-table-not-coprime",
-        "algebra-not-json", "algebra-wrong-shape"])
+        "algebra-not-json", "algebra-wrong-shape", "algebra-marked-too-large",
+        "algebra-marked-negative", "algebra-entry-not-rational", "algebra-no-gram",
+        "algebra-no-product", "algebra-no-labels", "algebra-top-level-array",
+        "algebra-marked-not-a-list", "algebra-labels-not-a-list"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file):
     path = tmp_path / "input.json"
     if make_file is not None:

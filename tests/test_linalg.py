@@ -74,3 +74,172 @@ def test_matrix_order():
 def test_matvec_dimension_mismatch():
     with pytest.raises(ValueError):
         linalg.matvec([[Q(1), Q(2)]], [Q(1)])
+
+
+# -- the integer kernel against plain Fraction loops ----------------------------
+#
+# These are the Fraction elimination and product loops the integer kernel
+# replaced, kept as references.
+
+
+def ref_rref(m):
+    work = [[Q(x) for x in row] for row in m]
+    n_rows = len(work)
+    n_cols = len(work[0]) if n_rows else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        pv = work[r][c]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(n_rows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return work, pivots
+
+
+def ref_det(m):
+    n = len(m)
+    work = [[Q(x) for x in row] for row in m]
+    sign, result = 1, Q(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot is None:
+            return Q(0)
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            sign = -sign
+        pv = work[c][c]
+        result *= pv
+        for i in range(c + 1, n):
+            if work[i][c] != 0:
+                f = work[i][c] / pv
+                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    return sign * result
+
+
+def ref_matvec(m, v):
+    return [sum((row[j] * v[j] for j in range(len(v))), Q(0)) for row in m]
+
+
+def ref_matmul(a, b):
+    return [[sum((ra[k] * b[k][j] for k in range(len(ra))), Q(0)) for j in range(len(b[0]))]
+            for ra in a]
+
+
+def ref_reduce_vector(basis, v):
+    out = [Q(x) for x in v]
+    for row in basis:
+        pc = next(c for c, x in enumerate(row) if x != 0)
+        if out[pc] != 0:
+            f = out[pc]
+            out = [a - f * b for a, b in zip(out, row)]
+    return out
+
+
+ENTRIES = {
+    "small": lambda rng: Q(rng.randint(-6, 6), rng.randint(1, 4)),
+    "int": lambda rng: rng.randint(-9, 9),  # plain int entries
+    "huge": lambda rng: Q(rng.randint(-2**80, 2**80), rng.randint(1, 2**70)),
+}
+SHAPES = [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (4, 4), (5, 5), (6, 4), (3, 7)]
+
+
+def structured_matrix(rng, rows, cols, kind):
+    """A random matrix with, at random, a zero row, a zero column and a row
+    that is a combination of two others (so rank deficiency is common)."""
+    entry = ENTRIES[kind]
+    m = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.4:
+        m[rng.randrange(rows)] = [0 * x for x in m[0]]
+    if rng.random() < 0.4:
+        c = rng.randrange(cols)
+        for row in m:
+            row[c] = 0 * row[c]
+    if rows >= 3 and rng.random() < 0.5:
+        i, j, k = rng.sample(range(rows), 3)
+        s, t = entry(rng), entry(rng)
+        m[k] = [s * a + t * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def cases(seed, count=12):
+    rng = random.Random(seed)
+    for kind in ENTRIES:
+        for rows, cols in SHAPES:
+            for _ in range(count):
+                yield structured_matrix(rng, rows, cols, kind)
+
+
+def all_fractions(rows):
+    return all(type(x) is Q for row in rows for x in row)
+
+
+def test_clear_denominators():
+    v = [Q(1, 6), Q(-3, 4), 5, Q(0)]
+    nums, den = linalg.clear_denominators(v)
+    assert den == 12 and nums == [2, -9, 60, 0]
+    assert all(type(x) is int for x in nums)
+    assert linalg.clear_denominators([]) == ([], 1)
+    big = [Q(2**70 + 1, 3**45), Q(-1, 2**66)]
+    nums, den = linalg.clear_denominators(big)
+    assert [Q(x, den) for x in nums] == big
+
+
+def test_rref_matches_fraction_reference():
+    for m in cases(31):
+        red, pivots = linalg.rref(m)
+        assert (red, pivots) == ref_rref(m)
+        assert all_fractions(red)
+
+
+def test_det_matches_fraction_reference():
+    rng = random.Random(33)
+    for kind in ENTRIES:
+        for n in range(0, 7):
+            for _ in range(10):
+                m = structured_matrix(rng, n, n, kind) if n else []
+                d = linalg.det(m)
+                assert d == ref_det(m) and type(d) is Q
+
+
+def test_matvec_and_matmul_match_fraction_reference():
+    rng = random.Random(34)
+    for m in cases(35, count=4):
+        v = [ENTRIES["huge"](rng) if rng.random() < 0.3 else Q(rng.randint(-3, 3))
+             for _ in range(len(m[0]))]
+        assert linalg.matvec(m, v) == ref_matvec(m, v)
+        b = structured_matrix(rng, len(m[0]), rng.randint(1, 4), rng.choice(list(ENTRIES)))
+        product = linalg.matmul(m, b)
+        assert product == ref_matmul(m, b) and all_fractions(product)
+
+
+def test_reduce_vector_matches_fraction_reference():
+    rng = random.Random(36)
+    for m in cases(37, count=4):
+        basis = linalg.echelon_span(m)
+        for _ in range(3):
+            v = [ENTRIES[rng.choice(list(ENTRIES))](rng) for _ in range(len(m[0]))]
+            residual = linalg.reduce_vector(basis, v)
+            assert residual == ref_reduce_vector(basis, v) and all_fractions([residual])
+        # a vector in the span reduces to zero
+        combo = ref_matvec(linalg.transpose(m), [Q(rng.randint(-2, 2)) for _ in m])
+        assert linalg.in_span(basis, combo)
+
+
+def test_rref_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in cases(38, count=3):
+        red, pivots = linalg.rref(m)
+        want, want_pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                                           for x in row] for row in m]).rref()
+        assert pivots == list(want_pivots)
+        assert red == [[Q(int(x.p), int(x.q)) for x in want.row(i)] for i in range(len(m))]

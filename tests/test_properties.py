@@ -1,7 +1,10 @@
 """Property tests: the product/form/defect kernel on random rational vectors,
-the MultiPoly ring laws, and rational roots planted in random polynomials."""
+the axis checks of the 3C fixture in random bases, the MultiPoly ring laws,
+and rational roots planted in random polynomials."""
 
+import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +12,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from axial.algebra import defect, three_c  # noqa: E402
+from axial import linalg  # noqa: E402
+from axial.algebra import (StructureAlgebra, bilinear, check_axis, defect, pair,  # noqa: E402
+                           three_c, verify_form)
+from axial.fusion import frobenius_refine, virasoro_rules  # noqa: E402
 from axial.poly import MultiPoly, rational_roots  # noqa: E402
 from axial.sakuma import EvalPoint, evaluate_point  # noqa: E402
 
@@ -20,9 +26,17 @@ def vectors(n):
     return st.lists(rationals, min_size=n, max_size=n)
 
 
+def generic_form(alg, x, y):
+    return sum((xi * pair(row, y) for xi, row in zip(x, alg.gram)), Q(0))
+
+
 def check_kernel(alg, x, y, z, c):
     n = alg.dim
     xy = alg.multiply(x, y)
+    # the integer tables agree with the generic loops on the Fraction tables
+    assert xy == bilinear(alg.product, x, y, alg.labels)
+    assert all(type(v) is Q for v in xy)
+    assert alg.form(x, z) == generic_form(alg, x, z)
     assert xy == alg.multiply(y, x)
     combo = [c * xi + zi for xi, zi in zip(x, z)]
     assert alg.multiply(combo, y) == [c * p + q for p, q in zip(xy, alg.multiply(z, y))]
@@ -56,6 +70,46 @@ def test_kernel_off_the_nine_points(uni, data):
     alg = evaluate_point(uni, pt)
     x, y, z = (data.draw(vectors(8)) for _ in range(3))
     check_kernel(alg, x, y, z, data.draw(rationals))
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "3c.json"
+ISING = frobenius_refine(virasoro_rules(4, 3))
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def change_basis(alg, p, p_inv):
+    """The algebra in the basis given by the columns of p, built with the
+    generic loops on the Fraction tables; p_inv maps old coordinates to new."""
+    n = alg.dim
+    cols = linalg.transpose(p)
+
+    def to_new(w):
+        return [sum((p_inv[r][k] * w[k] for k in range(n)), Q(0)) for r in range(n)]
+
+    product = [[to_new(bilinear(alg.product, cols[i], cols[j], alg.labels)) for j in range(n)]
+               for i in range(n)]
+    gram = [[generic_form(alg, cols[i], cols[j]) for j in range(n)] for i in range(n)]
+    return StructureAlgebra([f"b{i}" for i in range(n)], product, gram), to_new
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(small, min_size=3, max_size=3), min_size=3, max_size=3))
+def test_check_axis_in_a_random_basis(p):
+    fixture = StructureAlgebra.from_json(json.loads(FIXTURE.read_text()))
+    try:
+        p_inv = linalg.inverse(p)
+    except ValueError:
+        hypothesis.assume(False)
+    identity = [[Q(int(i == j)) for j in range(3)] for i in range(3)]
+    assert [[sum((p[i][k] * p_inv[k][j] for k in range(3)), Q(0)) for j in range(3)]
+            for i in range(3)] == identity
+    alg, to_new = change_basis(fixture, p, p_inv)
+    for m in fixture.marked:
+        want = check_axis(fixture, fixture.basis_vector(m), ISING)
+        got = check_axis(alg, to_new(fixture.basis_vector(m)), ISING)
+        assert want.passed and got.passed
+        assert got.spectrum == want.spectrum
+    assert verify_form(alg, ISING).passed
 
 
 polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals,
