@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .fusion import FusionRules, Grading
-from .poly import MultiPoly
+from .poly import MultiPoly, _literal
 
 
 class ConsistencyError(Exception):
@@ -32,7 +32,7 @@ class ShapeError(ValueError):
 # -- the product, form and defect kernel ---------------------------------------
 #
 # Every bilinear product, form pairing and associativity defect in the
-# package goes through these three functions.  They work on bare tables, so
+# package goes through these functions.  They work on bare tables, so
 # the symbolic build can use them while its tables are still filling in, and
 # they are generic over the ring: Fraction, MultiPoly or int entries.
 
@@ -72,6 +72,22 @@ def pair(row, v):
 def defect(table, gram, i, j, k):
     """<e_i e_j, e_k> - <e_i, e_j e_k>, zero when the form associates."""
     return pair(gram[k], table[i][j]) - pair(gram[i], table[j][k])
+
+
+def form_tensor(table, gram):
+    """T[i][j][k] = <e_i e_j, e_k>, so that defect(table, gram, i, j, k) is
+    T[i][j][k] - T[j][k][i].
+
+    The product is commutative, so each row T[i][j] is computed once for
+    i <= j and shared with T[j][i]: n^2 (n + 1) / 2 pairings instead of the
+    2 n^3 a scan of every defect makes.
+    """
+    n = len(gram)
+    tensor = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            tensor[i][j] = tensor[j][i] = [pair(gram[k], table[i][j]) for k in range(n)]
+    return tensor
 
 
 class StructureAlgebra:
@@ -164,7 +180,7 @@ class StructureAlgebra:
 
         def entry(e):
             try:
-                return MultiPoly.from_json(e) if isinstance(e, dict) else Fraction(e)
+                return MultiPoly.from_json(e) if isinstance(e, dict) else _literal(e)
             except (TypeError, ValueError, ZeroDivisionError):
                 raise ShapeError(f"entry {e!r} is not a rational literal") from None
 
@@ -393,8 +409,9 @@ def verify_form(algebra: StructureAlgebra, rules: FusionRules | None = None) -> 
     if algebra._integer is not None:
         # integer defects are the rational ones times den_p * den_g
         product, _, gram, _ = algebra._integer
+    tensor = form_tensor(product, gram)
     failures = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
-                if defect(product, gram, i, j, k)]
+                if tensor[i][j][k] != tensor[j][k][i]]
     perpendicular = {}
     if rules is not None:
         for m in algebra.marked:

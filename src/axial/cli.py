@@ -58,7 +58,10 @@ def _load_rules(spec: str, refine: bool) -> fusion_mod.FusionRules:
             raise UsageError(f"--fusion {spec}: expected vir:P,Q with integers P, Q") from None
         rules = _virasoro(p, q)
     else:
-        rules = fusion_mod.FusionRules.from_json(_read_json(spec))
+        try:
+            rules = fusion_mod.FusionRules.from_json(_read_json(spec))
+        except fusion_mod.RulesFormatError as exc:
+            raise UsageError(f"{spec}: {exc}") from None
     if refine and fusion_mod.ZERO in rules.fields:
         rules = fusion_mod.frobenius_refine(rules)
     return rules

@@ -14,8 +14,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from .poly import _literal
+
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+
+class RulesFormatError(ValueError):
+    """A JSON document that does not describe fusion rules: a missing key, a
+    field that is not a rational literal, or an inconsistent star table."""
 
 
 @dataclass(frozen=True)
@@ -75,14 +82,25 @@ class FusionRules:
 
     @staticmethod
     def from_json(data: dict) -> "FusionRules":
-        fields = tuple(Fraction(f) for f in data["fields"])
-        star = {}
-        for f, g, prods in data["star"]:
-            f, g = Fraction(f), Fraction(g)
-            value = frozenset(Fraction(h) for h in prods)
-            star[(f, g)] = value
-            star[(g, f)] = value
-        return FusionRules(Fraction(data["central_charge"]), fields, star)
+        """Parse fusion rules; input that does not describe them raises
+        RulesFormatError."""
+        if not isinstance(data, dict):
+            raise RulesFormatError("fusion rules are a JSON object with "
+                                   "central_charge, fields and star")
+        missing = [key for key in ("central_charge", "fields", "star") if key not in data]
+        if missing:
+            raise RulesFormatError(f"missing {', '.join(missing)}")
+        try:
+            fields = tuple(_literal(f) for f in data["fields"])
+            star = {}
+            for f, g, prods in data["star"]:
+                f, g = _literal(f), _literal(g)
+                value = frozenset(_literal(h) for h in prods)
+                star[(f, g)] = value
+                star[(g, f)] = value
+            return FusionRules(_literal(data["central_charge"]), fields, star)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise RulesFormatError(f"not a fusion rules table: {exc}") from None
 
     def table_text(self) -> str:
         def cell_order(h):

@@ -44,6 +44,15 @@ class MultiPoly:
         self.terms = clean
 
     @staticmethod
+    def _of(terms) -> "MultiPoly":
+        """Wrap a map whose coefficients are already Fractions under pairs of
+        int exponents, dropping the zero coefficients.  The ring operations
+        build their results through this instead of re-coercing every term."""
+        poly = object.__new__(MultiPoly)
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
+
+    @staticmethod
     def const(value) -> "MultiPoly":
         return MultiPoly({(0, 0): Fraction(value)})
 
@@ -69,13 +78,13 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(terms)
+            terms[e] = terms[e] + c if e in terms else c
+        return MultiPoly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.terms.items()})
+        return MultiPoly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = MultiPoly._lift(other)
@@ -97,8 +106,9 @@ class MultiPoly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2)
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(terms)
+                c = c1 * c2
+                terms[e] = terms[e] + c if e in terms else c
+        return MultiPoly._of(terms)
 
     __rmul__ = __mul__
 
@@ -165,16 +175,19 @@ class MultiPoly:
 
     def substitute(self, lam=None, mu=None) -> "MultiPoly":
         """Partially evaluate; variables left as None stay symbolic."""
+        lam = None if lam is None else Fraction(lam)
+        mu = None if mu is None else Fraction(mu)
         terms = {}
         for (i, j), c in self.terms.items():
             if lam is not None:
-                c = c * Fraction(lam) ** i
+                c = c * lam ** i
                 i = 0
             if mu is not None:
-                c = c * Fraction(mu) ** j
+                c = c * mu ** j
                 j = 0
-            terms[(i, j)] = terms.get((i, j), Fraction(0)) + c
-        return MultiPoly(terms)
+            e = (i, j)
+            terms[e] = terms[e] + c if e in terms else c
+        return MultiPoly._of(terms)
 
     # -- presentation -----------------------------------------------------
 
@@ -210,11 +223,20 @@ class MultiPoly:
 
     @staticmethod
     def from_json(data: dict) -> "MultiPoly":
+        """Parse {"i,j": coefficient} with rational literals as coefficients."""
         terms = {}
         for key, val in data.items():
             i, j = key.split(",")
-            terms[(int(i), int(j))] = Fraction(val)
+            terms[(int(i), int(j))] = _literal(val)
         return MultiPoly(terms)
+
+
+def _literal(value) -> Fraction:
+    """A rational JSON literal: a string such as "-3/64", or an integer.
+    Floats and booleans raise TypeError, since reading them would round."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise TypeError(f"{value!r} is not a rational literal")
+    return Fraction(value)
 
 
 def _powers(x: int, k: int) -> list[int]:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import (ConsistencyError, StructureAlgebra, bilinear, check_axis,
-                      defect, ideal_closure, miyamoto, pair, quotient)
+                      defect, form_tensor, ideal_closure, miyamoto, pair, quotient)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
 from .poly import (LAM, MU, MultiPoly, rational_roots, resultant,
@@ -408,12 +408,12 @@ def gram_complete(uni: UniversalAlgebra):
 
 def associativity_defects(uni: UniversalAlgebra):
     """All nonzero values of <xy, z> - <x, yz> over ordered basis triples."""
-    alg = uni.algebra
+    tensor = form_tensor(uni.algebra.product, uni.algebra.gram)
     out = []
     for i in range(8):
         for j in range(8):
             for k in range(8):
-                d = defect(alg.product, alg.gram, i, j, k)
+                d = tensor[i][j][k] - tensor[j][k][i]
                 if d:
                     out.append(((i, j, k), d))
     return out

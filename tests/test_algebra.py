@@ -7,10 +7,11 @@ import pytest
 
 from axial import linalg
 from axial.algebra import (ConsistencyError, StructureAlgebra, annihilator_coeffs,
-                           apply_ad_poly, bilinear, check_axis, eigen_decompose,
+                           apply_ad_poly, bilinear, check_axis, defect, eigen_decompose,
                            ideal_closure, miyamoto, quotient, resurrect,
                            seress_assoc_check, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
+from axial.sakuma import EvalPoint, evaluate_point
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "3c.json"
 
@@ -146,6 +147,20 @@ def test_verify_form_three_c(alg, rules):
     report = verify_form(alg, rules)
     assert report.passed
     assert report.assoc_failures == []
+
+
+def direct_failures(alg):
+    n = alg.dim
+    return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+            if defect(alg.product, alg.gram, i, j, k)]
+
+
+def test_verify_form_matches_the_direct_loop(uni, alg):
+    # off the nine points the form fails to associate
+    off = evaluate_point(uni, EvalPoint("generic", Q(1, 3), Q(1, 5)))
+    failures = verify_form(off).assoc_failures
+    assert failures and failures == direct_failures(off)
+    assert verify_form(alg).assoc_failures == direct_failures(alg) == []
 
 
 def test_verify_form_trivial_product():

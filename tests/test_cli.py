@@ -6,7 +6,7 @@ import pytest
 
 from axial.algebra import StructureAlgebra, three_c
 from axial.cli import main
-from axial.fusion import FusionRules
+from axial.fusion import FusionRules, virasoro_rules
 from axial.sakuma import POINT_TABLE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +73,14 @@ def _array(path):
     path.write_text(json.dumps([three_c().to_json()]))
 
 
+def _rules(edit):
+    def make(path):
+        data = virasoro_rules(4, 3).to_json()
+        edit(data)
+        path.write_text(json.dumps(data))
+    return make
+
+
 @pytest.mark.parametrize("argv, make_file", [
     (["algebra", "check", str(FIXTURE), "--fusion", "vir:4"], None),
     (["algebra", "check", str(FIXTURE), "--fusion", "vir:6,4"], None),
@@ -88,11 +96,21 @@ def _array(path):
     (["algebra", "check", "{file}"], _array),
     (["algebra", "check", "{file}"], _edited(lambda data: data.update(marked=5))),
     (["algebra", "check", "{file}"], _edited(lambda data: data.update(labels=3))),
+    (["algebra", "check", "{file}"], _edited(lambda data: data["gram"][0].__setitem__(0, 0.1))),
+    (["algebra", "check", "{file}"],
+     _edited(lambda data: data["product"][0][0].__setitem__(0, True))),
+    (["algebra", "check", "{file}"],
+     _edited(lambda data: data["gram"][0].__setitem__(0, {"0,0": 0.5}))),
+    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"], _rules(lambda data: data.clear())),
+    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
+     _rules(lambda data: data["fields"].__setitem__(0, "x"))),
 ], ids=["fusion-one-number", "fusion-not-coprime", "fusion-table-not-coprime",
         "algebra-not-json", "algebra-wrong-shape", "algebra-marked-too-large",
         "algebra-marked-negative", "algebra-entry-not-rational", "algebra-no-gram",
         "algebra-no-product", "algebra-no-labels", "algebra-top-level-array",
-        "algebra-marked-not-a-list", "algebra-labels-not-a-list"])
+        "algebra-marked-not-a-list", "algebra-labels-not-a-list", "algebra-gram-entry-float",
+        "algebra-product-entry-bool", "algebra-polynomial-coefficient-float",
+        "fusion-file-empty-object", "fusion-file-field-not-rational"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file):
     path = tmp_path / "input.json"
     if make_file is not None:

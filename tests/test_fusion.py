@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from axial.fusion import (FusionRules, central_charge, find_z2_gradings,
+from axial.fusion import (FusionRules, RulesFormatError, central_charge, find_z2_gradings,
                           frobenius_refine, highest_weights, seress_check,
                           virasoro_rules)
 
@@ -185,6 +185,18 @@ def test_frobenius_refine_needs_zero():
 def test_json_round_trip():
     rules = virasoro_rules(5, 3)
     assert FusionRules.from_json(rules.to_json()) == rules
+
+
+def test_from_json_names_the_problem():
+    good = virasoro_rules(4, 3).to_json()
+    with pytest.raises(RulesFormatError, match="missing central_charge, fields, star"):
+        FusionRules.from_json({})
+    with pytest.raises(RulesFormatError):
+        FusionRules.from_json([good])
+    for key, value in (("fields", ["x"] + good["fields"][1:]), ("central_charge", 0.5),
+                       ("star", good["star"][1:]), ("star", [["1", "0"]])):
+        with pytest.raises(RulesFormatError):
+            FusionRules.from_json({**good, key: value})
 
 
 def test_rejects_asymmetric_table():

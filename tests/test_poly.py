@@ -59,6 +59,10 @@ def test_json_round_trip():
     f = LAM**4 - Q(71, 64) * LAM**3 + Q(39, 2**21)
     assert MultiPoly.from_json(f.to_json()) == f
     assert MultiPoly.from_json(MultiPoly().to_json()) == MultiPoly()
+    assert MultiPoly.from_json({"1,0": 3}) == 3 * LAM
+    for bad in (0.5, True, None):
+        with pytest.raises(TypeError):
+            MultiPoly.from_json({"0,0": bad})
 
 
 def test_coefficients_round_trip():

@@ -116,9 +116,21 @@ polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationa
                         max_size=6).map(MultiPoly)
 
 
+def assert_clean(poly):
+    # the ring operations skip the public constructor's coercion, so their
+    # results must already keep its invariant
+    for exps, coeff in poly.terms.items():
+        assert type(coeff) is Q and coeff != 0
+        assert type(exps) is tuple and len(exps) == 2
+        assert all(type(e) is int for e in exps)
+
+
 @settings(max_examples=60, deadline=None)
-@given(polys, polys, polys)
-def test_multipoly_ring_laws(f, g, h):
+@given(polys, polys, polys, st.integers(0, 3), rationals)
+def test_multipoly_ring_laws(f, g, h, n, c):
+    for result in (f + g, f - f, f - g, f * g, -f, f**n, f + c, c - f, c * f,
+                   f.substitute(lam=c), f.substitute(mu=c)):
+        assert_clean(result)
     assert f + g == g + f
     assert f * g == g * f
     assert (f + g) + h == f + (g + h)

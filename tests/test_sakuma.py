@@ -1,7 +1,7 @@
 from fractions import Fraction as Q
 
 from axial import linalg
-from axial.algebra import StructureAlgebra, seress_assoc_check, three_c, verify_form
+from axial.algebra import StructureAlgebra, defect, seress_assoc_check, three_c, verify_form
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import LAM, MU, MultiPoly, rational_roots, resultant, standard_monomial_count
 from axial.sakuma import (A0, A1, AM1, AM2, A2, S1, S2E, S2O,
@@ -189,6 +189,15 @@ def test_p1_p2_exact(uni):
 def test_diagonal_defect_vanishes(uni):
     defects = dict(associativity_defects(uni))
     assert (A0, A0, A0) not in defects
+
+
+def test_defects_match_the_direct_loop(uni):
+    # the scan reads its defects off the form tensor; the definition pairs twice
+    prod, gram = uni.algebra.product, uni.algebra.gram
+    direct = [((i, j, k), d) for i in range(8) for j in range(8) for k in range(8)
+              if (d := defect(prod, gram, i, j, k))]
+    assert associativity_defects(uni) == direct
+    assert len(direct) == 136
 
 
 def test_defects_vanish_at_all_points(uni, points):
