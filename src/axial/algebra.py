@@ -25,8 +25,9 @@ class ConsistencyError(Exception):
 
 class ShapeError(ValueError):
     """The input does not describe an algebra: a tensor or vector of the wrong
-    shape, a marked index out of range, a missing table or an entry that is
-    not a rational literal."""
+    shape, a product that is not commutative, a Gram matrix that is not
+    symmetric, a marked index out of range, a missing table or an entry that
+    is not a rational literal."""
 
 
 # -- the product, form and defect kernel ---------------------------------------
@@ -109,9 +110,9 @@ class StructureAlgebra:
         for i in range(self.dim):
             for j in range(i):
                 if product[i][j] != product[j][i]:
-                    raise ValueError(f"product is not commutative at ({i}, {j})")
+                    raise ShapeError(f"product is not commutative at ({i}, {j})")
                 if gram[i][j] != gram[j][i]:
-                    raise ValueError(f"gram matrix is not symmetric at ({i}, {j})")
+                    raise ShapeError(f"gram matrix is not symmetric at ({i}, {j})")
         self._integer = _integer_tables(product, gram)
 
     def basis_vector(self, i: int):
@@ -358,20 +359,30 @@ def miyamoto(algebra: StructureAlgebra, a, grading: Grading, rules: FusionRules)
          for i in range(len(signs))]
     tau = linalg.matmul(linalg.matmul(p, d), linalg.inverse(p))
 
-    n = algebra.dim
-    if linalg.matmul(tau, tau) != linalg.identity(n):
+    if linalg.matmul(tau, tau) != linalg.identity(algebra.dim):
         raise ConsistencyError("the involution does not square to the identity")
     gram = algebra.gram
     if linalg.matmul(linalg.matmul(linalg.transpose(tau), gram), tau) != gram:
         raise ConsistencyError("the involution does not preserve the form")
-    for i in range(n):
-        ti = [tau[r][i] for r in range(n)]
-        for j in range(i, n):
-            tj = [tau[r][j] for r in range(n)]
-            lhs = linalg.matvec(tau, algebra.product[i][j])
-            if lhs != algebra.multiply(ti, tj):
-                raise ConsistencyError(f"the involution is not an automorphism at ({i}, {j})")
+    failures = automorphism_failures(algebra, tau)
+    if failures:
+        (i, j), _ = failures[0]
+        raise ConsistencyError(f"the involution is not an automorphism at ({i}, {j})")
     return tau
+
+
+def automorphism_failures(algebra: StructureAlgebra, m):
+    """[((i, j), m(e_i e_j) - (m e_i)(m e_j))] over basis pairs i <= j where
+    the difference is nonzero; empty exactly when m is an automorphism."""
+    cols = linalg.transpose(m)
+    out = []
+    for i in range(algebra.dim):
+        for j in range(i, algebra.dim):
+            d = linalg.sub_vec(linalg.matvec(m, algebra.product[i][j]),
+                               algebra.multiply(cols[i], cols[j]))
+            if not linalg.is_zero_vec(d):
+                out.append(((i, j), d))
+    return out
 
 
 @dataclass

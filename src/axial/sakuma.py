@@ -12,26 +12,31 @@ everything outside the window is reached through the two symmetries
     flip:  a_i -> a_{1-i}, sigma_2^e <-> sigma_2^o,
 
 with the out-of-window axis a_3 expanded over the basis by requiring
-sigma_1 * sigma_1 to be flip-symmetric.  Evaluating (lam, mu) at the nine
-common zeros of the two associativity polynomials leaves an algebra on
-which tau0 and the flip need not be automorphisms.  Their failures
-xy - t(t(x) t(y)) generate an ideal, closed under multiplication and under
-both symmetries (each is its own inverse, so no longer words are needed);
-the nine quotients by these ideals are exactly the Norton-Sakuma algebras.
+sigma_1 * sigma_1 to be flip-symmetric.  The two associativity
+polynomials p1, p2 cut out the admissible (lam, mu).  Their common zeros
+are found by resultants in both variable orders and certified complete:
+dim_Q Q[lam, mu]/(p1, p2) counts every complex zero with multiplicity, so
+it must equal the number of distinct rational zeros found.  Evaluating at
+a zero leaves an algebra on which tau0 and the flip need not be
+automorphisms.  Their failures m(xy) - m(x) m(y) generate an ideal, closed
+under multiplication and under both symmetries (each is its own inverse,
+so no longer words are needed); the quotients by these ideals are the
+Norton-Sakuma algebras, named from the invariants computed on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (ConsistencyError, StructureAlgebra, bilinear, check_axis,
-                      defect, form_tensor, ideal_closure, miyamoto, pair, quotient)
+from .algebra import (ConsistencyError, StructureAlgebra, automorphism_failures,
+                      bilinear, check_axis, defect, form_tensor, ideal_closure,
+                      miyamoto, pair, quotient, resurrect)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
-from .poly import (LAM, MU, MultiPoly, rational_roots, resultant,
-                   univariate_gcd)
+from .poly import (LAM, MU, MultiPoly, leading_term, rational_roots, resultant,
+                   standard_monomial_count, univariate_gcd)
 
 Q = Fraction
 
@@ -42,31 +47,18 @@ AM2, AM1, A0, A1, A2, S1, S2E, S2O = range(8)
 SIGMA_PAIRS = {S1: (A0, A1), S2E: (A0, A2), S2O: (AM1, A1)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class EvalPoint:
-    name: str
     lam: Fraction
     mu: Fraction
 
+    @property
+    def name(self) -> str:
+        """The coordinate label, such as "(1/64, 1/8)"."""
+        return f"({self.lam}, {self.mu})"
+
     def to_json(self) -> dict:
-        return {"name": self.name, "lambda": str(self.lam), "mu": str(self.mu)}
-
-
-# The nine evaluation points in table order, with the expected dimension
-# of the symmetry-discrepancy ideal and of the quotient.
-POINT_TABLE = [
-    ("1A", Q(1), Q(1), 7, 1),
-    ("2B", Q(0), Q(1), 6, 2),
-    ("2A", Q(1, 8), Q(1), 5, 3),
-    ("3C", Q(1, 64), Q(1, 64), 5, 3),
-    ("3A", Q(13, 256), Q(13, 256), 4, 4),
-    ("4A", Q(1, 32), Q(0), 3, 5),
-    ("4B", Q(1, 64), Q(1, 8), 3, 5),
-    ("5A", Q(3, 128), Q(3, 128), 2, 6),
-    ("6A", Q(5, 256), Q(13, 256), 0, 8),
-]
-
-POINT_NAMES = {(lam, mu): name for name, lam, mu, _, _ in POINT_TABLE}
+        return {"lambda": str(self.lam), "mu": str(self.mu)}
 
 
 def _c(x) -> MultiPoly:
@@ -89,8 +81,6 @@ class UniversalAlgebra:
     flip: list
     a3: list  # expansion of the axis a_3 over the basis
     a4: list  # expansion of a_4 = flip(tau0(a_3))
-    _p1: MultiPoly | None = field(default=None, repr=False)
-    _p2: MultiPoly | None = field(default=None, repr=False)
 
 
 def axis_eigenvectors() -> dict:
@@ -394,16 +384,7 @@ def _complete_gram(prod, a3, a4):
     return g
 
 
-def gram_complete(uni: UniversalAlgebra):
-    """Re-derive the Gram matrix from the product table and compare with
-    the stored one; returns the matrix."""
-    g = _complete_gram(uni.algebra.product, uni.a3, uni.a4)
-    if g != uni.algebra.gram:
-        raise ConsistencyError("gram re-derivation does not match the stored matrix")
-    return g
-
-
-# -- associativity polynomials and the nine points ----------------------------
+# -- associativity polynomials and their common zeros -------------------------
 
 
 def associativity_defects(uni: UniversalAlgebra):
@@ -424,32 +405,31 @@ def associativity_polynomials(uni: UniversalAlgebra):
     p1 from the triple (a_{-1}, a_{-2}, a_1) and p2 from
     (a_{-2}, a_{-2}, a_1).  The raw defects are rational multiples of
     these; scaling does not move the zero locus."""
-    if uni._p1 is None:
-        prod, gram = uni.algebra.product, uni.algebra.gram
-        uni._p1 = _monic(defect(prod, gram, AM1, AM2, A1))
-        uni._p2 = _monic(defect(prod, gram, AM2, AM2, A1))
-    return uni._p1, uni._p2
+    prod, gram = uni.algebra.product, uni.algebra.gram
+    return _monic(defect(prod, gram, AM1, AM2, A1)), _monic(defect(prod, gram, AM2, AM2, A1))
 
 
 def _monic(f: MultiPoly) -> MultiPoly:
-    from .poly import leading_term
-
     if not f:
         return f
     _, lc = leading_term(f)
     return _c(Q(1) / lc) * f
 
 
-def solve_points(uni: UniversalAlgebra) -> list[EvalPoint]:
-    """The common rational zeros of p1 and p2, in table order.
+def common_zeros(p1: MultiPoly, p2: MultiPoly) -> list[EvalPoint]:
+    """Every common zero of p1 and p2 over the complex numbers, all of them
+    rational and simple, in (lam, mu) order.
 
     Elimination goes through the resultant in each variable; each
     candidate is verified exactly, and the two elimination orders must
-    agree.  Exactly the nine named points must come out.
+    agree.  Completeness is certified by the finiteness theorem:
+    dim_Q Q[lam, mu]/(p1, p2) counts the complex zeros with multiplicity,
+    so it must be finite and equal the number of rational zeros found.
+    Otherwise an irrational or repeated zero exists and ConsistencyError
+    names both numbers.
     """
-    p1, p2 = associativity_polynomials(uni)
 
-    def common_zeros(eliminate, kept):
+    def rational_zeros(eliminate, kept):
         res = resultant(p1, p2, eliminate)
         if not res:
             raise ConsistencyError("resultant vanishes identically; shared factor")
@@ -468,39 +448,38 @@ def solve_points(uni: UniversalAlgebra) -> list[EvalPoint]:
             for s in rational_roots(g):
                 lam_v, mu_v = (r, s) if kept == "lam" else (s, r)
                 if p1.evaluate(lam_v, mu_v) == 0 and p2.evaluate(lam_v, mu_v) == 0:
-                    zeros.add((lam_v, mu_v))
+                    zeros.add(EvalPoint(lam_v, mu_v))
         return zeros
 
-    via_mu = common_zeros("mu", "lam")
-    via_lam = common_zeros("lam", "mu")
+    via_mu = rational_zeros("mu", "lam")
+    via_lam = rational_zeros("lam", "mu")
     if via_mu != via_lam:
         raise ConsistencyError("the two elimination orders disagree")
-    for pt in via_mu:
-        if pt not in POINT_NAMES:
-            raise ConsistencyError(f"unrecognised solution point {pt}")
-    points = [EvalPoint(name, lam, mu) for name, lam, mu, _, _ in POINT_TABLE
-              if (lam, mu) in via_mu]
-    if len(points) != len(via_mu) or len(points) != 9:
-        raise ConsistencyError(f"expected the nine table points, found {sorted(via_mu)}")
-    return points
+    count = standard_monomial_count([p1, p2])
+    if count != len(via_mu):
+        dim = "infinite dimension" if count is None else f"dimension {count}"
+        raise ConsistencyError(f"Q[lam, mu]/(p1, p2) has {dim}, "
+                               f"but {len(via_mu)} rational common zeros were found")
+    return sorted(via_mu)
+
+
+def solve_points(uni: UniversalAlgebra) -> list[EvalPoint]:
+    """The certified common zeros of the two associativity polynomials."""
+    return common_zeros(*associativity_polynomials(uni))
 
 
 # -- evaluation and quotients --------------------------------------------------
 
 
-def _eval_entry(entry: MultiPoly, pt: EvalPoint) -> Fraction:
-    return entry.evaluate(pt.lam, pt.mu)
-
-
 def _eval_matrix(m, pt):
-    return [[_eval_entry(x, pt) for x in row] for row in m]
+    return [[x.evaluate(pt.lam, pt.mu) for x in row] for row in m]
 
 
 def evaluate_point(uni: UniversalAlgebra, pt: EvalPoint) -> StructureAlgebra:
     """Substitute (lam, mu) into every structure constant and form value."""
     alg = uni.algebra
-    product = [[[_eval_entry(c, pt) for c in vec] for vec in row] for row in alg.product]
-    gram = [[_eval_entry(c, pt) for c in row] for row in alg.gram]
+    product = [_eval_matrix(row, pt) for row in alg.product]
+    gram = _eval_matrix(alg.gram, pt)
     return StructureAlgebra(LABELS, product, gram, marked=[A0, A1])
 
 
@@ -520,7 +499,7 @@ class Discrepancy:
 def discrepancy_quotient(uni: UniversalAlgebra, pt: EvalPoint) -> Discrepancy:
     """Quotient the evaluated algebra by the failures of the symmetries.
 
-    Generators are x y - t(t(x) t(y)) for basis pairs and t in {tau0, flip},
+    Generators are t(x y) - t(x) t(y) for basis pairs and t in {tau0, flip},
     each its own inverse.  Their span is closed under multiplication and
     under both symmetries, which gives the smallest ideal containing them
     that the whole symmetry group preserves; modulo it every word in tau0
@@ -529,15 +508,7 @@ def discrepancy_quotient(uni: UniversalAlgebra, pt: EvalPoint) -> Discrepancy:
     """
     alg = evaluate_point(uni, pt)
     symmetries = [_eval_matrix(uni.tau0, pt), _eval_matrix(uni.flip, pt)]
-    gens = []
-    for m in symmetries:
-        cols = linalg.transpose(m)
-        for i in range(8):
-            for j in range(i, 8):
-                w = alg.multiply(cols[i], cols[j])
-                d = sub_vec(alg.product[i][j], linalg.matvec(m, w))
-                if not linalg.is_zero_vec(d):
-                    gens.append(d)
+    gens = [d for m in symmetries for _, d in automorphism_failures(alg, m)]
     ideal = ideal_closure(alg, gens, symmetries)
     for v in ideal:
         for i in range(8):
@@ -560,9 +531,32 @@ def expected_miyamoto_product_order(numeral: int) -> int:
     return numeral if numeral % 2 else numeral // 2
 
 
+# The letter of each Norton-Sakuma algebra by (shift order, quotient
+# dimension).  4A and 4B share (4, 5); there the letter follows the name of
+# the subalgebra generated by a_0 and a_2, 2B for 4A and 2A for 4B.
+_LETTERS = {(1, 1): "A", (2, 2): "B", (2, 3): "A", (3, 3): "C", (3, 4): "A",
+            (5, 6): "A", (6, 8): "A"}
+_FOUR_BY_HALF = {"2B": "A", "2A": "B"}
+
+
+def norton_sakuma_name(shift_order: int, dim: int, half: str | None = None) -> str | None:
+    """The Norton-Sakuma name for these invariants, or None if none fits.
+
+    The numeral is the order of the axis shift a_i -> a_{i+1}; the letter
+    comes from the quotient dimension and, for numeral 4, from `half`, the
+    name of the dihedral subalgebra <<a_0, a_2>> (Ivanov, Pasechnik, Seress
+    and Shpectorov, "Majorana representations of the symmetric group of
+    degree 4", J. Algebra 2010, the table of the Norton-Sakuma algebras).
+    """
+    if (shift_order, dim) == (4, 5):
+        letter = _FOUR_BY_HALF.get(half)
+    else:
+        letter = _LETTERS.get((shift_order, dim))
+    return None if letter is None else f"{shift_order}{letter}"
+
+
 @dataclass
 class PointReport:
-    name: str
     lam: Fraction
     mu: Fraction
     ideal_dim: int
@@ -571,17 +565,12 @@ class PointReport:
     rho_order: int  # order of tau0 * tau1 on the quotient
     shift_order: int  # order of the axis-shift a_i -> a_{i+1} on the quotient
     gram_values: dict
+    name: str | None = None  # None when no naming rule fits the invariants
 
     @property
     def passed(self) -> bool:
-        expected = next((row for row in POINT_TABLE if row[0] == self.name), None)
-        numeral = int(self.name[0])
-        return (expected is not None
-                and self.ideal_dim == expected[3]
-                and self.dim == expected[4]
-                and all(r.passed for r in self.axis_reports)
-                and self.shift_order == numeral
-                and self.rho_order == expected_miyamoto_product_order(numeral))
+        return (all(r.passed for r in self.axis_reports)
+                and self.rho_order == expected_miyamoto_product_order(self.shift_order))
 
     def to_json(self) -> dict:
         return {
@@ -606,10 +595,7 @@ class ClassificationReport:
 
     @property
     def passed(self) -> bool:
-        return (all(p.passed for p in self.points)
-                and self.total_dim == 37
-                and self.signatures_distinct
-                and len(self.points) == 9)
+        return all(p.passed for p in self.points) and self.signatures_distinct
 
     def to_json(self) -> dict:
         return {
@@ -624,7 +610,7 @@ class ClassificationReport:
         for p in self.points:
             status = "ok" if p.passed else "FAIL"
             lines.append(
-                f"{p.name}: lambda={p.lam} mu={p.mu} ideal_dim={p.ideal_dim} "
+                f"{p.name or 'unnamed'}: lambda={p.lam} mu={p.mu} ideal_dim={p.ideal_dim} "
                 f"dim={p.dim} rho_order={p.rho_order} shift_order={p.shift_order} "
                 f"[{status}]")
         lines.append(f"total dimension: {self.total_dim}")
@@ -633,24 +619,23 @@ class ClassificationReport:
 
 
 def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
-    """Build, evaluate and certify the nine Norton-Sakuma quotients.
+    """Build, evaluate, certify and name the quotient at every certified point.
 
     Each point's quotient is taken once, by the ideal closed under
     multiplication and the two symmetries (see discrepancy_quotient).
-    Both generators must verify as axes in every quotient; the axis-shift
-    symmetry must have the order named by the algebra; and the product of
-    the two Miyamoto involutions must have its orbit-determined order.
-    Any failure raises ConsistencyError.
+    Both generators must verify as axes in every quotient; the axis shift
+    must move a_0 to a_1; and the product of the two Miyamoto involutions
+    must have the order the shift's orbit determines.  Any failure raises
+    ConsistencyError.  The reports come sorted by (shift order, dimension,
+    mu) and are named by norton_sakuma_name.
     """
     if uni is None:
         uni = build_universal()
     rules = frobenius_refine(virasoro_rules(4, 3))
     grading = next(g for g in find_z2_gradings(rules) if not g.trivial)
-    nu3, nu4 = _nu_polys()
     shift_symbolic = linalg.matmul(uni.flip, uni.tau0)
 
     reports = []
-    total = 0
     for pt in solve_points(uni):
         disc = discrepancy_quotient(uni, pt)
         quot, proj = disc.quotient, disc.projection
@@ -674,18 +659,21 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
         if linalg.matvec(shift, ax0) != ax1:
             raise ConsistencyError(f"axis shift does not move a0 to a1 at {pt.name}")
 
-        gram_values = {
-            "lambda": pt.lam,
-            "mu": pt.mu,
-            "nu3": nu3.evaluate(pt.lam, pt.mu),
-            "nu4": nu4.evaluate(pt.lam, pt.mu),
-        }
-        total += quot.dim
-        reports.append(PointReport(pt.name, pt.lam, pt.mu, disc.ideal_dim,
-                                   quot.dim, [rep0, rep1], order, shift_order,
-                                   gram_values))
+        g = disc.evaluated.gram
+        gram_values = {"lambda": g[A0][A1], "mu": g[A0][A2],
+                       "nu3": g[AM2][A1], "nu4": g[AM2][A2]}
+        reports.append(PointReport(pt.lam, pt.mu, disc.ideal_dim, quot.dim, [rep0, rep1],
+                                   order, shift_order, gram_values))
+    reports.sort(key=lambda p: (p.shift_order, p.dim, p.mu))
+    names = {}
+    for p in reports:
+        # <<a_0, a_2>> is the algebra at (<a_0, a_2>, <a_0, a_4>); for even
+        # numerals its shift order is half of p's, so it is named already
+        half = names.get((p.mu, p.gram_values["nu4"]))
+        p.name = names[(p.lam, p.mu)] = norton_sakuma_name(p.shift_order, p.dim, half)
     signatures = {(p.lam, p.mu) for p in reports}
-    report = ClassificationReport(reports, total, len(signatures) == len(reports))
+    report = ClassificationReport(reports, sum(p.dim for p in reports),
+                                  len(signatures) == len(reports))
     if not report.passed:
         raise ConsistencyError("classification report failed verification")
     return report
@@ -705,12 +693,11 @@ def _project_symmetry(uni, pt, disc, m_symbolic):
     comp = [LABELS.index(lbl) for lbl in quot.labels]
     lift = [[Q(1) if r == comp[c] else Q(0) for c in range(quot.dim)] for r in range(8)]
     induced = linalg.matmul(linalg.matmul(proj, m), lift)
-    cols = linalg.transpose(induced)
-    for i in range(quot.dim):
-        for j in range(i, quot.dim):
-            lhs = linalg.matvec(induced, quot.product[i][j])
-            if lhs != quot.multiply(cols[i], cols[j]):
-                raise ConsistencyError(f"induced symmetry is not an automorphism at {pt.name}")
+    failures = automorphism_failures(quot, induced)
+    if failures:
+        (i, j), _ = failures[0]
+        raise ConsistencyError(f"induced symmetry is not an automorphism at {pt.name}: "
+                               f"({quot.labels[i]}, {quot.labels[j]})")
     return induced
 
 
@@ -816,17 +803,13 @@ def rederive_products(uni: UniversalAlgebra) -> RederiveReport:
                   mult(u1, v2))
     q_free = add_vec(add_vec(scale_vec(-4, mult(e(S1), u2)), scale_vec(-4, mult(u1, e(S2E)))),
                   mult(u1, u2))
-    b_quarter = scale_vec(-1, p_free)
-    b_zero = q_free
-    x = sub_vec(scale_vec(4, mult(e(A0), sub_vec(b_quarter, b_zero))), b_quarter)
+    x = resurrect(alg, e(A0), scale_vec(-1, p_free), q_free, Q(1, 4))
     record("s1*s2e", scale_vec(Q(1, 16), x), prod[S1][S2E])
 
     # resurrection for s2e*s2e
     p2_free = add_vec(scale_vec(4, mult(sub_vec(u2, v2), e(S2E))), mult(u2, v2))
     q2_free = add_vec(scale_vec(-8, mult(u2, e(S2E))), mult(u2, u2))
-    b_quarter = scale_vec(-1, p2_free)
-    b_zero = q2_free
-    x = sub_vec(scale_vec(4, mult(e(A0), sub_vec(b_quarter, b_zero))), b_quarter)
+    x = resurrect(alg, e(A0), scale_vec(-1, p2_free), q2_free, Q(1, 4))
     record("s2e*s2e", scale_vec(Q(1, 16), x), prod[S2E][S2E])
 
     # the odd eigenvector: a_0 gamma1 = gamma1 / 32

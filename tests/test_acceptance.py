@@ -10,10 +10,11 @@ from axial import linalg
 from axial.algebra import check_axis, miyamoto, three_c, verify_form
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import LAM, MU, MultiPoly, standard_monomial_count
-from axial.sakuma import (A0, A1, AM1, POINT_TABLE, associativity_polynomials,
+from axial.sakuma import (A0, A1, AM1, associativity_polynomials,
                           axis_eigenvectors, discrepancy_quotient,
                           rederive_products, solve_points)
 
+from conftest import POINT_AT, POINT_TABLE, TOTAL_DIM
 from test_fusion import V43_TABLE, V53_TABLE
 from test_sakuma import EXPECTED_P1, EXPECTED_P2, e8
 
@@ -100,8 +101,7 @@ def test_criterion_5_polynomials(uni):
 
 def test_criterion_6_variety(uni):
     pts = solve_points(uni)
-    assert [(p.name, p.lam, p.mu) for p in pts] == \
-        [(n, l, m) for n, l, m, _, _ in POINT_TABLE]
+    assert [(p.lam, p.mu) for p in pts] == sorted(POINT_AT.values())
     p1, p2 = associativity_polynomials(uni)
     for pt in pts:
         assert p1.evaluate(pt.lam, pt.mu) == 0
@@ -111,14 +111,16 @@ def test_criterion_6_variety(uni):
 
 
 def test_criterion_7_classification(report):
+    assert [(p.name, p.lam, p.mu) for p in report.points] == \
+        [(n, lam, mu) for n, lam, mu, _, _ in POINT_TABLE]
     assert [p.ideal_dim for p in report.points] == [7, 6, 5, 5, 4, 3, 3, 2, 0]
     assert [p.dim for p in report.points] == [1, 2, 3, 3, 4, 5, 5, 6, 8]
     for p in report.points:
         for axis_report in p.axis_reports:
             assert axis_report.passed
             assert axis_report.norm_ok  # <a, a> = 1 = 2 CC
-    assert report.total_dim == 37
-    ok("criterion 7: ideal dims (7,6,5,5,4,3,3,2,0), quotient dims (1,2,3,3,4,5,5,6,8), "
+    assert report.total_dim == TOTAL_DIM
+    ok("criterion 7: names 1A, 2B, 2A, 3C, 3A, 4A, 4B, 5A, 6A; ideal dims (7,6,5,5,4,3,3,2,0), quotient dims (1,2,3,3,4,5,5,6,8), "
        "all 18 axis checks, total 37")
 
 
@@ -137,7 +139,7 @@ def test_criterion_8_dihedral_orders(report):
 
 def test_criterion_9_three_c_identification(uni, points):
     target = three_c()
-    disc = discrepancy_quotient(uni, points["3C"])
+    disc = discrepancy_quotient(uni, points[POINT_AT["3C"]])
     quot, proj = disc.quotient, disc.projection
     images = [linalg.matvec(proj, e8(A0)), linalg.matvec(proj, e8(A1)),
               linalg.matvec(proj, e8(AM1))]
@@ -155,7 +157,7 @@ def test_criterion_9_three_c_identification(uni, points):
 
 
 def test_criterion_10_gram_recomputations(uni):
-    from axial.sakuma import A2, AM2, S1, S2E, S2O, gram_complete
+    from axial.sakuma import A2, AM2, S1, S2E, S2O
 
     g = uni.algebra.gram
     a_s1 = Q(1, 32) * (31 * LAM - 1)
@@ -173,5 +175,4 @@ def test_criterion_10_gram_recomputations(uni):
     assert g[AM1][A1] == MU
     assert g[AM2][A1] == nu3
     assert g[AM2][A2] == nu4
-    assert gram_complete(uni) == g
     ok("criterion 10: <a_k, s1> constant in k; printed form values reproduced exactly")

@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 
 from axial import linalg
-from axial.algebra import (ConsistencyError, StructureAlgebra, annihilator_coeffs,
-                           apply_ad_poly, bilinear, check_axis, defect, eigen_decompose,
-                           ideal_closure, miyamoto, quotient, resurrect,
-                           seress_assoc_check, three_c, verify_form)
+from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, annihilator_coeffs,
+                           apply_ad_poly, automorphism_failures, bilinear, check_axis,
+                           defect, eigen_decompose, ideal_closure, miyamoto, quotient,
+                           resurrect, seress_assoc_check, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.sakuma import EvalPoint, evaluate_point
 
@@ -143,6 +143,27 @@ def test_miyamoto_swaps_other_axes(alg, rules, grading):
     assert linalg.matvec(tau, e(0)) == e(0)
 
 
+def test_automorphism_failures(alg):
+    # permuting the three axes is an automorphism of 3C; doubling is not
+    swap = [e(0), e(2), e(1)]
+    assert automorphism_failures(alg, linalg.transpose(swap)) == []
+    double = [[2 * x for x in row] for row in linalg.identity(3)]
+    failures = automorphism_failures(alg, double)
+    assert [pair for pair, _ in failures] == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    # m(e_0 e_0) - (m e_0)(m e_0) = 2 e_0 - 4 e_0
+    assert failures[0][1] == [Q(-2), Q(0), Q(0)]
+
+
+def test_miyamoto_names_the_failing_pair(alg, rules, grading):
+    # <a, b> = 1/64 with b b = b + a/8 - c/8 keeps the form and the eigenspaces
+    # of a, but the flip of b and c is no longer an automorphism
+    product = [[list(v) for v in row] for row in alg.product]
+    product[1][1] = [Q(1, 8), Q(1), Q(-1, 8)]
+    broken = StructureAlgebra(alg.labels, product, alg.gram, alg.marked)
+    with pytest.raises(ConsistencyError, match=r"not an automorphism at \(1, 1\)"):
+        miyamoto(broken, e(0), grading, rules)
+
+
 def test_verify_form_three_c(alg, rules):
     report = verify_form(alg, rules)
     assert report.passed
@@ -157,7 +178,7 @@ def direct_failures(alg):
 
 def test_verify_form_matches_the_direct_loop(uni, alg):
     # off the nine points the form fails to associate
-    off = evaluate_point(uni, EvalPoint("generic", Q(1, 3), Q(1, 5)))
+    off = evaluate_point(uni, EvalPoint(Q(1, 3), Q(1, 5)))
     failures = verify_form(off).assoc_failures
     assert failures and failures == direct_failures(off)
     assert verify_form(alg).assoc_failures == direct_failures(alg) == []
@@ -247,8 +268,13 @@ def test_fixture_file_matches_generator(alg):
 def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
         StructureAlgebra(["x"], [[[Q(1)]]], [[Q(1), Q(0)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError, match="not commutative"):
         StructureAlgebra(["x", "y"],
                          [[[Q(1), Q(0)], [Q(0), Q(1)]],
                           [[Q(1), Q(1)], [Q(0), Q(0)]]],
                          [[Q(1), Q(0)], [Q(0), Q(1)]])
+    with pytest.raises(ShapeError, match="not symmetric"):
+        StructureAlgebra(["x", "y"],
+                         [[[Q(1), Q(0)], [Q(0), Q(0)]],
+                          [[Q(0), Q(0)], [Q(0), Q(1)]]],
+                         [[Q(1), Q(1)], [Q(0), Q(1)]])

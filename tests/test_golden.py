@@ -3,7 +3,10 @@
 The files under ``golden/`` were written by the commands below before the
 product/form kernel was unified and the discrepancy ideal was re-derived
 from the symmetry closure; the classification report there lacks the
-retired ``notes`` key.  The table digest is the one the benchmark checks.
+retired ``notes`` key.  ``solve.json`` was written again when ``solve``
+stopped printing names (a name needs the quotient): it lists the certified
+points as ``{"lambda", "mu"}`` in (lambda, mu) order.  The table digest is
+the one the benchmark checks.
 """
 
 import hashlib

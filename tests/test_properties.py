@@ -56,7 +56,7 @@ def test_kernel_on_three_c(data):
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_kernel_on_6a(uni, data):
-    alg = evaluate_point(uni, EvalPoint("6A", Q(5, 256), Q(13, 256)))
+    alg = evaluate_point(uni, EvalPoint(Q(5, 256), Q(13, 256)))
     x, y, z = (data.draw(vectors(8)) for _ in range(3))
     check_kernel(alg, x, y, z, data.draw(rationals))
 
@@ -66,7 +66,7 @@ def test_kernel_on_6a(uni, data):
 def test_kernel_off_the_nine_points(uni, data):
     # away from the nine points the form fails to associate, so the defect
     # identity is tested on nonzero values
-    pt = EvalPoint("generic", data.draw(rationals), data.draw(rationals))
+    pt = EvalPoint(data.draw(rationals), data.draw(rationals))
     alg = evaluate_point(uni, pt)
     x, y, z = (data.draw(vectors(8)) for _ in range(3))
     check_kernel(alg, x, y, z, data.draw(rationals))

@@ -1,15 +1,20 @@
 from fractions import Fraction as Q
 
+import pytest
+
 from axial import linalg
-from axial.algebra import StructureAlgebra, defect, seress_assoc_check, three_c, verify_form
+from axial.algebra import (ConsistencyError, StructureAlgebra, defect, seress_assoc_check,
+                           three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import LAM, MU, MultiPoly, rational_roots, resultant, standard_monomial_count
-from axial.sakuma import (A0, A1, AM1, AM2, A2, S1, S2E, S2O,
-                          POINT_TABLE, associativity_defects,
-                          associativity_polynomials, axis_eigenvectors,
+from axial.sakuma import (A0, A1, AM1, AM2, A2, S1, S2E, S2O, _complete_gram,
+                          associativity_defects, associativity_polynomials,
+                          axis_eigenvectors, classify, common_zeros,
                           discrepancy_quotient, evaluate_point,
-                          expected_miyamoto_product_order, gram_complete,
+                          expected_miyamoto_product_order, norton_sakuma_name,
                           rederive_products, solve_points)
+
+from conftest import POINT_AT, POINT_TABLE, TOTAL_DIM
 
 
 def e8(i):
@@ -160,8 +165,15 @@ def test_gram_nu3_nu4(uni):
     assert g[AM2][A2] == nu4
 
 
-def test_gram_complete_re_derivation(uni):
-    assert gram_complete(uni) == uni.algebra.gram
+def test_gram_second_routes_catch_a_wrong_product(uni):
+    # the build re-derives <s1, s1> through a0 * s1 and <a_k, sigma> through
+    # associativity; a product that is off by a little must be refused
+    prod = [list(row) for row in uni.algebra.product]
+    wrong = list(prod[A1][S1])
+    wrong[S1] = wrong[S1] + Q(1, 2**10)
+    prod[A1][S1] = prod[S1][A1] = wrong
+    with pytest.raises(ConsistencyError, match="two routes disagree"):
+        _complete_gram(prod, uni.a3, uni.a4)
 
 
 def test_sigma_gram_entries_by_parity(uni):
@@ -229,12 +241,12 @@ def test_lambda_resultant_roots(uni):
 
 def test_solve_points_table(uni):
     pts = solve_points(uni)
-    assert [(pt.name, pt.lam, pt.mu) for pt in pts] == \
-        [(name, lam, mu) for name, lam, mu, _, _ in POINT_TABLE]
+    assert [(pt.lam, pt.mu) for pt in pts] == sorted(POINT_AT.values())
     p1, p2 = associativity_polynomials(uni)
     for pt in pts:
         assert p1.evaluate(pt.lam, pt.mu) == 0
         assert p2.evaluate(pt.lam, pt.mu) == 0
+        assert pt.name == f"({pt.lam}, {pt.mu})"
 
 
 def test_quotient_ring_dimension(uni):
@@ -242,21 +254,49 @@ def test_quotient_ring_dimension(uni):
     assert standard_monomial_count([p1, p2]) == 9
 
 
+# Each p1 here, with p2 = mu - lam, generates the ideal (f(lam), mu - lam)
+# for f = p1 at mu = lam: the mu(mu - lam) term gives p1 positive degree in
+# mu, as the resultant needs, without changing the ideal.
+@pytest.mark.parametrize("p1, count", [
+    ((LAM**2 - 2) * (LAM - 1) + MU * (MU - LAM), 3),  # two irrational zeros
+    ((LAM - 1) ** 2 + MU * (MU - LAM), 2),  # (1, 1) twice
+], ids=["irrational", "double"])
+def test_certificate_refuses_zeros_the_rational_search_misses(p1, count):
+    p2 = MU - LAM
+    assert standard_monomial_count([p1, p2]) == count
+    # the rational search alone finds only (1, 1)
+    assert rational_roots(resultant(p1, p2, "mu")) == {Q(1)}
+    with pytest.raises(ConsistencyError, match=f"dimension {count}, but 1 rational"):
+        common_zeros(p1, p2)
+
+
+def test_certificate_accepts_simple_rational_zeros():
+    p1 = (LAM - 2) * (LAM - Q(1, 3)) * (LAM + 1) + MU * (MU - LAM)
+    pts = common_zeros(p1, MU - LAM)
+    assert [(pt.lam, pt.mu) for pt in pts] == [(-1, -1), (Q(1, 3), Q(1, 3)), (2, 2)]
+
+
+def test_common_zeros_refuse_a_shared_factor():
+    shared = LAM - MU
+    with pytest.raises(ConsistencyError, match="shared factor"):
+        common_zeros(shared * (LAM - 1), shared * (MU - 2))
+
+
 # -- evaluation and quotients ----------------------------------------------
 
 
 def test_evaluate_point_values(uni, points):
-    alg_2b = evaluate_point(uni, points["2B"])
+    alg_2b = evaluate_point(uni, points[POINT_AT["2B"]])
     assert alg_2b.gram[A0][A1] == 0
-    alg_3c = evaluate_point(uni, points["3C"])
+    alg_3c = evaluate_point(uni, points[POINT_AT["3C"]])
     assert alg_3c.product[A0][A1][S1] == 1
-    alg_6a = evaluate_point(uni, points["6A"])
+    alg_6a = evaluate_point(uni, points[POINT_AT["6A"]])
     assert alg_6a.gram[A0][S1] == Q(-101, 8192)
 
 
 def test_ideal_and_quotient_dims(uni, points):
     for name, lam, mu, ideal_dim, dim in POINT_TABLE:
-        disc = discrepancy_quotient(uni, points[name])
+        disc = discrepancy_quotient(uni, points[(lam, mu)])
         assert disc.ideal_dim == ideal_dim, name
         assert disc.quotient.dim == dim, name
         for m in (uni.tau0, uni.flip):
@@ -269,7 +309,7 @@ def test_2b_eigen_dims(uni, points):
     from axial.algebra import eigen_decompose
 
     rules = frobenius_refine(virasoro_rules(4, 3))
-    disc = discrepancy_quotient(uni, points["2B"])
+    disc = discrepancy_quotient(uni, points[POINT_AT["2B"]])
     ax0 = linalg.matvec(disc.projection, e8(A0))
     spaces, semisimple = eigen_decompose(disc.quotient, ax0, rules.fields)
     dims = tuple(len(spaces[f]) for f in rules.fields)
@@ -281,7 +321,7 @@ def test_2b_miyamoto_is_identity(uni, points):
 
     rules = frobenius_refine(virasoro_rules(4, 3))
     grading = next(g for g in find_z2_gradings(rules) if not g.trivial)
-    disc = discrepancy_quotient(uni, points["2B"])
+    disc = discrepancy_quotient(uni, points[POINT_AT["2B"]])
     ax0 = linalg.matvec(disc.projection, e8(A0))
     assert miyamoto(disc.quotient, ax0, grading, rules) == linalg.identity(2)
 
@@ -294,20 +334,20 @@ def test_quotient_forms_associate(uni, points):
 
 
 def test_axis_norms_in_quotients(uni, points):
-    disc = discrepancy_quotient(uni, points["2A"])
+    disc = discrepancy_quotient(uni, points[POINT_AT["2A"]])
     ax0 = linalg.matvec(disc.projection, e8(A0))
     assert disc.quotient.form(ax0, ax0) == 1
 
 
 def test_seress_in_4a_quotient(uni, points):
-    disc = discrepancy_quotient(uni, points["4A"])
+    disc = discrepancy_quotient(uni, points[POINT_AT["4A"]])
     ax0 = linalg.matvec(disc.projection, e8(A0))
     assert seress_assoc_check(disc.quotient, ax0)
 
 
 def test_3c_quotient_is_the_three_axis_algebra(uni, points):
     target = three_c()
-    disc = discrepancy_quotient(uni, points["3C"])
+    disc = discrepancy_quotient(uni, points[POINT_AT["3C"]])
     quot, proj = disc.quotient, disc.projection
     assert quot.dim == 3
     images = [linalg.matvec(proj, e8(A0)),   # -> a
@@ -331,9 +371,10 @@ def test_3c_quotient_is_the_three_axis_algebra(uni, points):
 
 def test_classification_report(report):
     assert report.passed
-    assert report.total_dim == 37
-    assert len(report.points) == 9
+    assert report.total_dim == TOTAL_DIM
+    assert len(report.points) == len(POINT_TABLE)
     assert [p.name for p in report.points] == [r[0] for r in POINT_TABLE]
+    assert [(p.lam, p.mu) for p in report.points] == [(r[1], r[2]) for r in POINT_TABLE]
     assert [p.ideal_dim for p in report.points] == [7, 6, 5, 5, 4, 3, 3, 2, 0]
     assert [p.dim for p in report.points] == [1, 2, 3, 3, 4, 5, 5, 6, 8]
 
@@ -355,6 +396,52 @@ def test_miyamoto_product_orders(report):
     for p in report.points:
         assert p.rho_order == expected_miyamoto_product_order(int(p.name[0]))
         assert 2 * p.shift_order <= 12
+
+
+def test_naming_rule_on_invented_invariants():
+    assert norton_sakuma_name(1, 1) == "1A"
+    assert norton_sakuma_name(2, 2) == "2B"
+    assert norton_sakuma_name(2, 3) == "2A"
+    assert norton_sakuma_name(3, 3) == "3C"
+    assert norton_sakuma_name(3, 4) == "3A"
+    assert norton_sakuma_name(5, 6) == "5A"
+    assert norton_sakuma_name(6, 8) == "6A"
+    # 4A and 4B share (4, 5); the subalgebra <<a0, a2>> tells them apart
+    assert norton_sakuma_name(4, 5, "2B") == "4A"
+    assert norton_sakuma_name(4, 5, "2A") == "4B"
+    assert norton_sakuma_name(4, 5) is None
+    assert norton_sakuma_name(4, 5, "3C") is None
+    # the half name matters only for (4, 5)
+    assert norton_sakuma_name(6, 8, "2B") == "6A"
+    # invariants no Norton-Sakuma algebra has
+    assert norton_sakuma_name(7, 9) is None
+    assert norton_sakuma_name(2, 4) is None
+    assert norton_sakuma_name(4, 6, "2B") is None
+
+
+def test_unmatched_invariants_are_reported_unnamed(uni, monkeypatch):
+    import axial.sakuma as sakuma
+
+    # a rule set that knows no algebra of dimension 5: 4A and 4B come back
+    # unnamed with their invariants, everything else keeps its name
+    monkeypatch.setattr(sakuma, "_FOUR_BY_HALF", {})
+    report = classify(uni)
+    assert report.passed
+    assert [p.name for p in report.points] == \
+        [None if r[4] == 5 else r[0] for r in POINT_TABLE]
+    unnamed = [p for p in report.points if p.name is None]
+    assert [(p.shift_order, p.dim, p.lam, p.mu) for p in unnamed] == \
+        [(4, 5, Q(1, 32), Q(0)), (4, 5, Q(1, 64), Q(1, 8))]
+    assert all(p.to_json()["name"] is None for p in unnamed)
+    assert "unnamed: lambda=1/32 mu=0 ideal_dim=3 dim=5" in report.summary()
+
+
+def test_names_follow_the_sub_dihedral_algebra(report):
+    # <<a0, a2>> of 4A sits at (mu, nu4) = (0, 1), the 2B point; of 4B at (1/8, 1), 2A
+    by_name = {p.name: p for p in report.points}
+    for four, two in (("4A", "2B"), ("4B", "2A")):
+        p = by_name[four]
+        assert (p.mu, p.gram_values["nu4"]) == POINT_AT[two]
 
 
 def test_gram_signatures_distinct(report):
