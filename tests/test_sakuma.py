@@ -165,6 +165,11 @@ def test_gram_nu3_nu4(uni):
     assert g[AM2][A2] == nu4
 
 
+def test_gram_complete_re_derivation(uni):
+    # the stored Gram matrix is the one the product table determines
+    assert _complete_gram(uni.algebra.product, uni.a3, uni.a4) == uni.algebra.gram
+
+
 def test_gram_second_routes_catch_a_wrong_product(uni):
     # the build re-derives <s1, s1> through a0 * s1 and <a_k, sigma> through
     # associativity; a product that is off by a little must be refused
