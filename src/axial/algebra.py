@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .fusion import FusionRules, Grading
@@ -137,9 +138,22 @@ class StructureAlgebra:
         return [Fraction(c, den) for c in bilinear(table, x, y, self.labels)]
 
     def ad_matrix(self, a):
-        """Matrix of left multiplication by a, acting on column vectors."""
-        cols = [self.multiply(a, self.basis_vector(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        """Matrix of left multiplication by a, acting on column vectors, in a
+        rational algebra."""
+        ad, den = self.ad_integer(a)
+        return [[Fraction(x, den) for x in row] for row in ad]
+
+    def ad_integer(self, a):
+        """(A, den) with ad(a) = A / den for an integer matrix A, built in one
+        pass over the integer product tensor of a rational algebra: column j
+        of A is sum_i a_i e_i e_j with a cleared to integers."""
+        table, den, _, _ = self._integer
+        nums, da = linalg.clear_denominators(a)
+        cols = [[0] * self.dim for _ in range(self.dim)]
+        for x, row in zip(nums, table):
+            if x:
+                cols = [[c + x * t for c, t in zip(col, vec)] for col, vec in zip(cols, row)]
+        return linalg.transpose(cols), den * da
 
     def form(self, x, y):
         """Value of the bilinear form on two coordinate vectors."""
@@ -202,9 +216,8 @@ def _integer_tables(product, gram):
         return None
     n = len(gram)
     nums, den_p = linalg.clear_denominators(flat)
-    gnums, den_g = linalg.clear_denominators(flat_gram)
     table = [[nums[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-    return table, den_p, [gnums[i * n:(i + 1) * n] for i in range(n)], den_g
+    return (table, den_p, *linalg.clear_matrix(gram))
 
 
 def three_c() -> StructureAlgebra:
@@ -230,13 +243,26 @@ def three_c() -> StructureAlgebra:
 
 
 def apply_ad_poly(algebra: StructureAlgebra, coeffs, a, v):
-    """Evaluate f(ad(a)) v by Horner's rule; coeffs are low-to-high."""
-    zero, _ = algebra._zero_one()
-    out = [zero] * algebra.dim
-    for c in reversed(list(coeffs)):
-        out = algebra.multiply(a, out)
-        out = [o + c * vi for o, vi in zip(out, v)]
-    return out
+    """Evaluate f(ad(a)) v for a rational algebra; coeffs are low-to-high."""
+    nums, dv = linalg.clear_denominators(v)
+    out, den = _ad_poly_numerators(algebra.ad_integer(a), coeffs, nums)
+    return [Fraction(x, den * dv) for x in out]
+
+
+def _ad_poly_numerators(ad, coeffs, w):
+    """(out, den) with f(A / d) w = out / den, by integer Horner steps.
+
+    ad = (A, d) as from ad_integer, w is an integer vector and coeffs are
+    the rational coefficients of f, low to high.  With those cleared to
+    c_k / e and K the degree, e d^K f(A / d) = sum c_k d^(K-k) A^k.
+    """
+    mat, d = ad
+    nums, e = linalg.clear_denominators(list(coeffs))
+    out = [0] * len(w)
+    for step, c in enumerate(reversed(nums)):
+        c *= d ** step
+        out = [sum(map(mul, row, out)) + c * x for row, x in zip(mat, w)]
+    return out, e * d ** max(len(nums) - 1, 0)
 
 
 def annihilator_coeffs(roots) -> list[Fraction]:
@@ -259,18 +285,25 @@ def eigen_decompose(algebra: StructureAlgebra, a, candidates):
     echelonized eigenspace basis, and semisimple records whether the
     dimensions add up to the whole algebra.
     """
-    ad = algebra.ad_matrix(a)
+    return _eigenspaces(algebra.ad_integer(a), candidates)
+
+
+def _eigenspaces(ad, candidates):
+    """eigen_decompose for ad(a) = A / d given as (A, d): the kernel of
+    ad(a) - p/q is that of the integer matrix q A - p d."""
+    mat, d = ad
     spaces = {}
     total = 0
     for theta in candidates:
         theta = Fraction(theta)
-        shifted = [[ad[i][j] - (theta if i == j else 0) for j in range(algebra.dim)]
-                   for i in range(algebra.dim)]
+        p, q = theta.numerator * d, theta.denominator
+        shifted = [[q * x - (p if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(mat)]
         _, _, kernel = linalg.rref_and_kernel(shifted)
         basis = linalg.echelon_span(kernel)
         spaces[theta] = basis
         total += len(basis)
-    return spaces, total == algebra.dim
+    return spaces, total == len(mat)
 
 
 @dataclass
@@ -284,6 +317,9 @@ class AxisReport:
     primitive: bool
     fusion_ok: bool
     violations: list = field(default_factory=list)
+    # the eigenspace bases behind `spectrum`, by candidate; miyamoto can take
+    # them instead of decomposing again.  Not serialised.
+    spaces: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -314,39 +350,42 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
     """
     idempotent = algebra.multiply(a, a) == list(a)
     norm_ok = algebra.form(a, a) == 2 * rules.central_charge
-    spaces, semisimple = eigen_decompose(algebra, a, rules.fields)
+    ad = algebra.ad_integer(a)
+    spaces, semisimple = _eigenspaces(ad, rules.fields)
     spectrum = {theta: len(basis) for theta, basis in spaces.items()}
     one_space = spaces.get(Fraction(1), [])
     primitive = len(one_space) == 1 and linalg.in_span(one_space, a) and not linalg.is_zero_vec(a)
 
+    # eigenvectors cleared to integers once; u v is then tested up to scale
+    table = algebra._integer[0]
+    cleared = {theta: [linalg.clear_denominators(u)[0] for u in basis]
+               for theta, basis in spaces.items()}
     violations = []
     realized = [theta for theta, basis in spaces.items() if basis]
     for i, f in enumerate(realized):
         for g in realized[i:]:
-            roots = rules.product(f, g)
-            coeffs = annihilator_coeffs(sorted(roots))
-            for u in spaces[f]:
-                for v in spaces[g]:
-                    w = algebra.multiply(u, v)
-                    if not linalg.is_zero_vec(apply_ad_poly(algebra, coeffs, a, w)):
-                        violations.append((f, g))
-                        break
-                else:
-                    continue
-                break
+            coeffs = annihilator_coeffs(sorted(rules.product(f, g)))
+            if any(any(_ad_poly_numerators(ad, coeffs, bilinear(table, u, v, algebra.labels))[0])
+                   for u in cleared[f] for v in cleared[g]):
+                violations.append((f, g))
     return AxisReport(idempotent, norm_ok, spectrum, semisimple,
-                      primitive, not violations, violations)
+                      primitive, not violations, violations, spaces)
 
 
-def miyamoto(algebra: StructureAlgebra, a, grading: Grading, rules: FusionRules):
+def miyamoto(algebra: StructureAlgebra, a, grading: Grading, rules: FusionRules,
+             spaces=None):
     """Matrix of the involution fixing the even eigenspaces of `a` and
     negating the odd ones.
 
-    Raises ConsistencyError if the eigenspaces do not span, or if the
-    result fails to be an involutive automorphism preserving the form.
+    spaces, when given, are the eigenspaces of `a` for rules.fields as
+    eigen_decompose returns them (check_axis keeps them on its report);
+    otherwise they are computed.  Raises ConsistencyError if the
+    eigenspaces do not span, or if the result fails to be an involutive
+    automorphism preserving the form.
     """
-    spaces, semisimple = eigen_decompose(algebra, a, rules.fields)
-    if not semisimple:
+    if spaces is None:
+        spaces, _ = eigen_decompose(algebra, a, rules.fields)
+    if sum(len(basis) for basis in spaces.values()) != algebra.dim:
         raise ConsistencyError("eigenspaces of the axis do not span the algebra")
     columns = []
     signs = []
@@ -373,15 +412,23 @@ def miyamoto(algebra: StructureAlgebra, a, grading: Grading, rules: FusionRules)
 
 def automorphism_failures(algebra: StructureAlgebra, m):
     """[((i, j), m(e_i e_j) - (m e_i)(m e_j))] over basis pairs i <= j where
-    the difference is nonzero; empty exactly when m is an automorphism."""
-    cols = linalg.transpose(m)
+    the difference is nonzero; empty exactly when m is an automorphism.
+
+    m is cleared once to M / d and the algebra is rational with product
+    tensor T / p, so the difference is d M T_ij - (M e_i)(M e_j) under T,
+    an integer vector, over p d^2.
+    """
+    table, p, _, _ = algebra._integer
+    mat, d = linalg.clear_matrix(m)
+    cols = linalg.transpose(mat)
+    n = algebra.dim
     out = []
-    for i in range(algebra.dim):
-        for j in range(i, algebra.dim):
-            d = linalg.sub_vec(linalg.matvec(m, algebra.product[i][j]),
-                               algebra.multiply(cols[i], cols[j]))
-            if not linalg.is_zero_vec(d):
-                out.append(((i, j), d))
+    for i in range(n):
+        for j in range(i, n):
+            image = [d * sum(map(mul, row, table[i][j])) for row in mat]
+            diff = linalg.sub_vec(image, bilinear(table, cols[i], cols[j], algebra.labels))
+            if any(diff):
+                out.append(((i, j), [Fraction(x, p * d * d) for x in diff]))
     return out
 
 
@@ -442,8 +489,7 @@ def verify_form(algebra: StructureAlgebra, rules: FusionRules | None = None) -> 
 
 def seress_assoc_check(algebra: StructureAlgebra, a) -> bool:
     """Does `a` associate with its 0-eigenvectors: a(xz) = (ax)z exactly."""
-    ad = algebra.ad_matrix(a)
-    _, _, kernel = linalg.rref_and_kernel(ad)
+    _, _, kernel = linalg.rref_and_kernel(algebra.ad_integer(a)[0])
     for i in range(algebra.dim):
         x = algebra.basis_vector(i)
         ax = algebra.multiply(a, x)
@@ -477,13 +523,17 @@ def ideal_closure(algebra: StructureAlgebra, gens, maps=()):
     smallest ideal the whole group preserves; no words in the generators
     are needed.
     """
+    # spans are all that matter here, so every image is taken up to scale:
+    # each map is cleared to integers once, each basis vector once per round
+    maps = [linalg.clear_matrix(m)[0] for m in maps]
     basis = linalg.echelon_span(gens)
     while True:
         extended = list(basis)
         for v in basis:
-            for i in range(algebra.dim):
-                extended.append(algebra.multiply(algebra.basis_vector(i), v))
-            extended.extend(linalg.matvec(m, v) for m in maps)
+            # e_i v for every i: the columns of ad(v)
+            extended.extend(linalg.transpose(algebra.ad_integer(v)[0]))
+            nums, _ = linalg.clear_denominators(v)
+            extended.extend([sum(map(mul, row, nums)) for row in m] for m in maps)
         new_basis = linalg.echelon_span(extended)
         if len(new_basis) == len(basis):
             return new_basis
@@ -499,12 +549,12 @@ def quotient(algebra: StructureAlgebra, ideal):
     does not vanish on it, both of which signal a modelling error.
     """
     basis = linalg.echelon_span(ideal)
-    for v in basis:
-        for i in range(algebra.dim):
-            if not linalg.in_span(basis, algebra.multiply(algebra.basis_vector(i), v)):
-                raise ConsistencyError("subspace is not closed under multiplication")
-            if pair(algebra.gram[i], v) != 0:
-                raise ConsistencyError("the form does not vanish on the ideal")
+    # e_i v for every i and v: the columns of each ad(v), up to scale
+    images = [col for v in basis for col in linalg.transpose(algebra.ad_integer(v)[0])]
+    if len(linalg.echelon_span(basis + images)) != len(basis):
+        raise ConsistencyError("subspace is not closed under multiplication")
+    if any(pair(row, v) for v in basis for row in algebra.gram):
+        raise ConsistencyError("the form does not vanish on the ideal")
     pivots = [next(c for c, x in enumerate(row) if x != 0) for row in basis]
     complement = [c for c in range(algebra.dim) if c not in pivots]
     # projection columns: each old basis vector reduced through the ideal

@@ -30,6 +30,15 @@ def clear_denominators(v):
     return [n * (den // d) for n, d in ratios], den
 
 
+def clear_matrix(m):
+    """(rows, den) with m[i][j] == rows[i][j] / den: integer rows over one
+    denominator for the whole rational matrix, so that the integer matrix
+    acts as den times m."""
+    nums, den = clear_denominators([x for row in m for x in row])
+    width = len(m[0]) if m else 0
+    return [nums[i * width:(i + 1) * width] for i in range(len(m))], den
+
+
 def is_rational(rows) -> bool:
     """Whether every entry of the rows is a Fraction or an int.
 
@@ -160,21 +169,33 @@ def rref_and_kernel(m):
 def det(m) -> Fraction:
     """Determinant of a rational matrix by Bareiss elimination.
 
-    Rows are cleared to integers and their denominators multiplied out;
-    each integer step (p * a - f * b) // previous_pivot divides exactly
-    (Bareiss 1968), so the last pivot is the integer determinant.
+    Rows are cleared to integers, whose determinant `integer_det` takes;
+    the row denominators are then multiplied out.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     cleared = [clear_denominators(row) for row in m]
-    work = [nums for nums, _ in cleared]
+    return Fraction(integer_det([nums for nums, _ in cleared]),
+                    prod(den for _, den in cleared))
+
+
+def integer_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Each step (p * a - f * b) // previous_pivot divides exactly (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 1968), so the last pivot is the determinant.
+    The rows are not modified.
+    """
+    work = list(rows)
+    n = len(work)
     sign = 1
     prev = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if work[i][c]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != c:
             work[c], work[pivot] = work[pivot], work[c]
             sign = -sign
@@ -184,7 +205,7 @@ def det(m) -> Fraction:
             f = work[i][c]
             work[i] = [(p * a - f * b) // prev for a, b in zip(work[i], prow)]
         prev = p
-    return Fraction(sign * prev, prod(den for _, den in cleared))
+    return sign * prev
 
 
 def inverse(m):

@@ -6,6 +6,13 @@ fractions in two fixed variables.  Rational scalars are plain
 ``fractions.Fraction`` values and coerce freely into polynomials, so code
 that is generic over the coefficient ring can mix the two.  Nothing here
 ever rounds.
+
+Evaluation and elimination leave the rationals for the integers: a
+polynomial is evaluated as integer numerators over one denominator, with
+the powers of the point's numerators and denominators tabled once for a
+whole batch (`evaluate_all`), and `resultant` is fraction-free, built on
+integer Bareiss determinants (Bareiss, Math. Comp. 1968) and exact integer
+interpolation (Collins, J. ACM 1971).
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .linalg import clear_denominators, det
+from .linalg import clear_denominators, integer_det
 
 VARS = ("lam", "mu")
 
@@ -156,22 +163,8 @@ class MultiPoly:
         return self.coefficient(0, 0)
 
     def evaluate(self, lam, mu) -> Fraction:
-        """Value at a rational point, accumulated over the integers.
-
-        With lam = a/b, mu = c/d, coefficients n_ij / den and degrees I, J,
-        the value is sum n_ij a^i b^(I-i) c^j d^(J-j) over den b^I d^J.
-        """
-        if not self.terms:
-            return Fraction(0)
-        lam, mu = Fraction(lam), Fraction(mu)
-        nums, den = clear_denominators(list(self.terms.values()))
-        deg_l = max(i for i, _ in self.terms)
-        deg_m = max(j for _, j in self.terms)
-        a, b = _powers(lam.numerator, deg_l), _powers(lam.denominator, deg_l)
-        c, d = _powers(mu.numerator, deg_m), _powers(mu.denominator, deg_m)
-        total = sum(n * a[i] * b[deg_l - i] * c[j] * d[deg_m - j]
-                    for (i, j), n in zip(self.terms, nums))
-        return Fraction(total, den * b[deg_l] * d[deg_m])
+        """Value at a rational point; see evaluate_all."""
+        return evaluate_all([self], lam, mu)[0]
 
     def substitute(self, lam=None, mu=None) -> "MultiPoly":
         """Partially evaluate; variables left as None stay symbolic."""
@@ -247,6 +240,33 @@ def _powers(x: int, k: int) -> list[int]:
     return out
 
 
+def evaluate_all(polys, lam, mu) -> list[Fraction]:
+    """Values of the polynomials at one rational point, over one power table.
+
+    With lam = a/b, mu = c/d and I, J the largest degrees in lam and mu
+    among the polynomials, a polynomial with coefficients n_ij / den has
+    the value sum n_ij a^i b^(I-i) c^j d^(J-j) over den b^I d^J.  The
+    integers a^i b^(I-i) and c^j d^(J-j) are tabled once for all of them.
+    """
+    lam, mu = Fraction(lam), Fraction(mu)
+    deg_l = max((i for p in polys for i, _ in p.terms), default=0)
+    deg_m = max((j for p in polys for _, j in p.terms), default=0)
+    a, b = _powers(lam.numerator, deg_l), _powers(lam.denominator, deg_l)
+    c, d = _powers(mu.numerator, deg_m), _powers(mu.denominator, deg_m)
+    lam_row = [a[i] * b[deg_l - i] for i in range(deg_l + 1)]
+    mu_row = [c[j] * d[deg_m - j] for j in range(deg_m + 1)]
+    scale = b[deg_l] * d[deg_m]
+    out = []
+    for p in polys:
+        if not p.terms:
+            out.append(Fraction(0))
+            continue
+        nums, den = clear_denominators(list(p.terms.values()))
+        total = sum(n * lam_row[i] * mu_row[j] for (i, j), n in zip(p.terms, nums))
+        out.append(Fraction(total, den * scale))
+    return out
+
+
 ZERO = MultiPoly()
 ONE = MultiPoly.const(1)
 LAM = MultiPoly.variable("lam")
@@ -287,9 +307,10 @@ def _univariate_coeffs(f: MultiPoly, var: str) -> list[Fraction]:
     return [c.constant_value() for c in coefficients_in(f, var)]
 
 
-def _horner(coeffs, x) -> Fraction:
-    """Value at x of the univariate polynomial with `coeffs`, low to high."""
-    val = Fraction(0)
+def _horner(coeffs, x):
+    """Value at x of the univariate polynomial with `coeffs`, low to high;
+    an integer for integer coefficients and x."""
+    val = 0
     for c in reversed(coeffs):
         val = val * x + c
     return val
@@ -309,27 +330,41 @@ def _other_var(var: str) -> str:
     return VARS[1 - _var_index(var)]
 
 
-def _lagrange_coeffs(xs, ys) -> list[Fraction]:
-    """Coefficients (low to high) of the interpolating polynomial."""
+def _integer_grid(f: MultiPoly, eliminate: str):
+    """(grid, den) with f = sum grid[k][j] x^k y^j / den over integers, where
+    x is the variable `eliminate` and y the other one."""
+    idx = _var_index(eliminate)
+    nums, den = clear_denominators(list(f.terms.values()))
+    grid = [[0] * (f.degree(_other_var(eliminate)) + 1) for _ in range(f.degree(eliminate) + 1)]
+    for e, c in zip(f.terms, nums):
+        grid[e[idx]][e[1 - idx]] = c
+    return grid, den
+
+
+def _newton_interpolate(xs, ys) -> list[int]:
+    """Integer coefficients (low to high) of the polynomial through the
+    points (xs, ys) of an integer polynomial at distinct integer nodes.
+
+    Every divided difference of such a polynomial is an integer (the k-th
+    one of t^j is the complete homogeneous symmetric polynomial of degree
+    j - k in k + 1 nodes), so each division must be exact; a remainder
+    means the values come from no integer polynomial and raises
+    ArithmeticError.
+    """
+    c = list(ys)
     n = len(xs)
-    acc = [Fraction(0)] * n
-    for k in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == k:
-                continue
-            # multiply basis by (t - xs[j])
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] += -xs[j] * c
-                nxt[d + 1] += c
-            basis = nxt
-            denom *= xs[k] - xs[j]
-        scale = ys[k] / denom
-        for d, c in enumerate(basis):
-            acc[d] += scale * c
-    return acc
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            q, r = divmod(c[i] - c[i - 1], xs[i] - xs[i - k])
+            if r:
+                raise ArithmeticError("a divided difference is not an integer")
+            c[i] = q
+    # expand c0 + (t - x0)(c1 + (t - x1)(c2 + ...)) from the inside out
+    coeffs = [c[-1]]
+    for x, ck in zip(reversed(xs[:-1]), reversed(c[:-1])):
+        coeffs = [s - x * a for s, a in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += ck
+    return coeffs
 
 
 def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
@@ -338,6 +373,15 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
     The result is a polynomial in the remaining variable; it vanishes at
     exactly the values of that variable over which f and g share a root
     in the eliminated one.
+
+    The computation stays in the integers (Collins, "The calculation of
+    multivariate polynomial resultants", J. ACM 1971).  With f = F / d_f
+    and g = G / d_g for integer polynomials F, G and degrees m, n in the
+    eliminated variable, res(f, g) = res(F, G) / (d_f^n d_g^m).  res(F, G)
+    is an integer polynomial of degree at most n kf + m kg in the kept
+    variable (kf, kg the degrees of F, G in it); its values at that many
+    integer nodes plus one are integer Bareiss determinants of Sylvester
+    matrices, and Newton interpolation over the integers recovers it.
     """
     if not f or not g:
         raise ValueError("resultant of a zero polynomial is not defined")
@@ -346,37 +390,34 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
     if m < 1 or n < 1:
         raise ValueError(f"inputs must have positive degree in {eliminate}")
     kept = _other_var(eliminate)
-    fc = [_univariate_coeffs(c, kept) for c in coefficients_in(f, eliminate)]
-    gc = [_univariate_coeffs(c, kept) for c in coefficients_in(g, eliminate)]
-    kf = max(len(c) - 1 for c in fc)
-    kg = max(len(c) - 1 for c in gc)
-    bound = n * kf + m * kg
+    fc, df = _integer_grid(f, eliminate)
+    gc, dg = _integer_grid(g, eliminate)
+    bound = n * (len(fc[0]) - 1) + m * (len(gc[0]) - 1)
 
-    # Evaluate the Sylvester determinant at bound+1 points of the kept
-    # variable and interpolate; this avoids polynomial-entry elimination.
+    # Evaluate the Sylvester determinant at bound+1 integer nodes of the kept
+    # variable; this avoids polynomial-entry elimination.
+    size = m + n
     xs, ys = [], []
     t = 0
     while len(xs) < bound + 1:
-        point = Fraction(t)
-        size = m + n
+        fr = [_horner(c, t) for c in fc]
+        gr = [_horner(c, t) for c in gc]
         rows = []
-        fr = [_horner(c, point) for c in fc]
-        gr = [_horner(c, point) for c in gc]
         for shift in range(n):
-            row = [Fraction(0)] * size
+            row = [0] * size
             for k, c in enumerate(fr):
                 row[shift + (m - k)] = c
             rows.append(row)
         for shift in range(m):
-            row = [Fraction(0)] * size
+            row = [0] * size
             for k, c in enumerate(gr):
                 row[shift + (n - k)] = c
             rows.append(row)
-        xs.append(point)
-        ys.append(det(rows))
+        xs.append(t)
+        ys.append(integer_det(rows))
         t = -t if t > 0 else -t + 1
-    coeffs = _lagrange_coeffs(xs, ys)
-    return from_coefficients(coeffs, kept)
+    scale = df ** n * dg ** m
+    return from_coefficients([Fraction(c, scale) for c in _newton_interpolate(xs, ys)], kept)
 
 
 def _prime_factors(n: int) -> dict[int, int]:

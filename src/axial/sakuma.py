@@ -35,8 +35,8 @@ from .algebra import (ConsistencyError, StructureAlgebra, automorphism_failures,
                       miyamoto, pair, quotient, resurrect)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
-from .poly import (LAM, MU, MultiPoly, leading_term, rational_roots, resultant,
-                   standard_monomial_count, univariate_gcd)
+from .poly import (LAM, MU, MultiPoly, evaluate_all, leading_term, rational_roots,
+                   resultant, standard_monomial_count, univariate_gcd)
 
 Q = Fraction
 
@@ -472,14 +472,19 @@ def solve_points(uni: UniversalAlgebra) -> list[EvalPoint]:
 
 
 def _eval_matrix(m, pt):
-    return [[x.evaluate(pt.lam, pt.mu) for x in row] for row in m]
+    """The matrix of polynomials evaluated at pt, over one power table."""
+    values = iter(evaluate_all([x for row in m for x in row], pt.lam, pt.mu))
+    return [[next(values) for _ in row] for row in m]
 
 
 def evaluate_point(uni: UniversalAlgebra, pt: EvalPoint) -> StructureAlgebra:
     """Substitute (lam, mu) into every structure constant and form value."""
     alg = uni.algebra
-    product = [_eval_matrix(row, pt) for row in alg.product]
-    gram = _eval_matrix(alg.gram, pt)
+    entries = [c for row in alg.product for vec in row for c in vec]
+    entries += [c for row in alg.gram for c in row]
+    values = iter(evaluate_all(entries, pt.lam, pt.mu))
+    product = [[[next(values) for _ in vec] for vec in row] for row in alg.product]
+    gram = [[next(values) for _ in row] for row in alg.gram]
     return StructureAlgebra(LABELS, product, gram, marked=[A0, A1])
 
 
@@ -503,18 +508,18 @@ def discrepancy_quotient(uni: UniversalAlgebra, pt: EvalPoint) -> Discrepancy:
     each its own inverse.  Their span is closed under multiplication and
     under both symmetries, which gives the smallest ideal containing them
     that the whole symmetry group preserves; modulo it every word in tau0
-    and the flip is an automorphism.  The form is checked to vanish on the
-    ideal, and the quotient is formed.
+    and the flip is an automorphism.  The quotient is formed; quotient
+    checks that the ideal is one and that the form vanishes on it, and a
+    failure of either names the point.
     """
     alg = evaluate_point(uni, pt)
     symmetries = [_eval_matrix(uni.tau0, pt), _eval_matrix(uni.flip, pt)]
     gens = [d for m in symmetries for _, d in automorphism_failures(alg, m)]
     ideal = ideal_closure(alg, gens, symmetries)
-    for v in ideal:
-        for i in range(8):
-            if pair(alg.gram[i], v) != 0:
-                raise ConsistencyError(f"form does not vanish on the ideal at {pt.name}")
-    quot, proj = quotient(alg, ideal)
+    try:
+        quot, proj = quotient(alg, ideal)
+    except ConsistencyError as err:
+        raise ConsistencyError(f"{err} at {pt.name}") from None
     return Discrepancy(pt, alg, ideal, quot, proj)
 
 
@@ -645,8 +650,8 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
         rep1 = check_axis(quot, ax1, rules)
         if not (rep0.passed and rep1.passed):
             raise ConsistencyError(f"axis verification failed at {pt.name}")
-        tau_a = miyamoto(quot, ax0, grading, rules)
-        tau_b = miyamoto(quot, ax1, grading, rules)
+        tau_a = miyamoto(quot, ax0, grading, rules, rep0.spaces)
+        tau_b = miyamoto(quot, ax1, grading, rules, rep1.spaces)
         order = linalg.matrix_order(linalg.matmul(tau_a, tau_b), 12)
         if order is None:
             raise ConsistencyError(f"involution product order exceeds 12 at {pt.name}")
@@ -687,9 +692,9 @@ def _project_symmetry(uni, pt, disc, m_symbolic):
     """
     m = _eval_matrix(m_symbolic, pt)
     quot, proj = disc.quotient, disc.projection
-    for v in disc.ideal:
-        if not linalg.is_zero_vec(linalg.matvec(proj, linalg.matvec(m, v))):
-            raise ConsistencyError(f"symmetry does not preserve the ideal at {pt.name}")
+    images = linalg.matmul(proj, linalg.matmul(m, linalg.transpose(disc.ideal)))
+    if not all(linalg.is_zero_vec(row) for row in images):
+        raise ConsistencyError(f"symmetry does not preserve the ideal at {pt.name}")
     comp = [LABELS.index(lbl) for lbl in quot.labels]
     lift = [[Q(1) if r == comp[c] else Q(0) for c in range(quot.dim)] for r in range(8)]
     induced = linalg.matmul(linalg.matmul(proj, m), lift)

@@ -11,7 +11,8 @@ from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, annih
                            defect, eigen_decompose, ideal_closure, miyamoto, quotient,
                            resurrect, seress_assoc_check, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
-from axial.sakuma import EvalPoint, evaluate_point
+from conftest import POINT_AT
+from axial.sakuma import EvalPoint, discrepancy_quotient, evaluate_point
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "3c.json"
 
@@ -278,3 +279,100 @@ def test_rejects_bad_shapes():
                          [[[Q(1), Q(0)], [Q(0), Q(0)]],
                           [[Q(0), Q(0)], [Q(0), Q(1)]]],
                          [[Q(1), Q(1)], [Q(0), Q(1)]])
+
+
+# -- the integer adjoint paths against the Fraction loops they replaced ---------
+#
+# ref_apply_ad_poly is the former Horner loop: one multiply per step.
+
+
+def ref_apply_ad_poly(algebra, coeffs, a, v):
+    out = [Q(0)] * algebra.dim
+    for c in reversed(list(coeffs)):
+        out = algebra.multiply(a, out)
+        out = [o + c * vi for o, vi in zip(out, v)]
+    return out
+
+
+def ref_violations(algebra, a, rules):
+    spaces, _ = eigen_decompose(algebra, a, rules.fields)
+    realized = [t for t, b in spaces.items() if b]
+    out = []
+    for i, f in enumerate(realized):
+        for g in realized[i:]:
+            coeffs = annihilator_coeffs(sorted(rules.product(f, g)))
+            if any(any(ref_apply_ad_poly(algebra, coeffs, a, algebra.multiply(u, v)))
+                   for u in spaces[f] for v in spaces[g]):
+                out.append((f, g))
+    return out
+
+
+def ref_automorphism_failures(algebra, m):
+    cols = linalg.transpose(m)
+    out = []
+    for i in range(algebra.dim):
+        for j in range(i, algebra.dim):
+            d = linalg.sub_vec(linalg.matvec(m, algebra.product[i][j]),
+                               algebra.multiply(cols[i], cols[j]))
+            if any(d):
+                out.append(((i, j), d))
+    return out
+
+
+@pytest.fixture(scope="module")
+def quotients(uni, points):
+    """3C, the evaluated algebra at 4B and the quotients at 3A and 4B, each
+    with the images of a_0 and a_1 (a_0 + a_1 in 3C, which is not an axis)."""
+    out = [(three_c(), [e(0), e(1), [Q(1), Q(1), Q(0)]])]
+    four_b = evaluate_point(uni, points[POINT_AT["4B"]])
+    out.append((four_b, [four_b.basis_vector(2), four_b.basis_vector(3)]))
+    for name in ("3A", "4B"):
+        disc = discrepancy_quotient(uni, points[POINT_AT[name]])
+        axes = [linalg.matvec(disc.projection, disc.evaluated.basis_vector(i)) for i in (2, 3)]
+        out.append((disc.quotient, axes))
+    return out
+
+
+def random_vector(rng, n):
+    return [Q(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
+
+
+def test_ad_matrix_is_the_columns_of_multiply(quotients):
+    rng = random.Random(13)
+    for algebra, axes in quotients:
+        n = algebra.dim
+        for a in axes + [random_vector(rng, n) for _ in range(3)]:
+            cols = [algebra.multiply(a, algebra.basis_vector(j)) for j in range(n)]
+            assert algebra.ad_matrix(a) == linalg.transpose(cols)
+
+
+def test_integer_annihilators_match_the_fraction_loop(quotients, rules):
+    rng = random.Random(17)
+    polys = [[Q(0), Q(1)], [Q(3, 7)], annihilator_coeffs([Q(0), Q(1, 4), Q(1, 32)]),
+             [Q(-5, 9), Q(0), Q(2, 3), Q(1, 11)]]
+    for algebra, axes in quotients:
+        for a in axes:
+            for coeffs in polys:
+                v = random_vector(rng, algebra.dim)
+                want = ref_apply_ad_poly(algebra, coeffs, a, v)
+                assert apply_ad_poly(algebra, coeffs, a, v) == want
+            assert check_axis(algebra, a, rules).violations == ref_violations(algebra, a, rules)
+    # a_0 + a_1 in 3C breaks the fusion rules, so the nonzero branch runs too
+    assert ref_violations(three_c(), [Q(1), Q(1), Q(0)], rules)
+
+
+def test_integer_automorphism_failures_match_the_fraction_loop(uni, points):
+    for lam, mu in list(points)[:4] + [(Q(-7, 3), Q(5, 11))]:
+        pt = EvalPoint(lam, mu)
+        alg = evaluate_point(uni, pt)
+        for sym in (uni.tau0, uni.flip):
+            m = [[x.evaluate(lam, mu) for x in row] for row in sym]
+            assert automorphism_failures(alg, m) == ref_automorphism_failures(alg, m)
+
+
+def test_miyamoto_reuses_the_checked_eigenspaces(quotients, rules, grading):
+    for algebra, axes in quotients[2:]:
+        for a in axes:
+            report = check_axis(algebra, a, rules)
+            assert miyamoto(algebra, a, grading, rules, report.spaces) == \
+                miyamoto(algebra, a, grading, rules)

@@ -5,8 +5,11 @@ product/form kernel was unified and the discrepancy ideal was re-derived
 from the symmetry closure; the classification report there lacks the
 retired ``notes`` key.  ``solve.json`` was written again when ``solve``
 stopped printing names (a name needs the quotient): it lists the certified
-points as ``{"lambda", "mu"}`` in (lambda, mu) order.  The table digest is
-the one the benchmark checks.
+points as ``{"lambda", "mu"}`` in (lambda, mu) order.  ``rederive.txt`` and
+``3c_check.json`` were written by ``axial sakuma rederive`` and
+``axial algebra check fixtures/3c.json --json`` before the integer resultant,
+evaluation and adjoint paths replaced the Fraction ones.  The table digest
+is the one the benchmark checks.
 """
 
 import hashlib
@@ -44,3 +47,15 @@ def test_classify_report_and_summary(tmp_path, capsys):
     assert out == (GOLDEN / "classify.txt").read_text(encoding="utf-8")
     assert out_file.read_text(encoding="utf-8") == \
         (GOLDEN / "classify.json").read_text(encoding="utf-8")
+
+
+def test_rederive_summary(capsys):
+    code, out = run(capsys, "sakuma", "rederive")
+    assert code == 0
+    assert out == (GOLDEN / "rederive.txt").read_text(encoding="utf-8")
+
+
+def test_algebra_check_3c_json(capsys):
+    code, out = run(capsys, "algebra", "check", str(ROOT / "fixtures" / "3c.json"), "--json")
+    assert code == 0
+    assert out == (GOLDEN / "3c_check.json").read_text(encoding="utf-8")

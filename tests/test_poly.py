@@ -3,11 +3,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from axial.poly import (LAM, MU, MultiPoly, buchberger, coefficients_in,
-                        from_coefficients, leading_term, rational_roots,
-                        reduce_poly, resultant, s_polynomial,
+from axial.poly import (LAM, MU, MultiPoly, _newton_interpolate, buchberger,
+                        coefficients_in, evaluate_all, from_coefficients, leading_term,
+                        rational_roots, reduce_poly, resultant, s_polynomial,
                         standard_monomial_count, univariate_gcd)
-from axial.sakuma import associativity_polynomials
+from axial.sakuma import EvalPoint, associativity_polynomials, evaluate_point
+from test_linalg import ref_det
 
 
 def rand_poly(rng, max_deg=3, max_terms=5):
@@ -103,6 +104,139 @@ def test_resultant_vanishes_iff_common_factor():
         f2 = (LAM * MU + a) * (LAM + b)
         g2 = (LAM * MU + a + 1) * (MU + c)
         assert resultant(f2, g2, "lam") != MultiPoly()
+
+
+# -- the integer resultant against the Fraction one it replaced -----------------
+#
+# ref_resultant is the former Fraction route: Sylvester determinants over Q
+# at the nodes 0, 1, -1, 2, ... and Lagrange interpolation over Q.
+
+
+def ref_lagrange(xs, ys):
+    n = len(xs)
+    acc = [Q(0)] * n
+    for k in range(n):
+        basis, denom = [Q(1)], Q(1)
+        for j in range(n):
+            if j == k:
+                continue
+            nxt = [Q(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                nxt[d] += -xs[j] * c
+                nxt[d + 1] += c
+            basis = nxt
+            denom *= xs[k] - xs[j]
+        for d, c in enumerate(basis):
+            acc[d] += ys[k] / denom * c
+    return acc
+
+
+def ref_resultant(f, g, eliminate):
+    kept = "mu" if eliminate == "lam" else "lam"
+    m, n = f.degree(eliminate), g.degree(eliminate)
+
+    def grid(h):
+        return [[c.coefficient(*((0, j) if kept == "mu" else (j, 0)))
+                 for j in range(c.degree(kept) + 1)] for c in coefficients_in(h, eliminate)]
+
+    fc, gc = grid(f), grid(g)
+    bound = n * max(len(c) - 1 for c in fc) + m * max(len(c) - 1 for c in gc)
+    xs, ys, t = [], [], 0
+    while len(xs) < bound + 1:
+        x = Q(t)
+        fr = [sum((c * x**j for j, c in enumerate(cs)), Q(0)) for cs in fc]
+        gr = [sum((c * x**j for j, c in enumerate(cs)), Q(0)) for cs in gc]
+        rows = []
+        for shift in range(n):
+            row = [Q(0)] * (m + n)
+            for k, c in enumerate(fr):
+                row[shift + m - k] = c
+            rows.append(row)
+        for shift in range(m):
+            row = [Q(0)] * (m + n)
+            for k, c in enumerate(gr):
+                row[shift + n - k] = c
+            rows.append(row)
+        xs.append(x)
+        ys.append(ref_det(rows))
+        t = -t if t > 0 else -t + 1
+    return from_coefficients(ref_lagrange(xs, ys), kept)
+
+
+def planted_pair(rng, huge):
+    """Random f, g of positive degree in both variables, both vanishing at a
+    random rational point, so that either resultant vanishes there."""
+    def coeff():
+        if huge:
+            return Q(rng.randint(-2**60, 2**60), rng.randint(1, 2**50))
+        return Q(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def poly():
+        while True:
+            f = MultiPoly({(rng.randint(0, 3), rng.randint(0, 3)): coeff() for _ in range(5)})
+            if f.degree("lam") > 0 and f.degree("mu") > 0:
+                return f
+
+    lam0 = Q(rng.randint(-5, 5), rng.randint(1, 4))
+    mu0 = Q(rng.randint(-5, 5), rng.randint(1, 4))
+    f, g = poly(), poly()
+    return f - f.evaluate(lam0, mu0), g - g.evaluate(lam0, mu0), lam0, mu0
+
+
+@pytest.mark.parametrize("huge", [False, True])
+def test_resultant_matches_fraction_reference(huge):
+    rng = random.Random(41 + huge)
+    for _ in range(10):
+        f, g, lam0, mu0 = planted_pair(rng, huge)
+        for eliminate, value in (("lam", mu0), ("mu", lam0)):
+            res = resultant(f, g, eliminate)
+            assert res == ref_resultant(f, g, eliminate)
+            assert res.evaluate(value, value) == 0
+
+
+def test_resultant_at_a_node_where_a_leading_coefficient_vanishes():
+    # the leading coefficients in lam vanish at the nodes mu = 0, 1 and -1
+    f = MU * LAM**2 + LAM - Q(1, 3)
+    g = (MU - 1) * (MU + 1) * LAM + Q(2, 7) * MU + 5
+    for eliminate in ("lam", "mu"):
+        assert resultant(f, g, eliminate) == ref_resultant(f, g, eliminate)
+
+
+def test_newton_interpolation_is_exact():
+    xs = [0, 1, -1, 2, -2]
+    poly = [7, -3, 0, 11, -2]
+    ys = [sum(c * x**k for k, c in enumerate(poly)) for x in xs]
+    assert _newton_interpolate(xs, ys) == poly
+    # t (t + 1) / 2 takes integer values but has no integer coefficients
+    with pytest.raises(ArithmeticError):
+        _newton_interpolate([0, 1, -1], [0, 1, 0])
+
+
+# -- one power table against per-entry evaluation -------------------------------
+
+
+def ref_evaluate(f, lam, mu):
+    return sum((c * Q(lam)**i * Q(mu)**j for (i, j), c in f.terms.items()), Q(0))
+
+
+def test_evaluate_all_matches_the_direct_sum():
+    rng = random.Random(5)
+    polys = [rand_poly(rng, max_deg=5) for _ in range(30)] + [MultiPoly(), MultiPoly.const(3)]
+    for lam, mu in [(Q(-7, 3), Q(5, 11)), (Q(0), Q(0)), (Q(2**40, 3**20), Q(-1, 7))]:
+        want = [ref_evaluate(f, lam, mu) for f in polys]
+        assert evaluate_all(polys, lam, mu) == want
+        assert [f.evaluate(lam, mu) for f in polys] == want
+    assert evaluate_all([], 1, 2) == []
+
+
+def test_evaluate_point_matches_per_entry_evaluation(uni, points):
+    alg = uni.algebra
+    off = [(Q(-7, 3), Q(5, 11)), (Q(1, 3), Q(1, 5)), (Q(0), Q(0))]
+    for lam, mu in list(points) + off:
+        got = evaluate_point(uni, EvalPoint(lam, mu))
+        assert got.gram == [[x.evaluate(lam, mu) for x in row] for row in alg.gram]
+        assert got.product == [[[ref_evaluate(x, lam, mu) for x in vec] for vec in row]
+                               for row in alg.product]
 
 
 def test_rational_roots_factored():
@@ -259,6 +393,18 @@ def test_resultant_and_roots_against_sympy(uni, eliminate, kept):
     assert ours == from_sympy(sympy, syms, theirs)
     sympy_roots = sympy.roots(sympy.Poly(theirs, syms[kept]), filter="Q")
     assert rational_roots(ours) == {Q(int(r.p), int(r.q)) for r in sympy_roots}
+
+
+@pytest.mark.parametrize("huge", [False, True])
+def test_resultant_of_planted_pairs_against_sympy(huge):
+    sympy, syms = sympy_setup()
+    rng = random.Random(43 + huge)
+    for _ in range(8):
+        f, g, _, _ = planted_pair(rng, huge)
+        for eliminate in ("lam", "mu"):
+            theirs = sympy.resultant(to_sympy(sympy, syms, f), to_sympy(sympy, syms, g),
+                                     syms[eliminate])
+            assert resultant(f, g, eliminate) == from_sympy(sympy, syms, theirs)
 
 
 def test_standard_monomial_count_against_sympy(uni):

@@ -7,8 +7,8 @@ from axial.algebra import (ConsistencyError, StructureAlgebra, defect, seress_as
                            three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import LAM, MU, MultiPoly, rational_roots, resultant, standard_monomial_count
-from axial.sakuma import (A0, A1, AM1, AM2, A2, S1, S2E, S2O, _complete_gram,
-                          associativity_defects, associativity_polynomials,
+from axial.sakuma import (A0, A1, AM1, AM2, A2, S1, S2E, S2O, UniversalAlgebra,
+                          _complete_gram, associativity_defects, associativity_polynomials,
                           axis_eigenvectors, classify, common_zeros,
                           discrepancy_quotient, evaluate_point,
                           expected_miyamoto_product_order, norton_sakuma_name,
@@ -308,6 +308,20 @@ def test_ideal_and_quotient_dims(uni, points):
             t = [[c.evaluate(lam, mu) for c in row] for row in m]
             assert all(linalg.in_span(disc.ideal, linalg.matvec(t, v))
                        for v in disc.ideal), name
+
+
+def test_a_form_that_fails_on_the_ideal_names_the_point(uni, points):
+    # a wrong <s1, s1> keeps the symmetries but not the form's vanishing on
+    # the ideal; quotient catches it once and discrepancy_quotient names the point
+    alg = uni.algebra
+    gram = [list(row) for row in alg.gram]
+    gram[S1][S1] = gram[S1][S1] + 1
+    broken = UniversalAlgebra(StructureAlgebra(alg.labels, alg.product, gram, alg.marked),
+                              uni.tau0, uni.flip, uni.a3, uni.a4)
+    pt = points[POINT_AT["4B"]]
+    with pytest.raises(ConsistencyError,
+                       match=rf"the form does not vanish on the ideal at \({pt.lam}, {pt.mu}\)"):
+        discrepancy_quotient(broken, pt)
 
 
 def test_2b_eigen_dims(uni, points):
