@@ -10,9 +10,9 @@ Subcommands::
     axial sakuma rederive
 
 Exit codes: 0 on success/all-pass, 1 on verification failure, 2 on usage
-errors (bad arguments or unreadable input files, reported on one stderr
-line).  All machine output is JSON with sorted keys, so identical inputs
-produce byte-identical output.
+errors (bad arguments, unreadable input files or an unwritable output
+file, reported on one stderr line).  All machine output is JSON with sorted
+keys, so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -148,9 +148,12 @@ def _cmd_sakuma(args) -> int:
             print(f"classification failed: {exc}", file=sys.stderr)
             return 1
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.out}: {exc}") from None
         print(report.summary())
         return 0 if report.passed else 1
     if args.action == "rederive":

@@ -5,22 +5,26 @@ The coefficient ring used throughout the package is Q[lam, mu]: exact
 fractions in two fixed variables.  Rational scalars are plain
 ``fractions.Fraction`` values and coerce freely into polynomials, so code
 that is generic over the coefficient ring can mix the two.  Nothing here
-ever rounds.
+ever rounds: a float is refused, not converted.
 
-Evaluation and elimination leave the rationals for the integers: a
-polynomial is evaluated as integer numerators over one denominator, with
-the powers of the point's numerators and denominators tabled once for a
-whole batch (`evaluate_all`), and `resultant` is fraction-free, built on
-integer Bareiss determinants (Bareiss, Math. Comp. 1968) and exact integer
-interpolation (Collins, J. ACM 1971).
+A polynomial is stored in content/primitive-part style as integer
+numerators over one positive denominator (Geddes, Czapor and Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 2), so the ring operations,
+evaluation and elimination all run on Python integers: a sum takes one
+lcm of denominators, a product one product of them, and each result one
+gcd normalisation.  Evaluation tables the powers of the point's numerators
+and denominators once for a whole batch (`evaluate_all`), `resultant` is
+built on integer Bareiss determinants (Bareiss, Math. Comp. 1968) and
+exact integer interpolation (Collins, J. ACM 1971), and the Buchberger
+reduction steps are fraction-free.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .linalg import clear_denominators, integer_det
+from .linalg import integer_det
 
 VARS = ("lam", "mu")
 
@@ -31,43 +35,68 @@ def _var_index(var: str) -> int:
     return VARS.index(var)
 
 
-class MultiPoly:
-    """Polynomial in Q[lam, mu] stored as a map exponent pair -> coefficient.
+def _literal(value) -> Fraction:
+    """A rational literal: a Fraction, an integer, or a string such as
+    "-3/64".  Floats and booleans raise TypeError, since reading them would
+    round."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
+        raise TypeError(f"{value!r} is not a rational literal")
+    return Fraction(value)
 
-    The zero polynomial is the empty map and no stored coefficient is zero.
-    Instances are treated as immutable.
+
+class MultiPoly:
+    """Polynomial in Q[lam, mu]: the sum of nums[(i, j)] lam^i mu^j over den.
+
+    The form is canonical, so equal polynomials have equal fields: den > 0,
+    no stored numerator is zero, and gcd(den, *nums) == 1.  The zero
+    polynomial has no numerators and den 1.  Instances are treated as
+    immutable.  `terms` is the {(i, j): Fraction} view of the coefficients.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
-        clean = {}
+        coeffs = {}
         if terms:
-            for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff != 0:
-                    i, j = exps
-                    clean[(int(i), int(j))] = coeff
-        self.terms = clean
+            for (i, j), c in terms.items():
+                c = _literal(c)
+                if c:
+                    coeffs[(int(i), int(j))] = c
+        self.den = lcm(*(c.denominator for c in coeffs.values()))
+        self.nums = {e: c.numerator * (self.den // c.denominator) for e, c in coeffs.items()}
 
     @staticmethod
-    def _of(terms) -> "MultiPoly":
-        """Wrap a map whose coefficients are already Fractions under pairs of
-        int exponents, dropping the zero coefficients.  The ring operations
-        build their results through this instead of re-coercing every term."""
+    def _make(nums: dict, den: int) -> "MultiPoly":
+        """The canonical form of the sum of nums[e] x^e over den, for a dict
+        of int numerators that no other polynomial holds and a nonzero int
+        den: zero numerators dropped, the common gcd divided out, the sign
+        moved onto the numerators."""
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {e: n // g for e, n in nums.items() if n}
+            den //= g
+        elif 0 in nums.values():
+            nums = {e: n for e, n in nums.items() if n}
         poly = object.__new__(MultiPoly)
-        poly.terms = {e: c for e, c in terms.items() if c}
+        poly.nums, poly.den = nums, den
         return poly
+
+    @property
+    def terms(self) -> dict:
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.nums.items()}
 
     @staticmethod
     def const(value) -> "MultiPoly":
-        return MultiPoly({(0, 0): Fraction(value)})
+        return MultiPoly({(0, 0): value})
 
     @staticmethod
     def variable(var: str) -> "MultiPoly":
         idx = _var_index(var)
         exps = (1, 0) if idx == 0 else (0, 1)
-        return MultiPoly({exps: Fraction(1)})
+        return MultiPoly({exps: 1})
 
     # -- ring structure ---------------------------------------------------
 
@@ -75,47 +104,52 @@ class MultiPoly:
     def _lift(other):
         if isinstance(other, MultiPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return MultiPoly.const(other)
         return None
+
+    def _sum(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        g = gcd(self.den, other.den)
+        u, v = other.den // g, sign * (self.den // g)
+        nums = {e: n * u for e, n in self.nums.items()}
+        for e, n in other.nums.items():
+            nums[e] = nums.get(e, 0) + n * v
+        return MultiPoly._make(nums, self.den * u)
 
     def __add__(self, other):
         other = MultiPoly._lift(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms[e] + c if e in terms else c
-        return MultiPoly._of(terms)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._of({e: -c for e, c in self.terms.items()})
+        return MultiPoly._make({e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         other = MultiPoly._lift(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         other = MultiPoly._lift(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._sum(self, -1)
 
     def __mul__(self, other):
         other = MultiPoly._lift(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        nums = {}
+        for (i1, j1), n1 in self.nums.items():
+            for (i2, j2), n2 in other.nums.items():
                 e = (i1 + i2, j1 + j2)
-                c = c1 * c2
-                terms[e] = terms[e] + c if e in terms else c
-        return MultiPoly._of(terms)
+                nums[e] = nums.get(e, 0) + n1 * n2
+        return MultiPoly._make(nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -135,27 +169,27 @@ class MultiPoly:
         other = MultiPoly._lift(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- queries ----------------------------------------------------------
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+        return Fraction(self.nums.get((i, j), 0), self.den)
 
     def degree(self, var: str | None = None) -> int:
         """Degree in one variable, or total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
         if var is None:
-            return max(i + j for i, j in self.terms)
+            return max(i + j for i, j in self.nums)
         idx = _var_index(var)
-        return max(e[idx] for e in self.terms)
+        return max(e[idx] for e in self.nums)
 
     def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self.terms)
+        return all(e == (0, 0) for e in self.nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -167,25 +201,34 @@ class MultiPoly:
         return evaluate_all([self], lam, mu)[0]
 
     def substitute(self, lam=None, mu=None) -> "MultiPoly":
-        """Partially evaluate; variables left as None stay symbolic."""
-        lam = None if lam is None else Fraction(lam)
-        mu = None if mu is None else Fraction(mu)
-        terms = {}
-        for (i, j), c in self.terms.items():
-            if lam is not None:
-                c = c * lam ** i
+        """Partially evaluate; variables left as None stay symbolic.
+
+        With lam = a/b and I the degree in lam, lam^i = a^i b^(I-i) / b^I,
+        so the result is an integer polynomial over den b^I (likewise mu).
+        """
+        rows, den = [None, None], self.den
+        for idx, value in enumerate((lam, mu)):
+            if value is not None:
+                value = _literal(value)
+                deg = max((e[idx] for e in self.nums), default=0)
+                rows[idx] = _power_row(value, deg)
+                den *= value.denominator ** deg
+        lam_row, mu_row = rows
+        nums = {}
+        for (i, j), n in self.nums.items():
+            if lam_row is not None:
+                n *= lam_row[i]
                 i = 0
-            if mu is not None:
-                c = c * mu ** j
+            if mu_row is not None:
+                n *= mu_row[j]
                 j = 0
-            e = (i, j)
-            terms[e] = terms[e] + c if e in terms else c
-        return MultiPoly._of(terms)
+            nums[(i, j)] = nums.get((i, j), 0) + n
+        return MultiPoly._make(nums, den)
 
     # -- presentation -----------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for (i, j), c in sorted(self.terms.items(), key=lambda t: _grevlex_key(t[0]), reverse=True):
@@ -220,51 +263,34 @@ class MultiPoly:
         terms = {}
         for key, val in data.items():
             i, j = key.split(",")
-            terms[(int(i), int(j))] = _literal(val)
+            terms[(int(i), int(j))] = val
         return MultiPoly(terms)
 
 
-def _literal(value) -> Fraction:
-    """A rational JSON literal: a string such as "-3/64", or an integer.
-    Floats and booleans raise TypeError, since reading them would round."""
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise TypeError(f"{value!r} is not a rational literal")
-    return Fraction(value)
-
-
-def _powers(x: int, k: int) -> list[int]:
-    """[1, x, x^2, ..., x^k]."""
-    out = [1]
+def _power_row(x: Fraction, k: int) -> list[int]:
+    """[a^i b^(k-i) for i = 0..k] for x = a/b, so that x^i is entry i over b^k."""
+    a, b = [1], [1]
     for _ in range(k):
-        out.append(out[-1] * x)
-    return out
+        a.append(a[-1] * x.numerator)
+        b.append(b[-1] * x.denominator)
+    return [a[i] * b[k - i] for i in range(k + 1)]
 
 
 def evaluate_all(polys, lam, mu) -> list[Fraction]:
     """Values of the polynomials at one rational point, over one power table.
 
     With lam = a/b, mu = c/d and I, J the largest degrees in lam and mu
-    among the polynomials, a polynomial with coefficients n_ij / den has
+    among the polynomials, a polynomial with numerators n_ij over den has
     the value sum n_ij a^i b^(I-i) c^j d^(J-j) over den b^I d^J.  The
     integers a^i b^(I-i) and c^j d^(J-j) are tabled once for all of them.
     """
-    lam, mu = Fraction(lam), Fraction(mu)
-    deg_l = max((i for p in polys for i, _ in p.terms), default=0)
-    deg_m = max((j for p in polys for _, j in p.terms), default=0)
-    a, b = _powers(lam.numerator, deg_l), _powers(lam.denominator, deg_l)
-    c, d = _powers(mu.numerator, deg_m), _powers(mu.denominator, deg_m)
-    lam_row = [a[i] * b[deg_l - i] for i in range(deg_l + 1)]
-    mu_row = [c[j] * d[deg_m - j] for j in range(deg_m + 1)]
-    scale = b[deg_l] * d[deg_m]
-    out = []
-    for p in polys:
-        if not p.terms:
-            out.append(Fraction(0))
-            continue
-        nums, den = clear_denominators(list(p.terms.values()))
-        total = sum(n * lam_row[i] * mu_row[j] for (i, j), n in zip(p.terms, nums))
-        out.append(Fraction(total, den * scale))
-    return out
+    lam, mu = _literal(lam), _literal(mu)
+    deg_l = max((i for p in polys for i, _ in p.nums), default=0)
+    deg_m = max((j for p in polys for _, j in p.nums), default=0)
+    lam_row, mu_row = _power_row(lam, deg_l), _power_row(mu, deg_m)
+    scale = lam.denominator ** deg_l * mu.denominator ** deg_m
+    return [Fraction(sum(n * lam_row[i] * mu_row[j] for (i, j), n in p.nums.items()),
+                     p.den * scale) for p in polys]
 
 
 ZERO = MultiPoly()
@@ -282,29 +308,28 @@ def coefficients_in(f: MultiPoly, var: str) -> list[MultiPoly]:
     deg = f.degree(var)
     if deg < 0:
         return []
-    coeffs = [dict() for _ in range(deg + 1)]
-    for e, c in f.terms.items():
-        k = e[idx]
-        rest = (0, e[1]) if idx == 0 else (e[0], 0)
-        coeffs[k][rest] = c
-    return [MultiPoly(d) for d in coeffs]
+    coeffs = [{} for _ in range(deg + 1)]
+    for e, n in f.nums.items():
+        coeffs[e[idx]][(0, e[1]) if idx == 0 else (e[0], 0)] = n
+    return [MultiPoly._make(d, f.den) for d in coeffs]
 
 
 def from_coefficients(coeffs, var: str) -> MultiPoly:
-    """Assemble a univariate polynomial in `var` from Fraction coefficients."""
+    """Assemble a univariate polynomial in `var` from rational coefficients."""
     idx = _var_index(var)
-    terms = {}
-    for k, c in enumerate(coeffs):
-        c = Fraction(c)
-        if c:
-            terms[(k, 0) if idx == 0 else (0, k)] = c
-    return MultiPoly(terms)
+    return MultiPoly({(k, 0) if idx == 0 else (0, k): c for k, c in enumerate(coeffs)})
 
 
-def _univariate_coeffs(f: MultiPoly, var: str) -> list[Fraction]:
-    """Rational coefficients of f in `var`, low to high; f must involve no
-    other variable."""
-    return [c.constant_value() for c in coefficients_in(f, var)]
+def _univariate_nums(f: MultiPoly, var: str) -> list[int]:
+    """The numerators of f in `var`, low to high: f is their polynomial over
+    f.den.  f must involve no other variable."""
+    idx = _var_index(var)
+    out = [0] * (f.degree(var) + 1)
+    for e, n in f.nums.items():
+        if e[1 - idx]:
+            raise ValueError("polynomial is not univariate")
+        out[e[idx]] = n
+    return out
 
 
 def _horner(coeffs, x):
@@ -334,11 +359,10 @@ def _integer_grid(f: MultiPoly, eliminate: str):
     """(grid, den) with f = sum grid[k][j] x^k y^j / den over integers, where
     x is the variable `eliminate` and y the other one."""
     idx = _var_index(eliminate)
-    nums, den = clear_denominators(list(f.terms.values()))
     grid = [[0] * (f.degree(_other_var(eliminate)) + 1) for _ in range(f.degree(eliminate) + 1)]
-    for e, c in zip(f.terms, nums):
-        grid[e[idx]][e[1 - idx]] = c
-    return grid, den
+    for e, n in f.nums.items():
+        grid[e[idx]][e[1 - idx]] = n
+    return grid, f.den
 
 
 def _newton_interpolate(xs, ys) -> list[int]:
@@ -416,8 +440,7 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
         xs.append(t)
         ys.append(integer_det(rows))
         t = -t if t > 0 else -t + 1
-    scale = df ** n * dg ** m
-    return from_coefficients([Fraction(c, scale) for c in _newton_interpolate(xs, ys)], kept)
+    return from_coefficients(_newton_interpolate(xs, ys), kept) * Fraction(1, df ** n * dg ** m)
 
 
 def _prime_factors(n: int) -> dict[int, int]:
@@ -465,7 +488,7 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
     var = "lam" if deg_l > 0 else "mu"
     if f.is_constant():
         return set()
-    all_coeffs = _univariate_coeffs(f, var)
+    all_coeffs = _univariate_nums(f, var)
 
     roots = set()
     low = 0
@@ -477,11 +500,10 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
     if len(coeffs) == 1:
         return roots
 
-    # Clear denominators and divide by content to get a primitive integer
+    # Divide the numerators by their content to get a primitive integer
     # polynomial with the same roots.
-    ints, _ = clear_denominators(coeffs)
-    content = gcd(*ints)
-    ints = [c // content for c in ints]
+    content = gcd(*coeffs)
+    ints = [c // content for c in coeffs]
 
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
@@ -504,7 +526,10 @@ def univariate_gcd(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
             cs.pop()
         return cs
 
-    a, b = strip(_univariate_coeffs(f, var)), strip(_univariate_coeffs(g, var))
+    # f and g are their numerators over a positive constant, which leaves
+    # the monic gcd alone
+    a = strip([Fraction(n) for n in _univariate_nums(f, var)])
+    b = strip([Fraction(n) for n in _univariate_nums(g, var)])
     while b:
         # remainder of a modulo b
         a = a[:]
@@ -528,46 +553,66 @@ def _grevlex_key(e):
     return (e[0] + e[1], -e[1])
 
 
-def leading_term(f: MultiPoly):
+def _leading_exps(f: MultiPoly):
     if not f:
         raise ValueError("zero polynomial has no leading term")
-    e = max(f.terms, key=_grevlex_key)
-    return e, f.terms[e]
+    return max(f.nums, key=_grevlex_key)
+
+
+def leading_term(f: MultiPoly):
+    e = _leading_exps(f)
+    return e, Fraction(f.nums[e], f.den)
 
 
 def _divides(e, m):
     return e[0] <= m[0] and e[1] <= m[1]
 
 
-def _monomial(e, c=1):
-    return MultiPoly({e: Fraction(c)})
+def _combination(u, f, s, v, g, t, den) -> MultiPoly:
+    """(u x^s F - v x^t G) / den for the numerators F of f and G of g, the
+    integers u, v and den, and the monomials x^s, x^t."""
+    nums = {(i + s[0], j + s[1]): u * n for (i, j), n in f.nums.items()}
+    for (i, j), n in g.nums.items():
+        e = (i + t[0], j + t[1])
+        nums[e] = nums.get(e, 0) - v * n
+    return MultiPoly._make(nums, den)
 
 
 def reduce_poly(f: MultiPoly, basis) -> MultiPoly:
-    """Remainder of f under multivariate division by `basis`."""
-    rem = ZERO
+    """Remainder of f under multivariate division by `basis`.
+
+    Each step is fraction-free: with work = W / d, leading numerator W_e at
+    e, and b = B / d' with leading numerator B_k at k dividing e, the step
+    work - (lc(work) / lc(b)) x^(e-k) b is (B_k W - W_e x^(e-k) B) / (B_k d).
+    """
+    leads = [(_leading_exps(b), b) for b in basis]
+    rem = {}
     work = f
     while work:
-        e, c = leading_term(work)
-        for b in basis:
-            be, bc = leading_term(b)
-            if _divides(be, e):
-                quot = _monomial((e[0] - be[0], e[1] - be[1]), c / bc)
-                work = work - quot * b
+        e = _leading_exps(work)
+        for k, b in leads:
+            if _divides(k, e):
+                q = gcd(b.nums[k], work.nums[e])
+                u, v = b.nums[k] // q, work.nums[e] // q
+                work = _combination(u, work, (0, 0), v, b, (e[0] - k[0], e[1] - k[1]),
+                                    u * work.den)
                 break
         else:
-            rem = rem + _monomial(e, c)
-            work = work - _monomial(e, c)
-    return rem
+            rem[e] = Fraction(work.nums[e], work.den)
+            work = MultiPoly._make({x: n for x, n in work.nums.items() if x != e}, work.den)
+    return MultiPoly(rem)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    fe, fc = leading_term(f)
-    ge, gc = leading_term(g)
-    lcm_e = (max(fe[0], ge[0]), max(fe[1], ge[1]))
-    uf = _monomial((lcm_e[0] - fe[0], lcm_e[1] - fe[1]), Fraction(1, 1) / fc)
-    ug = _monomial((lcm_e[0] - ge[0], lcm_e[1] - ge[1]), Fraction(1, 1) / gc)
-    return uf * f - ug * g
+    """f / lc(f) x^(m-e) - g / lc(g) x^(m-k) for the leading exponents e of f
+    and k of g and their lcm m: with numerators F, G and leading numerators
+    F_e = q a, G_k = q b (q their gcd) it is (b x^(m-e) F - a x^(m-k) G) / (q a b)."""
+    e, k = _leading_exps(f), _leading_exps(g)
+    m = (max(e[0], k[0]), max(e[1], k[1]))
+    q = gcd(f.nums[e], g.nums[k])
+    a, b = f.nums[e] // q, g.nums[k] // q
+    return _combination(b, f, (m[0] - e[0], m[1] - e[1]), a, g, (m[0] - k[0], m[1] - k[1]),
+                        q * a * b)
 
 
 def buchberger(gens) -> list[MultiPoly]:
@@ -578,28 +623,27 @@ def buchberger(gens) -> list[MultiPoly]:
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop()
-        fe, _ = leading_term(basis[i])
-        ge, _ = leading_term(basis[j])
+        fe = _leading_exps(basis[i])
+        ge = _leading_exps(basis[j])
         if min(fe[0], ge[0]) == 0 and min(fe[1], ge[1]) == 0:
             continue  # coprime leading monomials: S-polynomial reduces to zero
         rem = reduce_poly(s_polynomial(basis[i], basis[j]), basis)
         if rem:
             basis.append(rem)
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    # interreduce to the unique reduced basis
-    reduced = []
-    for i, b in enumerate(basis):
-        others = basis[:i] + basis[i + 1 :]
-        rem = reduce_poly(b, others)
-        if rem:
-            reduced.append(rem)
+    # the unique reduced basis (Cox, Little and O'Shea, Ideals, Varieties,
+    # and Algorithms, 2.7): keep one element per minimal leading monomial,
+    # then reduce each by the others, which leaves its leading term alone
+    leads = [_leading_exps(b) for b in basis]
+    minimal = [b for i, b in enumerate(basis)
+               if not any(_divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
+                          for j in range(len(basis)) if j != i)]
     final = []
-    for i, b in enumerate(reduced):
-        rem = reduce_poly(b, reduced[:i] + reduced[i + 1 :])
-        if rem:
-            _, lc = leading_term(rem)
-            final.append(rem * (Fraction(1) / lc))
-    final.sort(key=lambda p: _grevlex_key(leading_term(p)[0]))
+    for i, b in enumerate(minimal):
+        rem = reduce_poly(b, minimal[:i] + minimal[i + 1 :])
+        # monic: the numerators over the leading one
+        final.append(MultiPoly._make(dict(rem.nums), rem.nums[_leading_exps(rem)]))
+    final.sort(key=lambda p: _grevlex_key(_leading_exps(p)))
     return final
 
 
@@ -611,7 +655,7 @@ def standard_monomial_count(gens) -> int | None:
     basis = buchberger(gens)
     if not basis:
         return None
-    leads = [leading_term(b)[0] for b in basis]
+    leads = [_leading_exps(b) for b in basis]
     pure_lam = [e[0] for e in leads if e[1] == 0]
     pure_mu = [e[1] for e in leads if e[0] == 0]
     if not pure_lam or not pure_mu:

@@ -201,3 +201,14 @@ def test_sakuma_classify(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["passed"] is True
     assert [p["dim"] for p in data["points"]] == [1, 2, 3, 3, 4, 5, 5, 6, 8]
+
+
+def test_sakuma_classify_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["sakuma", "classify", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"axial: error: cannot write {target}: ")
+    assert not target.parent.exists()

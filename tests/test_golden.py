@@ -8,8 +8,9 @@ stopped printing names (a name needs the quotient): it lists the certified
 points as ``{"lambda", "mu"}`` in (lambda, mu) order.  ``rederive.txt`` and
 ``3c_check.json`` were written by ``axial sakuma rederive`` and
 ``axial algebra check fixtures/3c.json --json`` before the integer resultant,
-evaluation and adjoint paths replaced the Fraction ones.  The table digest
-is the one the benchmark checks.
+evaluation and adjoint paths replaced the Fraction ones.  The table digest,
+the associativity defects and p1, p2 are the ones the benchmark checks,
+read from its reference file.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import json
 from pathlib import Path
 
 from axial.cli import main
+from axial.sakuma import associativity_defects, associativity_polynomials
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -27,11 +29,23 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def symbolic_reference() -> dict:
+    return json.loads((ROOT / "bench" / "reference" / "symbolic.json").read_text())
+
+
 def test_table_json_digest(capsys):
     code, out = run(capsys, "sakuma", "table", "--format", "json")
     assert code == 0
-    reference = json.loads((ROOT / "bench" / "reference" / "symbolic.json").read_text())
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["table_sha256"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == symbolic_reference()["table_sha256"]
+
+
+def test_associativity_defects_and_relations(uni):
+    reference = symbolic_reference()
+    defects = [[list(t), d.to_json()] for t, d in associativity_defects(uni)]
+    assert defects == reference["defects"]
+    p1, p2 = associativity_polynomials(uni)
+    assert p1.to_json() == reference["p1"]
+    assert p2.to_json() == reference["p2"]
 
 
 def test_solve_json(capsys):

@@ -56,6 +56,29 @@ def test_substitute_partial():
     assert f.substitute(mu=0) == MultiPoly.const(-1)
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, float("nan"), True, False, 1j])
+def test_multipoly_refuses_floats_and_booleans(value):
+    # reading a float would round it; a bool is not a number here
+    with pytest.raises(TypeError):
+        MultiPoly.const(value)
+    with pytest.raises(TypeError):
+        MultiPoly({(1, 0): value})
+    with pytest.raises(TypeError):
+        LAM + value
+    with pytest.raises(TypeError):
+        LAM.evaluate(value, 1)
+    with pytest.raises(TypeError):
+        LAM.substitute(lam=value)
+    assert LAM != value
+
+
+def test_multipoly_takes_exact_literals():
+    assert MultiPoly.const("-3/64") == MultiPoly.const(Q(-3, 64)) == Q(-3, 64)
+    assert MultiPoly({(1, 0): "1/2", (0, 1): 3}) == Q(1, 2) * LAM + 3 * MU
+    f = MultiPoly({(1, 0): "2/4", (0, 0): Q(-1, 6)})
+    assert (f.nums, f.den) == ({(1, 0): 3, (0, 0): -1}, 6)
+
+
 def test_json_round_trip():
     f = LAM**4 - Q(71, 64) * LAM**3 + Q(39, 2**21)
     assert MultiPoly.from_json(f.to_json()) == f
@@ -351,6 +374,15 @@ def test_standard_monomials_simple():
     assert standard_monomial_count([LAM**2]) is None
     assert standard_monomial_count([LAM**2, MU**3]) == 6
     assert standard_monomial_count([MultiPoly.const(1)]) == 0
+
+
+def test_buchberger_keeps_one_of_equal_leading_monomials():
+    # generators with the same leading monomial reduce each other to zero;
+    # the reduced basis keeps one of them instead of dropping both
+    assert buchberger([LAM, LAM]) == [LAM]
+    assert buchberger([2 * LAM**2 + MU, LAM**2 + MU]) == [MU, LAM**2]
+    assert standard_monomial_count([LAM, MU, LAM]) == 1
+    assert standard_monomial_count([LAM**2, MU, 2 * LAM**2]) == 2
 
 
 def test_standard_monomials_rejects_zero():

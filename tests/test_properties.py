@@ -1,9 +1,11 @@
 """Property tests: the product/form/defect kernel on random rational vectors,
-the axis checks of the 3C fixture in random bases, the MultiPoly ring laws,
-and rational roots planted in random polynomials."""
+the axis checks of the 3C fixture in random bases, the MultiPoly ring laws
+and canonical form, MultiPoly against a Fraction-dict reference, and rational
+roots planted in random polynomials."""
 
 import json
 from fractions import Fraction as Q
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,8 @@ from axial import linalg  # noqa: E402
 from axial.algebra import (StructureAlgebra, bilinear, check_axis, defect, pair,  # noqa: E402
                            three_c, verify_form)
 from axial.fusion import frobenius_refine, virasoro_rules  # noqa: E402
-from axial.poly import MultiPoly, rational_roots  # noqa: E402
+from axial.poly import (MultiPoly, buchberger, evaluate_all, leading_term,  # noqa: E402
+                        rational_roots, reduce_poly, s_polynomial)
 from axial.sakuma import EvalPoint, evaluate_point  # noqa: E402
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
@@ -112,17 +115,74 @@ def test_check_axis_in_a_random_basis(p):
     assert verify_form(alg, ISING).passed
 
 
-polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals,
-                        max_size=6).map(MultiPoly)
+exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+polys = st.dictionaries(exps, rationals, max_size=6).map(MultiPoly)
+# large coprime and near-coprime denominators, so that sums take a real lcm
+BIG_DENS = (1, 2, 3**40, 2**61 - 1, 2**64, 5**27 * 7, (2**61 - 1) * 3**40)
+wide = st.builds(Q, st.integers(-2**70, 2**70), st.sampled_from(BIG_DENS))
+wide_polys = st.dictionaries(exps, st.one_of(rationals, wide), max_size=6).map(MultiPoly)
 
 
 def assert_clean(poly):
-    # the ring operations skip the public constructor's coercion, so their
-    # results must already keep its invariant
-    for exps, coeff in poly.terms.items():
-        assert type(coeff) is Q and coeff != 0
-        assert type(exps) is tuple and len(exps) == 2
-        assert all(type(e) is int for e in exps)
+    # the canonical form, which makes equality a comparison of the fields
+    assert type(poly.den) is int and poly.den > 0
+    assert all(type(n) is int and n != 0 for n in poly.nums.values())
+    assert gcd(poly.den, *poly.nums.values()) == 1
+    for e in poly.nums:
+        assert type(e) is tuple and len(e) == 2
+        assert all(type(k) is int for k in e)
+    assert all(type(c) is Q and c != 0 for c in poly.terms.values())
+
+
+# -- a Fraction-dict reference: the same operations on {(i, j): Fraction}
+# maps, one Fraction per term, with no shared denominator --------------------
+
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(f, g):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, Q(0)) + c
+    return ref_clean(out)
+
+
+def ref_neg(f):
+    return {e: -c for e, c in f.items()}
+
+
+def ref_mul(f, g):
+    out = {}
+    for (i1, j1), c1 in f.items():
+        for (i2, j2), c2 in g.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, Q(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_substitute(f, lam=None, mu=None):
+    out = {}
+    for (i, j), c in f.items():
+        if lam is not None:
+            c, i = c * lam**i, 0
+        if mu is not None:
+            c, j = c * mu**j, 0
+        out[(i, j)] = out.get((i, j), Q(0)) + c
+    return ref_clean(out)
+
+
+def ref_evaluate(f, lam, mu):
+    return sum((c * lam**i * mu**j for (i, j), c in f.items()), Q(0))
+
+
+def ref_s_polynomial(f, g):
+    fe, ge = (max(h, key=lambda e: (e[0] + e[1], -e[1])) for h in (f, g))
+    m = (max(fe[0], ge[0]), max(fe[1], ge[1]))
+    uf = {(m[0] - fe[0], m[1] - fe[1]): 1 / f[fe]}
+    ug = {(m[0] - ge[0], m[1] - ge[1]): 1 / g[ge]}
+    return ref_add(ref_mul(uf, f), ref_neg(ref_mul(ug, g)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,6 +198,67 @@ def test_multipoly_ring_laws(f, g, h, n, c):
     assert f * (g + h) == f * g + f * h
     assert f - f == MultiPoly()
     assert MultiPoly.from_json(f.to_json()) == f
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_polys, wide_polys, st.one_of(rationals, wide), st.one_of(rationals, wide))
+def test_multipoly_matches_the_fraction_reference(f, g, lam, mu):
+    ft, gt = f.terms, g.terms
+    cases = [(f + g, ref_add(ft, gt)), (f - g, ref_add(ft, ref_neg(gt))),
+             (-f, ref_neg(ft)), (f * g, ref_mul(ft, gt)),
+             (f.substitute(lam=lam), ref_substitute(ft, lam=lam)),
+             (f.substitute(mu=mu), ref_substitute(ft, mu=mu)),
+             (f.substitute(lam=lam, mu=mu), ref_substitute(ft, lam=lam, mu=mu))]
+    for got, want in cases:
+        assert_clean(got)
+        assert got.terms == want
+        assert got == MultiPoly(want)
+    assert f.evaluate(lam, mu) == ref_evaluate(ft, lam, mu)
+    assert evaluate_all([f, g], lam, mu) == [ref_evaluate(ft, lam, mu), ref_evaluate(gt, lam, mu)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys, st.data())
+def test_multipoly_sums_that_cancel(f, data):
+    # g cancels a drawn subset of f's terms and adds terms of its own, so the
+    # sum loses terms and its denominator must shrink to the survivors' lcm
+    ft = f.terms
+    gone = data.draw(st.sets(st.sampled_from(sorted(ft)))) if ft else set()
+    extra = data.draw(st.dictionaries(exps, st.one_of(rationals, wide), max_size=3))
+    g = MultiPoly({**extra, **{e: -ft[e] for e in gone}})
+    total = f + g
+    assert_clean(total)
+    assert total.terms == ref_add(ft, g.terms)
+    assert not any(e in total.terms for e in gone if e not in extra)
+    assert_clean(f - f)
+    assert f - f == MultiPoly() and (f - f).den == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys, wide_polys, wide_polys)
+def test_groebner_steps_match_the_fraction_reference(f, g, h):
+    hypothesis.assume(f and g)
+    s = s_polynomial(f, g)
+    assert_clean(s)
+    assert s.terms == ref_s_polynomial(f.terms, g.terms)
+    rem = reduce_poly(h, [f, g])
+    assert_clean(rem)
+    # no term of the remainder is divisible by a leading monomial
+    leads = [leading_term(b)[0] for b in (f, g)]
+    assert not any(e[0] >= k[0] and e[1] >= k[1] for e in rem.terms for k in leads)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, polys, polys)
+def test_reduced_groebner_basis(f, g, h):
+    hypothesis.assume(f and g)
+    basis = buchberger([f, g, f])
+    assert basis == buchberger([g, f])
+    for b in basis:
+        assert_clean(b)
+        assert leading_term(b)[1] == 1
+    # h minus its remainder lies in the ideal, so the basis reduces it to zero
+    assert reduce_poly(h - reduce_poly(h, [f, g]), basis) == MultiPoly()
 
 
 small_roots = st.fractions(min_value=-9, max_value=9, max_denominator=9)
