@@ -2,17 +2,20 @@
 
 An algebra carries a symmetric product tensor, a symmetric bilinear form
 (the Frobenius form), and a list of marked generator indices.  Entries
-are either Fraction (evaluated algebras) or MultiPoly (the symbolic
-algebra over Q[lam, mu]); only the eigenspace machinery requires the
-rational case.  A rational algebra also keeps its product tensor and Gram
-matrix as integers over one common denominator each, and runs the kernel
-below on those.
+are rational (evaluated algebras) or MultiPoly (the symbolic algebra over
+Q[lam, mu]); only the eigenspace machinery requires the rational case.  A
+rational algebra is held only as integers: its product tensor and its
+Gram matrix each as integer numerators over one denominator.  Products,
+forms, ad(a), eigenspaces, the axis and automorphism checks, ideal
+closures and quotients all run on those integers, and `product` and
+`gram` are read-only Fraction views of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from . import linalg
@@ -93,49 +96,89 @@ def form_tensor(table, gram):
 
 
 class StructureAlgebra:
-    """Commutative algebra with product tensor, Gram matrix and marked axes."""
+    """Commutative algebra with product tensor, Gram matrix and marked axes.
+
+    The product tensor is `table` over `den` and the Gram matrix
+    `gram_table` over `gram_den`.  For a rational algebra the tables hold
+    integers and each denominator is a positive integer coprime to its
+    table's entries; for an algebra over Q[lam, mu] the tables hold the
+    MultiPoly entries themselves and both denominators are None.
+    """
 
     def __init__(self, labels, product, gram, marked=()):
+        n = len(labels)
+        _check_shapes(n, product, gram)
+        vecs = [vec for row in product for vec in row]
+        if linalg.is_rational(vecs + gram):
+            vecs, den = linalg.clear_matrix(vecs)
+            self._init(labels, linalg.split_rows(vecs, n), den, *linalg.clear_matrix(gram),
+                       marked)
+        else:
+            self._init(labels, product, None, gram, None, marked)
+
+    @staticmethod
+    def from_integers(labels, table, den, gram, gram_den, marked=()) -> "StructureAlgebra":
+        """The rational algebra with product tensor table / den and Gram
+        matrix gram / gram_den, for integer tables and nonzero integer
+        denominators; each table is put in lowest terms."""
+        n = len(labels)
+        _check_shapes(n, table, gram)
+        if not den or not gram_den:
+            raise ShapeError("a denominator is zero")
+        vecs, den = linalg.lowest_terms([vec for row in table for vec in row], den)
+        algebra = object.__new__(StructureAlgebra)
+        algebra._init(labels, linalg.split_rows(vecs, n), den,
+                      *linalg.lowest_terms(gram, gram_den), marked)
+        return algebra
+
+    def _init(self, labels, table, den, gram_table, gram_den, marked):
         self.dim = len(labels)
         self.labels = list(labels)
-        self.product = product
-        self.gram = gram
         self.marked = list(marked)
         if any(not isinstance(m, int) or not 0 <= m < self.dim for m in self.marked):
             raise ShapeError(f"marked indices {self.marked} are not all in 0..{self.dim - 1}")
-        if (len(product) != self.dim or any(len(row) != self.dim for row in product)
-                or any(len(vec) != self.dim for row in product for vec in row)):
-            raise ShapeError("product tensor has the wrong shape")
-        if len(gram) != self.dim or any(len(row) != self.dim for row in gram):
-            raise ShapeError("gram matrix has the wrong shape")
         for i in range(self.dim):
             for j in range(i):
-                if product[i][j] != product[j][i]:
+                if table[i][j] != table[j][i]:
                     raise ShapeError(f"product is not commutative at ({i}, {j})")
-                if gram[i][j] != gram[j][i]:
+                if gram_table[i][j] != gram_table[j][i]:
                     raise ShapeError(f"gram matrix is not symmetric at ({i}, {j})")
-        self._integer = _integer_tables(product, gram)
+        self.table, self.den = table, den
+        self.gram_table, self.gram_den = gram_table, gram_den
+
+    @property
+    def rational(self) -> bool:
+        return self.den is not None
+
+    @property
+    def product(self):
+        """The product tensor; Fractions for a rational algebra."""
+        if self.den is None:
+            return self.table
+        den = self.den
+        return [[[Fraction(x, den) for x in vec] for vec in row] for row in self.table]
+
+    @property
+    def gram(self):
+        """The Gram matrix; Fractions for a rational algebra."""
+        if self.gram_den is None:
+            return self.gram_table
+        den = self.gram_den
+        return [[Fraction(x, den) for x in row] for row in self.gram_table]
 
     def basis_vector(self, i: int):
-        zero, one = self._zero_one()
+        zero, one = (Fraction(0), Fraction(1)) if self.rational else (MultiPoly(), MultiPoly.const(1))
         return [one if j == i else zero for j in range(self.dim)]
-
-    def _zero_one(self):
-        sample = self.gram[0][0]
-        if isinstance(sample, MultiPoly):
-            return MultiPoly(), MultiPoly.const(1)
-        return Fraction(0), Fraction(1)
 
     def multiply(self, x, y):
         """Bilinear extension of the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError("vector length does not match the algebra dimension")
-        if self._integer is None:
-            return bilinear(self.product, x, y, self.labels)
-        table, den, _, _ = self._integer
+        if not self.rational:
+            return bilinear(self.table, x, y, self.labels)
         (x, dx), (y, dy) = linalg.clear_denominators(x), linalg.clear_denominators(y)
-        den *= dx * dy
-        return [Fraction(c, den) for c in bilinear(table, x, y, self.labels)]
+        den = self.den * dx * dy
+        return [Fraction(c, den) for c in bilinear(self.table, x, y, self.labels)]
 
     def ad_matrix(self, a):
         """Matrix of left multiplication by a, acting on column vectors, in a
@@ -145,27 +188,30 @@ class StructureAlgebra:
 
     def ad_integer(self, a):
         """(A, den) with ad(a) = A / den for an integer matrix A, built in one
-        pass over the integer product tensor of a rational algebra: column j
-        of A is sum_i a_i e_i e_j with a cleared to integers."""
-        table, den, _, _ = self._integer
+        pass over the integer product tensor of a rational algebra."""
         nums, da = linalg.clear_denominators(a)
+        return linalg.transpose(self._ad_columns(nums)), self.den * da
+
+    def _ad_columns(self, nums):
+        """The columns of den ad(v) for an integer vector v: den (v e_j) for
+        each j, as integer vectors."""
         cols = [[0] * self.dim for _ in range(self.dim)]
-        for x, row in zip(nums, table):
+        for x, row in zip(nums, self.table):
             if x:
                 cols = [[c + x * t for c, t in zip(col, vec)] for col, vec in zip(cols, row)]
-        return linalg.transpose(cols), den * da
+        return cols
 
     def form(self, x, y):
         """Value of the bilinear form on two coordinate vectors."""
-        if self._integer is None:
-            total, _ = self._zero_one()
-            for xi, row in zip(x, self.gram):
+        if not self.rational:
+            total = MultiPoly()
+            for xi, row in zip(x, self.gram_table):
                 if xi:
                     total = total + xi * pair(row, y)
             return total
-        _, _, gram, den = self._integer
         (x, dx), (y, dy) = linalg.clear_denominators(x), linalg.clear_denominators(y)
-        return Fraction(sum(xi * pair(row, y) for xi, row in zip(x, gram) if xi), den * dx * dy)
+        return Fraction(sum(xi * pair(row, y) for xi, row in zip(x, self.gram_table) if xi),
+                        self.gram_den * dx * dy)
 
     # -- serialization ------------------------------------------------------
 
@@ -207,17 +253,12 @@ class StructureAlgebra:
         return StructureAlgebra(data["labels"], product, gram, marked)
 
 
-def _integer_tables(product, gram):
-    """(product, den_p, gram, den_g) with every entry an integer over its
-    table's common denominator, or None unless the tables are rational."""
-    flat = [c for row in product for vec in row for c in vec]
-    flat_gram = [c for row in gram for c in row]
-    if not linalg.is_rational([flat, flat_gram]):
-        return None
-    n = len(gram)
-    nums, den_p = linalg.clear_denominators(flat)
-    table = [[nums[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-    return (table, den_p, *linalg.clear_matrix(gram))
+def _check_shapes(n, product, gram):
+    if (len(product) != n or any(len(row) != n for row in product)
+            or any(len(vec) != n for row in product for vec in row)):
+        raise ShapeError("product tensor has the wrong shape")
+    if len(gram) != n or any(len(row) != n for row in gram):
+        raise ShapeError("gram matrix has the wrong shape")
 
 
 def three_c() -> StructureAlgebra:
@@ -267,11 +308,17 @@ def _ad_poly_numerators(ad, coeffs, w):
 
 def annihilator_coeffs(roots) -> list[Fraction]:
     """Coefficients (low to high) of prod (t - r) over the given roots."""
-    coeffs = [Fraction(1)]
+    nums = _annihilator_numerators(roots)
+    return [Fraction(c, nums[-1]) for c in nums]
+
+
+def _annihilator_numerators(roots) -> list[int]:
+    """Integer coefficients (low to high) of prod (q t - p) over the roots
+    r = p/q: the annihilator times the product of the q."""
+    coeffs = [1]
     for r in roots:
-        r = Fraction(r)
-        coeffs = [Fraction(0)] + coeffs
-        coeffs = [c - r * h for c, h in zip(coeffs, coeffs[1:] + [Fraction(0)])]
+        p, q = Fraction(r).as_integer_ratio()
+        coeffs = [q * h - p * c for c, h in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
 
 
@@ -299,8 +346,7 @@ def _eigenspaces(ad, candidates):
         p, q = theta.numerator * d, theta.denominator
         shifted = [[q * x - (p if i == j else 0) for j, x in enumerate(row)]
                    for i, row in enumerate(mat)]
-        _, _, kernel = linalg.rref_and_kernel(shifted)
-        basis = linalg.echelon_span(kernel)
+        basis = linalg.echelon_span(linalg.integer_kernel(shifted))
         spaces[theta] = basis
         total += len(basis)
     return spaces, total == len(mat)
@@ -357,14 +403,15 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
     primitive = len(one_space) == 1 and linalg.in_span(one_space, a) and not linalg.is_zero_vec(a)
 
     # eigenvectors cleared to integers once; u v is then tested up to scale
-    table = algebra._integer[0]
+    table = algebra.table
     cleared = {theta: [linalg.clear_denominators(u)[0] for u in basis]
                for theta, basis in spaces.items()}
     violations = []
     realized = [theta for theta, basis in spaces.items() if basis]
     for i, f in enumerate(realized):
         for g in realized[i:]:
-            coeffs = annihilator_coeffs(sorted(rules.product(f, g)))
+            # f(ad(a)) w is tested for zero, so any multiple of f will do
+            coeffs = _annihilator_numerators(sorted(rules.product(f, g)))
             if any(any(_ad_poly_numerators(ad, coeffs, bilinear(table, u, v, algebra.labels))[0])
                    for u in cleared[f] for v in cleared[g]):
                 violations.append((f, g))
@@ -383,6 +430,20 @@ def miyamoto(algebra: StructureAlgebra, a, grading: Grading, rules: FusionRules,
     eigenspaces do not span, or if the result fails to be an involutive
     automorphism preserving the form.
     """
+    tau, d = miyamoto_integer(algebra, a, grading, rules, spaces)
+    return [[Fraction(x, d) for x in row] for row in tau]
+
+
+def miyamoto_integer(algebra: StructureAlgebra, a, grading: Grading, rules: FusionRules,
+                     spaces=None):
+    """(T, d) with T / d the involution of `miyamoto`, T an integer matrix.
+
+    With the eigenvectors cleared to integers as the columns of P and the
+    signs on the diagonal of S, tau = P S P^-1; P^-1 = N / d over the
+    integers, so T = P S N.  The checks run on the integers too: T^2 = d^2 I,
+    T^t G T = d^2 G for the integer Gram matrix G, and the automorphism
+    defects of T / d vanish.
+    """
     if spaces is None:
         spaces, _ = eigen_decompose(algebra, a, rules.fields)
     if sum(len(basis) for basis in spaces.values()) != algebra.dim:
@@ -391,35 +452,44 @@ def miyamoto(algebra: StructureAlgebra, a, grading: Grading, rules: FusionRules,
     signs = []
     for theta, basis in spaces.items():
         for v in basis:
-            columns.append(v)
-            signs.append(Fraction(-1) if grading.parity(theta) else Fraction(1))
-    p = linalg.transpose(columns)
-    d = [[signs[i] if i == j else Fraction(0) for j in range(len(signs))]
-         for i in range(len(signs))]
-    tau = linalg.matmul(linalg.matmul(p, d), linalg.inverse(p))
+            columns.append(linalg.clear_denominators(v)[0])
+            signs.append(-1 if grading.parity(theta) else 1)
+    inv, d = linalg.integer_inverse(linalg.transpose(columns))
+    signed = [[s * x for x in row] for s, row in zip(signs, inv)]
+    tau, d = linalg.lowest_terms(linalg.integer_matmul(linalg.transpose(columns), signed), d)
 
-    if linalg.matmul(tau, tau) != linalg.identity(algebra.dim):
+    n = algebra.dim
+    if linalg.integer_matmul(tau, tau) != [[d * d if i == j else 0 for j in range(n)]
+                                           for i in range(n)]:
         raise ConsistencyError("the involution does not square to the identity")
-    gram = algebra.gram
-    if linalg.matmul(linalg.matmul(linalg.transpose(tau), gram), tau) != gram:
+    gram = algebra.gram_table
+    image = linalg.integer_matmul(linalg.integer_matmul(linalg.transpose(tau), gram), tau)
+    if image != [[d * d * x for x in row] for row in gram]:
         raise ConsistencyError("the involution does not preserve the form")
-    failures = automorphism_failures(algebra, tau)
+    failures = automorphism_defects(algebra, tau, d)
     if failures:
         (i, j), _ = failures[0]
         raise ConsistencyError(f"the involution is not an automorphism at ({i}, {j})")
-    return tau
+    return tau, d
 
 
 def automorphism_failures(algebra: StructureAlgebra, m):
     """[((i, j), m(e_i e_j) - (m e_i)(m e_j))] over basis pairs i <= j where
-    the difference is nonzero; empty exactly when m is an automorphism.
-
-    m is cleared once to M / d and the algebra is rational with product
-    tensor T / p, so the difference is d M T_ij - (M e_i)(M e_j) under T,
-    an integer vector, over p d^2.
-    """
-    table, p, _, _ = algebra._integer
+    the difference is nonzero; empty exactly when m is an automorphism."""
     mat, d = linalg.clear_matrix(m)
+    scale = algebra.den * d * d
+    return [(ij, [Fraction(x, scale) for x in diff])
+            for ij, diff in automorphism_defects(algebra, mat, d)]
+
+
+def automorphism_defects(algebra: StructureAlgebra, mat, d):
+    """automorphism_failures for m = mat / d with mat an integer matrix,
+    each difference as the integer vector den d^2 (m(e_i e_j) - (m e_i)(m e_j)).
+
+    The algebra is rational with product tensor T / den, so the difference
+    is d M T_ij - (M e_i)(M e_j) under T, over den d^2.
+    """
+    table = algebra.table
     cols = linalg.transpose(mat)
     n = algebra.dim
     out = []
@@ -428,7 +498,7 @@ def automorphism_failures(algebra: StructureAlgebra, m):
             image = [d * sum(map(mul, row, table[i][j])) for row in mat]
             diff = linalg.sub_vec(image, bilinear(table, cols[i], cols[j], algebra.labels))
             if any(diff):
-                out.append(((i, j), [Fraction(x, p * d * d) for x in diff]))
+                out.append(((i, j), diff))
     return out
 
 
@@ -461,13 +531,11 @@ def verify_form(algebra: StructureAlgebra, rules: FusionRules | None = None) -> 
     fusion rules are supplied.
     """
     n = algebra.dim
-    symmetric = all(algebra.gram[i][j] == algebra.gram[j][i]
-                    for i in range(n) for j in range(n))
-    product, gram = algebra.product, algebra.gram
-    if algebra._integer is not None:
-        # integer defects are the rational ones times den_p * den_g
-        product, _, gram, _ = algebra._integer
-    tensor = form_tensor(product, gram)
+    gram = algebra.gram_table
+    symmetric = all(gram[i][j] == gram[j][i] for i in range(n) for j in range(n))
+    # for a rational algebra the integer defects are the rational ones
+    # times den * gram_den
+    tensor = form_tensor(algebra.table, gram)
     failures = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
                 if tensor[i][j][k] != tensor[j][k][i]]
     perpendicular = {}
@@ -516,27 +584,26 @@ def resurrect(algebra: StructureAlgebra, a, b_lm, b_0, lm):
 
 def ideal_closure(algebra: StructureAlgebra, gens, maps=()):
     """Smallest subspace containing gens and stable under multiplication
-    and under each matrix in maps.
+    and under each matrix in maps, as its canonical (RREF) basis.
 
     A subspace stable under an invertible matrix is stable under its
     inverse, so with the generators of a group as maps the result is the
     smallest ideal the whole group preserves; no words in the generators
     are needed.
     """
-    # spans are all that matter here, so every image is taken up to scale:
-    # each map is cleared to integers once, each basis vector once per round
+    # spans are all that matter here, so every vector and map is taken up
+    # to scale: as integers, eliminated over the integers until the end
     maps = [linalg.clear_matrix(m)[0] for m in maps]
-    basis = linalg.echelon_span(gens)
+    basis, _ = linalg.integer_rref([linalg.clear_denominators(v)[0] for v in gens])
     while True:
         extended = list(basis)
         for v in basis:
             # e_i v for every i: the columns of ad(v)
-            extended.extend(linalg.transpose(algebra.ad_integer(v)[0]))
-            nums, _ = linalg.clear_denominators(v)
-            extended.extend([sum(map(mul, row, nums)) for row in m] for m in maps)
-        new_basis = linalg.echelon_span(extended)
+            extended.extend(algebra._ad_columns(v))
+            extended.extend([sum(map(mul, row, v)) for row in m] for m in maps)
+        new_basis, pivots = linalg.integer_rref(extended)
         if len(new_basis) == len(basis):
-            return new_basis
+            return linalg.monic_rows(new_basis, pivots)
         basis = new_basis
 
 
@@ -547,31 +614,37 @@ def quotient(algebra: StructureAlgebra, ideal):
     old coordinates to coordinates on the surviving basis vectors.
     Raises ConsistencyError when the subspace is not an ideal or the form
     does not vanish on it, both of which signal a modelling error.
-    """
-    basis = linalg.echelon_span(ideal)
-    # e_i v for every i and v: the columns of each ad(v), up to scale
-    images = [col for v in basis for col in linalg.transpose(algebra.ad_integer(v)[0])]
-    if len(linalg.echelon_span(basis + images)) != len(basis):
-        raise ConsistencyError("subspace is not closed under multiplication")
-    if any(pair(row, v) for v in basis for row in algebra.gram):
-        raise ConsistencyError("the form does not vanish on the ideal")
-    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in basis]
-    complement = [c for c in range(algebra.dim) if c not in pivots]
-    # projection columns: each old basis vector reduced through the ideal
-    columns = []
-    for j in range(algebra.dim):
-        residual = linalg.reduce_vector(basis, algebra.basis_vector(j))
-        columns.append([residual[c] for c in complement])
-    proj = [[columns[j][r] for j in range(algebra.dim)] for r in range(len(complement))]
 
-    labels = [algebra.labels[c] for c in complement]
+    With the ideal in integer echelon form (row r with pivot entry p_r in
+    column c_r) and L the lcm of the p_r, L times the projection is an
+    integer matrix P: L at each surviving coordinate, and -row_r L / p_r
+    restricted to the survivors in column c_r.  The quotient's product
+    tensor is then P T over den L, and its Gram matrix the surviving block
+    of the integer Gram matrix.
+    """
+    basis, pivots = linalg.integer_rref([linalg.clear_denominators(v)[0] for v in ideal])
+    # e_i v for every i and v: the columns of each ad(v), up to scale
+    images = [col for v in basis for col in algebra._ad_columns(v)]
+    if len(linalg.integer_rref(basis + images)[0]) != len(basis):
+        raise ConsistencyError("subspace is not closed under multiplication")
+    gram = algebra.gram_table
+    if any(pair(row, v) for v in basis for row in gram):
+        raise ConsistencyError("the form does not vanish on the ideal")
+    complement = [c for c in range(algebra.dim) if c not in pivots]
+    scale = lcm(*(row[c] for row, c in zip(basis, pivots)))
+    proj = [[scale if j == c else 0 for j in range(algebra.dim)] for c in complement]
+    for row, c in zip(basis, pivots):
+        f = scale // row[c]
+        for out, k in zip(proj, complement):
+            out[c] = -f * row[k]
+
     m = len(complement)
-    product = [[None] * m for _ in range(m)]
+    table = [[None] * m for _ in range(m)]
     for r, c1 in enumerate(complement):
-        for s, c2 in enumerate(complement):
-            vec = algebra.product[c1][c2]
-            residual = linalg.reduce_vector(basis, vec)
-            product[r][s] = [residual[c] for c in complement]
-    gram = [[algebra.gram[c1][c2] for c2 in complement] for c1 in complement]
-    quot = StructureAlgebra(labels, product, gram, marked=())
-    return quot, proj
+        for s in range(r, m):
+            vec = algebra.table[c1][complement[s]]
+            table[r][s] = table[s][r] = [sum(map(mul, row, vec)) for row in proj]
+    quot = StructureAlgebra.from_integers(
+        [algebra.labels[c] for c in complement], table, algebra.den * scale,
+        [[gram[c1][c2] for c2 in complement] for c1 in complement], algebra.gram_den)
+    return quot, [[Fraction(x, scale) for x in row] for row in proj]

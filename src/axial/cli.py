@@ -96,6 +96,9 @@ def _cmd_algebra_check(args) -> int:
         alg = algebra_mod.StructureAlgebra.from_json(_read_json(args.file))
     except algebra_mod.ShapeError as exc:
         raise UsageError(f"{args.file}: {exc}") from None
+    if not alg.rational:
+        # the axis and form checks find eigenspaces, which needs numbers
+        raise UsageError(f"{args.file}: an entry is a polynomial, so the algebra is not rational")
     rules = _load_rules(args.fusion, refine=not args.raw)
     axis_reports = {}
     for idx in alg.marked:

@@ -3,11 +3,14 @@
 Matrices and vectors are plain nested lists.  Inside the kernel a rational
 vector or matrix row (Fraction or int entries) is held as integer
 numerators over one common denominator (`clear_denominators`): products
-accumulate integers and divide once per output entry, row reduction and
-determinants eliminate over the integers, and every result is handed back
-as exact Fractions.  Anything that divides (row reduction, kernels,
-inverses) requires rational entries; the shape helpers and products are
-generic and also serve matrices over the polynomial ring.
+accumulate integers and divide once per output entry, and row reduction,
+kernels, inverses and determinants eliminate over the integers.  Callers
+that already hold integer tables use the integer entry points
+(`integer_rref`, `integer_kernel`, `integer_inverse`, `integer_matmul`)
+and never build a Fraction; the others hand back exact Fractions.
+Anything that divides requires rational entries; the shape helpers and
+products are generic and also serve matrices over the polynomial ring,
+where they skip zero entries.
 """
 
 from __future__ import annotations
@@ -35,8 +38,13 @@ def clear_matrix(m):
     denominator for the whole rational matrix, so that the integer matrix
     acts as den times m."""
     nums, den = clear_denominators([x for row in m for x in row])
-    width = len(m[0]) if m else 0
-    return [nums[i * width:(i + 1) * width] for i in range(len(m))], den
+    return split_rows(nums, len(m)), den
+
+
+def split_rows(flat, n_rows):
+    """The flat list cut into n_rows rows of equal length, in order."""
+    width = len(flat) // n_rows if n_rows else 0
+    return [flat[i * width:(i + 1) * width] for i in range(n_rows)]
 
 
 def is_rational(rows) -> bool:
@@ -46,6 +54,17 @@ def is_rational(rows) -> bool:
     (MultiPoly entries) takes the generic loops.
     """
     return all(isinstance(x, (Fraction, int)) for row in rows for x in row)
+
+
+def lowest_terms(rows, den):
+    """(rows, den) for the integer matrix rows / den with the common gcd of
+    den and every entry divided out and den made positive."""
+    g = gcd(den, *(x for row in rows for x in row))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return rows, den
+    return [[x // g for x in row] for row in rows], den // g
 
 
 def _primitive(row):
@@ -66,6 +85,21 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def _generic_product(a, bt):
+    """a times the matrix with columns bt, for entries in the polynomial
+    ring: each row and column is scanned once for its nonzero entries, and
+    only products of two nonzero entries are formed."""
+    if not a:
+        return []
+    zero = 0 * a[0][0]
+    cols = [{k: y for k, y in enumerate(cb) if y} for cb in bt]
+    out = []
+    for ra in a:
+        row = [(k, x) for k, x in enumerate(ra) if x]
+        out.append([sum((x * col[k] for k, x in row if k in col), zero) for col in cols])
+    return out
+
+
 def matvec(m, v):
     if m and len(m[0]) != len(v):
         raise ValueError("dimension mismatch")
@@ -76,7 +110,7 @@ def matvec(m, v):
             nr, dr = clear_denominators(row)
             out.append(Fraction(sum(map(mul, nr, nv)), dr * dv))
         return out
-    return [sum((row[j] * v[j] for j in range(len(v))), start=0 * v[0]) for row in m]
+    return [row[0] for row in _generic_product(m, [v])]
 
 
 def matmul(a, b):
@@ -90,7 +124,13 @@ def matmul(a, b):
             nr, dr = clear_denominators(row)
             out.append([Fraction(sum(map(mul, nr, nc)), dr * dc) for nc, dc in cols])
         return out
-    return [[sum((ra[k] * cb[k] for k in range(len(ra))), start=0 * ra[0]) for cb in bt] for ra in a]
+    return _generic_product(a, bt)
+
+
+def integer_matmul(a, b):
+    """The product of two integer matrices, as integers."""
+    bt = transpose(b)
+    return [[sum(map(mul, ra, cb)) for cb in bt] for ra in a]
 
 
 def scale_vec(c, v):
@@ -109,16 +149,17 @@ def is_zero_vec(v) -> bool:
     return all(not x for x in v)
 
 
-def rref(m):
-    """Reduced row echelon form of a rational matrix.  Returns (rref, pivot_cols).
+def integer_rref(rows):
+    """(rows, pivots): the nonzero rows of a reduced row echelon form of an
+    integer matrix, computed over the integers.
 
-    Each row is cleared to primitive integers, which leaves its span
-    alone.  Elimination replaces a row by p * row - f * pivot_row (p and f
-    divided by their gcd) and divides the result by its content, so
-    entries stay small and no rational arithmetic happens until each
-    pivot row is divided by its pivot at the end.
+    Each row is first divided by its content, which leaves its span alone.
+    Elimination replaces a row by p * row - f * pivot_row (p and f divided
+    by their gcd) and divides the result by its content, so entries stay
+    small.  The rows come back primitive, with pivot entries that need not
+    be 1; `monic_rows` divides them out.
     """
-    work = [_primitive(clear_denominators(row)[0]) for row in m]
+    work = [_primitive(row) for row in rows]
     n_rows = len(work)
     n_cols = len(work[0]) if n_rows else 0
     pivots = []
@@ -140,9 +181,27 @@ def rref(m):
         r += 1
         if r == n_rows:
             break
-    red = [[Fraction(x, row[c]) if x else _ZERO for x in row]
-           for row, c in zip(work, pivots)]
-    red.extend([_ZERO] * n_cols for _ in range(n_rows - r))
+    return work[:r], pivots
+
+
+def monic_rows(rows, pivots):
+    """The rows of an integer echelon form, each divided by its pivot entry,
+    as Fractions: the reduced row echelon form."""
+    return [[Fraction(x, row[c]) if x else _ZERO for x in row]
+            for row, c in zip(rows, pivots)]
+
+
+def rref(m):
+    """Reduced row echelon form of a rational matrix.  Returns (rref, pivot_cols).
+
+    The rows are cleared to integers and reduced by `integer_rref`; no
+    rational arithmetic happens until each pivot row is divided by its
+    pivot at the end.
+    """
+    work, pivots = integer_rref([clear_denominators(row)[0] for row in m])
+    red = monic_rows(work, pivots)
+    n_cols = len(m[0]) if m else 0
+    red.extend([_ZERO] * n_cols for _ in range(len(m) - len(pivots)))
     return red, pivots
 
 
@@ -208,13 +267,43 @@ def integer_det(rows) -> int:
     return sign * prev
 
 
-def inverse(m):
-    n = len(m)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
+def integer_kernel(rows):
+    """Integer vectors spanning the kernel of an integer matrix, one for
+    each free column of its echelon form: with L the lcm of the pivot
+    entries p_r, the vector for free column f is L at f and
+    -row_r[f] L / p_r at the pivot column of each row r."""
+    n_cols = len(rows[0]) if rows else 0
+    work, pivots = integer_rref(rows)
+    scale = lcm(*(row[c] for row, c in zip(work, pivots)))
+    kernel = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        v = [0] * n_cols
+        v[f] = scale
+        for row, c in zip(work, pivots):
+            v[c] = -row[f] * (scale // row[c])
+        kernel.append(v)
+    return kernel
+
+
+def integer_inverse(rows):
+    """(N, d) with N / d the inverse of an invertible square integer matrix,
+    by Gauss-Jordan elimination of [rows | I] over the integers."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    work, pivots = integer_rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    d = lcm(*(row[i] for i, row in enumerate(work)))
+    return [[x * (d // row[i]) for x in row[n:]] for i, row in enumerate(work)], d
+
+
+def inverse(m):
+    rows, den = clear_matrix(m)
+    nums, d = integer_inverse(rows)
+    # (rows / den)^-1 = den * nums / d
+    return [[Fraction(den * x, d) for x in row] for row in nums]
 
 
 def echelon_span(vectors):
@@ -223,11 +312,7 @@ def echelon_span(vectors):
     The result is unique for the subspace, so equality of subspaces is
     equality of these bases.
     """
-    vecs = [v for v in vectors if not is_zero_vec(v)]
-    if not vecs:
-        return []
-    red, pivots = rref(vecs)
-    return [red[r] for r in range(len(pivots))]
+    return monic_rows(*integer_rref([clear_denominators(v)[0] for v in vectors]))
 
 
 def reduce_vector(basis, v):
@@ -253,13 +338,13 @@ def in_span(basis, v) -> bool:
     return is_zero_vec(reduce_vector(basis, v))
 
 
-def matrix_order(m, bound: int) -> int | None:
-    """Least k <= bound with m**k the identity, else None."""
+def matrix_order(m, bound: int, den=1) -> int | None:
+    """Least k <= bound with (m / den)**k the identity, else None.  For an
+    integer m the powers stay integers; Fraction entries work the same way."""
     n = len(m)
-    ident = identity(n)
     power = m
     for k in range(1, bound + 1):
-        if power == ident:
+        if power == [[den ** k if i == j else 0 for j in range(n)] for i in range(n)]:
             return k
-        power = matmul(power, m)
+        power = integer_matmul(power, m)
     return None

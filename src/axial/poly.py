@@ -13,16 +13,18 @@ numerators over one positive denominator (Geddes, Czapor and Labahn,
 evaluation and elimination all run on Python integers: a sum takes one
 lcm of denominators, a product one product of them, and each result one
 gcd normalisation.  Evaluation tables the powers of the point's numerators
-and denominators once for a whole batch (`evaluate_all`), `resultant` is
-built on integer Bareiss determinants (Bareiss, Math. Comp. 1968) and
-exact integer interpolation (Collins, J. ACM 1971), and the Buchberger
-reduction steps are fraction-free.
+and denominators once for a whole batch and returns the values as integers
+over one denominator (`evaluate_all`), `resultant` is built on integer
+Bareiss determinants (Bareiss, Math. Comp. 1968) and exact integer
+interpolation (Collins, J. ACM 1971), and the Buchberger reduction steps
+are fraction-free.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .linalg import integer_det
 
@@ -198,7 +200,8 @@ class MultiPoly:
 
     def evaluate(self, lam, mu) -> Fraction:
         """Value at a rational point; see evaluate_all."""
-        return evaluate_all([self], lam, mu)[0]
+        (num,), den = evaluate_all([self], lam, mu)
+        return Fraction(num, den)
 
     def substitute(self, lam=None, mu=None) -> "MultiPoly":
         """Partially evaluate; variables left as None stay symbolic.
@@ -276,21 +279,26 @@ def _power_row(x: Fraction, k: int) -> list[int]:
     return [a[i] * b[k - i] for i in range(k + 1)]
 
 
-def evaluate_all(polys, lam, mu) -> list[Fraction]:
-    """Values of the polynomials at one rational point, over one power table.
+def evaluate_all(polys, lam, mu) -> tuple[list[int], int]:
+    """(nums, den): the values of the polynomials at one rational point as
+    integer numerators over one common denominator, over one power table.
 
     With lam = a/b, mu = c/d and I, J the largest degrees in lam and mu
     among the polynomials, a polynomial with numerators n_ij over den has
     the value sum n_ij a^i b^(I-i) c^j d^(J-j) over den b^I d^J.  The
-    integers a^i b^(I-i) and c^j d^(J-j) are tabled once for all of them.
+    integers a^i b^(I-i) c^j d^(J-j) are tabled once for all of them, and
+    each sum is scaled to the lcm of the polynomials' denominators.
     """
     lam, mu = _literal(lam), _literal(mu)
-    deg_l = max((i for p in polys for i, _ in p.nums), default=0)
-    deg_m = max((j for p in polys for _, j in p.nums), default=0)
+    exps = set().union(*(p.nums for p in polys))
+    deg_l = max((i for i, _ in exps), default=0)
+    deg_m = max((j for _, j in exps), default=0)
     lam_row, mu_row = _power_row(lam, deg_l), _power_row(mu, deg_m)
-    scale = lam.denominator ** deg_l * mu.denominator ** deg_m
-    return [Fraction(sum(n * lam_row[i] * mu_row[j] for (i, j), n in p.nums.items()),
-                     p.den * scale) for p in polys]
+    mono = {(i, j): lam_row[i] * mu_row[j] for i, j in exps}
+    den = lcm(*(p.den for p in polys))
+    nums = [sum(map(mul, p.nums.values(), map(mono.__getitem__, p.nums))) * (den // p.den)
+            for p in polys]
+    return nums, den * lam.denominator ** deg_l * mu.denominator ** deg_m
 
 
 ZERO = MultiPoly()
@@ -621,8 +629,17 @@ def buchberger(gens) -> list[MultiPoly]:
     if not basis:
         return []
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+
+    def lcm_key(pair):
+        fe, ge = _leading_exps(basis[pair[0]]), _leading_exps(basis[pair[1]])
+        return _grevlex_key((max(fe[0], ge[0]), max(fe[1], ge[1])))
+
     while pairs:
-        i, j = pairs.pop()
+        # the normal strategy: the pair whose leading monomials have the
+        # smallest lcm first (Buchberger 1985); taking the newest pair first
+        # instead can fill the basis with ever larger remainders
+        i, j = min(pairs, key=lcm_key)
+        pairs.remove((i, j))
         fe = _leading_exps(basis[i])
         ge = _leading_exps(basis[j])
         if min(fe[0], ge[0]) == 0 and min(fe[1], ge[1]) == 0:

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (ConsistencyError, StructureAlgebra, automorphism_failures,
+from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
                       bilinear, check_axis, defect, form_tensor, ideal_closure,
-                      miyamoto, pair, quotient, resurrect)
+                      miyamoto_integer, pair, quotient, resurrect)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
 from .poly import (LAM, MU, MultiPoly, evaluate_all, leading_term, rational_roots,
@@ -472,20 +472,19 @@ def solve_points(uni: UniversalAlgebra) -> list[EvalPoint]:
 
 
 def _eval_matrix(m, pt):
-    """The matrix of polynomials evaluated at pt, over one power table."""
-    values = iter(evaluate_all([x for row in m for x in row], pt.lam, pt.mu))
-    return [[next(values) for _ in row] for row in m]
+    """(rows, den): the matrix of polynomials evaluated at pt, as integer
+    rows over one denominator."""
+    nums, den = evaluate_all([x for row in m for x in row], pt.lam, pt.mu)
+    return linalg.split_rows(nums, len(m)), den
 
 
 def evaluate_point(uni: UniversalAlgebra, pt: EvalPoint) -> StructureAlgebra:
-    """Substitute (lam, mu) into every structure constant and form value."""
+    """Substitute (lam, mu) into every structure constant and form value,
+    straight into the integer tables of the evaluated algebra."""
     alg = uni.algebra
-    entries = [c for row in alg.product for vec in row for c in vec]
-    entries += [c for row in alg.gram for c in row]
-    values = iter(evaluate_all(entries, pt.lam, pt.mu))
-    product = [[[next(values) for _ in vec] for vec in row] for row in alg.product]
-    gram = [[next(values) for _ in row] for row in alg.gram]
-    return StructureAlgebra(LABELS, product, gram, marked=[A0, A1])
+    vecs, den = _eval_matrix([vec for row in alg.product for vec in row], pt)
+    return StructureAlgebra.from_integers(LABELS, linalg.split_rows(vecs, alg.dim), den,
+                                          *_eval_matrix(alg.gram, pt), marked=[A0, A1])
 
 
 @dataclass
@@ -514,8 +513,8 @@ def discrepancy_quotient(uni: UniversalAlgebra, pt: EvalPoint) -> Discrepancy:
     """
     alg = evaluate_point(uni, pt)
     symmetries = [_eval_matrix(uni.tau0, pt), _eval_matrix(uni.flip, pt)]
-    gens = [d for m in symmetries for _, d in automorphism_failures(alg, m)]
-    ideal = ideal_closure(alg, gens, symmetries)
+    gens = [diff for m, d in symmetries for _, diff in automorphism_defects(alg, m, d)]
+    ideal = ideal_closure(alg, gens, [m for m, _ in symmetries])
     try:
         quot, proj = quotient(alg, ideal)
     except ConsistencyError as err:
@@ -644,29 +643,31 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
     for pt in solve_points(uni):
         disc = discrepancy_quotient(uni, pt)
         quot, proj = disc.quotient, disc.projection
-        ax0 = linalg.matvec(proj, [Q(1) if i == A0 else Q(0) for i in range(8)])
-        ax1 = linalg.matvec(proj, [Q(1) if i == A1 else Q(0) for i in range(8)])
+        ax0, ax1 = ([row[i] for row in proj] for i in (A0, A1))
         rep0 = check_axis(quot, ax0, rules)
         rep1 = check_axis(quot, ax1, rules)
         if not (rep0.passed and rep1.passed):
             raise ConsistencyError(f"axis verification failed at {pt.name}")
-        tau_a = miyamoto(quot, ax0, grading, rules, rep0.spaces)
-        tau_b = miyamoto(quot, ax1, grading, rules, rep1.spaces)
-        order = linalg.matrix_order(linalg.matmul(tau_a, tau_b), 12)
+        try:
+            tau_a, da = miyamoto_integer(quot, ax0, grading, rules, rep0.spaces)
+            tau_b, db = miyamoto_integer(quot, ax1, grading, rules, rep1.spaces)
+        except ConsistencyError as err:
+            raise ConsistencyError(f"{err} at {pt.name}") from None
+        order = linalg.matrix_order(linalg.integer_matmul(tau_a, tau_b), 12, da * db)
         if order is None:
             raise ConsistencyError(f"involution product order exceeds 12 at {pt.name}")
 
         # the rotation of the axis orbit: a_i -> a_{i+1}
-        shift = _project_symmetry(uni, pt, disc, shift_symbolic)
-        shift_order = linalg.matrix_order(shift, 12)
+        shift, d = _project_symmetry(uni, pt, disc, shift_symbolic)
+        shift_order = linalg.matrix_order(shift, 12, d)
         if shift_order is None:
             raise ConsistencyError(f"axis-shift order exceeds 12 at {pt.name}")
-        if linalg.matvec(shift, ax0) != ax1:
+        if linalg.matvec(shift, ax0) != linalg.scale_vec(d, ax1):
             raise ConsistencyError(f"axis shift does not move a0 to a1 at {pt.name}")
 
-        g = disc.evaluated.gram
-        gram_values = {"lambda": g[A0][A1], "mu": g[A0][A2],
-                       "nu3": g[AM2][A1], "nu4": g[AM2][A2]}
+        g, gd = disc.evaluated.gram_table, disc.evaluated.gram_den
+        gram_values = {"lambda": Q(g[A0][A1], gd), "mu": Q(g[A0][A2], gd),
+                       "nu3": Q(g[AM2][A1], gd), "nu4": Q(g[AM2][A2], gd)}
         reports.append(PointReport(pt.lam, pt.mu, disc.ideal_dim, quot.dim, [rep0, rep1],
                                    order, shift_order, gram_values))
     reports.sort(key=lambda p: (p.shift_order, p.dim, p.mu))
@@ -685,25 +686,28 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
 
 
 def _project_symmetry(uni, pt, disc, m_symbolic):
-    """Induce an evaluated symmetry on the quotient.
+    """Induce an evaluated symmetry on the quotient, as (S, d) with S / d
+    the induced matrix and S an integer matrix.
 
     The matrix must preserve the discrepancy ideal and act as an algebra
-    automorphism downstairs; both are verified.
+    automorphism downstairs; both are verified on the integers.
     """
-    m = _eval_matrix(m_symbolic, pt)
-    quot, proj = disc.quotient, disc.projection
-    images = linalg.matmul(proj, linalg.matmul(m, linalg.transpose(disc.ideal)))
-    if not all(linalg.is_zero_vec(row) for row in images):
+    m, d = _eval_matrix(m_symbolic, pt)
+    quot = disc.quotient
+    proj, scale = linalg.clear_matrix(disc.projection)
+    moved = linalg.integer_matmul(proj, m)
+    ideal = [linalg.clear_denominators(v)[0] for v in disc.ideal]
+    if any(any(row) for row in linalg.integer_matmul(moved, linalg.transpose(ideal))):
         raise ConsistencyError(f"symmetry does not preserve the ideal at {pt.name}")
+    # lifting quotient coordinates to the surviving basis vectors picks columns
     comp = [LABELS.index(lbl) for lbl in quot.labels]
-    lift = [[Q(1) if r == comp[c] else Q(0) for c in range(quot.dim)] for r in range(8)]
-    induced = linalg.matmul(linalg.matmul(proj, m), lift)
-    failures = automorphism_failures(quot, induced)
+    induced, den = linalg.lowest_terms([[row[c] for c in comp] for row in moved], scale * d)
+    failures = automorphism_defects(quot, induced, den)
     if failures:
         (i, j), _ = failures[0]
         raise ConsistencyError(f"induced symmetry is not an automorphism at {pt.name}: "
                                f"({quot.labels[i]}, {quot.labels[j]})")
-    return induced
+    return induced, den
 
 
 # -- re-derivation of the installed products -----------------------------------

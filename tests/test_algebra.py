@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as Q
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -173,8 +174,9 @@ def test_verify_form_three_c(alg, rules):
 
 def direct_failures(alg):
     n = alg.dim
+    product, gram = alg.product, alg.gram
     return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
-            if defect(alg.product, alg.gram, i, j, k)]
+            if defect(product, gram, i, j, k)]
 
 
 def test_verify_form_matches_the_direct_loop(uni, alg):
@@ -309,10 +311,11 @@ def ref_violations(algebra, a, rules):
 
 def ref_automorphism_failures(algebra, m):
     cols = linalg.transpose(m)
+    product = algebra.product
     out = []
     for i in range(algebra.dim):
         for j in range(i, algebra.dim):
-            d = linalg.sub_vec(linalg.matvec(m, algebra.product[i][j]),
+            d = linalg.sub_vec(linalg.matvec(m, product[i][j]),
                                algebra.multiply(cols[i], cols[j]))
             if any(d):
                 out.append(((i, j), d))
@@ -376,3 +379,70 @@ def test_miyamoto_reuses_the_checked_eigenspaces(quotients, rules, grading):
             report = check_axis(algebra, a, rules)
             assert miyamoto(algebra, a, grading, rules, report.spaces) == \
                 miyamoto(algebra, a, grading, rules)
+
+
+# -- the integer tables against the Fraction route they replaced ---------------
+#
+# ref_quotient is the former quotient: every product vector and basis vector
+# reduced through the ideal with Fraction rows.
+
+
+def ref_quotient(algebra, ideal):
+    basis = linalg.echelon_span(ideal)
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in basis]
+    complement = [c for c in range(algebra.dim) if c not in pivots]
+    proj = linalg.transpose(
+        [[linalg.reduce_vector(basis, algebra.basis_vector(j))[c] for c in complement]
+         for j in range(algebra.dim)])
+    product, gram = algebra.product, algebra.gram
+    table = [[[linalg.reduce_vector(basis, product[c1][c2])[c] for c in complement]
+              for c2 in complement] for c1 in complement]
+    return ([algebra.labels[c] for c in complement], table,
+            [[gram[c1][c2] for c2 in complement] for c1 in complement], proj)
+
+
+def test_quotients_match_the_fraction_route(uni, points):
+    for pt in points.values():
+        disc = discrepancy_quotient(uni, pt)
+        labels, table, gram, proj = ref_quotient(disc.evaluated, disc.ideal)
+        quot = disc.quotient
+        assert quot.labels == labels and quot.product == table and quot.gram == gram
+        assert disc.projection == proj
+        # the integer tables are in lowest terms
+        flat = [x for row in quot.table for vec in row for x in vec]
+        assert gcd(quot.den, *flat) == 1 and gcd(quot.gram_den, *sum(quot.gram_table, [])) == 1
+
+
+def test_from_integers_checks_and_reduces():
+    table = [[[2, 0], [0, 4]], [[0, 4], [6, 0]]]
+    gram = [[3, 0], [0, 3]]
+    alg = StructureAlgebra.from_integers(["x", "y"], table, 4, gram, -6)
+    assert (alg.den, alg.gram_den) == (2, 2)
+    assert alg.table == [[[1, 0], [0, 2]], [[0, 2], [3, 0]]]
+    assert alg.product == [[[Q(1, 2), Q(0)], [Q(0), Q(1)]], [[Q(0), Q(1)], [Q(3, 2), Q(0)]]]
+    assert alg.gram == [[Q(-1, 2), Q(0)], [Q(0), Q(-1, 2)]]
+    assert StructureAlgebra(alg.labels, alg.product, alg.gram).table == alg.table
+    with pytest.raises(ShapeError, match=r"not commutative at \(1, 0\)"):
+        StructureAlgebra.from_integers(["x", "y"], [[[1, 0], [0, 1]], [[1, 1], [0, 0]]], 1,
+                                       gram, 1)
+    with pytest.raises(ShapeError, match="not symmetric"):
+        StructureAlgebra.from_integers(["x", "y"], table, 1, [[1, 1], [0, 1]], 1)
+    with pytest.raises(ShapeError, match="denominator is zero"):
+        StructureAlgebra.from_integers(["x", "y"], table, 0, gram, 1)
+    with pytest.raises(ShapeError, match="wrong shape"):
+        StructureAlgebra.from_integers(["x"], table, 1, gram, 1)
+
+
+def test_fraction_views_match_the_parsed_input():
+    data = json.loads(FIXTURE.read_text())
+    alg = StructureAlgebra.from_json(data)
+    assert alg.product == [[[Q(c) for c in vec] for vec in row] for row in data["product"]]
+    assert alg.gram == [[Q(c) for c in row] for row in data["gram"]]
+    assert all(type(c) is Q for row in alg.product for vec in row for c in vec)
+    assert all(type(c) is Q for row in alg.gram for c in row)
+    # one denominator per table: 64 for both in 3C
+    assert (alg.den, alg.gram_den) == (64, 64)
+    with pytest.raises(AttributeError):
+        alg.product = alg.product
+    with pytest.raises(AttributeError):
+        alg.gram = alg.gram

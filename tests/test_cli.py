@@ -157,6 +157,29 @@ def test_algebra_check_detects_broken_form(tmp_path, capsys):
     assert code == 1
 
 
+def test_algebra_check_polynomial_entry_exits_2(tmp_path, capsys):
+    # a polynomial entry parses, but the axis checks need a rational algebra
+    data = three_c().to_json()
+    data["gram"][0][0] = {"1,0": "1"}
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(data))
+    assert not StructureAlgebra.from_json(data).rational
+    code = main(["algebra", "check", str(poly), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("axial: error: ")
+    assert captured.err.rstrip().endswith("not rational")
+    # so does the symbolic table, which still round-trips through from_json
+    code, out = run(capsys, "sakuma", "table", "--format", "json")
+    table = tmp_path / "table.json"
+    table.write_text(out)
+    back = StructureAlgebra.from_json(json.loads(out))
+    assert back.to_json() == {k: v for k, v in json.loads(out).items() if k not in ("tau0", "flip")}
+    assert main(["algebra", "check", str(table)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("not rational")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["fusion", "vir", "4"])

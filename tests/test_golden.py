@@ -10,15 +10,23 @@ points as ``{"lambda", "mu"}`` in (lambda, mu) order.  ``rederive.txt`` and
 ``axial algebra check fixtures/3c.json --json`` before the integer resultant,
 evaluation and adjoint paths replaced the Fraction ones.  The table digest,
 the associativity defects and p1, p2 are the ones the benchmark checks,
-read from its reference file.
+read from its reference file.  ``fixtures/4b_dense.json`` is the 4B quotient
+re-expressed in a fixed integer basis (`dense_four_b`), so that its tables
+are dense, and ``4b_dense_check.json`` is
+``axial algebra check fixtures/4b_dense.json --json`` as the Fraction tables
+computed it before an algebra was held only as integer tables.
 """
 
 import hashlib
 import json
+from fractions import Fraction as Q
 from pathlib import Path
 
+from axial import linalg
 from axial.cli import main
-from axial.sakuma import associativity_defects, associativity_polynomials
+from axial.sakuma import (A0, A1, EvalPoint, associativity_defects, associativity_polynomials,
+                          discrepancy_quotient)
+from conftest import POINT_AT
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -73,3 +81,55 @@ def test_algebra_check_3c_json(capsys):
     code, out = run(capsys, "algebra", "check", str(ROOT / "fixtures" / "3c.json"), "--json")
     assert code == 0
     assert out == (GOLDEN / "3c_check.json").read_text(encoding="utf-8")
+
+
+# the basis after the two axes: fixed integer vectors, with which nearly
+# every product coordinate and form value in the new basis is nonzero
+DENSE_EXTRA = [[1, 1, 0, 1, 0], [0, 1, 1, -1, 2], [2, 0, 1, 1, -1]]
+
+
+def dense_four_b(uni) -> dict:
+    """The 4B quotient in the basis (a0, a1, DENSE_EXTRA...), a0 and a1
+    marked, as algebra JSON; products and forms are plain Fraction sums over
+    the quotient's Fraction tables."""
+    disc = discrepancy_quotient(uni, EvalPoint(*POINT_AT["4B"]))
+    quot, proj = disc.quotient, disc.projection
+    axes = [[row[i] for row in proj] for i in (A0, A1)]
+    basis = axes + [[Q(x) for x in v] for v in DENSE_EXTRA]
+    n = quot.dim
+    back = linalg.inverse(linalg.transpose(basis))  # old coordinates -> new
+    product, gram = quot.product, quot.gram
+
+    def mult(x, y):
+        out = [Q(0)] * n
+        for i in range(n):
+            for j in range(n):
+                out = [o + x[i] * y[j] * p for o, p in zip(out, product[i][j])]
+        return [sum((back[r][k] * out[k] for k in range(n)), Q(0)) for r in range(n)]
+
+    def form(x, y):
+        return sum((x[i] * y[j] * gram[i][j] for i in range(n) for j in range(n)), Q(0))
+
+    return {
+        "dim": n,
+        "labels": [f"b{i}" for i in range(n)],
+        "product": [[[str(c) for c in mult(u, v)] for v in basis] for u in basis],
+        "gram": [[str(form(u, v)) for v in basis] for u in basis],
+        "marked": [0, 1],
+    }
+
+
+def test_dense_fixture_matches_generator(uni):
+    data = json.loads((ROOT / "fixtures" / "4b_dense.json").read_text())
+    assert data == dense_four_b(uni)
+    # dense: only the axis squares a0 a0 = a0 and a1 a1 = a1 have a zero coordinate
+    zeros = [(i, j) for i, row in enumerate(data["product"]) for j, vec in enumerate(row)
+             if "0" in vec]
+    assert zeros == [(0, 0), (1, 1)]
+
+
+def test_algebra_check_dense_4b_json(capsys):
+    code, out = run(capsys, "algebra", "check", str(ROOT / "fixtures" / "4b_dense.json"),
+                    "--json")
+    assert code == 0
+    assert out == (GOLDEN / "4b_dense_check.json").read_text(encoding="utf-8")

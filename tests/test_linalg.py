@@ -66,6 +66,9 @@ def test_echelon_span_equality_is_subspace_equality():
 def test_matrix_order():
     rot = [[Q(0), Q(-1)], [Q(1), Q(0)]]  # quarter turn
     assert linalg.matrix_order(rot, 12) == 4
+    # an integer matrix standing for itself over a denominator
+    assert linalg.matrix_order([[0, -2], [2, 0]], 12, 2) == 4
+    assert linalg.matrix_order([[0, -2], [2, 0]], 12) is None
     assert linalg.matrix_order(linalg.identity(3), 12) == 1
     shear = [[Q(1), Q(1)], [Q(0), Q(1)]]
     assert linalg.matrix_order(shear, 12) is None

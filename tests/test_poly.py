@@ -7,7 +7,7 @@ from axial.poly import (LAM, MU, MultiPoly, _newton_interpolate, buchberger,
                         coefficients_in, evaluate_all, from_coefficients, leading_term,
                         rational_roots, reduce_poly, resultant, s_polynomial,
                         standard_monomial_count, univariate_gcd)
-from axial.sakuma import EvalPoint, associativity_polynomials, evaluate_point
+from axial.sakuma import EvalPoint, _eval_matrix, associativity_polynomials, evaluate_point
 from test_linalg import ref_det
 
 
@@ -242,14 +242,21 @@ def ref_evaluate(f, lam, mu):
     return sum((c * Q(lam)**i * Q(mu)**j for (i, j), c in f.terms.items()), Q(0))
 
 
+def values(evaluated):
+    """The Fraction values of evaluate_all's integers over one denominator."""
+    nums, den = evaluated
+    assert all(type(x) is int for x in nums) and type(den) is int and den > 0
+    return [Q(x, den) for x in nums]
+
+
 def test_evaluate_all_matches_the_direct_sum():
     rng = random.Random(5)
     polys = [rand_poly(rng, max_deg=5) for _ in range(30)] + [MultiPoly(), MultiPoly.const(3)]
     for lam, mu in [(Q(-7, 3), Q(5, 11)), (Q(0), Q(0)), (Q(2**40, 3**20), Q(-1, 7))]:
         want = [ref_evaluate(f, lam, mu) for f in polys]
-        assert evaluate_all(polys, lam, mu) == want
+        assert values(evaluate_all(polys, lam, mu)) == want
         assert [f.evaluate(lam, mu) for f in polys] == want
-    assert evaluate_all([], 1, 2) == []
+    assert values(evaluate_all([], 1, 2)) == []
 
 
 def test_evaluate_point_matches_per_entry_evaluation(uni, points):
@@ -260,6 +267,15 @@ def test_evaluate_point_matches_per_entry_evaluation(uni, points):
         assert got.gram == [[x.evaluate(lam, mu) for x in row] for row in alg.gram]
         assert got.product == [[[ref_evaluate(x, lam, mu) for x in vec] for vec in row]
                                for row in alg.product]
+        # held as integer tables over positive denominators
+        assert all(type(x) is int for row in got.table for vec in row for x in vec)
+        assert all(type(x) is int for row in got.gram_table for x in row)
+        assert got.den > 0 and got.gram_den > 0
+        # and the symmetry matrices, as integer rows over one denominator
+        for sym in (uni.tau0, uni.flip):
+            rows, den = _eval_matrix(sym, EvalPoint(lam, mu))
+            assert [[Q(x, den) for x in row] for row in rows] == \
+                [[ref_evaluate(x, lam, mu) for x in row] for row in sym]
 
 
 def test_rational_roots_factored():
@@ -452,3 +468,24 @@ def test_standard_monomial_count_against_sympy(uni):
     count = sum(1 for i in range(n_lam) for j in range(n_mu)
                 if not any(a <= i and b <= j for a, b in leads))
     assert standard_monomial_count([p1, p2]) == count
+
+
+def test_buchberger_takes_the_smallest_pair_first(monkeypatch):
+    # a pair drawn by the property tests: taking the newest S-pair first made
+    # 150 reductions through ever larger remainders (about 8 s); the normal
+    # strategy makes 37 and reaches sympy's reduced basis
+    sympy, syms = sympy_setup()
+    f = (3 * LAM**3 * MU**2 + LAM**3 * MU - Q(77, 12) * LAM**2 * MU**2
+         + Q(32, 5) * LAM**2 * MU - Q(43, 12) * LAM * MU**2 + 7)
+    g = Q(-29, 4) * LAM**3 * MU**2 + Q(47, 6) * LAM**2 * MU**3 + LAM**2 * MU**2
+    from axial import poly
+
+    calls = []
+    reduce = poly.reduce_poly
+    monkeypatch.setattr(poly, "reduce_poly", lambda *args: calls.append(1) or reduce(*args))
+    basis = buchberger([g, f])
+    assert len(calls) <= 50
+    theirs = sympy.groebner([to_sympy(sympy, syms, p) for p in (g, f)],
+                            syms["lam"], syms["mu"], order="grevlex")
+    assert sorted(basis, key=str) == sorted((from_sympy(sympy, syms, e) for e in theirs.exprs),
+                                            key=str)

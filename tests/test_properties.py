@@ -35,16 +35,17 @@ def generic_form(alg, x, y):
 
 def check_kernel(alg, x, y, z, c):
     n = alg.dim
+    product, gram = alg.product, alg.gram  # the Fraction views, built once
     xy = alg.multiply(x, y)
     # the integer tables agree with the generic loops on the Fraction tables
-    assert xy == bilinear(alg.product, x, y, alg.labels)
+    assert xy == bilinear(product, x, y, alg.labels)
     assert all(type(v) is Q for v in xy)
     assert alg.form(x, z) == generic_form(alg, x, z)
     assert xy == alg.multiply(y, x)
     combo = [c * xi + zi for xi, zi in zip(x, z)]
     assert alg.multiply(combo, y) == [c * p + q for p, q in zip(xy, alg.multiply(z, y))]
     # the basis-triple defect extends trilinearly to <xy, z> - <x, yz>
-    total = sum((x[i] * y[j] * z[k] * defect(alg.product, alg.gram, i, j, k)
+    total = sum((x[i] * y[j] * z[k] * defect(product, gram, i, j, k)
                  for i in range(n) for j in range(n) for k in range(n)), Q(0))
     assert total == alg.form(xy, z) - alg.form(x, alg.multiply(y, z))
 
@@ -89,7 +90,8 @@ def change_basis(alg, p, p_inv):
     def to_new(w):
         return [sum((p_inv[r][k] * w[k] for k in range(n)), Q(0)) for r in range(n)]
 
-    product = [[to_new(bilinear(alg.product, cols[i], cols[j], alg.labels)) for j in range(n)]
+    table = alg.product
+    product = [[to_new(bilinear(table, cols[i], cols[j], alg.labels)) for j in range(n)]
                for i in range(n)]
     gram = [[generic_form(alg, cols[i], cols[j]) for j in range(n)] for i in range(n)]
     return StructureAlgebra([f"b{i}" for i in range(n)], product, gram), to_new
@@ -113,6 +115,35 @@ def test_check_axis_in_a_random_basis(p):
         assert want.passed and got.passed
         assert got.spectrum == want.spectrum
     assert verify_form(alg, ISING).passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_tables_match_their_fraction_views(data):
+    # an algebra built from integer tables over any nonzero denominators
+    # reads, multiplies and pairs exactly like its Fraction tables
+    n = data.draw(st.integers(1, 4))
+    ints = st.integers(-2**40, 2**40)
+    dens = st.integers(1, 10**6).map(lambda d: d * data.draw(st.sampled_from([1, -1])))
+    table = [[None] * n for _ in range(n)]
+    gram = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            table[i][j] = table[j][i] = [data.draw(ints) for _ in range(n)]
+            gram[i][j] = gram[j][i] = data.draw(ints)
+    den, gram_den = data.draw(dens), data.draw(dens)
+    alg = StructureAlgebra.from_integers([f"e{i}" for i in range(n)], table, den, gram, gram_den)
+    product = [[[Q(x, den) for x in vec] for vec in row] for row in table]
+    fractions = [[Q(x, gram_den) for x in row] for row in gram]
+    assert alg.product == product and alg.gram == fractions
+    assert alg.den > 0 and gcd(alg.den, *(x for row in alg.table for v in row for x in v)) == 1
+    x, y = (data.draw(vectors(n)) for _ in range(2))
+    assert alg.multiply(x, y) == bilinear(product, x, y, alg.labels)
+    assert alg.form(x, y) == sum((xi * pair(row, y) for xi, row in zip(x, fractions)), Q(0))
+    # and the constructor on the Fraction tables gives the same integers
+    again = StructureAlgebra(alg.labels, product, fractions)
+    assert (again.table, again.den, again.gram_table, again.gram_den) == \
+        (alg.table, alg.den, alg.gram_table, alg.gram_den)
 
 
 exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -214,7 +245,8 @@ def test_multipoly_matches_the_fraction_reference(f, g, lam, mu):
         assert got.terms == want
         assert got == MultiPoly(want)
     assert f.evaluate(lam, mu) == ref_evaluate(ft, lam, mu)
-    assert evaluate_all([f, g], lam, mu) == [ref_evaluate(ft, lam, mu), ref_evaluate(gt, lam, mu)]
+    nums, den = evaluate_all([f, g], lam, mu)
+    assert [Q(x, den) for x in nums] == [ref_evaluate(ft, lam, mu), ref_evaluate(gt, lam, mu)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -230,9 +230,13 @@ def test_flip_preserves_gram_at_all_points(uni, points):
     # entries involving a_{-2}); at the nine points those vanish
     from axial.sakuma import _eval_matrix
 
+    def values(evaluated):
+        rows, den = evaluated
+        return [[Q(x, den) for x in row] for row in rows]
+
     for pt in points.values():
-        g = _eval_matrix(uni.algebra.gram, pt)
-        f = _eval_matrix(uni.flip, pt)
+        g = values(_eval_matrix(uni.algebra.gram, pt))
+        f = values(_eval_matrix(uni.flip, pt))
         assert linalg.matmul(linalg.matmul(linalg.transpose(f), g), f) == g
 
 
@@ -322,6 +326,22 @@ def test_a_form_that_fails_on_the_ideal_names_the_point(uni, points):
     with pytest.raises(ConsistencyError,
                        match=rf"the form does not vanish on the ideal at \({pt.lam}, {pt.mu}\)"):
         discrepancy_quotient(broken, pt)
+
+
+def test_a_miyamoto_failure_in_classify_names_the_point(uni, monkeypatch):
+    # grading the quarter field odd instead of 1/32 makes the involution of
+    # an axis with a 1/4-eigenspace fail to be an automorphism
+    from axial import sakuma
+    from axial.fusion import Grading
+
+    wrong = Grading(frozenset({Q(1), Q(0), Q(1, 32)}), frozenset({Q(1, 4)}))
+    monkeypatch.setattr(sakuma, "find_z2_gradings", lambda rules: [wrong])
+    with pytest.raises(ConsistencyError,
+                       match=r"^the involution is not an automorphism at \(\d+, \d+\) "
+                             r"at \(([-\d/]+), ([-\d/]+)\)$") as err:
+        classify(uni)
+    lam, mu = err.value.args[0].rsplit(" at (", 1)[1].rstrip(")").split(", ")
+    assert (Q(lam), Q(mu)) in POINT_AT.values()
 
 
 def test_2b_eigen_dims(uni, points):
