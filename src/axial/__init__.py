@@ -2,7 +2,8 @@
 
 Subpackages:
 
-* ``poly`` / ``linalg`` -- the exact kernel: Q[lam, mu] and Fraction matrices.
+* ``poly`` / ``linalg`` -- the exact kernel: Q[lam, mu] and rational matrices,
+  held as integers over a common denominator.
 * ``fusion`` -- fusion rules and the Virasoro tables V(p, q).
 * ``algebra`` -- structure-constant algebras and the axis/form predicates.
 * ``sakuma`` -- the universal two-generated algebra for the Ising fusion

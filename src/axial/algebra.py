@@ -30,8 +30,9 @@ class ConsistencyError(Exception):
 class ShapeError(ValueError):
     """The input does not describe an algebra: a tensor or vector of the wrong
     shape, a product that is not commutative, a Gram matrix that is not
-    symmetric, a marked index out of range, a missing table or an entry that
-    is not a rational literal."""
+    symmetric, labels that are not distinct strings, a marked index that is
+    a boolean or out of range, a missing table or an entry that is not a
+    rational literal."""
 
 
 # -- the product, form and defect kernel ---------------------------------------
@@ -180,15 +181,10 @@ class StructureAlgebra:
         den = self.den * dx * dy
         return [Fraction(c, den) for c in bilinear(self.table, x, y, self.labels)]
 
-    def ad_matrix(self, a):
-        """Matrix of left multiplication by a, acting on column vectors, in a
-        rational algebra."""
-        ad, den = self.ad_integer(a)
-        return [[Fraction(x, den) for x in row] for row in ad]
-
     def ad_integer(self, a):
-        """(A, den) with ad(a) = A / den for an integer matrix A, built in one
-        pass over the integer product tensor of a rational algebra."""
+        """(A, den) with ad(a) = A / den for an integer matrix A, the matrix of
+        left multiplication by a acting on column vectors, built in one pass
+        over the integer product tensor of a rational algebra."""
         nums, da = linalg.clear_denominators(a)
         return linalg.transpose(self._ad_columns(nums)), self.den * da
 
@@ -235,9 +231,14 @@ class StructureAlgebra:
         missing = [key for key in ("labels", "product", "gram") if key not in data]
         if missing:
             raise ShapeError(f"missing {', '.join(missing)}")
-        marked = data.get("marked", [])
-        if not isinstance(data["labels"], list) or not isinstance(marked, list):
+        labels, marked = data["labels"], data.get("marked", [])
+        if not isinstance(labels, list) or not isinstance(marked, list):
             raise ShapeError("labels and marked must be lists")
+        # the axis reports are keyed by label, so labels must tell axes apart
+        if not all(isinstance(x, str) for x in labels) or len(set(labels)) != len(labels):
+            raise ShapeError("labels must be distinct strings")
+        if any(isinstance(m, bool) for m in marked):
+            raise ShapeError("a marked index is a boolean, not an integer")
 
         def entry(e):
             try:
@@ -250,7 +251,7 @@ class StructureAlgebra:
             gram = [[entry(c) for c in row] for row in data["gram"]]
         except TypeError:
             raise ShapeError("product and gram must be nested lists") from None
-        return StructureAlgebra(data["labels"], product, gram, marked)
+        return StructureAlgebra(labels, product, gram, marked)
 
 
 def _check_shapes(n, product, gram):
@@ -283,14 +284,7 @@ def three_c() -> StructureAlgebra:
 # -- polynomials in the adjoint ---------------------------------------------
 
 
-def apply_ad_poly(algebra: StructureAlgebra, coeffs, a, v):
-    """Evaluate f(ad(a)) v for a rational algebra; coeffs are low-to-high."""
-    nums, dv = linalg.clear_denominators(v)
-    out, den = _ad_poly_numerators(algebra.ad_integer(a), coeffs, nums)
-    return [Fraction(x, den * dv) for x in out]
-
-
-def _ad_poly_numerators(ad, coeffs, w):
+def apply_ad_poly(ad, coeffs, w):
     """(out, den) with f(A / d) w = out / den, by integer Horner steps.
 
     ad = (A, d) as from ad_integer, w is an integer vector and coeffs are
@@ -306,13 +300,7 @@ def _ad_poly_numerators(ad, coeffs, w):
     return out, e * d ** max(len(nums) - 1, 0)
 
 
-def annihilator_coeffs(roots) -> list[Fraction]:
-    """Coefficients (low to high) of prod (t - r) over the given roots."""
-    nums = _annihilator_numerators(roots)
-    return [Fraction(c, nums[-1]) for c in nums]
-
-
-def _annihilator_numerators(roots) -> list[int]:
+def annihilator_coeffs(roots) -> list[int]:
     """Integer coefficients (low to high) of prod (q t - p) over the roots
     r = p/q: the annihilator times the product of the q."""
     coeffs = [1]
@@ -325,19 +313,15 @@ def _annihilator_numerators(roots) -> list[int]:
 # -- eigenspaces and the axis predicates -------------------------------------
 
 
-def eigen_decompose(algebra: StructureAlgebra, a, candidates):
-    """Kernel of ad(a) - theta for each candidate theta.
+def eigen_decompose(ad, candidates):
+    """Kernel of ad(a) - theta for each candidate theta, with ad(a) = A / d
+    given as (A, d) from ad_integer.
 
     Returns (spaces, semisimple): spaces maps each candidate to its
     echelonized eigenspace basis, and semisimple records whether the
-    dimensions add up to the whole algebra.
+    dimensions add up to the whole algebra.  The kernel of ad(a) - p/q is
+    that of the integer matrix q A - p d.
     """
-    return _eigenspaces(algebra.ad_integer(a), candidates)
-
-
-def _eigenspaces(ad, candidates):
-    """eigen_decompose for ad(a) = A / d given as (A, d): the kernel of
-    ad(a) - p/q is that of the integer matrix q A - p d."""
     mat, d = ad
     spaces = {}
     total = 0
@@ -363,8 +347,8 @@ class AxisReport:
     primitive: bool
     fusion_ok: bool
     violations: list = field(default_factory=list)
-    # the eigenspace bases behind `spectrum`, by candidate; miyamoto can take
-    # them instead of decomposing again.  Not serialised.
+    # the eigenspace bases behind `spectrum`, by candidate, which miyamoto
+    # takes.  Not serialised.
     spaces: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -397,10 +381,11 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
     idempotent = algebra.multiply(a, a) == list(a)
     norm_ok = algebra.form(a, a) == 2 * rules.central_charge
     ad = algebra.ad_integer(a)
-    spaces, semisimple = _eigenspaces(ad, rules.fields)
+    spaces, semisimple = eigen_decompose(ad, rules.fields)
     spectrum = {theta: len(basis) for theta, basis in spaces.items()}
     one_space = spaces.get(Fraction(1), [])
-    primitive = len(one_space) == 1 and linalg.in_span(one_space, a) and not linalg.is_zero_vec(a)
+    # canonical bases are equal exactly when the spans are; a zero a gives []
+    primitive = len(one_space) == 1 and one_space == linalg.echelon_span([a])
 
     # eigenvectors cleared to integers once; u v is then tested up to scale
     table = algebra.table
@@ -411,41 +396,27 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
     for i, f in enumerate(realized):
         for g in realized[i:]:
             # f(ad(a)) w is tested for zero, so any multiple of f will do
-            coeffs = _annihilator_numerators(sorted(rules.product(f, g)))
-            if any(any(_ad_poly_numerators(ad, coeffs, bilinear(table, u, v, algebra.labels))[0])
+            coeffs = annihilator_coeffs(sorted(rules.product(f, g)))
+            if any(any(apply_ad_poly(ad, coeffs, bilinear(table, u, v, algebra.labels))[0])
                    for u in cleared[f] for v in cleared[g]):
                 violations.append((f, g))
     return AxisReport(idempotent, norm_ok, spectrum, semisimple,
                       primitive, not violations, violations, spaces)
 
 
-def miyamoto(algebra: StructureAlgebra, a, grading: Grading, rules: FusionRules,
-             spaces=None):
-    """Matrix of the involution fixing the even eigenspaces of `a` and
-    negating the odd ones.
+def miyamoto(algebra: StructureAlgebra, spaces, grading: Grading):
+    """(T, d) with T / d the involution fixing the even eigenspaces of an
+    axis and negating the odd ones, T an integer matrix.
 
-    spaces, when given, are the eigenspaces of `a` for rules.fields as
-    eigen_decompose returns them (check_axis keeps them on its report);
-    otherwise they are computed.  Raises ConsistencyError if the
-    eigenspaces do not span, or if the result fails to be an involutive
-    automorphism preserving the form.
+    spaces are the eigenspaces of the axis as eigen_decompose returns them
+    (check_axis keeps them on its report).  With the eigenvectors cleared
+    to integers as the columns of P and the signs on the diagonal of S,
+    tau = P S P^-1; P^-1 = N / d over the integers, so T = P S N.  Raises
+    ConsistencyError if the eigenspaces do not span, or if T / d fails to
+    be an involutive automorphism preserving the form; the checks run on
+    the integers: T^2 = d^2 I, T^t G T = d^2 G for the integer Gram matrix
+    G, and the automorphism defects of T / d vanish.
     """
-    tau, d = miyamoto_integer(algebra, a, grading, rules, spaces)
-    return [[Fraction(x, d) for x in row] for row in tau]
-
-
-def miyamoto_integer(algebra: StructureAlgebra, a, grading: Grading, rules: FusionRules,
-                     spaces=None):
-    """(T, d) with T / d the involution of `miyamoto`, T an integer matrix.
-
-    With the eigenvectors cleared to integers as the columns of P and the
-    signs on the diagonal of S, tau = P S P^-1; P^-1 = N / d over the
-    integers, so T = P S N.  The checks run on the integers too: T^2 = d^2 I,
-    T^t G T = d^2 G for the integer Gram matrix G, and the automorphism
-    defects of T / d vanish.
-    """
-    if spaces is None:
-        spaces, _ = eigen_decompose(algebra, a, rules.fields)
     if sum(len(basis) for basis in spaces.values()) != algebra.dim:
         raise ConsistencyError("eigenspaces of the axis do not span the algebra")
     columns = []
@@ -473,18 +444,10 @@ def miyamoto_integer(algebra: StructureAlgebra, a, grading: Grading, rules: Fusi
     return tau, d
 
 
-def automorphism_failures(algebra: StructureAlgebra, m):
-    """[((i, j), m(e_i e_j) - (m e_i)(m e_j))] over basis pairs i <= j where
-    the difference is nonzero; empty exactly when m is an automorphism."""
-    mat, d = linalg.clear_matrix(m)
-    scale = algebra.den * d * d
-    return [(ij, [Fraction(x, scale) for x in diff])
-            for ij, diff in automorphism_defects(algebra, mat, d)]
-
-
 def automorphism_defects(algebra: StructureAlgebra, mat, d):
-    """automorphism_failures for m = mat / d with mat an integer matrix,
-    each difference as the integer vector den d^2 (m(e_i e_j) - (m e_i)(m e_j)).
+    """[((i, j), den d^2 (m(e_i e_j) - (m e_i)(m e_j)))] over basis pairs
+    i <= j where the difference is nonzero, for m = mat / d with mat an
+    integer matrix; empty exactly when m is an automorphism.
 
     The algebra is rational with product tensor T / den, so the difference
     is d M T_ij - (M e_i)(M e_j) under T, over den d^2.
@@ -542,7 +505,7 @@ def verify_form(algebra: StructureAlgebra, rules: FusionRules | None = None) -> 
     if rules is not None:
         for m in algebra.marked:
             a = algebra.basis_vector(m)
-            spaces, _ = eigen_decompose(algebra, a, rules.fields)
+            spaces, _ = eigen_decompose(algebra.ad_integer(a), rules.fields)
             ok = True
             thetas = [t for t, b in spaces.items() if b]
             for x, f in enumerate(thetas):
@@ -553,18 +516,6 @@ def verify_form(algebra: StructureAlgebra, rules: FusionRules | None = None) -> 
                                 ok = False
             perpendicular[algebra.labels[m]] = ok
     return FormReport(symmetric, not failures, failures, perpendicular)
-
-
-def seress_assoc_check(algebra: StructureAlgebra, a) -> bool:
-    """Does `a` associate with its 0-eigenvectors: a(xz) = (ax)z exactly."""
-    _, _, kernel = linalg.rref_and_kernel(algebra.ad_integer(a)[0])
-    for i in range(algebra.dim):
-        x = algebra.basis_vector(i)
-        ax = algebra.multiply(a, x)
-        for z in kernel:
-            if algebra.multiply(a, algebra.multiply(x, z)) != algebra.multiply(ax, z):
-                return False
-    return True
 
 
 def resurrect(algebra: StructureAlgebra, a, b_lm, b_0, lm):

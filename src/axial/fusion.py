@@ -232,18 +232,6 @@ def find_z2_gradings(rules: FusionRules) -> list[Grading]:
     return found
 
 
-def seress_check(rules: FusionRules) -> bool:
-    """True when 0 is a field, 0*1 = {0}, and 0*f = {f} for all f != 1."""
-    if ZERO not in rules.fields:
-        return False
-    if rules.product(ZERO, ONE) != frozenset({ZERO}):
-        return False
-    for f in rules.fields:
-        if f != ONE and rules.product(ZERO, f) != frozenset({f}):
-            return False
-    return True
-
-
 def frobenius_refine(rules: FusionRules) -> FusionRules:
     """Drop 1 from 0*0: in a Frobenius algebra zero-eigenvectors multiply
     into the axis' perpendicular complement."""

@@ -1,22 +1,21 @@
 """Dense exact linear algebra.
 
-Matrices and vectors are plain nested lists.  Inside the kernel a rational
-vector or matrix row (Fraction or int entries) is held as integer
-numerators over one common denominator (`clear_denominators`): products
-accumulate integers and divide once per output entry, and row reduction,
-kernels, inverses and determinants eliminate over the integers.  Callers
-that already hold integer tables use the integer entry points
-(`integer_rref`, `integer_kernel`, `integer_inverse`, `integer_matmul`)
-and never build a Fraction; the others hand back exact Fractions.
-Anything that divides requires rational entries; the shape helpers and
-products are generic and also serve matrices over the polynomial ring,
-where they skip zero entries.
+Matrices and vectors are plain nested lists.  The kernel works on
+integers: a rational vector or matrix is held as integer numerators over
+one common denominator (`clear_denominators`, `clear_matrix`), and row
+reduction, kernels, inverses and determinants eliminate over the integers
+(`integer_rref`, `integer_kernel`, `integer_inverse`, `integer_det`,
+`integer_matmul`).  `rref`, `rref_and_kernel`, `inverse`, `monic_rows`,
+`echelon_span`, `zeros` and `identity` hand back Fractions.  `matvec` and
+`matmul` are generic over the ring, skipping zero entries: they serve
+matrices over the polynomial ring, and return ints for int matrices and
+Fractions for Fraction ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 _ZERO = Fraction(0)
@@ -48,11 +47,8 @@ def split_rows(flat, n_rows):
 
 
 def is_rational(rows) -> bool:
-    """Whether every entry of the rows is a Fraction or an int.
-
-    Rational inputs take the integer route of the kernel; anything else
-    (MultiPoly entries) takes the generic loops.
-    """
+    """Whether every entry of the rows is a Fraction or an int, as for the
+    tables of a rational algebra (anything else holds MultiPoly entries)."""
     return all(isinstance(x, (Fraction, int)) for row in rows for x in row)
 
 
@@ -103,28 +99,13 @@ def _generic_product(a, bt):
 def matvec(m, v):
     if m and len(m[0]) != len(v):
         raise ValueError("dimension mismatch")
-    if is_rational([v]) and is_rational(m):
-        nv, dv = clear_denominators(v)
-        out = []
-        for row in m:
-            nr, dr = clear_denominators(row)
-            out.append(Fraction(sum(map(mul, nr, nv)), dr * dv))
-        return out
     return [row[0] for row in _generic_product(m, [v])]
 
 
 def matmul(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
-    bt = transpose(b)
-    if is_rational(a) and is_rational(b):
-        cols = [clear_denominators(col) for col in bt]
-        out = []
-        for row in a:
-            nr, dr = clear_denominators(row)
-            out.append([Fraction(sum(map(mul, nr, nc)), dr * dc) for nc, dc in cols])
-        return out
-    return _generic_product(a, bt)
+    return _generic_product(a, transpose(b))
 
 
 def integer_matmul(a, b):
@@ -143,10 +124,6 @@ def add_vec(u, v):
 
 def sub_vec(u, v):
     return [a - b for a, b in zip(u, v)]
-
-
-def is_zero_vec(v) -> bool:
-    return all(not x for x in v)
 
 
 def integer_rref(rows):
@@ -225,20 +202,6 @@ def rref_and_kernel(m):
     return red, rank, kernel
 
 
-def det(m) -> Fraction:
-    """Determinant of a rational matrix by Bareiss elimination.
-
-    Rows are cleared to integers, whose determinant `integer_det` takes;
-    the row denominators are then multiplied out.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    cleared = [clear_denominators(row) for row in m]
-    return Fraction(integer_det([nums for nums, _ in cleared]),
-                    prod(den for _, den in cleared))
-
-
 def integer_det(rows) -> int:
     """Determinant of a square integer matrix by Bareiss elimination.
 
@@ -313,29 +276,6 @@ def echelon_span(vectors):
     equality of these bases.
     """
     return monic_rows(*integer_rref([clear_denominators(v)[0] for v in vectors]))
-
-
-def reduce_vector(basis, v):
-    """Residual of v after eliminating the pivot coordinates of an RREF basis.
-
-    The residual is kept as integers over one denominator; subtracting
-    f times a cleared row nums / d is d * out - f * nums over den * d.
-    """
-    out, den = clear_denominators(v)
-    for row in basis:
-        pc = next(c for c, x in enumerate(row) if x != 0)
-        f = out[pc]
-        if f:
-            nums, d = clear_denominators(row)
-            out = [d * a - f * b for a, b in zip(out, nums)]
-            g = gcd(den * d, *out)
-            den = den * d // g
-            out = [a // g for a in out]
-    return [Fraction(a, den) if a else _ZERO for a in out]
-
-
-def in_span(basis, v) -> bool:
-    return is_zero_vec(reduce_vector(basis, v))
 
 
 def matrix_order(m, bound: int, den=1) -> int | None:

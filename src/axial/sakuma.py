@@ -31,8 +31,8 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
-                      bilinear, check_axis, defect, form_tensor, ideal_closure,
-                      miyamoto_integer, pair, quotient, resurrect)
+                      bilinear, check_axis, defect, form_tensor, ideal_closure, miyamoto,
+                      pair, quotient, resurrect)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
 from .poly import (LAM, MU, MultiPoly, evaluate_all, leading_term, rational_roots,
@@ -649,8 +649,8 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
         if not (rep0.passed and rep1.passed):
             raise ConsistencyError(f"axis verification failed at {pt.name}")
         try:
-            tau_a, da = miyamoto_integer(quot, ax0, grading, rules, rep0.spaces)
-            tau_b, db = miyamoto_integer(quot, ax1, grading, rules, rep1.spaces)
+            tau_a, da = miyamoto(quot, rep0.spaces, grading)
+            tau_b, db = miyamoto(quot, rep1.spaces, grading)
         except ConsistencyError as err:
             raise ConsistencyError(f"{err} at {pt.name}") from None
         order = linalg.matrix_order(linalg.integer_matmul(tau_a, tau_b), 12, da * db)

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from axial import linalg
 from axial.sakuma import build_universal, classify, solve_points
 
 # The oracle: the Norton-Sakuma algebras in table order, each with its
@@ -23,6 +24,19 @@ TOTAL_DIM = 37
 
 # (lam, mu) of each algebra, by name
 POINT_AT = {name: (lam, mu) for name, lam, mu, _, _ in POINT_TABLE}
+
+
+def associates_with_zero_eigenvectors(algebra, a) -> bool:
+    """Whether a associates with its 0-eigenvectors: a(xz) = (ax)z for every
+    basis vector x and every z in the kernel of ad(a) (Seress' condition)."""
+    _, _, kernel = linalg.rref_and_kernel(algebra.ad_integer(a)[0])
+    for i in range(algebra.dim):
+        x = algebra.basis_vector(i)
+        ax = algebra.multiply(a, x)
+        for z in kernel:
+            if algebra.multiply(a, algebra.multiply(x, z)) != algebra.multiply(ax, z):
+                return False
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -46,15 +46,16 @@ def test_criterion_2_three_axis_fixture():
     alg = three_c()
     rules = frobenius_refine(virasoro_rules(4, 3))
     grading = next(g for g in find_z2_gradings(rules) if not g.trivial)
-    for i in range(3):
-        report = check_axis(alg, alg.basis_vector(i), rules)
+    reports = [check_axis(alg, alg.basis_vector(i), rules) for i in range(3)]
+    for report in reports:
         assert report.passed
         assert report.spectrum[Q(1, 4)] == 0
     form = verify_form(alg, rules)
     assert form.passed and form.assoc_failures == []
-    tau = miyamoto(alg, alg.basis_vector(0), grading, rules)
-    assert linalg.matvec(tau, alg.basis_vector(1)) == alg.basis_vector(2)
-    assert linalg.matvec(tau, alg.basis_vector(2)) == alg.basis_vector(1)
+    tau, d = miyamoto(alg, reports[0].spaces, grading)  # the involution is tau / d
+    b, c = alg.basis_vector(1), alg.basis_vector(2)
+    assert linalg.matvec(tau, b) == linalg.scale_vec(d, c)
+    assert linalg.matvec(tau, c) == linalg.scale_vec(d, b)
     ok("criterion 2: three-axis fixture verifies, quarter field empty, involution swaps")
 
 

@@ -8,12 +8,13 @@ import pytest
 
 from axial import linalg
 from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, annihilator_coeffs,
-                           apply_ad_poly, automorphism_failures, bilinear, check_axis,
+                           apply_ad_poly, automorphism_defects, bilinear, check_axis,
                            defect, eigen_decompose, ideal_closure, miyamoto, quotient,
-                           resurrect, seress_assoc_check, three_c, verify_form)
+                           resurrect, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
-from conftest import POINT_AT
+from conftest import POINT_AT, associates_with_zero_eigenvectors
 from axial.sakuma import EvalPoint, discrepancy_quotient, evaluate_point
+from test_linalg import ref_reduce_vector
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "3c.json"
 
@@ -39,6 +40,41 @@ def e(i, n=3):
 
 def one_dim_idempotent():
     return StructureAlgebra(["e"], [[[Q(1)]]], [[Q(1)]], marked=[0])
+
+
+# Fraction views of the integer entry points, for comparing with Fraction loops
+
+
+def ad_fractions(algebra, a):
+    """ad(a) as a Fraction matrix."""
+    mat, d = algebra.ad_integer(a)
+    return [[Q(x, d) for x in row] for row in mat]
+
+
+def spaces_of(algebra, a, rules):
+    return eigen_decompose(algebra.ad_integer(a), rules.fields)
+
+
+def ad_poly_fractions(algebra, coeffs, a, v):
+    """f(ad(a)) v as Fractions."""
+    nums, dv = linalg.clear_denominators(v)
+    out, den = apply_ad_poly(algebra.ad_integer(a), coeffs, nums)
+    return [Q(x, den * dv) for x in out]
+
+
+def involution(algebra, a, rules, grading):
+    """The Miyamoto involution of a as a Fraction matrix."""
+    tau, d = miyamoto(algebra, spaces_of(algebra, a, rules)[0], grading)
+    return [[Q(x, d) for x in row] for row in tau]
+
+
+def automorphism_failures(algebra, m):
+    """[((i, j), m(e_i e_j) - (m e_i)(m e_j))] for a Fraction matrix m, as
+    Fractions, from the integer defects."""
+    mat, d = linalg.clear_matrix(m)
+    scale = algebra.den * d * d
+    return [(ij, [Q(x, scale) for x in diff])
+            for ij, diff in automorphism_defects(algebra, mat, d)]
 
 
 def test_three_c_products(alg):
@@ -70,7 +106,7 @@ def test_partial_table_names_the_missing_product(alg):
 
 
 def test_three_c_eigenspaces(alg, rules):
-    spaces, semisimple = eigen_decompose(alg, e(0), rules.fields)
+    spaces, semisimple = spaces_of(alg, e(0), rules)
     assert semisimple
     dims = {theta: len(basis) for theta, basis in spaces.items()}
     assert dims == {Q(1): 1, Q(0): 1, Q(1, 4): 0, Q(1, 32): 1}
@@ -79,7 +115,7 @@ def test_three_c_eigenspaces(alg, rules):
 
 
 def test_ad_shift_kernel_is_expected_line(alg):
-    ad = alg.ad_matrix(e(0))
+    ad = ad_fractions(alg, e(0))
     shifted = [[ad[i][j] - (Q(1, 32) if i == j else 0) for j in range(3)] for i in range(3)]
     _, rank, kernel = linalg.rref_and_kernel(shifted)
     assert rank == 2
@@ -87,7 +123,7 @@ def test_ad_shift_kernel_is_expected_line(alg):
 
 
 def test_eigenspaces_intersect_trivially(alg, rules):
-    spaces, _ = eigen_decompose(alg, e(0), rules.fields)
+    spaces, _ = spaces_of(alg, e(0), rules)
     stacked = [v for basis in spaces.values() for v in basis]
     _, rank, _ = linalg.rref_and_kernel(stacked)
     assert rank == sum(len(b) for b in spaces.values())
@@ -105,24 +141,37 @@ def test_check_axis_zero_vector(alg, rules):
     report = check_axis(alg, [Q(0)] * 3, rules)
     assert report.idempotent
     assert not report.norm_ok
+    assert not report.primitive
     assert not report.passed
+
+
+def test_primitivity_in_1a_plus_1a(rules):
+    # u u = u, v v = v, u v = 0
+    product = [[[Q(1), Q(0)], [Q(0), Q(0)]], [[Q(0), Q(0)], [Q(0), Q(1)]]]
+    alg = StructureAlgebra(["u", "v"], product, [[Q(1), Q(0)], [Q(0), Q(1)]])
+    # u + v is idempotent, but its 1-eigenspace is the whole algebra
+    both = check_axis(alg, [Q(1), Q(1)], rules)
+    assert both.idempotent and both.spectrum[Q(1)] == 2 and not both.primitive
+    assert check_axis(alg, [Q(1), Q(0)], rules).primitive
+    # u - v has the 1-eigenspace span(u), which does not contain u - v
+    diff = check_axis(alg, [Q(1), Q(-1)], rules)
+    assert diff.spectrum[Q(1)] == 1 and not diff.primitive
 
 
 def test_one_dim_algebra(rules):
     tiny = one_dim_idempotent()
-    spaces, semisimple = eigen_decompose(tiny, [Q(1)], rules.fields)
+    spaces, semisimple = spaces_of(tiny, [Q(1)], rules)
     assert semisimple and len(spaces[Q(1)]) == 1
-    tau = miyamoto(tiny, [Q(1)], next(g for g in find_z2_gradings(rules) if not g.trivial),
-                   rules)
-    assert tau == linalg.identity(1)
+    tau = miyamoto(tiny, spaces, next(g for g in find_z2_gradings(rules) if not g.trivial))
+    assert tau == ([[1]], 1)
 
 
 def test_apply_ad_poly_basics(alg):
     v = [Q(2), Q(1), Q(-1)]
-    assert apply_ad_poly(alg, [Q(0), Q(1)], e(0), v) == alg.multiply(e(0), v)
+    assert ad_poly_fractions(alg, [Q(0), Q(1)], e(0), v) == alg.multiply(e(0), v)
     # t(t-1) kills the axis itself
     coeffs = annihilator_coeffs([Q(0), Q(1)])
-    assert apply_ad_poly(alg, coeffs, e(0), e(0)) == [Q(0)] * 3
+    assert ad_poly_fractions(alg, coeffs, e(0), e(0)) == [Q(0)] * 3
 
 
 def test_full_annihilator_kills_perp(alg):
@@ -130,16 +179,18 @@ def test_full_annihilator_kills_perp(alg):
     coeffs = annihilator_coeffs([Q(0), Q(1, 4), Q(1, 32)])
     for w in ([Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(1)]):
         perp = [wi - alg.form(e(0), w) * xi for wi, xi in zip(w, e(0))]
-        assert apply_ad_poly(alg, coeffs, e(0), perp) == [Q(0)] * 3
+        assert ad_poly_fractions(alg, coeffs, e(0), perp) == [Q(0)] * 3
 
 
 def test_annihilator_coeffs():
-    # (t - 1)(t - 1/64) = t^2 - (65/64) t + 1/64
-    assert annihilator_coeffs([Q(1), Q(1, 64)]) == [Q(1, 64), Q(-65, 64), Q(1)]
+    # (t - 1)(t - 1/64) = t^2 - (65/64) t + 1/64, times 64
+    nums = annihilator_coeffs([Q(1), Q(1, 64)])
+    assert nums == [1, -65, 64] and all(type(c) is int for c in nums)
+    assert [Q(c, nums[-1]) for c in nums] == [Q(1, 64), Q(-65, 64), Q(1)]
 
 
 def test_miyamoto_swaps_other_axes(alg, rules, grading):
-    tau = miyamoto(alg, e(0), grading, rules)
+    tau = involution(alg, e(0), rules, grading)
     assert linalg.matvec(tau, e(1)) == e(2)
     assert linalg.matvec(tau, e(2)) == e(1)
     assert linalg.matvec(tau, e(0)) == e(0)
@@ -163,7 +214,7 @@ def test_miyamoto_names_the_failing_pair(alg, rules, grading):
     product[1][1] = [Q(1, 8), Q(1), Q(-1, 8)]
     broken = StructureAlgebra(alg.labels, product, alg.gram, alg.marked)
     with pytest.raises(ConsistencyError, match=r"not an automorphism at \(1, 1\)"):
-        miyamoto(broken, e(0), grading, rules)
+        involution(broken, e(0), rules, grading)
 
 
 def test_verify_form_three_c(alg, rules):
@@ -202,7 +253,7 @@ def test_verify_form_detects_failure(alg):
 
 
 def test_seress_associativity(alg):
-    assert seress_assoc_check(alg, e(0))
+    assert associates_with_zero_eigenvectors(alg, e(0))
 
 
 def test_resurrect_recovers_vector(alg):
@@ -231,7 +282,8 @@ def test_ideal_closure_is_multiplicatively_closed(alg):
     closure = ideal_closure(alg, [[Q(0), Q(1), Q(-1)]])
     for v in closure:
         for i in range(3):
-            assert linalg.in_span(closure, alg.multiply(e(i), v))
+            # closure is a canonical basis, so a vector in its span leaves it alone
+            assert linalg.echelon_span(closure + [alg.multiply(e(i), v)]) == closure
 
 
 def test_quotient_trivial_cases(alg):
@@ -297,12 +349,13 @@ def ref_apply_ad_poly(algebra, coeffs, a, v):
 
 
 def ref_violations(algebra, a, rules):
-    spaces, _ = eigen_decompose(algebra, a, rules.fields)
+    spaces, _ = spaces_of(algebra, a, rules)
     realized = [t for t, b in spaces.items() if b]
     out = []
     for i, f in enumerate(realized):
         for g in realized[i:]:
-            coeffs = annihilator_coeffs(sorted(rules.product(f, g)))
+            nums = annihilator_coeffs(sorted(rules.product(f, g)))
+            coeffs = [Q(c, nums[-1]) for c in nums]
             if any(any(ref_apply_ad_poly(algebra, coeffs, a, algebra.multiply(u, v)))
                    for u in spaces[f] for v in spaces[g]):
                 out.append((f, g))
@@ -346,7 +399,7 @@ def test_ad_matrix_is_the_columns_of_multiply(quotients):
         n = algebra.dim
         for a in axes + [random_vector(rng, n) for _ in range(3)]:
             cols = [algebra.multiply(a, algebra.basis_vector(j)) for j in range(n)]
-            assert algebra.ad_matrix(a) == linalg.transpose(cols)
+            assert ad_fractions(algebra, a) == linalg.transpose(cols)
 
 
 def test_integer_annihilators_match_the_fraction_loop(quotients, rules):
@@ -358,7 +411,7 @@ def test_integer_annihilators_match_the_fraction_loop(quotients, rules):
             for coeffs in polys:
                 v = random_vector(rng, algebra.dim)
                 want = ref_apply_ad_poly(algebra, coeffs, a, v)
-                assert apply_ad_poly(algebra, coeffs, a, v) == want
+                assert ad_poly_fractions(algebra, coeffs, a, v) == want
             assert check_axis(algebra, a, rules).violations == ref_violations(algebra, a, rules)
     # a_0 + a_1 in 3C breaks the fusion rules, so the nonzero branch runs too
     assert ref_violations(three_c(), [Q(1), Q(1), Q(0)], rules)
@@ -377,14 +430,14 @@ def test_miyamoto_reuses_the_checked_eigenspaces(quotients, rules, grading):
     for algebra, axes in quotients[2:]:
         for a in axes:
             report = check_axis(algebra, a, rules)
-            assert miyamoto(algebra, a, grading, rules, report.spaces) == \
-                miyamoto(algebra, a, grading, rules)
+            assert miyamoto(algebra, report.spaces, grading) == \
+                miyamoto(algebra, spaces_of(algebra, a, rules)[0], grading)
 
 
 # -- the integer tables against the Fraction route they replaced ---------------
 #
 # ref_quotient is the former quotient: every product vector and basis vector
-# reduced through the ideal with Fraction rows.
+# reduced through the ideal with Fraction rows (ref_reduce_vector).
 
 
 def ref_quotient(algebra, ideal):
@@ -392,10 +445,10 @@ def ref_quotient(algebra, ideal):
     pivots = [next(c for c, x in enumerate(row) if x != 0) for row in basis]
     complement = [c for c in range(algebra.dim) if c not in pivots]
     proj = linalg.transpose(
-        [[linalg.reduce_vector(basis, algebra.basis_vector(j))[c] for c in complement]
+        [[ref_reduce_vector(basis, algebra.basis_vector(j))[c] for c in complement]
          for j in range(algebra.dim)])
     product, gram = algebra.product, algebra.gram
-    table = [[[linalg.reduce_vector(basis, product[c1][c2])[c] for c in complement]
+    table = [[[ref_reduce_vector(basis, product[c1][c2])[c] for c in complement]
               for c2 in complement] for c1 in complement]
     return ([algebra.labels[c] for c in complement], table,
             [[gram[c1][c2] for c2 in complement] for c1 in complement], proj)

@@ -70,6 +70,17 @@ def _missing(key):
     return _edited(lambda data: data.pop(key))
 
 
+def _idempotent_pair(labels):
+    """Two orthogonal idempotents with <x, x> = 2 and <y, y> = 1, both marked:
+    the first fails the norm check <a, a> = 1 of V(4, 3), the second passes,
+    so with one label for both the passing report would hide the failing one."""
+    def make(path):
+        product = [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]
+        path.write_text(json.dumps({"labels": labels, "product": product,
+                                    "gram": [["2", "0"], ["0", "1"]], "marked": [0, 1]}))
+    return make
+
+
 def _array(path):
     path.write_text(json.dumps([three_c().to_json()]))
 
@@ -102,6 +113,12 @@ def _rules(edit):
      _edited(lambda data: data["product"][0][0].__setitem__(0, True))),
     (["algebra", "check", "{file}"],
      _edited(lambda data: data["gram"][0].__setitem__(0, {"0,0": 0.5}))),
+    (["algebra", "check", "{file}"], _idempotent_pair(["x", "x"])),
+    (["algebra", "check", "{file}"], _edited(lambda data: data["labels"].__setitem__(1, 1))),
+    (["algebra", "check", "{file}", "--json"],
+     _edited(lambda data: data["labels"].__setitem__(1, 1))),
+    (["algebra", "check", "{file}"], _edited(lambda data: data["labels"].__setitem__(1, ["b"]))),
+    (["algebra", "check", "{file}"], _edited(lambda data: data.update(marked=[True]))),
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"], _rules(lambda data: data.clear())),
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
      _rules(lambda data: data["fields"].__setitem__(0, "x"))),
@@ -111,7 +128,8 @@ def _rules(edit):
         "algebra-no-product", "algebra-no-labels", "algebra-top-level-array",
         "algebra-marked-not-a-list", "algebra-labels-not-a-list", "algebra-gram-entry-float",
         "algebra-product-entry-bool", "algebra-polynomial-coefficient-float",
-        "fusion-file-empty-object", "fusion-file-field-not-rational"])
+        "algebra-duplicate-labels", "algebra-int-label", "algebra-int-label-json",
+        "algebra-list-label", "algebra-marked-bool", "fusion-file-empty-object", "fusion-file-field-not-rational"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file):
     path = tmp_path / "input.json"
     if make_file is not None:

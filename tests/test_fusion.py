@@ -3,8 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from axial.fusion import (FusionRules, RulesFormatError, central_charge, find_z2_gradings,
-                          frobenius_refine, highest_weights, seress_check,
-                          virasoro_rules)
+                          frobenius_refine, highest_weights, virasoro_rules)
 
 ONE = Q(1)
 
@@ -157,6 +156,13 @@ def test_two_field_rules_have_only_trivial_grading():
     rules = associative_rules(fs(0))
     gradings = find_z2_gradings(rules)
     assert len(gradings) == 1 and gradings[0].trivial
+
+
+def seress_check(rules: FusionRules) -> bool:
+    """Seress' condition: 0 is a field, 0*1 = {0}, and 0*f = {f} for all f != 1."""
+    if Q(0) not in rules.fields or rules.product(Q(0), ONE) != fs(0):
+        return False
+    return all(rules.product(Q(0), f) == frozenset({f}) for f in rules.fields if f != ONE)
 
 
 def test_seress_condition():

@@ -15,6 +15,10 @@ re-expressed in a fixed integer basis (`dense_four_b`), so that its tables
 are dense, and ``4b_dense_check.json`` is
 ``axial algebra check fixtures/4b_dense.json --json`` as the Fraction tables
 computed it before an algebra was held only as integer tables.
+``table.txt``, ``3c_check.txt`` and ``fusion_vir_4_3.txt``/``.json`` are
+``axial sakuma table``, ``axial algebra check fixtures/3c.json`` and
+``axial fusion vir 4 3`` without and with ``--json``, written before the
+Fraction twins of the integer entry points were removed.
 """
 
 import hashlib
@@ -75,6 +79,30 @@ def test_rederive_summary(capsys):
     code, out = run(capsys, "sakuma", "rederive")
     assert code == 0
     assert out == (GOLDEN / "rederive.txt").read_text(encoding="utf-8")
+
+
+def test_sakuma_table_text(capsys):
+    code, out = run(capsys, "sakuma", "table")
+    assert code == 0
+    assert out == (GOLDEN / "table.txt").read_text(encoding="utf-8")
+
+
+def test_algebra_check_3c_text(capsys):
+    code, out = run(capsys, "algebra", "check", str(ROOT / "fixtures" / "3c.json"))
+    assert code == 0
+    assert out == (GOLDEN / "3c_check.txt").read_text(encoding="utf-8")
+
+
+def test_fusion_vir_4_3_text(capsys):
+    code, out = run(capsys, "fusion", "vir", "4", "3")
+    assert code == 0
+    assert out == (GOLDEN / "fusion_vir_4_3.txt").read_text(encoding="utf-8")
+
+
+def test_fusion_vir_4_3_json(capsys):
+    code, out = run(capsys, "fusion", "vir", "4", "3", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "fusion_vir_4_3.json").read_text(encoding="utf-8")
 
 
 def test_algebra_check_3c_json(capsys):

@@ -1,9 +1,17 @@
 import random
 from fractions import Fraction as Q
+from math import prod
 
 import pytest
 
 from axial import linalg
+
+
+def det(m):
+    """The determinant of a rational matrix by linalg.integer_det: the rows
+    cleared to integers, their denominators multiplied out."""
+    cleared = [linalg.clear_denominators(row) for row in m]
+    return Q(linalg.integer_det([nums for nums, _ in cleared]), prod(d for _, d in cleared))
 
 
 def rand_matrix(rng, rows, cols):
@@ -29,7 +37,7 @@ def test_rank_nullity_and_exact_kernel():
         _, rank, kernel = linalg.rref_and_kernel(m)
         assert rank + len(kernel) == cols
         for v in kernel:
-            assert linalg.is_zero_vec(linalg.matvec(m, v))
+            assert not any(linalg.matvec(m, v))
 
 
 def test_rref_is_canonical():
@@ -46,11 +54,11 @@ def test_rref_is_canonical():
 
 def test_det_and_inverse():
     m = [[Q(2), Q(1)], [Q(1), Q(1)]]
-    assert linalg.det(m) == 1
+    assert det(m) == 1
     inv = linalg.inverse(m)
     assert linalg.matmul(m, inv) == linalg.identity(2)
     singular = [[Q(1), Q(2)], [Q(2), Q(4)]]
-    assert linalg.det(singular) == 0
+    assert det(singular) == 0
     with pytest.raises(ValueError):
         linalg.inverse(singular)
 
@@ -59,8 +67,8 @@ def test_echelon_span_equality_is_subspace_equality():
     basis1 = linalg.echelon_span([[Q(1), Q(1), Q(0)], [Q(0), Q(1), Q(1)]])
     basis2 = linalg.echelon_span([[Q(1), Q(2), Q(1)], [Q(2), Q(3), Q(1)]])
     assert basis1 == basis2
-    assert linalg.in_span(basis1, [Q(1), Q(0), Q(-1)])
-    assert not linalg.in_span(basis1, [Q(0), Q(0), Q(1)])
+    assert linalg.echelon_span(basis1 + [[Q(1), Q(0), Q(-1)]]) == basis1
+    assert linalg.echelon_span(basis1 + [[Q(0), Q(0), Q(1)]]) != basis1
 
 
 def test_matrix_order():
@@ -186,6 +194,10 @@ def all_fractions(rows):
     return all(type(x) is Q for row in rows for x in row)
 
 
+def all_ints(rows):
+    return all(type(x) is int for row in rows for x in row)
+
+
 def test_clear_denominators():
     v = [Q(1, 6), Q(-3, 4), 5, Q(0)]
     nums, den = linalg.clear_denominators(v)
@@ -210,7 +222,7 @@ def test_det_matches_fraction_reference():
         for n in range(0, 7):
             for _ in range(10):
                 m = structured_matrix(rng, n, n, kind) if n else []
-                d = linalg.det(m)
+                d = det(m)
                 assert d == ref_det(m) and type(d) is Q
 
 
@@ -222,20 +234,26 @@ def test_matvec_and_matmul_match_fraction_reference():
         assert linalg.matvec(m, v) == ref_matvec(m, v)
         b = structured_matrix(rng, len(m[0]), rng.randint(1, 4), rng.choice(list(ENTRIES)))
         product = linalg.matmul(m, b)
-        assert product == ref_matmul(m, b) and all_fractions(product)
+        assert product == ref_matmul(m, b)
+        # the product stays in the ring of its entries: ints for int matrices
+        if all_ints(m) and all_ints(b):
+            assert all_ints(product)
+        elif all_fractions(m) and all_fractions(b):
+            assert all_fractions(product)
 
 
-def test_reduce_vector_matches_fraction_reference():
+def test_span_membership_matches_the_fraction_reduction():
     rng = random.Random(36)
     for m in cases(37, count=4):
         basis = linalg.echelon_span(m)
         for _ in range(3):
             v = [ENTRIES[rng.choice(list(ENTRIES))](rng) for _ in range(len(m[0]))]
-            residual = linalg.reduce_vector(basis, v)
-            assert residual == ref_reduce_vector(basis, v) and all_fractions([residual])
+            inside = linalg.echelon_span(basis + [v]) == basis
+            assert inside == (not any(ref_reduce_vector(basis, v)))
         # a vector in the span reduces to zero
         combo = ref_matvec(linalg.transpose(m), [Q(rng.randint(-2, 2)) for _ in m])
-        assert linalg.in_span(basis, combo)
+        assert not any(ref_reduce_vector(basis, combo))
+        assert linalg.echelon_span(basis + [combo]) == basis
 
 
 def test_rref_against_sympy():
