@@ -317,10 +317,11 @@ def eigen_decompose(ad, candidates):
     """Kernel of ad(a) - theta for each candidate theta, with ad(a) = A / d
     given as (A, d) from ad_integer.
 
-    Returns (spaces, semisimple): spaces maps each candidate to its
-    echelonized eigenspace basis, and semisimple records whether the
-    dimensions add up to the whole algebra.  The kernel of ad(a) - p/q is
-    that of the integer matrix q A - p d.
+    Returns (spaces, semisimple): spaces maps each candidate to the
+    canonical integer basis of its eigenspace (see linalg.echelon_span),
+    and semisimple records whether the dimensions add up to the whole
+    algebra.  The kernel of ad(a) - p/q is that of the integer matrix
+    q A - p d.
     """
     mat, d = ad
     spaces = {}
@@ -330,7 +331,7 @@ def eigen_decompose(ad, candidates):
         p, q = theta.numerator * d, theta.denominator
         shifted = [[q * x - (p if i == j else 0) for j, x in enumerate(row)]
                    for i, row in enumerate(mat)]
-        basis = linalg.echelon_span(linalg.integer_kernel(shifted))
+        basis, _ = linalg.integer_rref(linalg.integer_kernel(shifted))
         spaces[theta] = basis
         total += len(basis)
     return spaces, total == len(mat)
@@ -347,8 +348,8 @@ class AxisReport:
     primitive: bool
     fusion_ok: bool
     violations: list = field(default_factory=list)
-    # the eigenspace bases behind `spectrum`, by candidate, which miyamoto
-    # takes.  Not serialised.
+    # the canonical integer eigenspace bases behind `spectrum`, by
+    # candidate, which miyamoto and verify_form take.  Not serialised.
     spaces: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -387,10 +388,8 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
     # canonical bases are equal exactly when the spans are; a zero a gives []
     primitive = len(one_space) == 1 and one_space == linalg.echelon_span([a])
 
-    # eigenvectors cleared to integers once; u v is then tested up to scale
+    # the eigenvectors are integer rows, so u v is tested up to scale
     table = algebra.table
-    cleared = {theta: [linalg.clear_denominators(u)[0] for u in basis]
-               for theta, basis in spaces.items()}
     violations = []
     realized = [theta for theta, basis in spaces.items() if basis]
     for i, f in enumerate(realized):
@@ -398,7 +397,7 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
             # f(ad(a)) w is tested for zero, so any multiple of f will do
             coeffs = annihilator_coeffs(sorted(rules.product(f, g)))
             if any(any(apply_ad_poly(ad, coeffs, bilinear(table, u, v, algebra.labels))[0])
-                   for u in cleared[f] for v in cleared[g]):
+                   for u in spaces[f] for v in spaces[g]):
                 violations.append((f, g))
     return AxisReport(idempotent, norm_ok, spectrum, semisimple,
                       primitive, not violations, violations, spaces)
@@ -408,9 +407,9 @@ def miyamoto(algebra: StructureAlgebra, spaces, grading: Grading):
     """(T, d) with T / d the involution fixing the even eigenspaces of an
     axis and negating the odd ones, T an integer matrix.
 
-    spaces are the eigenspaces of the axis as eigen_decompose returns them
-    (check_axis keeps them on its report).  With the eigenvectors cleared
-    to integers as the columns of P and the signs on the diagonal of S,
+    spaces are the integer eigenspace bases of the axis as eigen_decompose
+    returns them (check_axis keeps them on its report).  With the
+    eigenvectors as the columns of P and the signs on the diagonal of S,
     tau = P S P^-1; P^-1 = N / d over the integers, so T = P S N.  Raises
     ConsistencyError if the eigenspaces do not span, or if T / d fails to
     be an involutive automorphism preserving the form; the checks run on
@@ -419,12 +418,9 @@ def miyamoto(algebra: StructureAlgebra, spaces, grading: Grading):
     """
     if sum(len(basis) for basis in spaces.values()) != algebra.dim:
         raise ConsistencyError("eigenspaces of the axis do not span the algebra")
-    columns = []
-    signs = []
-    for theta, basis in spaces.items():
-        for v in basis:
-            columns.append(linalg.clear_denominators(v)[0])
-            signs.append(-1 if grading.parity(theta) else 1)
+    columns = [v for basis in spaces.values() for v in basis]
+    signs = [-1 if grading.parity(theta) else 1
+             for theta, basis in spaces.items() for _ in basis]
     inv, d = linalg.integer_inverse(linalg.transpose(columns))
     signed = [[s * x for x in row] for s, row in zip(signs, inv)]
     tau, d = linalg.lowest_terms(linalg.integer_matmul(linalg.transpose(columns), signed), d)
@@ -486,12 +482,14 @@ class FormReport:
         }
 
 
-def verify_form(algebra: StructureAlgebra, rules: FusionRules | None = None) -> FormReport:
+def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
     """Check symmetry, associativity <xy, z> = <x, yz> on all basis triples,
-    and perpendicularity of distinct eigenspaces at every marked axis.
+    and perpendicularity of distinct eigenspaces at each axis in spaces.
 
-    The eigenspace scan needs a candidate spectrum, so it runs only when
-    fusion rules are supplied.
+    spaces maps an axis label to its eigenspaces as check_axis reports
+    them (AxisReport.spaces, integer bases by eigenvalue); each pair of
+    distinct eigenspaces is paired on the integer Gram matrix, whose
+    products vanish exactly when the rational ones do.
     """
     n = algebra.dim
     gram = algebra.gram_table
@@ -502,19 +500,13 @@ def verify_form(algebra: StructureAlgebra, rules: FusionRules | None = None) -> 
     failures = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
                 if tensor[i][j][k] != tensor[j][k][i]]
     perpendicular = {}
-    if rules is not None:
-        for m in algebra.marked:
-            a = algebra.basis_vector(m)
-            spaces, _ = eigen_decompose(algebra.ad_integer(a), rules.fields)
-            ok = True
-            thetas = [t for t, b in spaces.items() if b]
-            for x, f in enumerate(thetas):
-                for g in thetas[x + 1:]:
-                    for u in spaces[f]:
-                        for v in spaces[g]:
-                            if algebra.form(u, v) != 0:
-                                ok = False
-            perpendicular[algebra.labels[m]] = ok
+    for label, eigen in (spaces or {}).items():
+        bases = list(eigen.values())
+        # u . G v on the integer Gram matrix G, for u, v in distinct eigenspaces
+        perpendicular[label] = not any(
+            pair([pair(row, v) for row in gram], u)
+            for x, basis in enumerate(bases) for later in bases[x + 1:]
+            for u in basis for v in later)
     return FormReport(symmetric, not failures, failures, perpendicular)
 
 
@@ -535,7 +527,8 @@ def resurrect(algebra: StructureAlgebra, a, b_lm, b_0, lm):
 
 def ideal_closure(algebra: StructureAlgebra, gens, maps=()):
     """Smallest subspace containing gens and stable under multiplication
-    and under each matrix in maps, as its canonical (RREF) basis.
+    and under each matrix in maps, as its canonical integer basis (see
+    linalg.echelon_span).
 
     A subspace stable under an invertible matrix is stable under its
     inverse, so with the generators of a group as maps the result is the
@@ -552,9 +545,9 @@ def ideal_closure(algebra: StructureAlgebra, gens, maps=()):
             # e_i v for every i: the columns of ad(v)
             extended.extend(algebra._ad_columns(v))
             extended.extend([sum(map(mul, row, v)) for row in m] for m in maps)
-        new_basis, pivots = linalg.integer_rref(extended)
+        new_basis, _ = linalg.integer_rref(extended)
         if len(new_basis) == len(basis):
-            return linalg.monic_rows(new_basis, pivots)
+            return new_basis
         basis = new_basis
 
 

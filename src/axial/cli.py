@@ -68,8 +68,6 @@ def _load_rules(spec: str, refine: bool) -> fusion_mod.FusionRules:
 
 
 def _cmd_fusion(args) -> int:
-    if args.kind != "vir":
-        raise SystemExit(2)
     rules = _virasoro(args.p, args.q)
     gradings = fusion_mod.find_z2_gradings(rules)
     if args.json:
@@ -104,7 +102,8 @@ def _cmd_algebra_check(args) -> int:
     for idx in alg.marked:
         report = algebra_mod.check_axis(alg, alg.basis_vector(idx), rules)
         axis_reports[alg.labels[idx]] = report
-    form_report = algebra_mod.verify_form(alg, rules)
+    form_report = algebra_mod.verify_form(
+        alg, {label: report.spaces for label, report in axis_reports.items()})
     ok = form_report.passed and all(r.passed for r in axis_reports.values())
     if args.json:
         _emit({
@@ -159,11 +158,10 @@ def _cmd_sakuma(args) -> int:
                 raise UsageError(f"cannot write {args.out}: {exc}") from None
         print(report.summary())
         return 0 if report.passed else 1
-    if args.action == "rederive":
-        report = sakuma_mod.rederive_products(uni)
-        print(report.summary())
-        return 0 if report.passed else 1
-    raise SystemExit(2)
+    # rederive, the one action left
+    report = sakuma_mod.rederive_products(uni)
+    print(report.summary())
+    return 0 if report.passed else 1
 
 
 def _vector_text(vec, labels) -> str:
@@ -212,9 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     chk.set_defaults(func=_cmd_algebra_check)
 
     sak = sub.add_parser("sakuma", help="the two-generated classification")
-    sak.add_argument("action", choices=["table", "solve", "classify", "rederive"])
-    sak.add_argument("--format", choices=["text", "json"], default="text")
-    sak.add_argument("--out", help="write the classification report to a file")
+    sak_sub = sak.add_subparsers(dest="action", required=True)
+    table = sak_sub.add_parser("table", help="the symbolic product table and Gram matrix")
+    table.add_argument("--format", choices=["text", "json"], default="text")
+    sak_sub.add_parser("solve", help="the certified (lam, mu) points")
+    cls = sak_sub.add_parser("classify", help="certify and name the quotient at each point")
+    cls.add_argument("--out", help="write the classification report to a file")
+    sak_sub.add_parser("rederive", help="re-derive the installed products")
     sak.set_defaults(func=_cmd_sakuma)
 
     return parser

@@ -5,8 +5,10 @@ integers: a rational vector or matrix is held as integer numerators over
 one common denominator (`clear_denominators`, `clear_matrix`), and row
 reduction, kernels, inverses and determinants eliminate over the integers
 (`integer_rref`, `integer_kernel`, `integer_inverse`, `integer_det`,
-`integer_matmul`).  `rref`, `rref_and_kernel`, `inverse`, `monic_rows`,
-`echelon_span`, `zeros` and `identity` hand back Fractions.  `matvec` and
+`integer_matmul`).  A subspace is held as its canonical basis, the
+primitive integer rows of its reduced echelon form with positive pivots
+(`echelon_span`), so equal subspaces have equal bases.  Only `rref`
+hands back Fractions: the monic reduced echelon form.  `matvec` and
 `matmul` are generic over the ring, skipping zero entries: they serve
 matrices over the polynomial ring, and return ints for int matrices and
 Fractions for Fraction ones.
@@ -69,14 +71,6 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def zeros(rows: int, cols: int):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(n: int):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)]
 
@@ -133,8 +127,8 @@ def integer_rref(rows):
     Each row is first divided by its content, which leaves its span alone.
     Elimination replaces a row by p * row - f * pivot_row (p and f divided
     by their gcd) and divides the result by its content, so entries stay
-    small.  The rows come back primitive, with pivot entries that need not
-    be 1; `monic_rows` divides them out.
+    small.  The rows come back primitive with positive pivot entries, which
+    makes them the canonical basis of their span.
     """
     work = [_primitive(row) for row in rows]
     n_rows = len(work)
@@ -158,14 +152,7 @@ def integer_rref(rows):
         r += 1
         if r == n_rows:
             break
-    return work[:r], pivots
-
-
-def monic_rows(rows, pivots):
-    """The rows of an integer echelon form, each divided by its pivot entry,
-    as Fractions: the reduced row echelon form."""
-    return [[Fraction(x, row[c]) if x else _ZERO for x in row]
-            for row, c in zip(rows, pivots)]
+    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(work, pivots)], pivots
 
 
 def rref(m):
@@ -176,30 +163,10 @@ def rref(m):
     pivot at the end.
     """
     work, pivots = integer_rref([clear_denominators(row)[0] for row in m])
-    red = monic_rows(work, pivots)
+    red = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(work, pivots)]
     n_cols = len(m[0]) if m else 0
     red.extend([_ZERO] * n_cols for _ in range(len(m) - len(pivots)))
     return red, pivots
-
-
-def rref_and_kernel(m):
-    """(rref, rank, kernel basis) of a rational matrix.
-
-    Kernel vectors are exact: m @ v == 0.  rank + len(kernel) equals the
-    column count.
-    """
-    n_cols = len(m[0]) if m else 0
-    red, pivots = rref(m)
-    rank = len(pivots)
-    free = [c for c in range(n_cols) if c not in pivots]
-    kernel = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        kernel.append(v)
-    return red, rank, kernel
 
 
 def integer_det(rows) -> int:
@@ -262,20 +229,14 @@ def integer_inverse(rows):
     return [[x * (d // row[i]) for x in row[n:]] for i, row in enumerate(work)], d
 
 
-def inverse(m):
-    rows, den = clear_matrix(m)
-    nums, d = integer_inverse(rows)
-    # (rows / den)^-1 = den * nums / d
-    return [[Fraction(den * x, d) for x in row] for row in nums]
-
-
 def echelon_span(vectors):
-    """Canonical (RREF) basis of the span of the given vectors.
+    """Canonical basis of the span of the given rational vectors: the
+    integer rows of `integer_rref`, each primitive with a positive pivot.
 
     The result is unique for the subspace, so equality of subspaces is
     equality of these bases.
     """
-    return monic_rows(*integer_rref([clear_denominators(v)[0] for v in vectors]))
+    return integer_rref([clear_denominators(v)[0] for v in vectors])[0]
 
 
 def matrix_order(m, bound: int, den=1) -> int | None:

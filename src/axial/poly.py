@@ -307,21 +307,6 @@ LAM = MultiPoly.variable("lam")
 MU = MultiPoly.variable("mu")
 
 
-def coefficients_in(f: MultiPoly, var: str) -> list[MultiPoly]:
-    """Coefficients of f viewed as a polynomial in `var`, low to high.
-
-    Entry k is a polynomial in the other variable.
-    """
-    idx = _var_index(var)
-    deg = f.degree(var)
-    if deg < 0:
-        return []
-    coeffs = [{} for _ in range(deg + 1)]
-    for e, n in f.nums.items():
-        coeffs[e[idx]][(0, e[1]) if idx == 0 else (e[0], 0)] = n
-    return [MultiPoly._make(d, f.den) for d in coeffs]
-
-
 def from_coefficients(coeffs, var: str) -> MultiPoly:
     """Assemble a univariate polynomial in `var` from rational coefficients."""
     idx = _var_index(var)

@@ -491,7 +491,7 @@ def evaluate_point(uni: UniversalAlgebra, pt: EvalPoint) -> StructureAlgebra:
 class Discrepancy:
     point: EvalPoint
     evaluated: StructureAlgebra
-    ideal: list
+    ideal: list  # its canonical integer basis, as ideal_closure returns it
     quotient: StructureAlgebra
     projection: list
 
@@ -696,8 +696,7 @@ def _project_symmetry(uni, pt, disc, m_symbolic):
     quot = disc.quotient
     proj, scale = linalg.clear_matrix(disc.projection)
     moved = linalg.integer_matmul(proj, m)
-    ideal = [linalg.clear_denominators(v)[0] for v in disc.ideal]
-    if any(any(row) for row in linalg.integer_matmul(moved, linalg.transpose(ideal))):
+    if any(any(row) for row in linalg.integer_matmul(moved, linalg.transpose(disc.ideal))):
         raise ConsistencyError(f"symmetry does not preserve the ideal at {pt.name}")
     # lifting quotient coordinates to the surviving basis vectors picks columns
     comp = [LABELS.index(lbl) for lbl in quot.labels]

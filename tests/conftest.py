@@ -26,10 +26,18 @@ TOTAL_DIM = 37
 POINT_AT = {name: (lam, mu) for name, lam, mu, _, _ in POINT_TABLE}
 
 
+def fraction_inverse(m):
+    """The inverse of an invertible rational matrix m = A / den as Fractions:
+    den N / d, where N / d = A^-1 from linalg.integer_inverse."""
+    rows, den = linalg.clear_matrix(m)
+    nums, d = linalg.integer_inverse(rows)
+    return [[Q(den * x, d) for x in row] for row in nums]
+
+
 def associates_with_zero_eigenvectors(algebra, a) -> bool:
     """Whether a associates with its 0-eigenvectors: a(xz) = (ax)z for every
     basis vector x and every z in the kernel of ad(a) (Seress' condition)."""
-    _, _, kernel = linalg.rref_and_kernel(algebra.ad_integer(a)[0])
+    kernel = linalg.integer_kernel(algebra.ad_integer(a)[0])
     for i in range(algebra.dim):
         x = algebra.basis_vector(i)
         ax = algebra.multiply(a, x)

@@ -14,7 +14,7 @@ from axial.sakuma import (A0, A1, AM1, associativity_polynomials,
                           axis_eigenvectors, discrepancy_quotient,
                           rederive_products, solve_points)
 
-from conftest import POINT_AT, POINT_TABLE, TOTAL_DIM
+from conftest import POINT_AT, POINT_TABLE, TOTAL_DIM, fraction_inverse
 from test_fusion import V43_TABLE, V53_TABLE
 from test_sakuma import EXPECTED_P1, EXPECTED_P2, e8
 
@@ -50,7 +50,7 @@ def test_criterion_2_three_axis_fixture():
     for report in reports:
         assert report.passed
         assert report.spectrum[Q(1, 4)] == 0
-    form = verify_form(alg, rules)
+    form = verify_form(alg, {alg.labels[i]: r.spaces for i, r in enumerate(reports)})
     assert form.passed and form.assoc_failures == []
     tau, d = miyamoto(alg, reports[0].spaces, grading)  # the involution is tau / d
     b, c = alg.basis_vector(1), alg.basis_vector(2)
@@ -144,7 +144,7 @@ def test_criterion_9_three_c_identification(uni, points):
     quot, proj = disc.quotient, disc.projection
     images = [linalg.matvec(proj, e8(A0)), linalg.matvec(proj, e8(A1)),
               linalg.matvec(proj, e8(AM1))]
-    iso = linalg.inverse(linalg.transpose(images))
+    iso = fraction_inverse(linalg.transpose(images))
     for i in range(3):
         for j in range(3):
             qi = [Q(1) if k == i else Q(0) for k in range(3)]

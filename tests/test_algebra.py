@@ -14,7 +14,7 @@ from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, annih
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from conftest import POINT_AT, associates_with_zero_eigenvectors
 from axial.sakuma import EvalPoint, discrepancy_quotient, evaluate_point
-from test_linalg import ref_reduce_vector
+from test_linalg import eye, rank_and_kernel, ref_reduce_vector
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "3c.json"
 
@@ -117,7 +117,7 @@ def test_three_c_eigenspaces(alg, rules):
 def test_ad_shift_kernel_is_expected_line(alg):
     ad = ad_fractions(alg, e(0))
     shifted = [[ad[i][j] - (Q(1, 32) if i == j else 0) for j in range(3)] for i in range(3)]
-    _, rank, kernel = linalg.rref_and_kernel(shifted)
+    rank, kernel = rank_and_kernel(shifted)
     assert rank == 2
     assert linalg.echelon_span(kernel) == linalg.echelon_span([[Q(0), Q(1), Q(-1)]])
 
@@ -125,7 +125,7 @@ def test_ad_shift_kernel_is_expected_line(alg):
 def test_eigenspaces_intersect_trivially(alg, rules):
     spaces, _ = spaces_of(alg, e(0), rules)
     stacked = [v for basis in spaces.values() for v in basis]
-    _, rank, _ = linalg.rref_and_kernel(stacked)
+    rank, _ = rank_and_kernel(stacked)
     assert rank == sum(len(b) for b in spaces.values())
 
 
@@ -200,7 +200,7 @@ def test_automorphism_failures(alg):
     # permuting the three axes is an automorphism of 3C; doubling is not
     swap = [e(0), e(2), e(1)]
     assert automorphism_failures(alg, linalg.transpose(swap)) == []
-    double = [[2 * x for x in row] for row in linalg.identity(3)]
+    double = [[2 * x for x in row] for row in eye(3)]
     failures = automorphism_failures(alg, double)
     assert [pair for pair, _ in failures] == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     # m(e_0 e_0) - (m e_0)(m e_0) = 2 e_0 - 4 e_0
@@ -217,10 +217,17 @@ def test_miyamoto_names_the_failing_pair(alg, rules, grading):
         involution(broken, e(0), rules, grading)
 
 
+def axis_spaces(algebra, rules):
+    """{label: eigenspaces} of the marked axes, as check_axis reports them."""
+    return {algebra.labels[m]: check_axis(algebra, algebra.basis_vector(m), rules).spaces
+            for m in algebra.marked}
+
+
 def test_verify_form_three_c(alg, rules):
-    report = verify_form(alg, rules)
+    report = verify_form(alg, axis_spaces(alg, rules))
     assert report.passed
     assert report.assoc_failures == []
+    assert report.perpendicular == {"a": True, "b": True, "c": True}
 
 
 def direct_failures(alg):
@@ -244,12 +251,21 @@ def test_verify_form_trivial_product():
     assert verify_form(diag).associative
 
 
-def test_verify_form_detects_failure(alg):
+def test_verify_form_detects_failure(alg, rules):
     broken = StructureAlgebra(alg.labels, alg.product,
                               [[Q(2) * alg.gram[i][j] if (i, j) == (0, 1) or (i, j) == (1, 0)
                                 else alg.gram[i][j] for j in range(3)] for i in range(3)],
                               alg.marked)
     assert not verify_form(broken).associative
+    # <a, c> = 1/32 in place of 1/64 leaves the product, and so every
+    # eigenspace, alone; the 0- and 1/32-eigenspaces of a and of c are then
+    # no longer perpendicular, while those of b still are
+    data = json.loads(FIXTURE.read_text())
+    data["gram"][0][2] = data["gram"][2][0] = "1/32"
+    skewed = StructureAlgebra.from_json(data)
+    report = verify_form(skewed, axis_spaces(skewed, rules))
+    assert report.perpendicular == {"a": False, "b": True, "c": False}
+    assert not report.passed
 
 
 def test_seress_associativity(alg):
@@ -288,7 +304,7 @@ def test_ideal_closure_is_multiplicatively_closed(alg):
 
 def test_quotient_trivial_cases(alg):
     same, proj = quotient(alg, [])
-    assert same.dim == 3 and proj == linalg.identity(3)
+    assert same.dim == 3 and proj == eye(3)
     # whole space as ideal: needs the form to vanish on it
     null = StructureAlgebra(["e"], [[[Q(0)]]], [[Q(0)]])
     zero_alg, _ = quotient(null, [[Q(1)]])
@@ -437,12 +453,11 @@ def test_miyamoto_reuses_the_checked_eigenspaces(quotients, rules, grading):
 # -- the integer tables against the Fraction route they replaced ---------------
 #
 # ref_quotient is the former quotient: every product vector and basis vector
-# reduced through the ideal with Fraction rows (ref_reduce_vector).
+# reduced through the ideal by its monic Fraction rows (ref_reduce_vector).
 
 
 def ref_quotient(algebra, ideal):
-    basis = linalg.echelon_span(ideal)
-    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in basis]
+    basis, pivots = linalg.rref(ideal)
     complement = [c for c in range(algebra.dim) if c not in pivots]
     proj = linalg.transpose(
         [[ref_reduce_vector(basis, algebra.basis_vector(j))[c] for c in complement]

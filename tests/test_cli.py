@@ -173,6 +173,17 @@ def test_algebra_check_detects_broken_form(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     code, _ = run(capsys, "algebra", "check", str(bad))
     assert code == 1
+    # so does <a, c> = 1/32 in place of 1/64, which keeps every eigenspace
+    # but breaks the perpendicularity of those of a and of c
+    data = three_c().to_json()
+    data["gram"][0][2] = data["gram"][2][0] = "1/32"
+    bad.write_text(json.dumps(data))
+    code, out = run(capsys, "algebra", "check", str(bad), "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["form"]["perpendicular"] == {"a": False, "b": True, "c": False}
+    assert all(axis["passed"] for axis in report["axes"].values())
+    assert report["passed"] is False
 
 
 def test_algebra_check_polynomial_entry_exits_2(tmp_path, capsys):
@@ -242,6 +253,22 @@ def test_sakuma_classify(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["passed"] is True
     assert [p["dim"] for p in data["points"]] == [1, 2, 3, 3, 4, 5, 5, 6, 8]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sakuma", "solve", "--out", "{out}"],
+    ["sakuma", "rederive", "--format", "json"],
+    ["sakuma", "table", "--out", "{out}"],
+    ["sakuma", "classify", "--format", "json"],
+], ids=["solve-out", "rederive-format", "table-out", "classify-format"])
+def test_sakuma_options_belong_to_their_action(argv, tmp_path, capsys):
+    # an option the action does not take is refused, not silently ignored
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(out=out) for arg in argv])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sakuma_classify_unwritable_out_exits_2(tmp_path, capsys):

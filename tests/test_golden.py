@@ -19,6 +19,11 @@ computed it before an algebra was held only as integer tables.
 ``axial sakuma table``, ``axial algebra check fixtures/3c.json`` and
 ``axial fusion vir 4 3`` without and with ``--json``, written before the
 Fraction twins of the integer entry points were removed.
+``4b_dense_check.txt`` and ``3c_raw_check.json`` are
+``axial algebra check fixtures/4b_dense.json`` and
+``axial algebra check fixtures/3c.json --raw --json``, written while
+eigenspaces and ideals were still passed on as monic Fraction rows and the
+form check decomposed every axis a second time.
 """
 
 import hashlib
@@ -30,7 +35,7 @@ from axial import linalg
 from axial.cli import main
 from axial.sakuma import (A0, A1, EvalPoint, associativity_defects, associativity_polynomials,
                           discrepancy_quotient)
-from conftest import POINT_AT
+from conftest import POINT_AT, fraction_inverse
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -93,6 +98,19 @@ def test_algebra_check_3c_text(capsys):
     assert out == (GOLDEN / "3c_check.txt").read_text(encoding="utf-8")
 
 
+def test_algebra_check_4b_dense_text(capsys):
+    code, out = run(capsys, "algebra", "check", str(ROOT / "fixtures" / "4b_dense.json"))
+    assert code == 0
+    assert out == (GOLDEN / "4b_dense_check.txt").read_text(encoding="utf-8")
+
+
+def test_algebra_check_3c_raw_json(capsys):
+    code, out = run(capsys, "algebra", "check", str(ROOT / "fixtures" / "3c.json"),
+                    "--raw", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "3c_raw_check.json").read_text(encoding="utf-8")
+
+
 def test_fusion_vir_4_3_text(capsys):
     code, out = run(capsys, "fusion", "vir", "4", "3")
     assert code == 0
@@ -125,7 +143,7 @@ def dense_four_b(uni) -> dict:
     axes = [[row[i] for row in proj] for i in (A0, A1)]
     basis = axes + [[Q(x) for x in v] for v in DENSE_EXTRA]
     n = quot.dim
-    back = linalg.inverse(linalg.transpose(basis))  # old coordinates -> new
+    back = fraction_inverse(linalg.transpose(basis))  # old coordinates -> new
     product, gram = quot.product, quot.gram
 
     def mult(x, y):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as Q
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -14,18 +14,28 @@ def det(m):
     return Q(linalg.integer_det([nums for nums, _ in cleared]), prod(d for _, d in cleared))
 
 
+def rank_and_kernel(m):
+    """(rank, integer kernel basis) of a rational matrix, its rows cleared."""
+    rows = [linalg.clear_denominators(row)[0] for row in m]
+    return len(linalg.integer_rref(rows)[0]), linalg.integer_kernel(rows)
+
+
+def eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def rand_matrix(rng, rows, cols):
     return [[Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)]
             for _ in range(rows)]
 
 
 def test_identity_has_full_rank():
-    _, rank, kernel = linalg.rref_and_kernel(linalg.identity(3))
+    rank, kernel = rank_and_kernel(eye(3))
     assert rank == 3 and kernel == []
 
 
 def test_zero_matrix_kernel():
-    _, rank, kernel = linalg.rref_and_kernel(linalg.zeros(2, 2))
+    rank, kernel = rank_and_kernel([[Q(0)] * 2 for _ in range(2)])
     assert rank == 0 and len(kernel) == 2
 
 
@@ -34,9 +44,10 @@ def test_rank_nullity_and_exact_kernel():
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_matrix(rng, rows, cols)
-        _, rank, kernel = linalg.rref_and_kernel(m)
+        rank, kernel = rank_and_kernel(m)
         assert rank + len(kernel) == cols
         for v in kernel:
+            assert all(type(x) is int for x in v)
             assert not any(linalg.matvec(m, v))
 
 
@@ -53,22 +64,30 @@ def test_rref_is_canonical():
 
 
 def test_det_and_inverse():
-    m = [[Q(2), Q(1)], [Q(1), Q(1)]]
+    m = [[2, 1], [1, 1]]
     assert det(m) == 1
-    inv = linalg.inverse(m)
-    assert linalg.matmul(m, inv) == linalg.identity(2)
-    singular = [[Q(1), Q(2)], [Q(2), Q(4)]]
+    inv, d = linalg.integer_inverse(m)  # the inverse is inv / d
+    assert linalg.integer_matmul(m, inv) == [[d * x for x in row] for row in eye(2)]
+    singular = [[1, 2], [2, 4]]
     assert det(singular) == 0
     with pytest.raises(ValueError):
-        linalg.inverse(singular)
+        linalg.integer_inverse(singular)
 
 
 def test_echelon_span_equality_is_subspace_equality():
     basis1 = linalg.echelon_span([[Q(1), Q(1), Q(0)], [Q(0), Q(1), Q(1)]])
     basis2 = linalg.echelon_span([[Q(1), Q(2), Q(1)], [Q(2), Q(3), Q(1)]])
-    assert basis1 == basis2
+    assert basis1 == basis2 == [[1, 0, -1], [0, 1, 1]]
     assert linalg.echelon_span(basis1 + [[Q(1), Q(0), Q(-1)]]) == basis1
     assert linalg.echelon_span(basis1 + [[Q(0), Q(0), Q(1)]]) != basis1
+    # the canonical form: primitive integer rows with positive pivots
+    for m in cases(39, count=2):
+        for row in linalg.echelon_span(m):
+            assert all(type(x) is int for x in row) and gcd(*row) == 1
+            assert next(x for x in row if x) > 0
+        # scaling a spanning vector leaves the basis unchanged
+        scaled = [[Q(-3, 7) * x for x in m[0]]] + m[1:]
+        assert linalg.echelon_span(scaled) == linalg.echelon_span(m)
 
 
 def test_matrix_order():
@@ -77,7 +96,7 @@ def test_matrix_order():
     # an integer matrix standing for itself over a denominator
     assert linalg.matrix_order([[0, -2], [2, 0]], 12, 2) == 4
     assert linalg.matrix_order([[0, -2], [2, 0]], 12) is None
-    assert linalg.matrix_order(linalg.identity(3), 12) == 1
+    assert linalg.matrix_order(eye(3), 12) == 1
     shear = [[Q(1), Q(1)], [Q(0), Q(1)]]
     assert linalg.matrix_order(shear, 12) is None
 
@@ -147,6 +166,7 @@ def ref_matmul(a, b):
 
 
 def ref_reduce_vector(basis, v):
+    """v reduced by a monic reduced echelon basis, as from linalg.rref."""
     out = [Q(x) for x in v]
     for row in basis:
         pc = next(c for c, x in enumerate(row) if x != 0)
@@ -246,13 +266,14 @@ def test_span_membership_matches_the_fraction_reduction():
     rng = random.Random(36)
     for m in cases(37, count=4):
         basis = linalg.echelon_span(m)
+        monic, _ = linalg.rref(basis)
         for _ in range(3):
             v = [ENTRIES[rng.choice(list(ENTRIES))](rng) for _ in range(len(m[0]))]
             inside = linalg.echelon_span(basis + [v]) == basis
-            assert inside == (not any(ref_reduce_vector(basis, v)))
+            assert inside == (not any(ref_reduce_vector(monic, v)))
         # a vector in the span reduces to zero
         combo = ref_matvec(linalg.transpose(m), [Q(rng.randint(-2, 2)) for _ in m])
-        assert not any(ref_reduce_vector(basis, combo))
+        assert not any(ref_reduce_vector(monic, combo))
         assert linalg.echelon_span(basis + [combo]) == basis
 
 

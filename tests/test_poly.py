@@ -3,8 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from axial.poly import (LAM, MU, MultiPoly, _newton_interpolate, buchberger,
-                        coefficients_in, evaluate_all, from_coefficients, leading_term,
+from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _newton_interpolate, buchberger,
+                        evaluate_all, from_coefficients, leading_term,
                         rational_roots, reduce_poly, resultant, s_polynomial,
                         standard_monomial_count, univariate_gcd)
 from axial.sakuma import EvalPoint, _eval_matrix, associativity_polynomials, evaluate_point
@@ -91,11 +91,12 @@ def test_json_round_trip():
 
 def test_coefficients_round_trip():
     f = LAM**2 * MU**2 + 2 * LAM * MU - Q(1, 3)
-    coeffs = coefficients_in(f, "mu")
-    assert len(coeffs) == 3
+    grid, den = _integer_grid(f, "mu")  # f = sum grid[k][j] mu^k lam^j / den
+    assert len(grid) == 3
     rebuilt = MultiPoly()
-    for k, c in enumerate(coeffs):
-        rebuilt = rebuilt + c * MU**k
+    for k, row in enumerate(grid):
+        for j, n in enumerate(row):
+            rebuilt = rebuilt + Q(n, den) * MU**k * LAM**j
     assert rebuilt == f
 
 
@@ -159,8 +160,9 @@ def ref_resultant(f, g, eliminate):
     m, n = f.degree(eliminate), g.degree(eliminate)
 
     def grid(h):
-        return [[c.coefficient(*((0, j) if kept == "mu" else (j, 0)))
-                 for j in range(c.degree(kept) + 1)] for c in coefficients_in(h, eliminate)]
+        # row k: the coefficients of eliminate^k, by the power of kept
+        return [[h.coefficient(*((k, j) if eliminate == "lam" else (j, k)))
+                 for j in range(h.degree(kept) + 1)] for k in range(h.degree(eliminate) + 1)]
 
     fc, gc = grid(f), grid(g)
     bound = n * max(len(c) - 1 for c in fc) + m * max(len(c) - 1 for c in gc)
@@ -297,7 +299,8 @@ def brute_force_roots(f, var):
     from the primitive integer form and keep the exact zeros."""
     from math import gcd
 
-    coeffs = [c.constant_value() for c in coefficients_in(f, var)]
+    coeffs = [f.coefficient(*((k, 0) if var == "lam" else (0, k)))
+              for k in range(f.degree(var) + 1)]
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]
     denom = 1

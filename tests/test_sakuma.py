@@ -13,7 +13,8 @@ from axial.sakuma import (A0, A1, AM1, AM2, A2, S1, S2E, S2O, UniversalAlgebra,
                           expected_miyamoto_product_order, norton_sakuma_name,
                           rederive_products, solve_points)
 
-from conftest import POINT_AT, POINT_TABLE, TOTAL_DIM, associates_with_zero_eigenvectors
+from conftest import (POINT_AT, POINT_TABLE, TOTAL_DIM, associates_with_zero_eigenvectors,
+                      fraction_inverse)
 
 
 def e8(i):
@@ -394,7 +395,7 @@ def test_3c_quotient_is_the_three_axis_algebra(uni, points):
               linalg.matvec(proj, e8(A1)),   # -> b
               linalg.matvec(proj, e8(AM1))]  # -> c
     basis_matrix = linalg.transpose(images)
-    iso = linalg.inverse(basis_matrix)  # quotient coords -> 3C coords
+    iso = fraction_inverse(basis_matrix)  # quotient coords -> 3C coords
     for i in range(3):
         for j in range(3):
             qi = [Q(1) if k == i else Q(0) for k in range(3)]
