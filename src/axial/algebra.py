@@ -1,14 +1,14 @@
-"""Finite-dimensional commutative algebras given by structure constants.
+"""Finite-dimensional commutative algebras over Q given by structure constants.
 
 An algebra carries a symmetric product tensor, a symmetric bilinear form
-(the Frobenius form), and a list of marked generator indices.  Entries
-are rational (evaluated algebras) or MultiPoly (the symbolic algebra over
-Q[lam, mu]); only the eigenspace machinery requires the rational case.  A
-rational algebra is held only as integers: its product tensor and its
-Gram matrix each as integer numerators over one denominator.  Products,
-forms, ad(a), eigenspaces, the axis and automorphism checks, ideal
-closures and quotients all run on those integers, and `product` and
-`gram` are read-only Fraction views of them.
+(the Frobenius form), and a list of marked generator indices.  It is held
+only as integers: its product tensor and its Gram matrix each as integer
+numerators over one denominator.  Products, forms, ad(a), eigenspaces,
+the axis and automorphism checks, ideal closures and quotients all run on
+those integers, and `product` and `gram` are read-only Fraction views of
+them.  The symbolic algebra over Q[lam, mu] is not a StructureAlgebra:
+it is two bare MultiPoly tables (see sakuma.UniversalAlgebra), which the
+ring-generic kernel below serves as well.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import mul
 
 from . import linalg
 from .fusion import FusionRules, Grading
-from .poly import MultiPoly, _literal
+from .poly import _literal
 
 
 class ConsistencyError(Exception):
@@ -97,25 +97,18 @@ def form_tensor(table, gram):
 
 
 class StructureAlgebra:
-    """Commutative algebra with product tensor, Gram matrix and marked axes.
+    """Commutative algebra over Q with product tensor, Gram matrix and marked axes.
 
-    The product tensor is `table` over `den` and the Gram matrix
-    `gram_table` over `gram_den`.  For a rational algebra the tables hold
-    integers and each denominator is a positive integer coprime to its
-    table's entries; for an algebra over Q[lam, mu] the tables hold the
-    MultiPoly entries themselves and both denominators are None.
+    The product tensor is the integer `table` over `den` and the Gram
+    matrix the integer `gram_table` over `gram_den`; each denominator is a
+    positive integer coprime to its table's entries.
     """
 
     def __init__(self, labels, product, gram, marked=()):
         n = len(labels)
         _check_shapes(n, product, gram)
-        vecs = [vec for row in product for vec in row]
-        if linalg.is_rational(vecs + gram):
-            vecs, den = linalg.clear_matrix(vecs)
-            self._init(labels, linalg.split_rows(vecs, n), den, *linalg.clear_matrix(gram),
-                       marked)
-        else:
-            self._init(labels, product, None, gram, None, marked)
+        vecs, den = linalg.clear_matrix([vec for row in product for vec in row])
+        self._init(labels, linalg.split_rows(vecs, n), den, *linalg.clear_matrix(gram), marked)
 
     @staticmethod
     def from_integers(labels, table, den, gram, gram_den, marked=()) -> "StructureAlgebra":
@@ -138,45 +131,29 @@ class StructureAlgebra:
         self.marked = list(marked)
         if any(not isinstance(m, int) or not 0 <= m < self.dim for m in self.marked):
             raise ShapeError(f"marked indices {self.marked} are not all in 0..{self.dim - 1}")
-        for i in range(self.dim):
-            for j in range(i):
-                if table[i][j] != table[j][i]:
-                    raise ShapeError(f"product is not commutative at ({i}, {j})")
-                if gram_table[i][j] != gram_table[j][i]:
-                    raise ShapeError(f"gram matrix is not symmetric at ({i}, {j})")
+        check_symmetric(table, gram_table)
         self.table, self.den = table, den
         self.gram_table, self.gram_den = gram_table, gram_den
 
     @property
-    def rational(self) -> bool:
-        return self.den is not None
-
-    @property
     def product(self):
-        """The product tensor; Fractions for a rational algebra."""
-        if self.den is None:
-            return self.table
+        """The product tensor as Fractions."""
         den = self.den
         return [[[Fraction(x, den) for x in vec] for vec in row] for row in self.table]
 
     @property
     def gram(self):
-        """The Gram matrix; Fractions for a rational algebra."""
-        if self.gram_den is None:
-            return self.gram_table
+        """The Gram matrix as Fractions."""
         den = self.gram_den
         return [[Fraction(x, den) for x in row] for row in self.gram_table]
 
     def basis_vector(self, i: int):
-        zero, one = (Fraction(0), Fraction(1)) if self.rational else (MultiPoly(), MultiPoly.const(1))
-        return [one if j == i else zero for j in range(self.dim)]
+        return [Fraction(int(j == i)) for j in range(self.dim)]
 
     def multiply(self, x, y):
         """Bilinear extension of the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError("vector length does not match the algebra dimension")
-        if not self.rational:
-            return bilinear(self.table, x, y, self.labels)
         (x, dx), (y, dy) = linalg.clear_denominators(x), linalg.clear_denominators(y)
         den = self.den * dx * dy
         return [Fraction(c, den) for c in bilinear(self.table, x, y, self.labels)]
@@ -184,7 +161,7 @@ class StructureAlgebra:
     def ad_integer(self, a):
         """(A, den) with ad(a) = A / den for an integer matrix A, the matrix of
         left multiplication by a acting on column vectors, built in one pass
-        over the integer product tensor of a rational algebra."""
+        over the integer product tensor."""
         nums, da = linalg.clear_denominators(a)
         return linalg.transpose(self._ad_columns(nums)), self.den * da
 
@@ -199,12 +176,6 @@ class StructureAlgebra:
 
     def form(self, x, y):
         """Value of the bilinear form on two coordinate vectors."""
-        if not self.rational:
-            total = MultiPoly()
-            for xi, row in zip(x, self.gram_table):
-                if xi:
-                    total = total + xi * pair(row, y)
-            return total
         (x, dx), (y, dy) = linalg.clear_denominators(x), linalg.clear_denominators(y)
         return Fraction(sum(xi * pair(row, y) for xi, row in zip(x, self.gram_table) if xi),
                         self.gram_den * dx * dy)
@@ -212,14 +183,11 @@ class StructureAlgebra:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        def entry(e):
-            return e.to_json() if isinstance(e, MultiPoly) else str(e)
-
         return {
             "dim": self.dim,
             "labels": self.labels,
-            "product": [[[entry(c) for c in vec] for vec in row] for row in self.product],
-            "gram": [[entry(c) for c in row] for row in self.gram],
+            "product": [[[str(c) for c in vec] for vec in row] for row in self.product],
+            "gram": [[str(c) for c in row] for row in self.gram],
             "marked": self.marked,
         }
 
@@ -240,18 +208,33 @@ class StructureAlgebra:
         if any(isinstance(m, bool) for m in marked):
             raise ShapeError("a marked index is a boolean, not an integer")
 
+        def entries(rows, depth):
+            # a string is iterable too, so every level must be a list
+            if not isinstance(rows, list):
+                raise ShapeError("product and gram must be nested lists")
+            return [entries(r, depth - 1) if depth else entry(r) for r in rows]
+
         def entry(e):
+            if isinstance(e, dict):
+                raise ShapeError("an entry is a polynomial, so the algebra is not rational")
             try:
-                return MultiPoly.from_json(e) if isinstance(e, dict) else _literal(e)
+                return _literal(e)
             except (TypeError, ValueError, ZeroDivisionError):
                 raise ShapeError(f"entry {e!r} is not a rational literal") from None
 
-        try:
-            product = [[[entry(c) for c in vec] for vec in row] for row in data["product"]]
-            gram = [[entry(c) for c in row] for row in data["gram"]]
-        except TypeError:
-            raise ShapeError("product and gram must be nested lists") from None
-        return StructureAlgebra(labels, product, gram, marked)
+        return StructureAlgebra(labels, entries(data["product"], 2), entries(data["gram"], 1),
+                                marked)
+
+
+def check_symmetric(table, gram):
+    """Raise ShapeError unless the product table is commutative and the
+    Gram matrix symmetric; generic over the ring of the entries."""
+    for i in range(len(gram)):
+        for j in range(i):
+            if table[i][j] != table[j][i]:
+                raise ShapeError(f"product is not commutative at ({i}, {j})")
+            if gram[i][j] != gram[j][i]:
+                raise ShapeError(f"gram matrix is not symmetric at ({i}, {j})")
 
 
 def _check_shapes(n, product, gram):
@@ -494,8 +477,7 @@ def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
     n = algebra.dim
     gram = algebra.gram_table
     symmetric = all(gram[i][j] == gram[j][i] for i in range(n) for j in range(n))
-    # for a rational algebra the integer defects are the rational ones
-    # times den * gram_den
+    # the integer defects are the rational ones times den * gram_den
     tensor = form_tensor(algebra.table, gram)
     failures = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
                 if tensor[i][j][k] != tensor[j][k][i]]
@@ -510,14 +492,14 @@ def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
     return FormReport(symmetric, not failures, failures, perpendicular)
 
 
-def resurrect(algebra: StructureAlgebra, a, b_lm, b_0, lm):
+def resurrect(multiply, a, b_lm, b_0, lm):
     """Recover x from its corrections b_lm, b_0 into two eigenspaces:
-    x = (1/lm) a(b_lm - b_0) - b_lm."""
+    x = (1/lm) multiply(a, b_lm - b_0) - b_lm."""
     lm = Fraction(lm)
     if lm == 0:
         raise ValueError("the eigenvalue must be nonzero")
     diff = [p - q for p, q in zip(b_lm, b_0)]
-    image = algebra.multiply(a, diff)
+    image = multiply(a, diff)
     inv = 1 / lm
     return [inv * w - b for w, b in zip(image, b_lm)]
 

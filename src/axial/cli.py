@@ -94,9 +94,6 @@ def _cmd_algebra_check(args) -> int:
         alg = algebra_mod.StructureAlgebra.from_json(_read_json(args.file))
     except algebra_mod.ShapeError as exc:
         raise UsageError(f"{args.file}: {exc}") from None
-    if not alg.rational:
-        # the axis and form checks find eigenspaces, which needs numbers
-        raise UsageError(f"{args.file}: an entry is a polynomial, so the algebra is not rational")
     rules = _load_rules(args.fusion, refine=not args.raw)
     axis_reports = {}
     for idx in alg.marked:
@@ -125,20 +122,17 @@ def _cmd_sakuma(args) -> int:
     uni = sakuma_mod.build_universal()
     if args.action == "table":
         if args.format == "json":
-            data = uni.algebra.to_json()
-            data["tau0"] = [[c.to_json() for c in row] for row in uni.tau0]
-            data["flip"] = [[c.to_json() for c in row] for row in uni.flip]
-            _emit(data)
+            _emit(uni.to_json())
         else:
-            labels = uni.algebra.labels
+            labels = sakuma_mod.LABELS
             for i in range(8):
                 for j in range(i, 8):
-                    text = _vector_text(uni.algebra.product[i][j], labels)
+                    text = _vector_text(uni.product[i][j], labels)
                     print(f"{labels[i]} * {labels[j]} = {text}")
             print()
             for i in range(8):
                 for j in range(i, 8):
-                    print(f"<{labels[i]}, {labels[j]}> = {uni.algebra.gram[i][j]}")
+                    print(f"<{labels[i]}, {labels[j]}> = {uni.gram[i][j]}")
         return 0
     if args.action == "solve":
         _emit([pt.to_json() for pt in sakuma_mod.solve_points(uni)])

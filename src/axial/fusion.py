@@ -90,10 +90,15 @@ class FusionRules:
         missing = [key for key in ("central_charge", "fields", "star") if key not in data]
         if missing:
             raise RulesFormatError(f"missing {', '.join(missing)}")
+        # a string is iterable too, so it would be read one character at a time
+        if not isinstance(data["fields"], list) or not isinstance(data["star"], list):
+            raise RulesFormatError("fields and star must be lists")
         try:
             fields = tuple(_literal(f) for f in data["fields"])
             star = {}
             for f, g, prods in data["star"]:
+                if not isinstance(prods, list):
+                    raise RulesFormatError(f"the product set of {f} and {g} is not a list")
                 f, g = _literal(f), _literal(g)
                 value = frozenset(_literal(h) for h in prods)
                 star[(f, g)] = value

@@ -48,12 +48,6 @@ def split_rows(flat, n_rows):
     return [flat[i * width:(i + 1) * width] for i in range(n_rows)]
 
 
-def is_rational(rows) -> bool:
-    """Whether every entry of the rows is a Fraction or an int, as for the
-    tables of a rational algebra (anything else holds MultiPoly entries)."""
-    return all(isinstance(x, (Fraction, int)) for row in rows for x in row)
-
-
 def lowest_terms(rows, den):
     """(rows, den) for the integer matrix rows / den with the common gcd of
     den and every entry divided out and den made positive."""

@@ -260,15 +260,6 @@ class MultiPoly:
     def to_json(self) -> dict:
         return {f"{i},{j}": str(c) for (i, j), c in sorted(self.terms.items())}
 
-    @staticmethod
-    def from_json(data: dict) -> "MultiPoly":
-        """Parse {"i,j": coefficient} with rational literals as coefficients."""
-        terms = {}
-        for key, val in data.items():
-            i, j = key.split(",")
-            terms[(int(i), int(j))] = val
-        return MultiPoly(terms)
-
 
 def _power_row(x: Fraction, k: int) -> list[int]:
     """[a^i b^(k-i) for i = 0..k] for x = a/b, so that x^i is entry i over b^k."""

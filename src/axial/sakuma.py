@@ -5,8 +5,9 @@ The algebra is an 8-dimensional module over Q[lam, mu] spanned by five
 consecutive axes a_{-2} .. a_2 of the dihedral orbit and three invariant
 elements sigma_1, sigma_2^e, sigma_2^o (an axis pair at distance d gives
 the invariant  sigma = xy - (x + y)/32).  Here lam = <a_0, a_1> and
-mu = <a_0, a_2>.  The window products are installed from closed formulas;
-everything outside the window is reached through the two symmetries
+mu = <a_0, a_2>.  UniversalAlgebra holds it as two MultiPoly tables, product
+tensor and Gram matrix.  The window products are installed from closed
+formulas; everything outside the window is reached through the two symmetries
 
     tau0:  a_i -> a_{-i}, sigmas fixed,
     flip:  a_i -> a_{1-i}, sigma_2^e <-> sigma_2^o,
@@ -17,11 +18,12 @@ polynomials p1, p2 cut out the admissible (lam, mu).  Their common zeros
 are found by resultants in both variable orders and certified complete:
 dim_Q Q[lam, mu]/(p1, p2) counts every complex zero with multiplicity, so
 it must equal the number of distinct rational zeros found.  Evaluating at
-a zero leaves an algebra on which tau0 and the flip need not be
-automorphisms.  Their failures m(xy) - m(x) m(y) generate an ideal, closed
-under multiplication and under both symmetries (each is its own inverse,
-so no longer words are needed); the quotients by these ideals are the
-Norton-Sakuma algebras, named from the invariants computed on them.
+a zero leaves a rational StructureAlgebra on which tau0 and the flip need
+not be automorphisms.  Their failures m(xy) - m(x) m(y) generate an ideal,
+closed under multiplication and under both symmetries (each is its own
+inverse, so no longer words are needed), and certified to be the radical
+of the form; the quotients by these ideals are the Norton-Sakuma algebras,
+named from the invariants computed on them.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
-                      bilinear, check_axis, defect, form_tensor, ideal_closure, miyamoto,
-                      pair, quotient, resurrect)
+                      bilinear, check_axis, check_symmetric, defect, form_tensor,
+                      ideal_closure, miyamoto, pair, quotient, resurrect)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
 from .poly import (LAM, MU, MultiPoly, evaluate_all, leading_term, rational_roots,
@@ -45,6 +47,10 @@ AM2, AM1, A0, A1, A2, S1, S2E, S2O = range(8)
 
 # unordered pair of axes whose product defines each invariant element
 SIGMA_PAIRS = {S1: (A0, A1), S2E: (A0, A2), S2O: (AM1, A1)}
+
+# the two symmetries on basis indices; FLIP omits a_{-2}, whose image a_3 is off the basis
+TAU0 = {AM2: A2, AM1: A1, A0: A0, A1: AM1, A2: AM2, S1: S1, S2E: S2E, S2O: S2O}
+FLIP = {AM1: A2, A0: A1, A1: A0, A2: AM1, S1: S1, S2E: S2O, S2O: S2E}
 
 
 @dataclass(frozen=True, order=True)
@@ -74,13 +80,23 @@ def _vec(entries: dict) -> list[MultiPoly]:
 
 @dataclass
 class UniversalAlgebra:
-    """The symbolic algebra together with its two symmetry matrices."""
+    """The algebra over Q[lam, mu] on the basis LABELS, a_0 and a_1 marked:
+    product tensor and Gram matrix as MultiPoly tables, and both symmetries."""
 
-    algebra: StructureAlgebra
+    product: list
+    gram: list
     tau0: list
     flip: list
     a3: list  # expansion of the axis a_3 over the basis
     a4: list  # expansion of a_4 = flip(tau0(a_3))
+
+    def to_json(self) -> dict:
+        def rows(m):
+            return [[c.to_json() for c in row] for row in m]
+
+        return {"dim": len(LABELS), "labels": list(LABELS), "marked": [A0, A1],
+                "product": [rows(row) for row in self.product], "gram": rows(self.gram),
+                "tau0": rows(self.tau0), "flip": rows(self.flip)}
 
 
 def axis_eigenvectors() -> dict:
@@ -190,7 +206,7 @@ def _solve_a3(sigma1_sq):
     """
     # flip on indices, with a_{-2} landing on the extra slot 8 for a_3
     image = [MultiPoly() for _ in range(9)]
-    targets = {AM2: 8, AM1: A2, A0: A1, A1: A0, A2: AM1, S1: S1, S2E: S2O, S2O: S2E}
+    targets = {**FLIP, AM2: 8}
     for i, coeff in enumerate(sigma1_sq):
         image[targets[i]] = image[targets[i]] + coeff
     diff = [sigma1_sq[i] - image[i] for i in range(8)] + [MultiPoly() - image[8]]
@@ -201,20 +217,10 @@ def _solve_a3(sigma1_sq):
     return [_c(inv) * diff[i] for i in range(8)]
 
 
-def _tau0_matrix():
-    cols = {AM2: A2, AM1: A1, A0: A0, A1: AM1, A2: AM2, S1: S1, S2E: S2E, S2O: S2O}
+def _permutation_matrix(perm):
     m = [[MultiPoly() for _ in range(8)] for _ in range(8)]
-    for j, i in cols.items():
+    for j, i in perm.items():
         m[i][j] = MultiPoly.const(1)
-    return m
-
-
-def _flip_matrix(a3):
-    m = [[MultiPoly() for _ in range(8)] for _ in range(8)]
-    for j, i in {AM1: A2, A0: A1, A1: A0, A2: AM1, S1: S1, S2E: S2O, S2O: S2E}.items():
-        m[i][j] = MultiPoly.const(1)
-    for i in range(8):
-        m[i][AM2] = a3[i]
     return m
 
 
@@ -232,8 +238,10 @@ def build_universal() -> UniversalAlgebra:
     """
     prod = _window_products()
     a3 = _solve_a3(prod[S1][S1])
-    tau0 = _tau0_matrix()
-    flip = _flip_matrix(a3)
+    tau0 = _permutation_matrix(TAU0)
+    flip = _permutation_matrix(FLIP)
+    for i in range(8):
+        flip[i][AM2] = a3[i]
     a4 = linalg.matvec(flip, linalg.matvec(tau0, a3))
 
     def put(i, j, v):
@@ -285,8 +293,8 @@ def build_universal() -> UniversalAlgebra:
     put(S2E, S2O, add_vec(prod[S2E][S2E], scale_vec(e_inv, sub_vec(a3_s2e, rest_s2e))))
 
     gram = _complete_gram(prod, a3, a4)
-    algebra = StructureAlgebra(LABELS, prod, gram, marked=[A0, A1])
-    uni = UniversalAlgebra(algebra, tau0, flip, a3, a4)
+    check_symmetric(prod, gram)
+    uni = UniversalAlgebra(prod, gram, tau0, flip, a3, a4)
     _verify_symmetries(uni)
     return uni
 
@@ -297,7 +305,7 @@ def _verify_symmetries(uni: UniversalAlgebra):
         raise ConsistencyError("tau0 is not an involution")
     if linalg.matmul(uni.flip, uni.flip) != ident:
         raise ConsistencyError("the flip is not an involution")
-    g = uni.algebra.gram
+    g = uni.gram
     tau0 = uni.tau0
     if linalg.matmul(linalg.matmul(linalg.transpose(tau0), g), tau0) != g:
         raise ConsistencyError("tau0 does not preserve the form")
@@ -389,7 +397,7 @@ def _complete_gram(prod, a3, a4):
 
 def associativity_defects(uni: UniversalAlgebra):
     """All nonzero values of <xy, z> - <x, yz> over ordered basis triples."""
-    tensor = form_tensor(uni.algebra.product, uni.algebra.gram)
+    tensor = form_tensor(uni.product, uni.gram)
     out = []
     for i in range(8):
         for j in range(8):
@@ -405,7 +413,7 @@ def associativity_polynomials(uni: UniversalAlgebra):
     p1 from the triple (a_{-1}, a_{-2}, a_1) and p2 from
     (a_{-2}, a_{-2}, a_1).  The raw defects are rational multiples of
     these; scaling does not move the zero locus."""
-    prod, gram = uni.algebra.product, uni.algebra.gram
+    prod, gram = uni.product, uni.gram
     return _monic(defect(prod, gram, AM1, AM2, A1)), _monic(defect(prod, gram, AM2, AM2, A1))
 
 
@@ -481,10 +489,9 @@ def _eval_matrix(m, pt):
 def evaluate_point(uni: UniversalAlgebra, pt: EvalPoint) -> StructureAlgebra:
     """Substitute (lam, mu) into every structure constant and form value,
     straight into the integer tables of the evaluated algebra."""
-    alg = uni.algebra
-    vecs, den = _eval_matrix([vec for row in alg.product for vec in row], pt)
-    return StructureAlgebra.from_integers(LABELS, linalg.split_rows(vecs, alg.dim), den,
-                                          *_eval_matrix(alg.gram, pt), marked=[A0, A1])
+    vecs, den = _eval_matrix([vec for row in uni.product for vec in row], pt)
+    return StructureAlgebra.from_integers(LABELS, linalg.split_rows(vecs, len(LABELS)), den,
+                                          *_eval_matrix(uni.gram, pt), marked=[A0, A1])
 
 
 @dataclass
@@ -510,6 +517,12 @@ def discrepancy_quotient(uni: UniversalAlgebra, pt: EvalPoint) -> Discrepancy:
     and the flip is an automorphism.  The quotient is formed; quotient
     checks that the ideal is one and that the form vanishes on it, and a
     failure of either names the point.
+
+    The ideal is certified a second way.  Every axis has <a, a> = 1, so the
+    radical of the form is the largest ideal containing no axis (Khasraw,
+    McInroy and Shpectorov, "On the structure of axial algebras", 2020); the
+    ideal must equal it, and the form on the quotient must be positive
+    definite by Sylvester's criterion.
     """
     alg = evaluate_point(uni, pt)
     symmetries = [_eval_matrix(uni.tau0, pt), _eval_matrix(uni.flip, pt)]
@@ -519,6 +532,14 @@ def discrepancy_quotient(uni: UniversalAlgebra, pt: EvalPoint) -> Discrepancy:
         quot, proj = quotient(alg, ideal)
     except ConsistencyError as err:
         raise ConsistencyError(f"{err} at {pt.name}") from None
+    radical = linalg.echelon_span(linalg.integer_kernel(alg.gram_table))
+    if radical != ideal:
+        raise ConsistencyError(f"the radical of the form has dimension {len(radical)} "
+                               f"but the ideal {len(ideal)} at {pt.name}")
+    # gram_den > 0, so the integer minors have the signs of the rational ones
+    gram = quot.gram_table
+    if any(linalg.integer_det([row[:k] for row in gram[:k]]) <= 0 for k in range(1, quot.dim + 1)):
+        raise ConsistencyError(f"the form on the quotient is not positive definite at {pt.name}")
     return Discrepancy(pt, alg, ideal, quot, proj)
 
 
@@ -757,12 +778,13 @@ def rederive_products(uni: UniversalAlgebra) -> RederiveReport:
     identity x = 4 a(b_{1/4} - b_0) - b_{1/4} gives s1 s2e and s2e s2e.
     Every mismatch is reported with the differing coordinates.
     """
-    alg = uni.algebra
-    prod = alg.product
+    prod = uni.product
     ev = axis_eigenvectors()
     e = _basis
-    mult = alg.multiply
     results = []
+
+    def mult(x, y):
+        return bilinear(prod, x, y, LABELS)
 
     def record(name, got, want):
         ok = got == want
@@ -774,7 +796,7 @@ def rederive_products(uni: UniversalAlgebra) -> RederiveReport:
 
     # the squared quarter-projection norm, needed next
     beta1 = ev["beta1"]
-    bb = alg.form(beta1, beta1)
+    bb = pair([pair(row, beta1) for row in uni.gram], beta1)
     want_bb4 = MultiPoly() - LAM * LAM + LAM + _c(Q(1, 64)) * (MU - 1)
     ok = _c(Q(1, 4)) * bb == want_bb4
     results.append(Derivation("norm(beta1)/4", ok,
@@ -811,13 +833,13 @@ def rederive_products(uni: UniversalAlgebra) -> RederiveReport:
                   mult(u1, v2))
     q_free = add_vec(add_vec(scale_vec(-4, mult(e(S1), u2)), scale_vec(-4, mult(u1, e(S2E)))),
                   mult(u1, u2))
-    x = resurrect(alg, e(A0), scale_vec(-1, p_free), q_free, Q(1, 4))
+    x = resurrect(mult, e(A0), scale_vec(-1, p_free), q_free, Q(1, 4))
     record("s1*s2e", scale_vec(Q(1, 16), x), prod[S1][S2E])
 
     # resurrection for s2e*s2e
     p2_free = add_vec(scale_vec(4, mult(sub_vec(u2, v2), e(S2E))), mult(u2, v2))
     q2_free = add_vec(scale_vec(-8, mult(u2, e(S2E))), mult(u2, u2))
-    x = resurrect(alg, e(A0), scale_vec(-1, p2_free), q2_free, Q(1, 4))
+    x = resurrect(mult, e(A0), scale_vec(-1, p2_free), q2_free, Q(1, 4))
     record("s2e*s2e", scale_vec(Q(1, 16), x), prod[S2E][S2E])
 
     # the odd eigenvector: a_0 gamma1 = gamma1 / 32

@@ -278,14 +278,14 @@ def test_resurrect_recovers_vector(alg):
     zero_vec = [Q(1), Q(-32), Q(-32)]  # 0-eigenvector
     b_lm = [g - t for g, t in zip(gamma, target)]
     b_0 = [z - t for z, t in zip(zero_vec, target)]
-    assert resurrect(alg, e(0), b_lm, b_0, Q(1, 32)) == target
+    assert resurrect(alg.multiply, e(0), b_lm, b_0, Q(1, 32)) == target
 
 
 def test_resurrect_zero_and_errors(alg):
     zero = [Q(0)] * 3
-    assert resurrect(alg, e(0), zero, zero, Q(1, 4)) == zero
+    assert resurrect(alg.multiply, e(0), zero, zero, Q(1, 4)) == zero
     with pytest.raises(ValueError):
-        resurrect(alg, e(0), zero, zero, 0)
+        resurrect(alg.multiply, e(0), zero, zero, 0)
 
 
 def test_ideal_closure_trivial_cases(alg):

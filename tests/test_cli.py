@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from axial.algebra import StructureAlgebra, three_c
+from axial.algebra import ShapeError, StructureAlgebra, three_c
 from axial.cli import main
 from axial.fusion import FusionRules, virasoro_rules
+from axial.sakuma import build_universal
 
 from conftest import POINT_AT
 
@@ -93,6 +94,18 @@ def _rules(edit):
     return make
 
 
+def _written(data):
+    def make(path):
+        path.write_text(json.dumps(data))
+    return make
+
+
+def _string_product_set(data):
+    # 0 * 0 = {1, 0} written as the string "01" in place of ["0", "1"]
+    data["star"] = [[f, g, "".join(h) if (f, g) == ("0", "0") else h]
+                    for f, g, h in data["star"]]
+
+
 @pytest.mark.parametrize("argv, make_file", [
     (["algebra", "check", str(FIXTURE), "--fusion", "vir:4"], None),
     (["algebra", "check", str(FIXTURE), "--fusion", "vir:6,4"], None),
@@ -122,6 +135,16 @@ def _rules(edit):
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"], _rules(lambda data: data.clear())),
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
      _rules(lambda data: data["fields"].__setitem__(0, "x"))),
+    # a string where a list belongs must not be read one character at a time
+    (["algebra", "check", "{file}"],
+     _written({"labels": ["a"], "product": ["1"], "gram": ["1"], "marked": [0]})),
+    (["algebra", "check", "{file}"],
+     _written({"labels": ["x", "y"],
+               "product": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+               "gram": ["10", "01"]})),
+    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"], _rules(_string_product_set)),
+    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
+     _rules(lambda data: data.update(fields="1"))),
 ], ids=["fusion-one-number", "fusion-not-coprime", "fusion-table-not-coprime",
         "algebra-not-json", "algebra-wrong-shape", "algebra-marked-too-large",
         "algebra-marked-negative", "algebra-entry-not-rational", "algebra-no-gram",
@@ -129,7 +152,9 @@ def _rules(edit):
         "algebra-marked-not-a-list", "algebra-labels-not-a-list", "algebra-gram-entry-float",
         "algebra-product-entry-bool", "algebra-polynomial-coefficient-float",
         "algebra-duplicate-labels", "algebra-int-label", "algebra-int-label-json",
-        "algebra-list-label", "algebra-marked-bool", "fusion-file-empty-object", "fusion-file-field-not-rational"])
+        "algebra-list-label", "algebra-marked-bool", "fusion-file-empty-object",
+        "fusion-file-field-not-rational", "algebra-string-vectors", "algebra-string-gram-rows", "fusion-file-string-product-set",
+        "fusion-file-string-fields"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file):
     path = tmp_path / "input.json"
     if make_file is not None:
@@ -187,26 +212,29 @@ def test_algebra_check_detects_broken_form(tmp_path, capsys):
 
 
 def test_algebra_check_polynomial_entry_exits_2(tmp_path, capsys):
-    # a polynomial entry parses, but the axis checks need a rational algebra
+    # the axis checks need a rational algebra, so a polynomial entry is refused
     data = three_c().to_json()
     data["gram"][0][0] = {"1,0": "1"}
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps(data))
-    assert not StructureAlgebra.from_json(data).rational
+    with pytest.raises(ShapeError, match="an entry is a polynomial"):
+        StructureAlgebra.from_json(data)
     code = main(["algebra", "check", str(poly), "--json"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("axial: error: ")
     assert captured.err.rstrip().endswith("not rational")
-    # so does the symbolic table, which still round-trips through from_json
+    # so does the symbolic table, which is the universal algebra's JSON
     code, out = run(capsys, "sakuma", "table", "--format", "json")
     table = tmp_path / "table.json"
     table.write_text(out)
-    back = StructureAlgebra.from_json(json.loads(out))
-    assert back.to_json() == {k: v for k, v in json.loads(out).items() if k not in ("tau0", "flip")}
+    assert json.loads(out) == build_universal().to_json()
     assert main(["algebra", "check", str(table)]) == 2
-    assert capsys.readouterr().err.rstrip().endswith("not rational")
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.rstrip().endswith(
+        "an entry is a polynomial, so the algebra is not rational")
 
 
 def test_usage_error_exit_code():
@@ -228,8 +256,8 @@ def test_sakuma_table_json_round_trips_and_is_deterministic(capsys):
     code, out2 = run(capsys, "sakuma", "table", "--format", "json")
     assert out1 == out2
     data = json.loads(out1)
-    back = StructureAlgebra.from_json(data)
-    assert back.dim == 8
+    assert data["dim"] == len(data["labels"]) == len(data["product"]) == len(data["gram"]) == 8
+    assert sorted(data) == ["dim", "flip", "gram", "labels", "marked", "product", "tau0"]
 
 
 def test_sakuma_table_text(capsys):

@@ -3,10 +3,11 @@ from fractions import Fraction as Q
 import pytest
 
 from axial import linalg
-from axial.algebra import ConsistencyError, StructureAlgebra, defect, three_c, verify_form
+from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, bilinear,
+                           check_symmetric, defect, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import LAM, MU, MultiPoly, rational_roots, resultant, standard_monomial_count
-from axial.sakuma import (A0, A1, AM1, AM2, A2, S1, S2E, S2O, UniversalAlgebra,
+from axial.sakuma import (A0, A1, AM1, AM2, A2, LABELS, S1, S2E, S2O, UniversalAlgebra,
                           _complete_gram, associativity_defects, associativity_polynomials,
                           axis_eigenvectors, classify, common_zeros,
                           discrepancy_quotient, evaluate_point,
@@ -44,19 +45,34 @@ EXPECTED_P2 = (LAM**5 - Q(577, 2**9) * LAM**4 + Q(25, 2**9) * LAM**3 * MU
 
 
 def test_window_products(uni):
-    prod = uni.algebra.product
+    prod = uni.product
     assert prod[A0][A0] == sym_vec({A0: 1})
     assert prod[A0][A1] == sym_vec({S1: 1, A0: Q(1, 32), A1: Q(1, 32)})
     assert prod[AM1][A1] == sym_vec({S2O: 1, AM1: Q(1, 32), A1: Q(1, 32)})
     assert prod[A0][A2] == sym_vec({S2E: 1, A0: Q(1, 32), A2: Q(1, 32)})
 
 
-def test_table_is_total_and_symmetric(uni):
-    prod = uni.algebra.product
+def test_table_is_total_and_symmetric(uni, monkeypatch):
+    prod = uni.product
     for i in range(8):
         for j in range(8):
             assert prod[i][j] is not None
             assert prod[i][j] == prod[j][i]
+    # the build checks both symbolic tables, as the rational constructor does
+    import axial.sakuma as sakuma
+
+    def skewed(prod, a3, a4):
+        gram = [list(row) for row in uni.gram]
+        gram[A0][S1] = gram[A0][S1] + 1
+        return gram
+
+    monkeypatch.setattr(sakuma, "_complete_gram", skewed)
+    with pytest.raises(ShapeError, match=r"gram matrix is not symmetric at \(5, 2\)"):
+        sakuma.build_universal()
+    wrong = [list(row) for row in prod]
+    wrong[A1][S1] = wrong[A0][S1]
+    with pytest.raises(ShapeError, match=r"product is not commutative at \(5, 3\)"):
+        check_symmetric(wrong, uni.gram)
 
 
 def test_a3_expansion(uni):
@@ -75,7 +91,6 @@ def test_a3_expansion(uni):
 
 
 def test_eigenvector_identities(uni):
-    alg = uni.algebra
     ev = axis_eigenvectors()
     a0 = sym_vec({A0: 1})
     zero = [MultiPoly()] * 8
@@ -83,11 +98,14 @@ def test_eigenvector_identities(uni):
     def scaled(c, v):
         return [MultiPoly.const(c) * x for x in v]
 
-    assert alg.multiply(a0, ev["alpha1"]) == zero
-    assert alg.multiply(a0, ev["beta1"]) == scaled(Q(1, 4), ev["beta1"])
-    assert alg.multiply(a0, ev["gamma1"]) == scaled(Q(1, 32), ev["gamma1"])
-    assert alg.multiply(a0, ev["alpha2"]) == zero
-    assert alg.multiply(a0, ev["beta2"]) == scaled(Q(1, 4), ev["beta2"])
+    def mult(x, y):
+        return bilinear(uni.product, x, y, LABELS)
+
+    assert mult(a0, ev["alpha1"]) == zero
+    assert mult(a0, ev["beta1"]) == scaled(Q(1, 4), ev["beta1"])
+    assert mult(a0, ev["gamma1"]) == scaled(Q(1, 32), ev["gamma1"])
+    assert mult(a0, ev["alpha2"]) == zero
+    assert mult(a0, ev["beta2"]) == scaled(Q(1, 4), ev["beta2"])
 
 
 def test_symmetries_are_involutions(uni):
@@ -97,14 +115,14 @@ def test_symmetries_are_involutions(uni):
 
 
 def test_tau0_preserves_gram(uni):
-    g = uni.algebra.gram
+    g = uni.gram
     t = uni.tau0
     assert linalg.matmul(linalg.matmul(linalg.transpose(t), g), t) == g
 
 
 def test_flip_transports_products(uni):
     # where the images stay inside the window the flip is an automorphism
-    prod = uni.algebra.product
+    prod = uni.product
     assert linalg.matvec(uni.flip, prod[A0][S1]) == prod[A1][S1]
     assert linalg.matvec(uni.flip, prod[A0][S2O]) == prod[A1][S2E]
     assert linalg.matvec(uni.tau0, prod[A1][S1]) == prod[AM1][S1]
@@ -133,14 +151,14 @@ def test_sigma_one_squared_formula(uni):
         A2: MultiPoly.const(seven_third * Q(7, 2**16)),
         AM2: MultiPoly.const(seven_third * Q(7, 2**16)),
     })
-    assert uni.algebra.product[S1][S1] == expected
+    assert uni.product[S1][S1] == expected
 
 
 # -- the Gram matrix ------------------------------------------------------
 
 
 def test_gram_printed_entries(uni):
-    g = uni.algebra.gram
+    g = uni.gram
     assert g[A0][A0] == MultiPoly.const(1)
     assert g[A0][A1] == LAM
     assert g[A0][A2] == MU
@@ -154,7 +172,7 @@ def test_gram_printed_entries(uni):
 
 
 def test_gram_nu3_nu4(uni):
-    g = uni.algebra.gram
+    g = uni.gram
     nu3 = Q(-1, 7) * (2**15 * LAM**3 - 2**12 * 9 * LAM**2 + 2**7 * 15 * LAM * MU
                       + 2169 * LAM + 33 * MU - 33)
     nu4 = Q(1, 7) * (2**23 * LAM**4 - 2**15 * 293 * LAM**3 + 2**16 * 7 * LAM**2 * MU
@@ -167,13 +185,13 @@ def test_gram_nu3_nu4(uni):
 
 def test_gram_complete_re_derivation(uni):
     # the stored Gram matrix is the one the product table determines
-    assert _complete_gram(uni.algebra.product, uni.a3, uni.a4) == uni.algebra.gram
+    assert _complete_gram(uni.product, uni.a3, uni.a4) == uni.gram
 
 
 def test_gram_second_routes_catch_a_wrong_product(uni):
     # the build re-derives <s1, s1> through a0 * s1 and <a_k, sigma> through
     # associativity; a product that is off by a little must be refused
-    prod = [list(row) for row in uni.algebra.product]
+    prod = [list(row) for row in uni.product]
     wrong = list(prod[A1][S1])
     wrong[S1] = wrong[S1] + Q(1, 2**10)
     prod[A1][S1] = prod[S1][A1] = wrong
@@ -182,7 +200,7 @@ def test_gram_second_routes_catch_a_wrong_product(uni):
 
 
 def test_sigma_gram_entries_by_parity(uni):
-    g = uni.algebra.gram
+    g = uni.gram
     even2 = Q(1, 32) * (31 * MU - 1)
     odd2 = Q(1, 32) * (30 * LAM + MU - 1)
     for k in range(5):
@@ -210,7 +228,7 @@ def test_diagonal_defect_vanishes(uni):
 
 def test_defects_match_the_direct_loop(uni):
     # the scan reads its defects off the form tensor; the definition pairs twice
-    prod, gram = uni.algebra.product, uni.algebra.gram
+    prod, gram = uni.product, uni.gram
     direct = [((i, j, k), d) for i in range(8) for j in range(8) for k in range(8)
               if (d := defect(prod, gram, i, j, k))]
     assert associativity_defects(uni) == direct
@@ -235,7 +253,7 @@ def test_flip_preserves_gram_at_all_points(uni, points):
         return [[Q(x, den) for x in row] for row in rows]
 
     for pt in points.values():
-        g = values(_eval_matrix(uni.algebra.gram, pt))
+        g = values(_eval_matrix(uni.gram, pt))
         f = values(_eval_matrix(uni.flip, pt))
         assert linalg.matmul(linalg.matmul(linalg.transpose(f), g), f) == g
 
@@ -318,15 +336,44 @@ def test_ideal_and_quotient_dims(uni, points):
 def test_a_form_that_fails_on_the_ideal_names_the_point(uni, points):
     # a wrong <s1, s1> keeps the symmetries but not the form's vanishing on
     # the ideal; quotient catches it once and discrepancy_quotient names the point
-    alg = uni.algebra
-    gram = [list(row) for row in alg.gram]
+    gram = [list(row) for row in uni.gram]
     gram[S1][S1] = gram[S1][S1] + 1
-    broken = UniversalAlgebra(StructureAlgebra(alg.labels, alg.product, gram, alg.marked),
-                              uni.tau0, uni.flip, uni.a3, uni.a4)
+    broken = UniversalAlgebra(uni.product, gram, uni.tau0, uni.flip, uni.a3, uni.a4)
     pt = points[POINT_AT["4B"]]
     with pytest.raises(ConsistencyError,
                        match=rf"the form does not vanish on the ideal at \({pt.lam}, {pt.mu}\)"):
         discrepancy_quotient(broken, pt)
+
+
+def test_an_ideal_short_of_the_radical_names_the_point(uni, points, monkeypatch):
+    # with no symmetry defects to close, the ideal at the 2B point is empty
+    # while the radical of the form there has dimension 6
+    import axial.sakuma as sakuma
+
+    monkeypatch.setattr(sakuma, "ideal_closure", lambda alg, gens, maps: [])
+    with pytest.raises(ConsistencyError,
+                       match=r"^the radical of the form has dimension 6 but the ideal 0 "
+                             r"at \(0, 1\)$"):
+        discrepancy_quotient(uni, points[POINT_AT["2B"]])
+
+
+def test_a_form_that_is_not_positive_definite_names_the_point(uni, points, monkeypatch):
+    import axial.sakuma as sakuma
+
+    real_quotient = sakuma.quotient
+
+    def negated(alg, ideal):
+        quot, proj = real_quotient(alg, ideal)
+        gram = [[-x for x in row] for row in quot.gram_table]
+        return StructureAlgebra.from_integers(quot.labels, quot.table, quot.den,
+                                              gram, quot.gram_den), proj
+
+    monkeypatch.setattr(sakuma, "quotient", negated)
+    pt = points[POINT_AT["3A"]]
+    with pytest.raises(ConsistencyError,
+                       match=rf"^the form on the quotient is not positive definite "
+                             rf"at \({pt.lam}, {pt.mu}\)$"):
+        discrepancy_quotient(uni, pt)
 
 
 def test_a_miyamoto_failure_in_classify_names_the_point(uni, monkeypatch):
@@ -512,11 +559,20 @@ def test_rederive_products(uni):
 
 def test_rederived_sigma_coefficient(uni):
     # the re-derivation reproduces the 7/32 sigma coefficient
-    assert uni.algebra.product[A0][S1][S1] == MultiPoly.const(Q(7, 32))
+    assert uni.product[A0][S1][S1] == MultiPoly.const(Q(7, 32))
 
 
 def test_universal_json_loads_back(uni):
-    data = uni.algebra.to_json()
-    back = StructureAlgebra.from_json(data)
-    assert back.product == uni.algebra.product
-    assert back.gram == uni.algebra.gram
+    data = uni.to_json()
+
+    def parse(entry):
+        return MultiPoly({tuple(map(int, k.split(","))): c for k, c in entry.items()})
+
+    assert [[[parse(c) for c in vec] for vec in row] for row in data["product"]] == uni.product
+    assert [[parse(c) for c in row] for row in data["gram"]] == uni.gram
+    assert [[parse(c) for c in row] for row in data["tau0"]] == uni.tau0
+    assert [[parse(c) for c in row] for row in data["flip"]] == uni.flip
+    assert (data["dim"], data["labels"], data["marked"]) == (8, LABELS, [A0, A1])
+    # a rational algebra it is not: the parser refuses the polynomial entries
+    with pytest.raises(ShapeError, match="an entry is a polynomial"):
+        StructureAlgebra.from_json(data)
