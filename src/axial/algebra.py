@@ -13,7 +13,7 @@ ring-generic kernel below serves as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -107,7 +107,12 @@ class StructureAlgebra:
     def __init__(self, labels, product, gram, marked=()):
         n = len(labels)
         _check_shapes(n, product, gram)
-        vecs, den = linalg.clear_matrix([vec for row in product for vec in row])
+        vecs = [vec for row in product for vec in row]
+        for x in (x for rows in (vecs, gram) for row in rows for x in row):
+            # a float or a bool would be read as a rational without a word
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise ShapeError(f"an entry of type {type(x).__name__} is not rational")
+        vecs, den = linalg.clear_matrix(vecs)
         self._init(labels, linalg.split_rows(vecs, n), den, *linalg.clear_matrix(gram), marked)
 
     @staticmethod
@@ -320,20 +325,15 @@ def eigen_decompose(ad, candidates):
     return spaces, total == len(mat)
 
 
-@dataclass
-class AxisReport:
-    """Outcome of the axis conditions for one idempotent candidate."""
+class AxisReport(namedtuple("AxisReport", "idempotent norm_ok spectrum semisimple "
+                                         "primitive fusion_ok violations spaces")):
+    """Outcome of the axis conditions for one idempotent candidate.
 
-    idempotent: bool
-    norm_ok: bool
-    spectrum: dict
-    semisimple: bool
-    primitive: bool
-    fusion_ok: bool
-    violations: list = field(default_factory=list)
-    # the canonical integer eigenspace bases behind `spectrum`, by
-    # candidate, which miyamoto and verify_form take.  Not serialised.
-    spaces: dict = field(default_factory=dict, repr=False, compare=False)
+    spaces holds the canonical integer eigenspace bases behind spectrum, by
+    candidate, which miyamoto and verify_form take; it is not serialised.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -444,12 +444,9 @@ def automorphism_defects(algebra: StructureAlgebra, mat, d):
     return out
 
 
-@dataclass
-class FormReport:
-    symmetric: bool
-    associative: bool
-    assoc_failures: list
-    perpendicular: dict
+class FormReport(namedtuple("FormReport",
+                            "symmetric associative assoc_failures perpendicular")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -9,7 +9,7 @@ identity field 1 is adjoined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -25,12 +25,11 @@ class RulesFormatError(ValueError):
     field that is not a rational literal, or an inconsistent star table."""
 
 
-@dataclass(frozen=True)
-class Grading:
-    """A Z/2-grading of a field set: products land in the parity product."""
+class Grading(namedtuple("Grading", "even odd")):
+    """A Z/2-grading of a field set: products land in the parity product.
+    even and odd are frozensets of fields."""
 
-    even: frozenset
-    odd: frozenset
+    __slots__ = ()
 
     @property
     def trivial(self) -> bool:
@@ -44,27 +43,26 @@ class Grading:
         raise KeyError(f"{f} is not a graded field")
 
 
-@dataclass(frozen=True, eq=True)
-class FusionRules:
-    """Central charge, fields, and the star table on unordered field pairs."""
+class FusionRules(namedtuple("FusionRules", "central_charge fields star")):
+    """Central charge, the tuple of fields, and the star table: a dict from
+    each ordered field pair to the frozenset of its product fields."""
 
-    central_charge: Fraction
-    fields: tuple
-    star: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        seen = set(self.fields)
-        if len(seen) != len(self.fields):
+    def __new__(cls, central_charge, fields, star):
+        seen = set(fields)
+        if len(seen) != len(fields):
             raise ValueError("fields must be distinct")
-        for f in self.fields:
-            for g in self.fields:
-                prod = self.star.get((f, g))
+        for f in fields:
+            for g in fields:
+                prod = star.get((f, g))
                 if prod is None:
                     raise ValueError(f"star table is missing the pair ({f}, {g})")
-                if prod != self.star.get((g, f)):
+                if prod != star.get((g, f)):
                     raise ValueError(f"star table is not symmetric at ({f}, {g})")
                 if not prod <= seen:
                     raise ValueError(f"star({f}, {g}) leaves the field set")
+        return super().__new__(cls, central_charge, fields, star)
 
     def product(self, f, g) -> frozenset:
         return self.star[(Fraction(f), Fraction(g))]

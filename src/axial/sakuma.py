@@ -28,7 +28,7 @@ named from the invariants computed on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -53,10 +53,8 @@ TAU0 = {AM2: A2, AM1: A1, A0: A0, A1: AM1, A2: AM2, S1: S1, S2E: S2E, S2O: S2O}
 FLIP = {AM1: A2, A0: A1, A1: A0, A2: AM1, S1: S1, S2E: S2O, S2O: S2E}
 
 
-@dataclass(frozen=True, order=True)
-class EvalPoint:
-    lam: Fraction
-    mu: Fraction
+class EvalPoint(namedtuple("EvalPoint", "lam mu")):
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -78,17 +76,13 @@ def _vec(entries: dict) -> list[MultiPoly]:
     return out
 
 
-@dataclass
-class UniversalAlgebra:
+class UniversalAlgebra(namedtuple("UniversalAlgebra", "product gram tau0 flip a3 a4")):
     """The algebra over Q[lam, mu] on the basis LABELS, a_0 and a_1 marked:
-    product tensor and Gram matrix as MultiPoly tables, and both symmetries."""
+    product tensor and Gram matrix as MultiPoly tables, and both symmetries.
+    a3 is the expansion of the axis a_3 over the basis, a4 that of
+    a_4 = flip(tau0(a_3))."""
 
-    product: list
-    gram: list
-    tau0: list
-    flip: list
-    a3: list  # expansion of the axis a_3 over the basis
-    a4: list  # expansion of a_4 = flip(tau0(a_3))
+    __slots__ = ()
 
     def to_json(self) -> dict:
         def rows(m):
@@ -494,13 +488,12 @@ def evaluate_point(uni: UniversalAlgebra, pt: EvalPoint) -> StructureAlgebra:
                                           *_eval_matrix(uni.gram, pt), marked=[A0, A1])
 
 
-@dataclass
-class Discrepancy:
-    point: EvalPoint
-    evaluated: StructureAlgebra
-    ideal: list  # its canonical integer basis, as ideal_closure returns it
-    quotient: StructureAlgebra
-    projection: list
+class Discrepancy(namedtuple("Discrepancy", "point evaluated ideal quotient projection")):
+    """The evaluated algebra at a point, its discrepancy ideal as the
+    canonical integer basis ideal_closure returns, the quotient and the
+    projection onto it."""
+
+    __slots__ = ()
 
     @property
     def ideal_dim(self) -> int:
@@ -580,17 +573,13 @@ def norton_sakuma_name(shift_order: int, dim: int, half: str | None = None) -> s
     return None if letter is None else f"{shift_order}{letter}"
 
 
-@dataclass
-class PointReport:
-    lam: Fraction
-    mu: Fraction
-    ideal_dim: int
-    dim: int
-    axis_reports: list
-    rho_order: int  # order of tau0 * tau1 on the quotient
-    shift_order: int  # order of the axis-shift a_i -> a_{i+1} on the quotient
-    gram_values: dict
-    name: str | None = None  # None when no naming rule fits the invariants
+class PointReport(namedtuple("PointReport", "lam mu ideal_dim dim axis_reports rho_order "
+                                           "shift_order gram_values name")):
+    """rho_order is the order of tau0 * tau1 on the quotient, shift_order
+    that of the axis shift a_i -> a_{i+1}; name is None when no naming rule
+    fits the invariants."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -612,11 +601,9 @@ class PointReport:
         }
 
 
-@dataclass
-class ClassificationReport:
-    points: list
-    total_dim: int
-    signatures_distinct: bool
+class ClassificationReport(namedtuple("ClassificationReport",
+                                      "points total_dim signatures_distinct")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -690,14 +677,15 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
         gram_values = {"lambda": Q(g[A0][A1], gd), "mu": Q(g[A0][A2], gd),
                        "nu3": Q(g[AM2][A1], gd), "nu4": Q(g[AM2][A2], gd)}
         reports.append(PointReport(pt.lam, pt.mu, disc.ideal_dim, quot.dim, [rep0, rep1],
-                                   order, shift_order, gram_values))
+                                   order, shift_order, gram_values, None))
     reports.sort(key=lambda p: (p.shift_order, p.dim, p.mu))
     names = {}
-    for p in reports:
+    for k, p in enumerate(reports):
         # <<a_0, a_2>> is the algebra at (<a_0, a_2>, <a_0, a_4>); for even
         # numerals its shift order is half of p's, so it is named already
         half = names.get((p.mu, p.gram_values["nu4"]))
-        p.name = names[(p.lam, p.mu)] = norton_sakuma_name(p.shift_order, p.dim, half)
+        name = names[(p.lam, p.mu)] = norton_sakuma_name(p.shift_order, p.dim, half)
+        reports[k] = p._replace(name=name)
     signatures = {(p.lam, p.mu) for p in reports}
     report = ClassificationReport(reports, sum(p.dim for p in reports),
                                   len(signatures) == len(reports))
@@ -733,19 +721,15 @@ def _project_symmetry(uni, pt, disc, m_symbolic):
 # -- re-derivation of the installed products -----------------------------------
 
 
-@dataclass
-class Derivation:
-    name: str
-    ok: bool
-    detail: str = ""
+class Derivation(namedtuple("Derivation", "name ok detail")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-@dataclass
-class RederiveReport:
-    derivations: list
+class RederiveReport(namedtuple("RederiveReport", "derivations")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -12,6 +12,7 @@ from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, annih
                            defect, eigen_decompose, ideal_closure, miyamoto, quotient,
                            resurrect, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
+from axial.poly import MultiPoly
 from conftest import POINT_AT, associates_with_zero_eigenvectors
 from axial.sakuma import EvalPoint, discrepancy_quotient, evaluate_point
 from test_linalg import eye, rank_and_kernel, ref_reduce_vector
@@ -349,6 +350,26 @@ def test_rejects_bad_shapes():
                          [[[Q(1), Q(0)], [Q(0), Q(0)]],
                           [[Q(0), Q(0)], [Q(0), Q(1)]]],
                          [[Q(1), Q(1)], [Q(0), Q(1)]])
+
+
+@pytest.mark.parametrize("entry", [0.1, True, MultiPoly({(1, 0): 1}), "1"],
+                         ids=["float", "bool", "polynomial", "string"])
+@pytest.mark.parametrize("table", ["product", "gram"])
+def test_constructor_refuses_entries_that_are_not_rational(entry, table):
+    # a float or a bool would be read as a rational silently, a polynomial
+    # or a string would fail deep in the integer kernel
+    product, gram = [[[Q(1), Q(0)], [Q(0), Q(0)]], [[Q(0), Q(0)], [Q(0), 1]]], [[1, 0], [0, 1]]
+    if table == "product":
+        product[1][1][1] = entry
+    else:
+        gram[1][1] = entry
+    with pytest.raises(ShapeError) as err:
+        StructureAlgebra(["x", "y"], product, gram)
+    assert str(err.value) == f"an entry of type {type(entry).__name__} is not rational"
+    # a non-bool int is a rational
+    product[1][1][1] = gram[1][1] = 1
+    assert StructureAlgebra(["x", "y"], product, gram).product == \
+        [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
 
 
 # -- the integer adjoint paths against the Fraction loops they replaced ---------

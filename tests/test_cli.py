@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -235,6 +237,19 @@ def test_algebra_check_polynomial_entry_exits_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.rstrip().endswith(
         "an entry is a polynomial, so the algebra is not rational")
+
+
+def test_startup_loads_no_dataclass_machinery():
+    # every command pays for each module `import axial.cli` loads, and
+    # dataclasses with inspect, ast, dis and tokenize cost about 8 ms
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import axial.cli; "
+            "axial.cli.main(['fusion', 'vir', '4', '3', '--json']); "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, check=True)
+    *printed, loaded = done.stdout.splitlines(keepends=True)
+    assert "".join(printed) == (ROOT / "tests" / "golden" / "fusion_vir_4_3.json").read_text()
+    assert loaded == "[]\n"
 
 
 def test_usage_error_exit_code():

@@ -31,6 +31,8 @@ import json
 from fractions import Fraction as Q
 from pathlib import Path
 
+import pytest
+
 from axial import linalg
 from axial.cli import main
 from axial.sakuma import (A0, A1, EvalPoint, associativity_defects, associativity_polynomials,
@@ -125,6 +127,27 @@ def test_fusion_vir_4_3_json(capsys):
 
 def test_algebra_check_3c_json(capsys):
     code, out = run(capsys, "algebra", "check", str(ROOT / "fixtures" / "3c.json"), "--json")
+    assert code == 0
+    assert out == (GOLDEN / "3c_check.json").read_text(encoding="utf-8")
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # main parses with one cached parser: an option or a usage error of one
+    # call must not reach the next
+    fixture = str(ROOT / "fixtures" / "3c.json")
+    code, out = run(capsys, "algebra", "check", fixture, "--raw", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "3c_raw_check.json").read_text(encoding="utf-8")
+    code, out = run(capsys, "algebra", "check", fixture, "--json")
+    assert code == 0
+    assert out == (GOLDEN / "3c_check.json").read_text(encoding="utf-8")
+    target = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as err:
+        main(["sakuma", "solve", "--out", str(target)])
+    assert err.value.code == 2
+    assert not target.exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out = run(capsys, "algebra", "check", fixture, "--json")
     assert code == 0
     assert out == (GOLDEN / "3c_check.json").read_text(encoding="utf-8")
 
