@@ -62,15 +62,20 @@ def bilinear(table, x, y, labels):
             if entry is None:
                 raise ConsistencyError(f"product ({labels[i]}, {labels[j]}) not yet available")
             c = xi * yj
-            out = [o + c * e for o, e in zip(out, entry)]
+            out = [o + c * e if e else o for o, e in zip(out, entry)]
     return out
 
 
-def pair(row, v):
-    """<e_k, v> from row k of the Gram matrix: the contraction sum_r v_r row[r]."""
-    total = 0 * row[0]
-    for c, g in zip(v, row):
+def pair(row, v, labels=None, k=None):
+    """<e_k, v> from row k of the Gram matrix: the contraction sum_r v_r row[r].
+    A row still being filled holds None for the values not yet known; needing
+    one raises ConsistencyError naming it, by labels when labels and k are given."""
+    total = 0 * v[0]
+    for r, (c, g) in enumerate(zip(v, row)):
         if c:
+            if g is None:
+                entry = f"{labels[k]}, {labels[r]}" if labels else f"?, {r}"
+                raise ConsistencyError(f"form value <{entry}> not yet available")
             total = total + c * g
     return total
 

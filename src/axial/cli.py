@@ -120,7 +120,11 @@ def _cmd_algebra_check(args) -> int:
 
 
 def _cmd_sakuma(args) -> int:
-    uni = sakuma_mod.build_universal()
+    try:
+        uni = sakuma_mod.build_universal()
+    except ConsistencyError as exc:
+        print(f"building the universal algebra failed: {exc}", file=sys.stderr)
+        return 1
     if args.action == "table":
         if args.format == "json":
             _emit(uni.to_json())
@@ -211,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sak_sub.add_parser("solve", help="the certified (lam, mu) points")
     cls = sak_sub.add_parser("classify", help="certify and name the quotient at each point")
     cls.add_argument("--out", help="write the classification report to a file")
-    sak_sub.add_parser("rederive", help="re-derive the installed products")
+    sak_sub.add_parser("rederive", help="compare the derived products with the closed formulas")
     sak.set_defaults(func=_cmd_sakuma)
 
     return parser

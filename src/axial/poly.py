@@ -92,7 +92,8 @@ class MultiPoly:
 
     @staticmethod
     def const(value) -> "MultiPoly":
-        return MultiPoly({(0, 0): value})
+        c = _literal(value)
+        return MultiPoly._make({(0, 0): c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def variable(var: str) -> "MultiPoly":

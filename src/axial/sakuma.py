@@ -6,8 +6,9 @@ consecutive axes a_{-2} .. a_2 of the dihedral orbit and three invariant
 elements sigma_1, sigma_2^e, sigma_2^o (an axis pair at distance d gives
 the invariant  sigma = xy - (x + y)/32).  Here lam = <a_0, a_1> and
 mu = <a_0, a_2>.  UniversalAlgebra holds it as two MultiPoly tables, product
-tensor and Gram matrix.  The window products are installed from closed
-formulas; everything outside the window is reached through the two symmetries
+tensor and Gram matrix, derived as the paper constructs them: from the axis
+products and form values at distance <= 2, the eigenvectors of a_0 and the
+fusion rules.  Everything outside the window is reached through the symmetries
 
     tau0:  a_i -> a_{-i}, sigmas fixed,
     flip:  a_i -> a_{1-i}, sigma_2^e <-> sigma_2^o,
@@ -47,6 +48,9 @@ AM2, AM1, A0, A1, A2, S1, S2E, S2O = range(8)
 
 # unordered pair of axes whose product defines each invariant element
 SIGMA_PAIRS = {S1: (A0, A1), S2E: (A0, A2), S2O: (AM1, A1)}
+# the axis pairs at distance 1 and 2, with the invariant element of each product
+WINDOW = [(AM2, AM1, S1), (AM1, A0, S1), (A0, A1, S1), (A1, A2, S1),
+          (AM2, A0, S2E), (A0, A2, S2E), (AM1, A1, S2O)]
 
 # the two symmetries on basis indices; FLIP omits a_{-2}, whose image a_3 is off the basis
 TAU0 = {AM2: A2, AM1: A1, A0: A0, A1: AM1, A2: AM2, S1: S1, S2E: S2E, S2O: S2O}
@@ -65,12 +69,15 @@ class EvalPoint(namedtuple("EvalPoint", "lam mu")):
         return {"lambda": str(self.lam), "mu": str(self.mu)}
 
 
+_ZERO = MultiPoly()  # polynomials are immutable, so one zero serves every vector
+
+
 def _c(x) -> MultiPoly:
     return x if isinstance(x, MultiPoly) else MultiPoly.const(x)
 
 
 def _vec(entries: dict) -> list[MultiPoly]:
-    out = [MultiPoly() for _ in range(8)]
+    out = [_ZERO] * 8
     for idx, val in entries.items():
         out[idx] = _c(val)
     return out
@@ -110,87 +117,6 @@ def axis_eigenvectors() -> dict:
     }
 
 
-def _window_products():
-    """Products installed from closed formulas: everything involving only
-    a_0 and the sigmas, plus the axis pairs at distance <= 2."""
-    lam, mu = LAM, MU
-    prod = [[None] * 8 for _ in range(8)]
-
-    def put(i, j, v):
-        prod[i][j] = v
-        prod[j][i] = v
-
-    for i in range(5):
-        put(i, i, _vec({i: 1}))
-    s = Q(1, 32)
-    for i, j in [(AM2, AM1), (AM1, A0), (A0, A1), (A1, A2)]:
-        put(i, j, _vec({S1: 1, i: s, j: s}))
-    for i, j, sig in [(AM2, A0, S2E), (A0, A2, S2E), (AM1, A1, S2O)]:
-        put(i, j, _vec({sig: 1, i: s, j: s}))
-
-    put(A0, S1, _vec({
-        S1: Q(7, 32),
-        A0: Q(3, 4) * lam - Q(25, 2**10),
-        AM1: Q(7, 2**11), A1: Q(7, 2**11),
-    }))
-    put(A0, S2E, _vec({
-        S2E: Q(7, 32),
-        A0: Q(3, 4) * mu - Q(25, 2**10),
-        AM2: Q(7, 2**11), A2: Q(7, 2**11),
-    }))
-    third = Q(-1, 3)
-    put(A0, S2O, scale_vec(third, _vec({
-        S1: -32 * lam + Q(19, 16),
-        S2E: Q(-7, 32),
-        A0: 32 * lam * lam - 5 * lam + Q(1, 8) * mu + Q(127, 2**10),
-        A1: Q(-1, 2) * lam + Q(19, 2**10),
-        AM1: Q(-1, 2) * lam + Q(19, 2**10),
-        A2: Q(-7, 2**11), AM2: Q(-7, 2**11),
-    })))
-    put(S1, S1, add_vec(
-        scale_vec(Q(1, 3), _vec({
-            S1: Q(-5, 4) * lam - Q(13, 2**9),
-            S2E: Q(-7, 2**9),
-            S2O: Q(21, 2**11),
-        })),
-        scale_vec(Q(7, 3), _vec({
-            A0: Q(1, 2) * lam * lam - Q(1, 2**7) * lam + Q(1, 2**9) * mu - Q(1, 2**15),
-            A1: Q(7, 2**8) * lam - Q(35, 2**16),
-            AM1: Q(7, 2**8) * lam - Q(35, 2**16),
-            A2: Q(7, 2**16), AM2: Q(7, 2**16),
-        }))))
-    lam2, lam3 = lam * lam, lam * lam * lam
-    put(S1, S2E, add_vec(
-        scale_vec(Q(1, 3), _vec({
-            A0: 2**8 * lam3 - Q(27, 2) * lam2 + lam * mu + Q(17, 2**7) * lam
-                - Q(19, 2**9) * mu + Q(19, 2**15),
-            A1: 14 * lam2 - Q(203, 2**8) * lam + Q(665, 2**16),
-            AM1: 14 * lam2 - Q(203, 2**8) * lam + Q(665, 2**16),
-            A2: Q(7, 2**7) * lam - Q(133, 2**16),
-            AM2: Q(7, 2**7) * lam - Q(133, 2**16),
-            S1: -(2**4) * 19 * lam2 + Q(41, 2) * lam + Q(51, 16) * mu - Q(197, 2**9),
-            S2E: Q(-17, 8) * lam + Q(11, 2**8),
-        })),
-        _vec({S2O: Q(-7, 8) * lam + Q(49, 2**11)})))
-    lam4 = lam2 * lam2
-    put(S2E, S2E, _vec({
-        A0: 2**19 * 5 * lam4 - Q(2**7 * 6407, 3) * lam3 - 2**7 * 85 * lam2 * mu
-            + Q(20303, 2) * lam2 + Q(2329, 6) * lam * mu + Q(3, 2) * mu * mu
-            - Q(61409, 2**7 * 3) * lam - Q(5315, 2**9 * 3) * mu + Q(89069, 2**15 * 3),
-        A1: 2**9 * 7 * lam3 - Q(791, 3) * lam2 + Q(2317, 2**7 * 3) * lam - Q(8645, 2**16 * 3),
-        AM1: 2**9 * 7 * lam3 - Q(791, 3) * lam2 + Q(2317, 2**7 * 3) * lam - Q(8645, 2**16 * 3),
-        A2: -49 * lam2 + Q(343, 2**6 * 3) * lam + Q(21, 2**8) * mu - Q(3563, 2**16 * 3),
-        AM2: -49 * lam2 + Q(343, 2**6 * 3) * lam + Q(21, 2**8) * mu - Q(3563, 2**16 * 3),
-        S1: -(2**20) * 3 * lam4 + 2**14 * 45 * lam3 - 2**12 * 3 * lam2 * mu
-            - Q(2**4 * 7523, 3) * lam2 + 2**6 * 7 * lam * mu + Q(4819, 6) * lam
-            - Q(65, 16) * mu - Q(65, 12),
-        S2E: -(2**14) * 3 * lam3 - 2**4 * 99 * lam2 - 2**6 * 3 * lam * mu
-            + Q(2837, 24) * lam + Q(47, 16) * mu - Q(4079, 2**10 * 3),
-        S2O: -(2**5) * 21 * lam2 + Q(49, 2) * lam - Q(455, 2**11),
-    }))
-    return prod
-
-
 def _solve_a3(sigma1_sq):
     """Expand a_3 over the basis from the flip-symmetry of sigma_1^2.
 
@@ -222,55 +148,126 @@ def _basis(i):
     return _vec({i: 1})
 
 
-def build_universal() -> UniversalAlgebra:
-    """Populate all 36 products and the full Gram matrix.
+def _put(table, i, j, v):
+    table[i][j] = table[j][i] = v
 
-    The window products come from the closed formulas; the remaining
-    entries are transported by tau0 and the flip, with a_3 and a_4
-    expanded over the basis.  Both symmetry matrices are verified to be
-    involutions and tau0 to preserve the form.
+
+def _seed():
+    """(prod, gram): the product and Gram tables holding only the facts the
+    build starts from, a_i a_i = a_i, the window products and <a_i, a_j> =
+    1, lam, mu at distance 0, 1, 2.  None marks every entry still to derive."""
+    prod = [[None] * 8 for _ in range(8)]
+    gram = [[None] * 8 for _ in range(8)]
+    s = Q(1, 32)
+    for i in range(5):
+        _put(prod, i, i, _basis(i))
+        _put(gram, i, i, _c(1))
+    for i, j, sig in WINDOW:
+        _put(prod, i, j, _vec({sig: 1, i: s, j: s}))
+        _put(gram, i, j, LAM if sig == S1 else MU)
+    return prod, gram
+
+
+def _form(gram, x, y):
+    """<x, y> by bilinear extension of a Gram table that may still be filling."""
+    return sum((c * pair(gram[k], y, LABELS, k) for k, c in enumerate(x) if c), MultiPoly())
+
+
+def build_universal() -> UniversalAlgebra:
+    """Derive all 36 products and the full Gram matrix from the axioms.
+
+    The build starts from _seed and the eigenvectors of a_0
+    (axis_eigenvectors) and reaches every other entry through the fusion
+    rules and the Frobenius property, in an order in which each step reads
+    only entries reached before it: bilinear and pair raise
+    ConsistencyError on any other.  Entries outside the window are
+    transported by tau0 and the flip, with a_3 and a_4 expanded over the
+    basis.  Every value reachable by a second route is recomputed and
+    compared, both symmetry matrices are verified to be involutions and
+    tau0 to preserve the form.
     """
-    prod = _window_products()
-    a3 = _solve_a3(prod[S1][S1])
+    prod, g = _seed()
+    ev = axis_eigenvectors()
+    e = _basis
     tau0 = _permutation_matrix(TAU0)
-    flip = _permutation_matrix(FLIP)
+    flip = _permutation_matrix(FLIP)  # its a_{-2} column waits for a_3
+
+    def mult(x, y):
+        return bilinear(prod, x, y, LABELS)
+
+    t = linalg.matvec
+    # a_0 alpha = 0 isolates a_0 sigma; u is alpha without its sigma term
+    u1 = sub_vec(ev["alpha1"], _vec({S1: -4}))
+    u2 = sub_vec(ev["alpha2"], _vec({S2E: -4}))
+    _put(prod, A0, S1, scale_vec(Q(1, 4), mult(e(A0), u1)))
+    _put(prod, A0, S2E, scale_vec(Q(1, 4), mult(e(A0), u2)))
+    # a0 s1 lies in the span of a_0, a_{+-1} and s1, where the flip needs no a_3
+    _put(prod, A1, S1, t(flip, prod[A0][S1]))
+    _put(prod, AM1, S1, t(tau0, prod[A1][S1]))
+    _axis_sigma_form(prod, g)
+
+    # fusion puts alpha1^2 - beta1^2 + <beta1^2, a0> a0 in the 0-space of a_0,
+    # with <beta1^2, a0> = <beta1, a0 beta1> = norm(beta1)/4; s1*s1 cancels
+    # from the difference, which leaves a_0 s2o
+    beta1 = ev["beta1"]
+    v1 = sub_vec(beta1, _vec({S1: 4}))
+    diff = add_vec(scale_vec(-8, mult(e(S1), add_vec(u1, v1))),
+                   sub_vec(mult(u1, u1), mult(v1, v1)))
+    eq = add_vec(diff, scale_vec(_c(Q(1, 4)) * _form(g, beta1, beta1), e(A0)))
+    c = eq[S2O]
+    if not c.is_constant() or c.constant_value() == 0:
+        raise ConsistencyError("unexpected shape for the odd-sigma relation")
+    eq[S2O] = MultiPoly()
+    _put(prod, A0, S2O, scale_vec(Q(-1) / c.constant_value(), mult(e(A0), eq)))
+
+    # partial associativity (a_0 a_1) alpha1 = a_0 (a_1 alpha1) isolates s1*s1
+    alpha1 = ev["alpha1"]
+    lhs_rest = add_vec(mult(e(S1), u1),
+                       scale_vec(Q(1, 32), add_vec(mult(e(A0), alpha1), mult(e(A1), alpha1))))
+    rhs = mult(e(A0), mult(e(A1), alpha1))
+    _put(prod, S1, S1, scale_vec(Q(1, 4), sub_vec(lhs_rest, rhs)))
+
+    a3 = _solve_a3(prod[S1][S1])
     for i in range(8):
         flip[i][AM2] = a3[i]
-    a4 = linalg.matvec(flip, linalg.matvec(tau0, a3))
-
-    def put(i, j, v):
-        prod[i][j] = v
-        prod[j][i] = v
-
-    def t(m, v):
-        return linalg.matvec(m, v)
+    a4 = t(flip, t(tau0, a3))
 
     # axis pairs at distance 3 and 4
-    a0_a3 = bilinear(prod, _basis(A0), a3, LABELS)
-    put(AM2, A1, t(flip, a0_a3))
-    put(AM1, A2, t(tau0, prod[AM2][A1]))
-    a0_a4 = bilinear(prod, _basis(A0), a4, LABELS)
-    put(AM2, A2, t(flip, t(tau0, t(flip, a0_a4))))
+    _put(prod, AM2, A1, t(flip, mult(e(A0), a3)))
+    _put(prod, AM1, A2, t(tau0, prod[AM2][A1]))
+    _put(prod, AM2, A2, t(flip, t(tau0, t(flip, mult(e(A0), a4)))))
 
     # transport the sigma products along the axis orbit
-    put(A1, S1, t(flip, prod[A0][S1]))
-    put(AM1, S1, t(tau0, prod[A1][S1]))
-    put(A2, S1, t(flip, prod[AM1][S1]))
-    put(AM2, S1, t(tau0, prod[A2][S1]))
+    _put(prod, A2, S1, t(flip, prod[AM1][S1]))
+    _put(prod, AM2, S1, t(tau0, prod[A2][S1]))
+    _put(prod, A1, S2E, t(flip, prod[A0][S2O]))
+    _put(prod, AM1, S2E, t(tau0, prod[A1][S2E]))
+    _put(prod, A2, S2O, t(flip, prod[AM1][S2E]))
+    _put(prod, AM2, S2O, t(tau0, prod[A2][S2O]))
+    _put(prod, A1, S2O, t(flip, prod[A0][S2E]))
+    _put(prod, AM1, S2O, t(tau0, prod[A1][S2O]))
+    _put(prod, A2, S2E, t(flip, prod[AM1][S2O]))
+    _put(prod, AM2, S2E, t(tau0, prod[A2][S2E]))
 
-    put(A1, S2E, t(flip, prod[A0][S2O]))
-    put(AM1, S2E, t(tau0, prod[A1][S2E]))
-    put(A2, S2O, t(flip, prod[AM1][S2E]))
-    put(AM2, S2O, t(tau0, prod[A2][S2O]))
+    # resurrection for s1*s2e: with x = 16 s1 s2e, the corrections
+    # b_{1/4} = -alpha1 beta2 - x and b_0 = alpha1 alpha2 - x are x-free
+    v2 = sub_vec(ev["beta2"], _vec({S2E: 4}))
+    p_free = add_vec(add_vec(scale_vec(-4, mult(e(S1), v2)), scale_vec(4, mult(u1, e(S2E)))),
+                     mult(u1, v2))
+    q_free = add_vec(add_vec(scale_vec(-4, mult(e(S1), u2)), scale_vec(-4, mult(u1, e(S2E)))),
+                     mult(u1, u2))
+    x = resurrect(mult, e(A0), scale_vec(-1, p_free), q_free, Q(1, 4))
+    _put(prod, S1, S2E, scale_vec(Q(1, 16), x))
 
-    put(A1, S2O, t(flip, prod[A0][S2E]))
-    put(AM1, S2O, t(tau0, prod[A1][S2O]))
-    put(A2, S2E, t(flip, prod[AM1][S2O]))
-    put(AM2, S2E, t(tau0, prod[A2][S2E]))
+    # resurrection for s2e*s2e
+    p2_free = add_vec(scale_vec(4, mult(sub_vec(u2, v2), e(S2E))), mult(u2, v2))
+    q2_free = add_vec(scale_vec(-8, mult(u2, e(S2E))), mult(u2, u2))
+    x = resurrect(mult, e(A0), scale_vec(-1, p2_free), q2_free, Q(1, 4))
+    _put(prod, S2E, S2E, scale_vec(Q(1, 16), x))
 
     # products of the invariant elements
-    put(S1, S2O, t(flip, prod[S1][S2E]))
-    put(S2O, S2O, t(flip, prod[S2E][S2E]))
+    _put(prod, S1, S2O, t(flip, prod[S1][S2E]))
+    _put(prod, S2O, S2O, t(flip, prod[S2E][S2E]))
     # sigma_2^o rewritten through the a_3 expansion:
     #   sigma_2^o = sigma_2^e + (a_3 - rest)/e  with  rest = a_3 - e*(s2o - s2e)
     e_coeff = a3[S2O]
@@ -279,14 +276,12 @@ def build_universal() -> UniversalAlgebra:
     if a3[S2E] != MultiPoly() - e_coeff:
         raise ConsistencyError("a_3 expansion is not balanced in the sigma_2 pair")
     e_inv = Q(1) / e_coeff.constant_value()
-    rest = list(a3)
-    rest[S2O] = MultiPoly()
-    rest[S2E] = MultiPoly()
+    rest = [MultiPoly() if i in (S2E, S2O) else c for i, c in enumerate(a3)]
     a3_s2e = t(flip, prod[AM2][S2O])  # a_3 * s2e is the flip of a_{-2} * s2o
-    rest_s2e = bilinear(prod, rest, _basis(S2E), LABELS)
-    put(S2E, S2O, add_vec(prod[S2E][S2E], scale_vec(e_inv, sub_vec(a3_s2e, rest_s2e))))
+    rest_s2e = mult(rest, e(S2E))
+    _put(prod, S2E, S2O, add_vec(prod[S2E][S2E], scale_vec(e_inv, sub_vec(a3_s2e, rest_s2e))))
 
-    gram = _complete_gram(prod, a3, a4)
+    gram = _complete_gram(prod, g, a3, a4)
     check_symmetric(prod, gram)
     uni = UniversalAlgebra(prod, gram, tau0, flip, a3, a4)
     _verify_symmetries(uni)
@@ -299,88 +294,76 @@ def _verify_symmetries(uni: UniversalAlgebra):
         raise ConsistencyError("tau0 is not an involution")
     if linalg.matmul(uni.flip, uni.flip) != ident:
         raise ConsistencyError("the flip is not an involution")
-    g = uni.gram
-    tau0 = uni.tau0
+    tau0, g = uni.tau0, uni.gram
     if linalg.matmul(linalg.matmul(linalg.transpose(tau0), g), tau0) != g:
         raise ConsistencyError("tau0 does not preserve the form")
 
 
-def _nu_polys():
-    lam, mu = LAM, MU
-    lam2 = lam * lam
-    nu3 = _c(Q(-1, 7)) * (2**15 * lam2 * lam - 2**12 * 9 * lam2 + 2**7 * 15 * lam * mu
-                          + 2169 * lam + 33 * mu - 33)
-    nu4 = _c(Q(1, 7)) * (2**23 * lam2 * lam2 - 2**15 * 293 * lam2 * lam
-                         + 2**16 * 7 * lam2 * mu + 2**12 * 189 * lam2
-                         - 2**7 * 5 * lam * mu - 2**7 * mu * mu
-                         - 2**7 * 155 * lam - 21 * mu + 156)
-    return nu3, nu4
+def _sigma_form(prod, g, p, q, w):
+    """<a_p a_q - (a_p + a_q)/32, e_w>, associated as <a_p, a_q e_w>."""
+    s = Q(1, 32)
+    return pair(g[p], prod[q][w], LABELS, p) - pair(g[w], _vec({p: s, q: s}), LABELS, w)
 
 
-def _complete_gram(prod, a3, a4):
-    """All 36 form values over Q[lam, mu].
+def _reassociated(prod, g, k, sig):
+    """<a_k, sig> as <a_q, a_p a_k>, with a_p the factor of sig nearer a_k, so
+    that a_p a_k is a window product."""
+    p, q = SIGMA_PAIRS[sig]
+    if abs(k - q) < abs(k - p):
+        p, q = q, p
+    return _sigma_form(prod, g, q, p, k)
 
-    The axis-axis and axis-sigma entries are closed formulas; the
-    sigma-sigma entries are derived by expanding the left factor as an
-    axis product and associating.  Every entry reachable by a second
-    route is recomputed and compared; disagreement aborts.
+
+def _axis_sigma_form(prod, g):
+    """The form between the axes and the sigmas, and <s1, s1>.
+
+    On a window pair, <a_p, sigma_pq> = <a_q, a_p a_p> - (<a_q, a_p> + 1)/32
+    by idempotence.  <a0, s2o> and <a1, s2e> re-associate across one window
+    product and are carried to the other axes of their parity, which
+    _complete_gram's loop checks.  <s1, s1> is <a0, a1 s1> - ..., and the
+    route through <a1, a0 s1> must agree.
     """
-    lam, mu = LAM, MU
-    nu3, nu4 = _nu_polys()
-    nu = [_c(1), lam, mu, nu3, nu4]
-    g = [[None] * 8 for _ in range(8)]
-
-    def put(i, j, v):
-        g[i][j] = v
-        g[j][i] = v
-
-    for i in range(5):
-        for j in range(i, 5):
-            put(i, j, nu[j - i])
-    a_s1 = _c(Q(1, 32)) * (31 * lam - 1)
-    even_2 = _c(Q(1, 32)) * (31 * mu - 1)
-    odd_2 = _c(Q(1, 32)) * (30 * lam + mu - 1)
-    for k in range(5):
-        put(k, S1, a_s1)
-        if k % 2 == 0:  # even-subscript axis
-            put(k, S2E, even_2)
-            put(k, S2O, odd_2)
-        else:
-            put(k, S2E, odd_2)
-            put(k, S2O, even_2)
-    put(S1, S1, Q(3, 4) * lam * lam + Q(65, 2**9) * lam + Q(7, 2**11) * mu - _c(Q(3, 2**11)))
-
-    def sigma_form(p, q, w):
-        """<a_p a_q - (a_p + a_q)/32, e_w>, associated as <a_p, a_q e_w>."""
-        return pair(g[p], prod[q][w]) - _c(Q(1, 32)) * (g[p][w] + g[q][w])
-
-    def derive(sig, w):
-        return sigma_form(*SIGMA_PAIRS[sig], w)
-
-    check = derive(S1, S1)
-    if check != g[S1][S1]:
+    for p, q, sig in WINDOW:
+        _put(g, p, sig, _sigma_form(prod, g, q, p, p))
+        _put(g, q, sig, _sigma_form(prod, g, p, q, q))
+    for k, sig, parity in ((A0, S2O, (AM2, A0, A2)), (A1, S2E, (AM1, A1))):
+        value = _reassociated(prod, g, k, sig)
+        for j in parity:
+            _put(g, j, sig, value)
+    s1_s1 = _sigma_form(prod, g, A0, A1, S1)
+    if _sigma_form(prod, g, A1, A0, S1) != s1_s1:
         raise ConsistencyError("two routes disagree for <s1, s1>")
-    put(S1, S2E, derive(S1, S2E))
-    put(S1, S2O, derive(S1, S2O))
-    put(S2E, S2E, derive(S2E, S2E))
-    put(S2E, S2O, derive(S2E, S2O))
-    put(S2O, S2O, derive(S2O, S2O))
+    _put(g, S1, S1, s1_s1)
 
-    # second routes: the distance 3 and 4 values through the expansions
-    if pair(g[A0], a3) != nu3:
+
+def _complete_gram(prod, g, a3, a4):
+    """The form values beyond _axis_sigma_form, filled into g, which is
+    returned.
+
+    nu3 = <a0, a3> and nu4 = <a0, a4> come through the expansions and are
+    checked as <a3, a1> = mu and <a4, a1> = nu3; the sigma-sigma entries
+    come by expanding the left factor as an axis product and associating.
+    Every axis-sigma entry is then recomputed by re-associating across a
+    window product; disagreement aborts.
+    """
+    nu3 = pair(g[A0], a3, LABELS, A0)
+    _put(g, AM2, A1, nu3)
+    _put(g, AM1, A2, nu3)
+    _put(g, AM2, A2, pair(g[A0], a4, LABELS, A0))
+    if pair(g[A1], a3, LABELS, A1) != MU:
         raise ConsistencyError("two routes disagree for <a0, a3>")
-    if pair(g[A0], a4) != nu4:
+    if pair(g[A1], a4, LABELS, A1) != nu3:
         raise ConsistencyError("two routes disagree for <a0, a4>")
-    # and the axis-sigma entries through associativity, re-associating only
-    # across window products (beyond distance 2 the form genuinely fails to
-    # associate; those failures are the generating relations)
+
+    for x, y in ((S1, S2E), (S1, S2O), (S2E, S2E), (S2E, S2O), (S2O, S2O)):
+        _put(g, x, y, _sigma_form(prod, g, *SIGMA_PAIRS[x], y))
+
+    # re-associating only across window products: beyond distance 2 the
+    # form genuinely fails to associate; those failures are the generating
+    # relations
     for k in range(5):
         for sig in (S1, S2E, S2O):
-            p, q = SIGMA_PAIRS[sig]
-            if abs(k - q) < abs(k - p):
-                p, q = q, p
-            # <a_k, a_p a_q - (a_p + a_q)/32> via <a_q, a_p a_k>
-            if sigma_form(q, p, k) != g[k][sig]:
+            if _reassociated(prod, g, k, sig) != g[k][sig]:
                 raise ConsistencyError(
                     f"two routes disagree for <{LABELS[k]}, {LABELS[sig]}>")
     return g
@@ -718,14 +701,10 @@ def _project_symmetry(uni, pt, disc, m_symbolic):
     return induced, den
 
 
-# -- re-derivation of the installed products -----------------------------------
+# -- the paper's closed formulas, compared with the derived table ---------------
 
 
-class Derivation(namedtuple("Derivation", "name ok detail")):
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
+Derivation = namedtuple("Derivation", "name ok detail")
 
 
 class RederiveReport(namedtuple("RederiveReport", "derivations")):
@@ -735,10 +714,6 @@ class RederiveReport(namedtuple("RederiveReport", "derivations")):
     def passed(self) -> bool:
         return all(d.ok for d in self.derivations)
 
-    def to_json(self) -> dict:
-        return {"derivations": [d.to_json() for d in self.derivations],
-                "passed": self.passed}
-
     def summary(self) -> str:
         lines = [f"{d.name}: {'ok' if d.ok else 'MISMATCH ' + d.detail}"
                  for d in self.derivations]
@@ -747,87 +722,98 @@ class RederiveReport(namedtuple("RederiveReport", "derivations")):
 
 
 def _diff_description(got, want):
-    parts = []
-    for idx in range(8):
-        if got[idx] != want[idx]:
-            parts.append(f"{LABELS[idx]}: {got[idx] - want[idx]}")
-    return "; ".join(parts)
+    if not isinstance(want, list):
+        return str(got - want)
+    return "; ".join(f"{LABELS[i]}: {x - y}" for i, (x, y) in enumerate(zip(got, want)) if x != y)
+
+
+def _paper_formulas() -> dict:
+    """The paper's closed formulas for the hard products and for a quarter of
+    beta1's norm, by the names rederive_products reports.
+
+    They are the second route of that comparison and nothing else reads
+    them: build_universal derives every entry instead.
+    """
+    lam, mu = LAM, MU
+    lam2 = lam * lam
+    lam3, lam4 = lam2 * lam, lam2 * lam2
+    return {
+        "a0*s1": _vec({
+            S1: Q(7, 32),
+            A0: Q(3, 4) * lam - Q(25, 2**10),
+            AM1: Q(7, 2**11), A1: Q(7, 2**11),
+        }),
+        "norm(beta1)/4": MultiPoly() - lam2 + lam + _c(Q(1, 64)) * (mu - 1),
+        "a0*s2o": scale_vec(Q(-1, 3), _vec({
+            S1: -32 * lam + Q(19, 16),
+            S2E: Q(-7, 32),
+            A0: 32 * lam2 - 5 * lam + Q(1, 8) * mu + Q(127, 2**10),
+            A1: Q(-1, 2) * lam + Q(19, 2**10),
+            AM1: Q(-1, 2) * lam + Q(19, 2**10),
+            A2: Q(-7, 2**11), AM2: Q(-7, 2**11),
+        })),
+        "s1*s1": add_vec(
+            scale_vec(Q(1, 3), _vec({
+                S1: Q(-5, 4) * lam - Q(13, 2**9),
+                S2E: Q(-7, 2**9),
+                S2O: Q(21, 2**11),
+            })),
+            scale_vec(Q(7, 3), _vec({
+                A0: Q(1, 2) * lam2 - Q(1, 2**7) * lam + Q(1, 2**9) * mu - Q(1, 2**15),
+                A1: Q(7, 2**8) * lam - Q(35, 2**16),
+                AM1: Q(7, 2**8) * lam - Q(35, 2**16),
+                A2: Q(7, 2**16), AM2: Q(7, 2**16),
+            }))),
+        "s1*s2e": add_vec(
+            scale_vec(Q(1, 3), _vec({
+                A0: 2**8 * lam3 - Q(27, 2) * lam2 + lam * mu + Q(17, 2**7) * lam
+                    - Q(19, 2**9) * mu + Q(19, 2**15),
+                A1: 14 * lam2 - Q(203, 2**8) * lam + Q(665, 2**16),
+                AM1: 14 * lam2 - Q(203, 2**8) * lam + Q(665, 2**16),
+                A2: Q(7, 2**7) * lam - Q(133, 2**16),
+                AM2: Q(7, 2**7) * lam - Q(133, 2**16),
+                S1: -(2**4) * 19 * lam2 + Q(41, 2) * lam + Q(51, 16) * mu - Q(197, 2**9),
+                S2E: Q(-17, 8) * lam + Q(11, 2**8),
+            })),
+            _vec({S2O: Q(-7, 8) * lam + Q(49, 2**11)})),
+        "s2e*s2e": _vec({
+            A0: 2**19 * 5 * lam4 - Q(2**7 * 6407, 3) * lam3 - 2**7 * 85 * lam2 * mu
+                + Q(20303, 2) * lam2 + Q(2329, 6) * lam * mu + Q(3, 2) * mu * mu
+                - Q(61409, 2**7 * 3) * lam - Q(5315, 2**9 * 3) * mu + Q(89069, 2**15 * 3),
+            A1: 2**9 * 7 * lam3 - Q(791, 3) * lam2 + Q(2317, 2**7 * 3) * lam - Q(8645, 2**16 * 3),
+            AM1: 2**9 * 7 * lam3 - Q(791, 3) * lam2 + Q(2317, 2**7 * 3) * lam - Q(8645, 2**16 * 3),
+            A2: -49 * lam2 + Q(343, 2**6 * 3) * lam + Q(21, 2**8) * mu - Q(3563, 2**16 * 3),
+            AM2: -49 * lam2 + Q(343, 2**6 * 3) * lam + Q(21, 2**8) * mu - Q(3563, 2**16 * 3),
+            S1: -(2**20) * 3 * lam4 + 2**14 * 45 * lam3 - 2**12 * 3 * lam2 * mu
+                - Q(2**4 * 7523, 3) * lam2 + 2**6 * 7 * lam * mu + Q(4819, 6) * lam
+                - Q(65, 16) * mu - Q(65, 12),
+            S2E: -(2**14) * 3 * lam3 - 2**4 * 99 * lam2 - 2**6 * 3 * lam * mu
+                + Q(2837, 24) * lam + Q(47, 16) * mu - Q(4079, 2**10 * 3),
+            S2O: -(2**5) * 21 * lam2 + Q(49, 2) * lam - Q(455, 2**11),
+        }),
+    }
 
 
 def rederive_products(uni: UniversalAlgebra) -> RederiveReport:
-    """Recompute the hard products from first principles and compare.
+    """Compare the derived products and beta1's norm with the paper's closed
+    formulas (_paper_formulas), and check that a_0 gamma1 = gamma1 / 32.
 
-    The zero-eigenvector relations give a_0 s1 and a_0 s2o; partial
-    associativity with 0-eigenvectors gives s1 s1; the resurrection
-    identity x = 4 a(b_{1/4} - b_0) - b_{1/4} gives s1 s2e and s2e s2e.
+    build_universal reaches these entries by derivation from the fusion
+    rules and the form, so each line compares two independent routes.
     Every mismatch is reported with the differing coordinates.
     """
     prod = uni.product
     ev = axis_eigenvectors()
-    e = _basis
+    gamma1 = ev["gamma1"]
+    built = {"a0*s1": prod[A0][S1],
+             "norm(beta1)/4": _c(Q(1, 4)) * _form(uni.gram, ev["beta1"], ev["beta1"]),
+             "a0*s2o": prod[A0][S2O], "s1*s1": prod[S1][S1],
+             "s1*s2e": prod[S1][S2E], "s2e*s2e": prod[S2E][S2E],
+             "a0*gamma1": bilinear(prod, _basis(A0), gamma1, LABELS)}
+    expected = {**_paper_formulas(), "a0*gamma1": scale_vec(Q(1, 32), gamma1)}
     results = []
-
-    def mult(x, y):
-        return bilinear(prod, x, y, LABELS)
-
-    def record(name, got, want):
+    for name, want in expected.items():
+        got = built[name]
         ok = got == want
         results.append(Derivation(name, ok, "" if ok else _diff_description(got, want)))
-
-    # a_0 alpha1 = 0 isolates a_0 s1
-    rest1 = _vec({A0: 3 * LAM - Q(1, 8), A1: Q(7, 16), AM1: Q(7, 16)})
-    record("a0*s1", scale_vec(Q(1, 4), mult(e(A0), rest1)), prod[A0][S1])
-
-    # the squared quarter-projection norm, needed next
-    beta1 = ev["beta1"]
-    bb = pair([pair(row, beta1) for row in uni.gram], beta1)
-    want_bb4 = MultiPoly() - LAM * LAM + LAM + _c(Q(1, 64)) * (MU - 1)
-    ok = _c(Q(1, 4)) * bb == want_bb4
-    results.append(Derivation("norm(beta1)/4", ok,
-                              "" if ok else str(_c(Q(1, 4)) * bb - want_bb4)))
-
-    # fusion forces a_0 (alpha1^2 - beta1^2 + <beta1^2, a0> a0) = 0;
-    # expand the difference so that s1*s1 cancels, then isolate a_0 s2o
-    alpha1 = ev["alpha1"]
-    u1 = sub_vec(alpha1, _vec({S1: -4}))
-    v1 = sub_vec(beta1, _vec({S1: 4}))
-    diff = add_vec(scale_vec(-8, mult(e(S1), add_vec(u1, v1))),
-                sub_vec(mult(u1, u1), mult(v1, v1)))
-    eq = add_vec(diff, scale_vec(_c(Q(1, 4)) * bb, e(A0)))
-    c = eq[S2O]
-    if not c.is_constant() or c.constant_value() == 0:
-        raise ConsistencyError("unexpected shape for the odd-sigma relation")
-    known = list(eq)
-    known[S2O] = MultiPoly()
-    derived = scale_vec(Q(-1) / c.constant_value(), mult(e(A0), known))
-    record("a0*s2o", derived, prod[A0][S2O])
-
-    # partial associativity (a_0 a_1) alpha1 = a_0 (a_1 alpha1) isolates s1*s1
-    lhs_rest = add_vec(mult(e(S1), u1),
-                    scale_vec(Q(1, 32), add_vec(mult(e(A0), alpha1), mult(e(A1), alpha1))))
-    rhs = mult(e(A0), mult(e(A1), alpha1))
-    record("s1*s1", scale_vec(Q(1, 4), sub_vec(lhs_rest, rhs)), prod[S1][S1])
-
-    # resurrection for s1*s2e: with x = 16 s1 s2e, the corrections
-    # b_{1/4} = -alpha1 beta2 - x and b_0 = alpha1 alpha2 - x are x-free
-    alpha2, beta2 = ev["alpha2"], ev["beta2"]
-    u2 = sub_vec(alpha2, _vec({S2E: -4}))
-    v2 = sub_vec(beta2, _vec({S2E: 4}))
-    p_free = add_vec(add_vec(scale_vec(-4, mult(e(S1), v2)), scale_vec(4, mult(u1, e(S2E)))),
-                  mult(u1, v2))
-    q_free = add_vec(add_vec(scale_vec(-4, mult(e(S1), u2)), scale_vec(-4, mult(u1, e(S2E)))),
-                  mult(u1, u2))
-    x = resurrect(mult, e(A0), scale_vec(-1, p_free), q_free, Q(1, 4))
-    record("s1*s2e", scale_vec(Q(1, 16), x), prod[S1][S2E])
-
-    # resurrection for s2e*s2e
-    p2_free = add_vec(scale_vec(4, mult(sub_vec(u2, v2), e(S2E))), mult(u2, v2))
-    q2_free = add_vec(scale_vec(-8, mult(u2, e(S2E))), mult(u2, u2))
-    x = resurrect(mult, e(A0), scale_vec(-1, p2_free), q2_free, Q(1, 4))
-    record("s2e*s2e", scale_vec(Q(1, 16), x), prod[S2E][S2E])
-
-    # the odd eigenvector: a_0 gamma1 = gamma1 / 32
-    gamma1 = ev["gamma1"]
-    record("a0*gamma1", mult(e(A0), gamma1), scale_vec(Q(1, 32), gamma1))
-
     return RederiveReport(results)

@@ -9,14 +9,15 @@ from fractions import Fraction as Q
 from axial import linalg
 from axial.algebra import bilinear, check_axis, miyamoto, three_c, verify_form
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
-from axial.poly import LAM, MU, MultiPoly, standard_monomial_count
+from axial.poly import MU, MultiPoly, standard_monomial_count
 from axial.sakuma import (A0, A1, AM1, LABELS, associativity_polynomials,
                           axis_eigenvectors, discrepancy_quotient,
                           rederive_products, solve_points)
 
 from conftest import POINT_AT, POINT_TABLE, TOTAL_DIM, fraction_inverse
 from test_fusion import V43_TABLE, V53_TABLE
-from test_sakuma import EXPECTED_P1, EXPECTED_P2, e8
+from test_sakuma import (EXPECTED_A_S1, EXPECTED_EVEN_2, EXPECTED_NU3, EXPECTED_NU4,
+                         EXPECTED_ODD_2, EXPECTED_P1, EXPECTED_P2, EXPECTED_S1_S1, e8)
 
 
 def ok(msg):
@@ -164,19 +165,12 @@ def test_criterion_10_gram_recomputations(uni):
     from axial.sakuma import A2, AM2, S1, S2E, S2O
 
     g = uni.gram
-    a_s1 = Q(1, 32) * (31 * LAM - 1)
     for k in range(5):
-        assert g[k][S1] == a_s1
-    assert g[S1][S1] == (Q(3, 4) * LAM**2 + Q(65, 2**9) * LAM
-                         + Q(7, 2**11) * MU - MultiPoly.const(Q(3, 2**11)))
-    assert g[A0][S2E] == Q(1, 32) * (31 * MU - 1)
-    assert g[A0][S2O] == Q(1, 32) * (30 * LAM + MU - 1)
-    nu3 = Q(-1, 7) * (2**15 * LAM**3 - 2**12 * 9 * LAM**2 + 2**7 * 15 * LAM * MU
-                      + 2169 * LAM + 33 * MU - 33)
-    nu4 = Q(1, 7) * (2**23 * LAM**4 - 2**15 * 293 * LAM**3 + 2**16 * 7 * LAM**2 * MU
-                     + 2**12 * 189 * LAM**2 - 2**7 * 5 * LAM * MU - 2**7 * MU**2
-                     - 2**7 * 155 * LAM - 21 * MU + 156)
+        assert g[k][S1] == EXPECTED_A_S1
+    assert g[S1][S1] == EXPECTED_S1_S1
+    assert g[A0][S2E] == EXPECTED_EVEN_2
+    assert g[A0][S2O] == EXPECTED_ODD_2
     assert g[AM1][A1] == MU
-    assert g[AM2][A1] == nu3
-    assert g[AM2][A2] == nu4
+    assert g[AM2][A1] == EXPECTED_NU3
+    assert g[AM2][A2] == EXPECTED_NU4
     ok("criterion 10: <a_k, s1> constant in k; printed form values reproduced exactly")

@@ -9,7 +9,7 @@ import pytest
 from axial import linalg
 from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, annihilator_coeffs,
                            apply_ad_poly, automorphism_defects, bilinear, check_axis,
-                           defect, eigen_decompose, ideal_closure, miyamoto, quotient,
+                           defect, eigen_decompose, ideal_closure, miyamoto, pair, quotient,
                            resurrect, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
@@ -104,6 +104,19 @@ def test_partial_table_names_the_missing_product(alg):
     assert bilinear(table, e(0), e(1), alg.labels) == alg.multiply(e(0), e(1))
     with pytest.raises(ConsistencyError, match=r"product \(a, c\) not yet available"):
         bilinear(table, e(0), [Q(1), Q(0), Q(2)], alg.labels)
+
+
+def test_partial_gram_names_the_missing_form_value(alg):
+    gram = [list(row) for row in alg.gram]
+    gram[0][2] = gram[2][0] = None
+    # a pairing that never needs the missing value still works, even from a
+    # row that opens with it
+    assert pair(gram[0], e(1)) == alg.gram[0][1]
+    assert pair(gram[2], e(1)) == alg.gram[2][1]
+    with pytest.raises(ConsistencyError, match=r"form value <a, c> not yet available"):
+        pair(gram[0], [Q(1), Q(0), Q(2)], alg.labels, 0)
+    with pytest.raises(ConsistencyError, match=r"form value <\?, 0> not yet available"):
+        pair(gram[2], e(0))
 
 
 def test_three_c_eigenspaces(alg, rules):

@@ -288,6 +288,56 @@ def test_sakuma_rederive(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("name, line", [
+    ("s1*s2e", "s1*s2e: MISMATCH a0: -1"),
+    ("norm(beta1)/4", "norm(beta1)/4: MISMATCH -1"),
+])
+def test_sakuma_rederive_reports_a_wrong_closed_formula(name, line, monkeypatch, capsys):
+    # the closed formulas are a route of their own: perturb one and rederive
+    # names it, however right the derived table is
+    import axial.sakuma as sakuma
+
+    real = sakuma._paper_formulas
+
+    def perturbed():
+        formulas = real()
+        want = formulas[name]
+        if isinstance(want, list):
+            want[sakuma.A0] = want[sakuma.A0] + 1
+        else:
+            formulas[name] = want + 1
+        return formulas
+
+    monkeypatch.setattr(sakuma, "_paper_formulas", perturbed)
+    code, out = run(capsys, "sakuma", "rederive")
+    assert code == 1
+    lines = out.splitlines()
+    assert line in lines
+    assert [x for x in lines if "MISMATCH" in x] == [line]
+    assert lines[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("action", ["table", "solve", "classify", "rederive"])
+def test_sakuma_failed_build_exits_1_with_one_line(action, monkeypatch, capsys):
+    # a wrong a3 expansion trips the build's second route for <a0, a3>
+    import axial.sakuma as sakuma
+
+    real = sakuma._solve_a3
+
+    def off(sigma1_sq):
+        a3 = real(sigma1_sq)
+        a3[sakuma.A0] = a3[sakuma.A0] + 1
+        return a3
+
+    monkeypatch.setattr(sakuma, "_solve_a3", off)
+    code = main(["sakuma", action])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("building the universal algebra failed: "
+                            "two routes disagree for <a0, a3>\n")
+
+
 def test_sakuma_classify(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out = run(capsys, "sakuma", "classify", "--out", str(out_file))

@@ -8,7 +8,8 @@ from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, bilin
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import LAM, MU, MultiPoly, rational_roots, resultant, standard_monomial_count
 from axial.sakuma import (A0, A1, AM1, AM2, A2, LABELS, S1, S2E, S2O, UniversalAlgebra,
-                          _complete_gram, associativity_defects, associativity_polynomials,
+                          _axis_sigma_form, _complete_gram, _seed,
+                          associativity_defects, associativity_polynomials,
                           axis_eigenvectors, classify, common_zeros,
                           discrepancy_quotient, evaluate_point,
                           expected_miyamoto_product_order, norton_sakuma_name,
@@ -40,6 +41,29 @@ EXPECTED_P2 = (LAM**5 - Q(577, 2**9) * LAM**4 + Q(25, 2**9) * LAM**3 * MU
                + Q(5183, 2**24) * LAM * MU + Q(87, 2**24) * MU**2
                - Q(63, 2**24) * LAM - Q(2901, 2**29) * MU + Q(117, 2**29))
 
+# The paper's closed values, which the build derives and never reads:
+# a0 * s2e, the form between the axes and the sigmas (by the parity of the
+# axis subscript), <s1, s1>, nu3 = <a0, a3> and nu4 = <a0, a4>.
+EXPECTED_A0_S2E = sym_vec({S2E: Q(7, 32), A0: Q(3, 4) * MU - MultiPoly.const(Q(25, 2**10)),
+                           AM2: Q(7, 2**11), A2: Q(7, 2**11)})
+EXPECTED_A_S1 = Q(1, 32) * (31 * LAM - 1)
+EXPECTED_EVEN_2 = Q(1, 32) * (31 * MU - 1)
+EXPECTED_ODD_2 = Q(1, 32) * (30 * LAM + MU - 1)
+EXPECTED_S1_S1 = (Q(3, 4) * LAM**2 + Q(65, 2**9) * LAM
+                  + Q(7, 2**11) * MU - MultiPoly.const(Q(3, 2**11)))
+EXPECTED_NU3 = Q(-1, 7) * (2**15 * LAM**3 - 2**12 * 9 * LAM**2 + 2**7 * 15 * LAM * MU
+                           + 2169 * LAM + 33 * MU - 33)
+EXPECTED_NU4 = Q(1, 7) * (2**23 * LAM**4 - 2**15 * 293 * LAM**3 + 2**16 * 7 * LAM**2 * MU
+                          + 2**12 * 189 * LAM**2 - 2**7 * 5 * LAM * MU - 2**7 * MU**2
+                          - 2**7 * 155 * LAM - 21 * MU + 156)
+
+
+def derived_gram(prod, a3, a4):
+    """The Gram matrix the build derives from a finished product table."""
+    _, gram = _seed()
+    _axis_sigma_form(prod, gram)
+    return _complete_gram(prod, gram, a3, a4)
+
 
 # -- the symbolic build ---------------------------------------------------
 
@@ -52,6 +76,10 @@ def test_window_products(uni):
     assert prod[A0][A2] == sym_vec({S2E: 1, A0: Q(1, 32), A2: Q(1, 32)})
 
 
+def test_a0_s2e_matches_the_closed_formula(uni):
+    assert uni.product[A0][S2E] == EXPECTED_A0_S2E
+
+
 def test_table_is_total_and_symmetric(uni, monkeypatch):
     prod = uni.product
     for i in range(8):
@@ -61,7 +89,7 @@ def test_table_is_total_and_symmetric(uni, monkeypatch):
     # the build checks both symbolic tables, as the rational constructor does
     import axial.sakuma as sakuma
 
-    def skewed(prod, a3, a4):
+    def skewed(prod, gram, a3, a4):
         gram = [list(row) for row in uni.gram]
         gram[A0][S1] = gram[A0][S1] + 1
         return gram
@@ -162,30 +190,23 @@ def test_gram_printed_entries(uni):
     assert g[A0][A0] == MultiPoly.const(1)
     assert g[A0][A1] == LAM
     assert g[A0][A2] == MU
-    a_s1 = Q(1, 32) * (31 * LAM - 1)
     for k in range(5):
-        assert g[k][S1] == a_s1
-    assert g[A0][S2E] == Q(1, 32) * (31 * MU - 1)
-    assert g[A0][S2O] == Q(1, 32) * (30 * LAM + MU - 1)
-    assert g[S1][S1] == (Q(3, 4) * LAM**2 + Q(65, 2**9) * LAM
-                         + Q(7, 2**11) * MU - MultiPoly.const(Q(3, 2**11)))
+        assert g[k][S1] == EXPECTED_A_S1
+    assert g[A0][S2E] == EXPECTED_EVEN_2
+    assert g[A0][S2O] == EXPECTED_ODD_2
+    assert g[S1][S1] == EXPECTED_S1_S1
 
 
 def test_gram_nu3_nu4(uni):
     g = uni.gram
-    nu3 = Q(-1, 7) * (2**15 * LAM**3 - 2**12 * 9 * LAM**2 + 2**7 * 15 * LAM * MU
-                      + 2169 * LAM + 33 * MU - 33)
-    nu4 = Q(1, 7) * (2**23 * LAM**4 - 2**15 * 293 * LAM**3 + 2**16 * 7 * LAM**2 * MU
-                     + 2**12 * 189 * LAM**2 - 2**7 * 5 * LAM * MU - 2**7 * MU**2
-                     - 2**7 * 155 * LAM - 21 * MU + 156)
-    assert g[AM2][A1] == nu3
-    assert g[AM1][A2] == nu3
-    assert g[AM2][A2] == nu4
+    assert g[AM2][A1] == EXPECTED_NU3
+    assert g[AM1][A2] == EXPECTED_NU3
+    assert g[AM2][A2] == EXPECTED_NU4
 
 
 def test_gram_complete_re_derivation(uni):
     # the stored Gram matrix is the one the product table determines
-    assert _complete_gram(uni.product, uni.a3, uni.a4) == uni.gram
+    assert derived_gram(uni.product, uni.a3, uni.a4) == uni.gram
 
 
 def test_gram_second_routes_catch_a_wrong_product(uni):
@@ -196,18 +217,37 @@ def test_gram_second_routes_catch_a_wrong_product(uni):
     wrong[S1] = wrong[S1] + Q(1, 2**10)
     prod[A1][S1] = prod[S1][A1] = wrong
     with pytest.raises(ConsistencyError, match="two routes disagree"):
-        _complete_gram(prod, uni.a3, uni.a4)
+        derived_gram(prod, uni.a3, uni.a4)
+
+
+def test_gram_second_routes_catch_a_wrong_expansion(uni):
+    # nu3 = <a0, a3> is checked as <a3, a1> = mu, nu4 = <a0, a4> as <a4, a1> = nu3
+    a3 = list(uni.a3)
+    a3[A0] = a3[A0] + 1
+    with pytest.raises(ConsistencyError, match=r"two routes disagree for <a0, a3>"):
+        derived_gram(uni.product, a3, uni.a4)
+    a4 = list(uni.a4)
+    a4[A0] = a4[A0] + 1
+    with pytest.raises(ConsistencyError, match=r"two routes disagree for <a0, a4>"):
+        derived_gram(uni.product, uni.a3, a4)
+
+
+def test_the_build_reads_no_entry_before_deriving_it():
+    # the seed knows neither a0 * s1 nor <a0, s1>
+    prod, gram = _seed()
+    with pytest.raises(ConsistencyError, match=r"product \(a0, s1\) not yet available"):
+        bilinear(prod, sym_vec({A0: 1}), sym_vec({S1: 1}), LABELS)
+    with pytest.raises(ConsistencyError, match=r"form value <a0, s1> not yet available"):
+        _complete_gram(prod, gram, sym_vec({S1: 1}), sym_vec({A2: 1}))
 
 
 def test_sigma_gram_entries_by_parity(uni):
     g = uni.gram
-    even2 = Q(1, 32) * (31 * MU - 1)
-    odd2 = Q(1, 32) * (30 * LAM + MU - 1)
     for k in range(5):
         if k % 2 == 0:
-            assert g[k][S2E] == even2 and g[k][S2O] == odd2
+            assert g[k][S2E] == EXPECTED_EVEN_2 and g[k][S2O] == EXPECTED_ODD_2
         else:
-            assert g[k][S2E] == odd2 and g[k][S2O] == even2
+            assert g[k][S2E] == EXPECTED_ODD_2 and g[k][S2O] == EXPECTED_EVEN_2
 
 
 # -- associativity polynomials and the variety ----------------------------
@@ -558,7 +598,7 @@ def test_rederive_products(uni):
 
 
 def test_rederived_sigma_coefficient(uni):
-    # the re-derivation reproduces the 7/32 sigma coefficient
+    # the derived a0 * s1 has the paper's 7/32 sigma coefficient
     assert uni.product[A0][S1][S1] == MultiPoly.const(Q(7, 32))
 
 
