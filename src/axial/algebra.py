@@ -6,9 +6,12 @@ only as integers: its product tensor and its Gram matrix each as integer
 numerators over one denominator.  Products, forms, ad(a), eigenspaces,
 the axis and automorphism checks, ideal closures and quotients all run on
 those integers, and `product` and `gram` are read-only Fraction views of
-them.  The symbolic algebra over Q[lam, mu] is not a StructureAlgebra:
-it is two bare MultiPoly tables (see sakuma.UniversalAlgebra), which the
-ring-generic kernel below serves as well.
+them.  Whether vectors lie in a subspace (primitivity, the fusion law,
+ideal closure, the quotient's ideal test) is always decided on canonical
+integer echelon rows, by comparing them or by a rank.  The symbolic
+algebra over Q[lam, mu] is not a StructureAlgebra: it is two bare
+MultiPoly tables (see sakuma.UniversalAlgebra), which the ring-generic
+kernel below serves as well.
 """
 
 from __future__ import annotations
@@ -77,6 +80,16 @@ def pair(row, v, labels=None, k=None):
                 entry = f"{labels[k]}, {labels[r]}" if labels else f"?, {r}"
                 raise ConsistencyError(f"form value <{entry}> not yet available")
             total = total + c * g
+    return total
+
+
+def form(gram, x, y, labels=None):
+    """<x, y> = sum_k x_k <e_k, y> by bilinear extension of a Gram table;
+    a missing value raises as in pair."""
+    total = 0 * x[0]
+    for k, c in enumerate(x):
+        if c:
+            total = total + c * pair(gram[k], y, labels, k)
     return total
 
 
@@ -187,8 +200,7 @@ class StructureAlgebra:
     def form(self, x, y):
         """Value of the bilinear form on two coordinate vectors."""
         (x, dx), (y, dy) = linalg.clear_denominators(x), linalg.clear_denominators(y)
-        return Fraction(sum(xi * pair(row, y) for xi, row in zip(x, self.gram_table) if xi),
-                        self.gram_den * dx * dy)
+        return Fraction(form(self.gram_table, x, y), self.gram_den * dx * dy)
 
     # -- serialization ------------------------------------------------------
 
@@ -274,35 +286,6 @@ def three_c() -> StructureAlgebra:
     return StructureAlgebra(["a", "b", "c"], product, gram, marked=[0, 1, 2])
 
 
-# -- polynomials in the adjoint ---------------------------------------------
-
-
-def apply_ad_poly(ad, coeffs, w):
-    """(out, den) with f(A / d) w = out / den, by integer Horner steps.
-
-    ad = (A, d) as from ad_integer, w is an integer vector and coeffs are
-    the rational coefficients of f, low to high.  With those cleared to
-    c_k / e and K the degree, e d^K f(A / d) = sum c_k d^(K-k) A^k.
-    """
-    mat, d = ad
-    nums, e = linalg.clear_denominators(list(coeffs))
-    out = [0] * len(w)
-    for step, c in enumerate(reversed(nums)):
-        c *= d ** step
-        out = [sum(map(mul, row, out)) + c * x for row, x in zip(mat, w)]
-    return out, e * d ** max(len(nums) - 1, 0)
-
-
-def annihilator_coeffs(roots) -> list[int]:
-    """Integer coefficients (low to high) of prod (q t - p) over the roots
-    r = p/q: the annihilator times the product of the q."""
-    coeffs = [1]
-    for r in roots:
-        p, q = Fraction(r).as_integer_ratio()
-        coeffs = [q * h - p * c for c, h in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
-
-
 # -- eigenspaces and the axis predicates -------------------------------------
 
 
@@ -364,28 +347,28 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
     Checks: aa = a; <a, a> = 2 * central charge; the candidate spectrum
     (the field set) exhausts the algebra; a spans its own 1-eigenspace;
     and each eigenspace product lands in the prescribed eigenspace sum,
-    tested with annihilator polynomials in ad(a).  Unrealised fields are
-    recorded with dimension 0 and skipped in the product scan.
+    tested by span membership on the eigenspace bases.  Unrealised fields
+    are recorded with dimension 0 and skipped in the product scan.
     """
     idempotent = algebra.multiply(a, a) == list(a)
     norm_ok = algebra.form(a, a) == 2 * rules.central_charge
-    ad = algebra.ad_integer(a)
-    spaces, semisimple = eigen_decompose(ad, rules.fields)
+    spaces, semisimple = eigen_decompose(algebra.ad_integer(a), rules.fields)
     spectrum = {theta: len(basis) for theta, basis in spaces.items()}
     one_space = spaces.get(Fraction(1), [])
     # canonical bases are equal exactly when the spans are; a zero a gives []
     primitive = len(one_space) == 1 and one_space == linalg.echelon_span([a])
 
-    # the eigenvectors are integer rows, so u v is tested up to scale
+    # eigenspaces of distinct eigenvalues are independent, so the products
+    # lie in the allowed sum exactly when they add nothing to its rank
     table = algebra.table
     violations = []
     realized = [theta for theta, basis in spaces.items() if basis]
     for i, f in enumerate(realized):
         for g in realized[i:]:
-            # f(ad(a)) w is tested for zero, so any multiple of f will do
-            coeffs = annihilator_coeffs(sorted(rules.product(f, g)))
-            if any(any(apply_ad_poly(ad, coeffs, bilinear(table, u, v, algebra.labels))[0])
-                   for u in spaces[f] for v in spaces[g]):
+            allowed = [v for h in rules.product(f, g) for v in spaces[h]]
+            products = [bilinear(table, u, v, algebra.labels)
+                        for u in spaces[f] for v in spaces[g]]
+            if len(linalg.integer_rref(allowed + products)[0]) != len(allowed):
                 violations.append((f, g))
     return AxisReport(idempotent, norm_ok, spectrum, semisimple,
                       primitive, not violations, violations, spaces)
@@ -488,8 +471,7 @@ def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
         bases = list(eigen.values())
         # u . G v on the integer Gram matrix G, for u, v in distinct eigenspaces
         perpendicular[label] = not any(
-            pair([pair(row, v) for row in gram], u)
-            for x, basis in enumerate(bases) for later in bases[x + 1:]
+            form(gram, u, v) for x, basis in enumerate(bases) for later in bases[x + 1:]
             for u in basis for v in later)
     return FormReport(symmetric, not failures, failures, perpendicular)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from .poly import _literal
@@ -206,33 +205,43 @@ def virasoro_rules(p: int, q: int) -> FusionRules:
 
 
 def find_z2_gradings(rules: FusionRules) -> list[Grading]:
-    """All Z/2-gradings, found by brute force over the two-part partitions.
+    """All Z/2-gradings, the trivial one (odd part empty) included.
 
-    The identity field is required to be even; the trivial grading (odd
-    part empty) is included.
+    A grading is a parity x_f in GF(2) for each field, with the identity
+    field even and x_f + x_g + x_h = 0 for every h in f*g.  Each equation is
+    a bitmask over the other fields; elimination leaves a basis of the
+    solutions, and their sums are the gradings, ordered by the size of the
+    odd part and then by the positions of its fields in the field order.
     """
     others = [f for f in rules.fields if f != ONE]
-    found = []
-    for k in range(len(others) + 1):
-        for odd in combinations(others, k):
-            odd_set = frozenset(odd)
-            even_set = frozenset(rules.fields) - odd_set
-
-            def parity(f):
-                return 1 if f in odd_set else 0
-
-            ok = True
-            for f in rules.fields:
-                for g in rules.fields:
-                    want = (parity(f) + parity(g)) % 2
-                    if any(parity(h) != want for h in rules.product(f, g)):
-                        ok = False
+    bit = {f: 1 << i for i, f in enumerate(others)}
+    rows = {}  # leading bit -> the equation that leads with it
+    for i, f in enumerate(rules.fields):
+        for g in rules.fields[i:]:
+            for h in rules.product(f, g):
+                row = bit.get(f, 0) ^ bit.get(g, 0) ^ bit.get(h, 0)
+                while row:
+                    lead = row.bit_length() - 1
+                    if lead not in rows:
+                        rows[lead] = row
                         break
-                if not ok:
-                    break
-            if ok:
-                found.append(Grading(even_set, odd_set))
-    return found
+                    row ^= rows[lead]
+    # one solution per free field, the led fields solved from the lowest up
+    basis = []
+    for j in range(len(others)):
+        if j not in rows:
+            x = 1 << j
+            for lead in sorted(rows):
+                if (rows[lead] & x).bit_count() % 2:
+                    x |= 1 << lead
+            basis.append(x)
+    solutions = [0]
+    for x in basis:
+        solutions += [s ^ x for s in solutions]
+    positions = sorted(([i for i in range(len(others)) if s >> i & 1] for s in solutions),
+                       key=lambda odd: (len(odd), odd))
+    odd_sets = [frozenset(others[i] for i in odd) for odd in positions]
+    return [Grading(frozenset(rules.fields) - odd, odd) for odd in odd_sets]
 
 
 def frobenius_refine(rules: FusionRules) -> FusionRules:

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
-                      bilinear, check_axis, check_symmetric, defect, form_tensor,
+                      bilinear, check_axis, check_symmetric, defect, form, form_tensor,
                       ideal_closure, miyamoto, pair, quotient, resurrect)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
@@ -168,11 +168,6 @@ def _seed():
     return prod, gram
 
 
-def _form(gram, x, y):
-    """<x, y> by bilinear extension of a Gram table that may still be filling."""
-    return sum((c * pair(gram[k], y, LABELS, k) for k, c in enumerate(x) if c), MultiPoly())
-
-
 def build_universal() -> UniversalAlgebra:
     """Derive all 36 products and the full Gram matrix from the axioms.
 
@@ -213,7 +208,7 @@ def build_universal() -> UniversalAlgebra:
     v1 = sub_vec(beta1, _vec({S1: 4}))
     diff = add_vec(scale_vec(-8, mult(e(S1), add_vec(u1, v1))),
                    sub_vec(mult(u1, u1), mult(v1, v1)))
-    eq = add_vec(diff, scale_vec(_c(Q(1, 4)) * _form(g, beta1, beta1), e(A0)))
+    eq = add_vec(diff, scale_vec(_c(Q(1, 4)) * form(g, beta1, beta1, LABELS), e(A0)))
     c = eq[S2O]
     if not c.is_constant() or c.constant_value() == 0:
         raise ConsistencyError("unexpected shape for the odd-sigma relation")
@@ -806,7 +801,7 @@ def rederive_products(uni: UniversalAlgebra) -> RederiveReport:
     ev = axis_eigenvectors()
     gamma1 = ev["gamma1"]
     built = {"a0*s1": prod[A0][S1],
-             "norm(beta1)/4": _c(Q(1, 4)) * _form(uni.gram, ev["beta1"], ev["beta1"]),
+             "norm(beta1)/4": _c(Q(1, 4)) * form(uni.gram, ev["beta1"], ev["beta1"], LABELS),
              "a0*s2o": prod[A0][S2O], "s1*s1": prod[S1][S1],
              "s1*s2e": prod[S1][S2E], "s2e*s2e": prod[S2E][S2E],
              "a0*gamma1": bilinear(prod, _basis(A0), gamma1, LABELS)}

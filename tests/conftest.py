@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from axial import linalg
+from axial.algebra import eigen_decompose
 from axial.sakuma import build_universal, classify, solve_points
 
 # The oracle: the Norton-Sakuma algebras in table order, each with its
@@ -45,6 +46,46 @@ def associates_with_zero_eigenvectors(algebra, a) -> bool:
             if algebra.multiply(a, algebra.multiply(x, z)) != algebra.multiply(ax, z):
                 return False
     return True
+
+
+# The fusion law by annihilator polynomials, the route check_axis took
+# before its span test: V_f V_g lies in the sum of the V_h for h in f*g
+# exactly when the product of the ad(a) - h kills every product of an f-
+# and a g-eigenvector, since for distinct h the kernel of that product is
+# the sum of the eigenspaces whether or not ad(a) is diagonalisable.
+
+
+def ref_annihilator_coeffs(roots):
+    """Coefficients, low to high, of the monic prod (t - r) over the roots."""
+    coeffs = [Q(1)]
+    for r in roots:
+        coeffs = [h - r * c for c, h in zip(coeffs + [Q(0)], [Q(0)] + coeffs)]
+    return coeffs
+
+
+def ref_apply_ad_poly(algebra, coeffs, a, v):
+    """f(ad(a)) v by Horner steps, one multiply each, for f with the given
+    coefficients, low to high."""
+    out = [Q(0)] * algebra.dim
+    for c in reversed(list(coeffs)):
+        out = algebra.multiply(a, out)
+        out = [o + c * vi for o, vi in zip(out, v)]
+    return out
+
+
+def ref_violations(algebra, a, rules):
+    """The field pairs (f, g), f before g in the field order, whose
+    eigenspace products the annihilator of f*g does not kill."""
+    spaces, _ = eigen_decompose(algebra.ad_integer(a), rules.fields)
+    realized = [t for t, b in spaces.items() if b]
+    out = []
+    for i, f in enumerate(realized):
+        for g in realized[i:]:
+            coeffs = ref_annihilator_coeffs(sorted(rules.product(f, g)))
+            if any(any(ref_apply_ad_poly(algebra, coeffs, a, algebra.multiply(u, v)))
+                   for u in spaces[f] for v in spaces[g]):
+                out.append((f, g))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,12 @@ from pathlib import Path
 import pytest
 
 from axial import linalg
-from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, annihilator_coeffs,
-                           apply_ad_poly, automorphism_defects, bilinear, check_axis,
-                           defect, eigen_decompose, ideal_closure, miyamoto, pair, quotient,
-                           resurrect, three_c, verify_form)
+from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, automorphism_defects,
+                           bilinear, check_axis, defect, eigen_decompose, form, ideal_closure,
+                           miyamoto, pair, quotient, resurrect, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
-from conftest import POINT_AT, associates_with_zero_eigenvectors
+from conftest import POINT_AT, associates_with_zero_eigenvectors, ref_violations
 from axial.sakuma import EvalPoint, discrepancy_quotient, evaluate_point
 from test_linalg import eye, rank_and_kernel, ref_reduce_vector
 
@@ -54,13 +53,6 @@ def ad_fractions(algebra, a):
 
 def spaces_of(algebra, a, rules):
     return eigen_decompose(algebra.ad_integer(a), rules.fields)
-
-
-def ad_poly_fractions(algebra, coeffs, a, v):
-    """f(ad(a)) v as Fractions."""
-    nums, dv = linalg.clear_denominators(v)
-    out, den = apply_ad_poly(algebra.ad_integer(a), coeffs, nums)
-    return [Q(x, den * dv) for x in out]
 
 
 def involution(algebra, a, rules, grading):
@@ -117,6 +109,10 @@ def test_partial_gram_names_the_missing_form_value(alg):
         pair(gram[0], [Q(1), Q(0), Q(2)], alg.labels, 0)
     with pytest.raises(ConsistencyError, match=r"form value <\?, 0> not yet available"):
         pair(gram[2], e(0))
+    # form reads one row per nonzero coordinate of x and names what it misses
+    assert form(gram, [Q(1), Q(1), Q(0)], e(1)) == alg.gram[0][1] + alg.gram[1][1]
+    with pytest.raises(ConsistencyError, match=r"form value <c, a> not yet available"):
+        form(gram, e(2), [Q(1), Q(1), Q(0)], alg.labels)
 
 
 def test_three_c_eigenspaces(alg, rules):
@@ -178,29 +174,6 @@ def test_one_dim_algebra(rules):
     assert semisimple and len(spaces[Q(1)]) == 1
     tau = miyamoto(tiny, spaces, next(g for g in find_z2_gradings(rules) if not g.trivial))
     assert tau == ([[1]], 1)
-
-
-def test_apply_ad_poly_basics(alg):
-    v = [Q(2), Q(1), Q(-1)]
-    assert ad_poly_fractions(alg, [Q(0), Q(1)], e(0), v) == alg.multiply(e(0), v)
-    # t(t-1) kills the axis itself
-    coeffs = annihilator_coeffs([Q(0), Q(1)])
-    assert ad_poly_fractions(alg, coeffs, e(0), e(0)) == [Q(0)] * 3
-
-
-def test_full_annihilator_kills_perp(alg):
-    # anything perpendicular to the axis is a sum of 0-, 1/4-, 1/32-eigenvectors
-    coeffs = annihilator_coeffs([Q(0), Q(1, 4), Q(1, 32)])
-    for w in ([Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(1)]):
-        perp = [wi - alg.form(e(0), w) * xi for wi, xi in zip(w, e(0))]
-        assert ad_poly_fractions(alg, coeffs, e(0), perp) == [Q(0)] * 3
-
-
-def test_annihilator_coeffs():
-    # (t - 1)(t - 1/64) = t^2 - (65/64) t + 1/64, times 64
-    nums = annihilator_coeffs([Q(1), Q(1, 64)])
-    assert nums == [1, -65, 64] and all(type(c) is int for c in nums)
-    assert [Q(c, nums[-1]) for c in nums] == [Q(1, 64), Q(-65, 64), Q(1)]
 
 
 def test_miyamoto_swaps_other_axes(alg, rules, grading):
@@ -386,30 +359,6 @@ def test_constructor_refuses_entries_that_are_not_rational(entry, table):
 
 
 # -- the integer adjoint paths against the Fraction loops they replaced ---------
-#
-# ref_apply_ad_poly is the former Horner loop: one multiply per step.
-
-
-def ref_apply_ad_poly(algebra, coeffs, a, v):
-    out = [Q(0)] * algebra.dim
-    for c in reversed(list(coeffs)):
-        out = algebra.multiply(a, out)
-        out = [o + c * vi for o, vi in zip(out, v)]
-    return out
-
-
-def ref_violations(algebra, a, rules):
-    spaces, _ = spaces_of(algebra, a, rules)
-    realized = [t for t, b in spaces.items() if b]
-    out = []
-    for i, f in enumerate(realized):
-        for g in realized[i:]:
-            nums = annihilator_coeffs(sorted(rules.product(f, g)))
-            coeffs = [Q(c, nums[-1]) for c in nums]
-            if any(any(ref_apply_ad_poly(algebra, coeffs, a, algebra.multiply(u, v)))
-                   for u in spaces[f] for v in spaces[g]):
-                out.append((f, g))
-    return out
 
 
 def ref_automorphism_failures(algebra, m):
@@ -452,17 +401,24 @@ def test_ad_matrix_is_the_columns_of_multiply(quotients):
             assert ad_fractions(algebra, a) == linalg.transpose(cols)
 
 
-def test_integer_annihilators_match_the_fraction_loop(quotients, rules):
-    rng = random.Random(17)
-    polys = [[Q(0), Q(1)], [Q(3, 7)], annihilator_coeffs([Q(0), Q(1, 4), Q(1, 32)]),
-             [Q(-5, 9), Q(0), Q(2, 3), Q(1, 11)]]
-    for algebra, axes in quotients:
-        for a in axes:
-            for coeffs in polys:
-                v = random_vector(rng, algebra.dim)
-                want = ref_apply_ad_poly(algebra, coeffs, a, v)
-                assert ad_poly_fractions(algebra, coeffs, a, v) == want
-            assert check_axis(algebra, a, rules).violations == ref_violations(algebra, a, rules)
+def test_integer_annihilators_match_the_fraction_loop(quotients, uni, points, rules):
+    # check_axis's span test against the annihilator polynomials of conftest
+    cases = [(algebra, a) for algebra, axes in quotients for a in axes]
+    for pt in points.values():
+        evaluated = evaluate_point(uni, pt)
+        disc = discrepancy_quotient(uni, pt)
+        axes = [evaluated.basis_vector(i) for i in (2, 3)]
+        images = [linalg.matvec(disc.projection, v) for v in axes]
+        # each algebra at a_0, a_1 and a_0 - a_1, which is not an axis
+        for algebra, (x, y) in ((evaluated, axes), (disc.quotient, images)):
+            cases += [(algebra, x), (algebra, y), (algebra, linalg.sub_vec(x, y))]
+    seen = set()
+    for algebra, a in cases:
+        report = check_axis(algebra, a, rules)
+        assert report.violations == ref_violations(algebra, a, rules)
+        seen.add((report.semisimple, report.fusion_ok))
+    # semisimple and not, obeying the fusion law and not
+    assert {s for s, _ in seen} == {f for _, f in seen} == {True, False}
     # a_0 + a_1 in 3C breaks the fusion rules, so the nonzero branch runs too
     assert ref_violations(three_c(), [Q(1), Q(1), Q(0)], rules)
 

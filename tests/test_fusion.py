@@ -1,9 +1,11 @@
 from fractions import Fraction as Q
+from itertools import combinations
+from math import gcd
 
 import pytest
 
-from axial.fusion import (FusionRules, RulesFormatError, central_charge, find_z2_gradings,
-                          frobenius_refine, highest_weights, virasoro_rules)
+from axial.fusion import (FusionRules, Grading, RulesFormatError, central_charge,
+                          find_z2_gradings, frobenius_refine, highest_weights, virasoro_rules)
 
 ONE = Q(1)
 
@@ -140,6 +142,58 @@ def test_gradings_v53():
 def test_unique_nontrivial_grading(p, q):
     nontrivial = [g for g in find_z2_gradings(virasoro_rules(p, q)) if not g.trivial]
     assert len(nontrivial) == 1
+
+
+def brute_force_gradings(rules):
+    """Every odd set of non-identity fields whose parity every product
+    respects, by odd-set size and then in combinations order."""
+    others = [f for f in rules.fields if f != ONE]
+    found = []
+    for k in range(len(others) + 1):
+        for odd in map(frozenset, combinations(others, k)):
+            if all((h in odd) == ((f in odd) != (g in odd))
+                   for f in rules.fields for g in rules.fields for h in rules.product(f, g)):
+                found.append(Grading(frozenset(rules.fields) - odd, odd))
+    return found
+
+
+def is_modelled(p, q):
+    """Whether V(p, q) is a set of fields: virasoro_rules refuses the tables
+    in which a halved weight collides with another field, such as V(10, 3)."""
+    try:
+        virasoro_rules(p, q)
+    except ValueError:
+        return False
+    return True
+
+
+# every V(p, q) with at most 11 fields, that is (p - 1)(q - 1) <= 20
+SMALL_VIRASORO = [(p, q) for p in range(3, 22) for q in range(2, p)
+                  if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 20 and is_modelled(p, q)]
+
+
+@pytest.mark.parametrize("p,q", SMALL_VIRASORO)
+def test_gradings_match_the_brute_force(p, q):
+    rules = virasoro_rules(p, q)
+    assert find_z2_gradings(rules) == brute_force_gradings(rules)
+
+
+def test_gradings_match_the_brute_force_off_the_virasoro_tables():
+    # with the products emptied every parity is a grading, so all 2^4 odd
+    # sets come back, in the brute force's order
+    rules = virasoro_rules(5, 3)
+    empty = {pair: (frozenset({pair[1]}) if pair[0] == ONE else
+                    frozenset({pair[0]}) if pair[1] == ONE else frozenset())
+             for pair in rules.star}
+    loose = FusionRules(rules.central_charge, rules.fields, empty)
+    gradings = find_z2_gradings(loose)
+    assert len(gradings) == 16 and gradings == brute_force_gradings(loose)
+
+
+def test_v87_has_one_nontrivial_grading():
+    gradings = find_z2_gradings(virasoro_rules(8, 7))
+    assert [g.trivial for g in gradings] == [True, False]
+    assert len(gradings[1].odd) == 9
 
 
 def associative_rules(zero_self):

@@ -1,5 +1,6 @@
 """Property tests: the product/form/defect kernel on random rational vectors,
-the axis checks of the 3C fixture in random bases, the MultiPoly ring laws
+the axis checks of the 3C fixture in random bases, the fusion law on random
+algebras against annihilator polynomials, the MultiPoly ring laws
 and canonical form, MultiPoly against a Fraction-dict reference, and rational
 roots planted in random polynomials."""
 
@@ -21,7 +22,7 @@ from axial.fusion import frobenius_refine, virasoro_rules  # noqa: E402
 from axial.poly import (MultiPoly, buchberger, evaluate_all, leading_term,  # noqa: E402
                         rational_roots, reduce_poly, s_polynomial)
 from axial.sakuma import EvalPoint, evaluate_point  # noqa: E402
-from conftest import fraction_inverse  # noqa: E402
+from conftest import fraction_inverse, ref_violations  # noqa: E402
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 
@@ -118,6 +119,29 @@ def test_check_axis_in_a_random_basis(p):
         assert got.spectrum == want.spectrum
         spaces[fixture.labels[m]] = got.spaces
     assert verify_form(alg, spaces).passed
+
+
+eigenvalues = st.sampled_from([Q(1), Q(0), Q(1, 4), Q(1, 32), Q(1, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(eigenvalues, min_size=3, max_size=3), st.lists(small, min_size=3, max_size=3),
+       st.lists(vectors(3), min_size=3, max_size=3), vectors(3), st.booleans())
+def test_fusion_law_matches_the_annihilators(diagonal, upper, products, v, refined):
+    # ad(e_0) is upper triangular with the drawn diagonal, so e_0 has the
+    # drawn eigenvalues and, when one repeats, is often not semisimple
+    (d0, d1, d2), (x01, x02, x12), zero = diagonal, upper, Q(0)
+    ad = [[d0, x01, x02], [zero, d1, x12], [zero, zero, d2]]
+    product = [[None] * 3 for _ in range(3)]
+    for j in range(3):
+        product[0][j] = product[j][0] = [row[j] for row in ad]
+    for (i, j), vec in zip(((1, 1), (1, 2), (2, 2)), products):
+        product[i][j] = product[j][i] = vec
+    identity = [[Q(int(i == j)) for j in range(3)] for i in range(3)]
+    alg = StructureAlgebra(["x", "y", "z"], product, identity)
+    rules = ISING if refined else virasoro_rules(4, 3)
+    for a in (alg.basis_vector(0), v):
+        assert check_axis(alg, a, rules).violations == ref_violations(alg, a, rules)
 
 
 @settings(max_examples=40, deadline=None)
