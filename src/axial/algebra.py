@@ -23,7 +23,7 @@ from operator import mul
 
 from . import linalg
 from .fusion import FusionRules, Grading
-from .poly import _literal
+from .poly import _literal, dot
 
 
 class ConsistencyError(Exception):
@@ -47,13 +47,14 @@ class ShapeError(ValueError):
 
 
 def bilinear(table, x, y, labels):
-    """x y by bilinear extension of a product table.
+    """x y by bilinear extension of a product table: coordinate k is the dot
+    product of the coefficients x_i y_j with the entries T[i][j][k].
 
     Entries may be Fraction, MultiPoly or int.  A table that is still being
     filled holds None for the products not yet known; needing one raises
     ConsistencyError naming the pair by its basis labels.
     """
-    out = [0 * xi for xi in x]
+    coeffs, entries = [], []
     for i, xi in enumerate(x):
         if not xi:
             continue
@@ -64,33 +65,32 @@ def bilinear(table, x, y, labels):
             entry = row[j]
             if entry is None:
                 raise ConsistencyError(f"product ({labels[i]}, {labels[j]}) not yet available")
-            c = xi * yj
-            out = [o + c * e if e else o for o, e in zip(out, entry)]
-    return out
+            coeffs.append(xi * yj)
+            entries.append(entry)
+    if not entries:
+        return [0 * xi for xi in x]
+    if len(entries) == 1:  # one product, as for a basis vector: scale its entry
+        return [coeffs[0] * e for e in entries[0]]
+    return [dot(coeffs, column) for column in zip(*entries)]
 
 
 def pair(row, v, labels=None, k=None):
     """<e_k, v> from row k of the Gram matrix: the contraction sum_r v_r row[r].
     A row still being filled holds None for the values not yet known; needing
     one raises ConsistencyError naming it, by labels when labels and k are given."""
-    total = 0 * v[0]
-    for r, (c, g) in enumerate(zip(v, row)):
-        if c:
-            if g is None:
+    if type(None) in map(type, row):
+        for r, (c, g) in enumerate(zip(v, row)):
+            if c and g is None:
                 entry = f"{labels[k]}, {labels[r]}" if labels else f"?, {r}"
                 raise ConsistencyError(f"form value <{entry}> not yet available")
-            total = total + c * g
-    return total
+        row = [0 if g is None else g for g in row]
+    return dot(v, row)
 
 
 def form(gram, x, y, labels=None):
     """<x, y> = sum_k x_k <e_k, y> by bilinear extension of a Gram table;
     a missing value raises as in pair."""
-    total = 0 * x[0]
-    for k, c in enumerate(x):
-        if c:
-            total = total + c * pair(gram[k], y, labels, k)
-    return total
+    return dot(x, [pair(row, y, labels, k) if c else 0 for k, (c, row) in enumerate(zip(x, gram))])
 
 
 def defect(table, gram, i, j, k):
@@ -110,7 +110,7 @@ def form_tensor(table, gram):
     tensor = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            tensor[i][j] = tensor[j][i] = [pair(gram[k], table[i][j]) for k in range(n)]
+            tensor[i][j] = tensor[j][i] = [dot(table[i][j], row) for row in gram]
     return tensor
 
 
@@ -451,8 +451,11 @@ class FormReport(namedtuple("FormReport",
 
 
 def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
-    """Check symmetry, associativity <xy, z> = <x, yz> on all basis triples,
-    and perpendicularity of distinct eigenspaces at each axis in spaces.
+    """Check associativity <xy, z> = <x, yz> on all basis triples, and
+    perpendicularity of distinct eigenspaces at each axis in spaces.
+
+    The report's symmetric field is always true: check_symmetric refused
+    every asymmetric Gram matrix when the algebra was built.
 
     spaces maps an axis label to its eigenspaces as check_axis reports
     them (AxisReport.spaces, integer bases by eigenvalue); each pair of
@@ -461,7 +464,6 @@ def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
     """
     n = algebra.dim
     gram = algebra.gram_table
-    symmetric = all(gram[i][j] == gram[j][i] for i in range(n) for j in range(n))
     # the integer defects are the rational ones times den * gram_den
     tensor = form_tensor(algebra.table, gram)
     failures = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
@@ -473,7 +475,7 @@ def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
         perpendicular[label] = not any(
             form(gram, u, v) for x, basis in enumerate(bases) for later in bases[x + 1:]
             for u in basis for v in later)
-    return FormReport(symmetric, not failures, failures, perpendicular)
+    return FormReport(True, not failures, failures, perpendicular)
 
 
 def resurrect(multiply, a, b_lm, b_0, lm):

@@ -194,8 +194,9 @@ def virasoro_rules(p: int, q: int) -> FusionRules:
     put(ONE, ONE, frozenset({ONE}))
     for h, _ in weights:
         put(ONE, halved[h], frozenset({halved[h]}))
-    for h1, _ in weights:
-        for h2, _ in weights:
+    # the admissible bounds are symmetric, so each unordered pair is computed once
+    for i, (h1, _) in enumerate(weights):
+        for h2, _ in weights[i:]:
             bullet = _admissible_products(p, q, reps[h1], reps[h2])
             value = {w / 2 for w in bullet}
             if ZERO in bullet:

@@ -9,7 +9,7 @@ reduction, kernels, inverses and determinants eliminate over the integers
 primitive integer rows of its reduced echelon form with positive pivots
 (`echelon_span`), so equal subspaces have equal bases.  Only `rref`
 hands back Fractions: the monic reduced echelon form.  `matvec` and
-`matmul` are generic over the ring, skipping zero entries: they serve
+`matmul` are generic over the ring, each entry one `poly.dot`: they serve
 matrices over the polynomial ring, and return ints for int matrices and
 Fractions for Fraction ones.
 """
@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+from . import poly
 
 _ZERO = Fraction(0)
 
@@ -69,31 +71,17 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def _generic_product(a, bt):
-    """a times the matrix with columns bt, for entries in the polynomial
-    ring: each row and column is scanned once for its nonzero entries, and
-    only products of two nonzero entries are formed."""
-    if not a:
-        return []
-    zero = 0 * a[0][0]
-    cols = [{k: y for k, y in enumerate(cb) if y} for cb in bt]
-    out = []
-    for ra in a:
-        row = [(k, x) for k, x in enumerate(ra) if x]
-        out.append([sum((x * col[k] for k, x in row if k in col), zero) for col in cols])
-    return out
-
-
 def matvec(m, v):
     if m and len(m[0]) != len(v):
         raise ValueError("dimension mismatch")
-    return [row[0] for row in _generic_product(m, [v])]
+    return [poly.dot(row, v) for row in m]
 
 
 def matmul(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
-    return _generic_product(a, transpose(b))
+    bt = transpose(b)
+    return [[poly.dot(ra, cb) for cb in bt] for ra in a]
 
 
 def integer_matmul(a, b):

@@ -12,12 +12,13 @@ numerators over one positive denominator (Geddes, Czapor and Labahn,
 *Algorithms for Computer Algebra*, 1992, ch. 2), so the ring operations,
 evaluation and elimination all run on Python integers: a sum takes one
 lcm of denominators, a product one product of them, and each result one
-gcd normalisation.  Evaluation tables the powers of the point's numerators
-and denominators once for a whole batch and returns the values as integers
-over one denominator (`evaluate_all`), `resultant` is built on integer
-Bareiss determinants (Bareiss, Math. Comp. 1968) and exact integer
-interpolation (Collins, J. ACM 1971), and the Buchberger reduction steps
-are fraction-free.
+gcd normalisation; `dot`, the one sum of products beneath the algebra
+kernel and `linalg`'s matrix products, normalises once per sum.  Evaluation
+tables the powers of the point's numerators and denominators once for a
+whole batch and returns the values as integers over one denominator
+(`evaluate_all`), `resultant` is built on integer Bareiss determinants
+(Bareiss, Math. Comp. 1968) and exact integer interpolation (Collins,
+J. ACM 1971), and the Buchberger reduction steps are fraction-free.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import integer_det
+from . import linalg
 
 VARS = ("lam", "mu")
 
@@ -144,9 +145,11 @@ class MultiPoly:
         return other._sum(self, -1)
 
     def __mul__(self, other):
-        other = MultiPoly._lift(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, MultiPoly):  # a scalar scales the numerators
+            if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            num, den = other.as_integer_ratio()
+            return MultiPoly._make({e: n * num for e, n in self.nums.items()}, self.den * den)
         nums = {}
         for (i1, j1), n1 in self.nums.items():
             for (i2, j2), n2 in other.nums.items():
@@ -259,7 +262,47 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
     def to_json(self) -> dict:
-        return {f"{i},{j}": str(c) for (i, j), c in sorted(self.terms.items())}
+        """{"i,j": the coefficient of lam^i mu^j, printed as str(Fraction) does}."""
+        out = {}
+        for (i, j), n in sorted(self.nums.items()):
+            g = gcd(n, self.den)
+            out[f"{i},{j}"] = f"{n // g}" if g == self.den else f"{n // g}/{self.den // g}"
+        return out
+
+
+def dot(xs, ys):
+    """The sum of x * y over paired ring entries: MultiPoly, int or Fraction.
+
+    When either list opens with a polynomial, the products of nonzero
+    entries are accumulated as integer numerators over one running
+    denominator (an lcm only when a product's does not divide it) and
+    normalised once.  Otherwise this is sum(map(mul, xs, ys)), which a
+    polynomial further on joins through its own operators.
+    """
+    if not (xs and ys and MultiPoly in (type(xs[0]), type(ys[0]))):
+        return sum(map(mul, xs, ys))
+    acc, den = {}, 1
+    get = acc.get
+    for x, y in zip(xs, ys):
+        x = x if type(x) is MultiPoly else MultiPoly.const(x)
+        if not x.nums:
+            continue
+        y = y if type(y) is MultiPoly else MultiPoly.const(y)
+        if not y.nums:
+            continue
+        d = x.den * y.den
+        if den % d:
+            g = d // gcd(den, d)
+            den *= g
+            acc = {e: n * g for e, n in acc.items()}
+            get = acc.get
+        s = den // d
+        for (i1, j1), n1 in x.nums.items():
+            m = n1 * s
+            for (i2, j2), n2 in y.nums.items():
+                e = (i1 + i2, j1 + j2)
+                acc[e] = get(e, 0) + m * n2
+    return MultiPoly._make(acc, den)
 
 
 def _power_row(x: Fraction, k: int) -> list[int]:
@@ -423,7 +466,7 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
                 row[shift + (n - k)] = c
             rows.append(row)
         xs.append(t)
-        ys.append(integer_det(rows))
+        ys.append(linalg.integer_det(rows))
         t = -t if t > 0 else -t + 1
     return from_coefficients(_newton_interpolate(xs, ys), kept) * Fraction(1, df ** n * dg ** m)
 

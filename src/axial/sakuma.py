@@ -38,7 +38,7 @@ from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
                       ideal_closure, miyamoto, pair, quotient, resurrect)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
-from .poly import (LAM, MU, MultiPoly, evaluate_all, leading_term, rational_roots,
+from .poly import (LAM, MU, ONE, MultiPoly, evaluate_all, leading_term, rational_roots,
                    resultant, standard_monomial_count, univariate_gcd)
 
 Q = Fraction
@@ -125,11 +125,11 @@ def _solve_a3(sigma1_sq):
     linear equation for a_3.
     """
     # flip on indices, with a_{-2} landing on the extra slot 8 for a_3
-    image = [MultiPoly() for _ in range(9)]
+    image = [_ZERO] * 9
     targets = {**FLIP, AM2: 8}
     for i, coeff in enumerate(sigma1_sq):
         image[targets[i]] = image[targets[i]] + coeff
-    diff = [sigma1_sq[i] - image[i] for i in range(8)] + [MultiPoly() - image[8]]
+    diff = [sigma1_sq[i] - image[i] for i in range(8)] + [-image[8]]
     lead = diff[8]
     if not lead.is_constant() or lead.constant_value() == 0:
         raise ConsistencyError("cannot solve for a_3: degenerate flip symmetry")
@@ -138,14 +138,14 @@ def _solve_a3(sigma1_sq):
 
 
 def _permutation_matrix(perm):
-    m = [[MultiPoly() for _ in range(8)] for _ in range(8)]
+    m = [[_ZERO] * 8 for _ in range(8)]
     for j, i in perm.items():
-        m[i][j] = MultiPoly.const(1)
+        m[i][j] = ONE
     return m
 
 
 def _basis(i):
-    return _vec({i: 1})
+    return _vec({i: ONE})
 
 
 def _put(table, i, j, v):
@@ -161,7 +161,7 @@ def _seed():
     s = Q(1, 32)
     for i in range(5):
         _put(prod, i, i, _basis(i))
-        _put(gram, i, i, _c(1))
+        _put(gram, i, i, ONE)
     for i, j, sig in WINDOW:
         _put(prod, i, j, _vec({sig: 1, i: s, j: s}))
         _put(gram, i, j, LAM if sig == S1 else MU)
@@ -212,7 +212,7 @@ def build_universal() -> UniversalAlgebra:
     c = eq[S2O]
     if not c.is_constant() or c.constant_value() == 0:
         raise ConsistencyError("unexpected shape for the odd-sigma relation")
-    eq[S2O] = MultiPoly()
+    eq[S2O] = _ZERO
     _put(prod, A0, S2O, scale_vec(Q(-1) / c.constant_value(), mult(e(A0), eq)))
 
     # partial associativity (a_0 a_1) alpha1 = a_0 (a_1 alpha1) isolates s1*s1
@@ -268,10 +268,10 @@ def build_universal() -> UniversalAlgebra:
     e_coeff = a3[S2O]
     if not e_coeff.is_constant() or e_coeff.constant_value() == 0:
         raise ConsistencyError("a_3 expansion has no usable sigma_2^o component")
-    if a3[S2E] != MultiPoly() - e_coeff:
+    if a3[S2E] != -e_coeff:
         raise ConsistencyError("a_3 expansion is not balanced in the sigma_2 pair")
     e_inv = Q(1) / e_coeff.constant_value()
-    rest = [MultiPoly() if i in (S2E, S2O) else c for i, c in enumerate(a3)]
+    rest = [_ZERO if i in (S2E, S2O) else c for i, c in enumerate(a3)]
     a3_s2e = t(flip, prod[AM2][S2O])  # a_3 * s2e is the flip of a_{-2} * s2o
     rest_s2e = mult(rest, e(S2E))
     _put(prod, S2E, S2O, add_vec(prod[S2E][S2E], scale_vec(e_inv, sub_vec(a3_s2e, rest_s2e))))
@@ -284,7 +284,7 @@ def build_universal() -> UniversalAlgebra:
 
 
 def _verify_symmetries(uni: UniversalAlgebra):
-    ident = [[_c(1 if i == j else 0) for j in range(8)] for i in range(8)]
+    ident = [[ONE if i == j else _ZERO for j in range(8)] for i in range(8)]
     if linalg.matmul(uni.tau0, uni.tau0) != ident:
         raise ConsistencyError("tau0 is not an involution")
     if linalg.matmul(uni.flip, uni.flip) != ident:

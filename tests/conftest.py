@@ -88,6 +88,27 @@ def ref_violations(algebra, a, rules):
     return out
 
 
+# The form tensor by the per-term loop: one ring product and one ring sum,
+# each normalised, per nonzero coordinate.  form_tensor sums each pairing
+# with poly.dot instead; the two must agree entry by entry.
+
+
+def ref_form_tensor(table, gram):
+    """T[i][j][k] = <e_i e_j, e_k>, each pairing summed term by term."""
+    n = len(gram)
+    tensor = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                vec = table[i][j]
+                total = 0 * vec[0]
+                for c, g in zip(vec, gram[k]):
+                    if c:
+                        total = total + c * g
+                tensor[i][j][k] = total
+    return tensor
+
+
 @pytest.fixture(scope="session")
 def uni():
     return build_universal()

@@ -1,8 +1,9 @@
 """Property tests: the product/form/defect kernel on random rational vectors,
 the axis checks of the 3C fixture in random bases, the fusion law on random
 algebras against annihilator polynomials, the MultiPoly ring laws
-and canonical form, MultiPoly against a Fraction-dict reference, and rational
-roots planted in random polynomials."""
+and canonical form, MultiPoly against a Fraction-dict reference, poly.dot
+against the naive sum of products, and rational roots planted in random
+polynomials."""
 
 import json
 from fractions import Fraction as Q
@@ -19,7 +20,7 @@ from axial import linalg  # noqa: E402
 from axial.algebra import (StructureAlgebra, bilinear, check_axis, defect, pair,  # noqa: E402
                            three_c, verify_form)
 from axial.fusion import frobenius_refine, virasoro_rules  # noqa: E402
-from axial.poly import (MultiPoly, buchberger, evaluate_all, leading_term,  # noqa: E402
+from axial.poly import (MultiPoly, buchberger, dot, evaluate_all, leading_term,  # noqa: E402
                         rational_roots, reduce_poly, s_polynomial)
 from axial.sakuma import EvalPoint, evaluate_point  # noqa: E402
 from conftest import fraction_inverse, ref_violations  # noqa: E402
@@ -292,6 +293,67 @@ def test_multipoly_sums_that_cancel(f, data):
     assert not any(e in total.terms for e in gone if e not in extra)
     assert_clean(f - f)
     assert f - f == MultiPoly() and (f - f).den == 1
+
+
+# -- poly.dot, the one sum of products beneath the kernel ---------------------
+
+# MultiPoly, int and Fraction entries, with unlike and large denominators
+ring_entries = st.one_of(wide_polys, polys, rationals, wide, st.integers(-2**70, 2**70),
+                         st.sampled_from([0, Q(0), MultiPoly()]))
+
+
+def ref_dot(xs, ys):
+    """The naive sum: one ring product and one ring sum per pair."""
+    total = 0
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
+def assert_dot(xs, ys):
+    got = dot(xs, ys)
+    assert got == ref_dot(xs, ys)
+    if MultiPoly in map(type, xs + ys):
+        assert type(got) is MultiPoly
+        assert_clean(got)
+    else:
+        # plain numbers give back a plain number, a Fraction if one took part
+        assert type(got) is (Q if Q in map(type, xs + ys) else int)
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(ring_entries, ring_entries), max_size=6))
+def test_dot_matches_the_naive_sum(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    assert_dot(xs, ys)
+    # each product cancelled by its negative: the sum is zero, and canonical
+    total = assert_dot(xs + xs, ys + [-y for y in ys])
+    assert total == 0
+    if type(total) is MultiPoly:
+        assert not total.nums and total.den == 1
+
+
+def test_dot_of_empty_and_zero_pairs():
+    assert assert_dot([], []) == 0
+    zeros = [0, Q(0), MultiPoly()]
+    assert assert_dot(zeros, [MultiPoly({(1, 0): 3}), Q(5, 7), 2]) == MultiPoly()
+    assert assert_dot([0, 0], [Q(1, 3), 4]) == 0
+    assert assert_dot([MultiPoly({(1, 0): Q(1, 3)})], [0]) == MultiPoly()
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_polys)
+def test_to_json_prints_each_coefficient_as_its_fraction(f):
+    want = {f"{i},{j}": str(c) for (i, j), c in sorted(f.terms.items())}
+    assert f.to_json() == want
+
+
+def test_to_json_of_negative_and_integral_coefficients():
+    f = MultiPoly({(0, 0): -3, (1, 0): Q(-7, 2), (0, 2): 5, (2, 1): Q(9, 4), (3, 0): Q(-8, 4)})
+    assert f.to_json() == {"0,0": "-3", "0,2": "5", "1,0": "-7/2", "2,1": "9/4", "3,0": "-2"}
+    assert (f * Q(4, 3)).to_json() == {"0,0": "-4", "0,2": "20/3", "1,0": "-14/3",
+                                       "2,1": "3", "3,0": "-8/3"}
 
 
 @settings(max_examples=60, deadline=None)

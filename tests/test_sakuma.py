@@ -4,7 +4,7 @@ import pytest
 
 from axial import linalg
 from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, bilinear,
-                           check_symmetric, defect, three_c, verify_form)
+                           check_symmetric, defect, form_tensor, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import LAM, MU, MultiPoly, rational_roots, resultant, standard_monomial_count
 from axial.sakuma import (A0, A1, AM1, AM2, A2, LABELS, S1, S2E, S2O, UniversalAlgebra,
@@ -16,7 +16,7 @@ from axial.sakuma import (A0, A1, AM1, AM2, A2, LABELS, S1, S2E, S2O, UniversalA
                           rederive_products, solve_points)
 
 from conftest import (POINT_AT, POINT_TABLE, TOTAL_DIM, associates_with_zero_eigenvectors,
-                      fraction_inverse)
+                      fraction_inverse, ref_form_tensor)
 
 
 def e8(i):
@@ -273,6 +273,24 @@ def test_defects_match_the_direct_loop(uni):
               if (d := defect(prod, gram, i, j, k))]
     assert associativity_defects(uni) == direct
     assert len(direct) == 136
+
+
+def test_form_tensor_matches_the_per_term_loop(uni, points):
+    # the symbolic tensor and the defects read off it
+    want = ref_form_tensor(uni.product, uni.gram)
+    got = form_tensor(uni.product, uni.gram)
+    for i in range(8):
+        for j in range(8):
+            for k in range(8):
+                assert type(got[i][j][k]) is MultiPoly
+                assert got[i][j][k] == want[i][j][k], (i, j, k)
+    defects = [((i, j, k), d) for i in range(8) for j in range(8) for k in range(8)
+               if (d := want[i][j][k] - want[j][k][i])]
+    assert associativity_defects(uni) == defects
+    # and the integer tables of an evaluated algebra
+    alg = evaluate_point(uni, points[POINT_AT["6A"]])
+    table, gram = alg.table, alg.gram_table
+    assert form_tensor(table, gram) == ref_form_tensor(table, gram)
 
 
 def test_defects_vanish_at_all_points(uni, points):
