@@ -69,8 +69,6 @@ def bilinear(table, x, y, labels):
             entries.append(entry)
     if not entries:
         return [0 * xi for xi in x]
-    if len(entries) == 1:  # one product, as for a basis vector: scale its entry
-        return [coeffs[0] * e for e in entries[0]]
     return [dot(coeffs, column) for column in zip(*entries)]
 
 
