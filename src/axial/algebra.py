@@ -8,7 +8,8 @@ the axis and automorphism checks, ideal closures and quotients all run on
 those integers, and `product` and `gram` are read-only Fraction views of
 them.  Whether vectors lie in a subspace (primitivity, the fusion law,
 ideal closure, the quotient's ideal test) is always decided on canonical
-integer echelon rows, by comparing them or by a rank.  The symbolic
+integer echelon rows, by comparing them, by a rank, or by their
+complement projection (linalg.complement_projection).  The symbolic
 algebra over Q[lam, mu] is not a StructureAlgebra: it is two bare
 MultiPoly tables (see sakuma.UniversalAlgebra), which the ring-generic
 kernel below serves as well.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from . import linalg
@@ -499,22 +499,29 @@ def ideal_closure(algebra: StructureAlgebra, gens, maps=()):
     A subspace stable under an invertible matrix is stable under its
     inverse, so with the generators of a group as maps the result is the
     smallest ideal the whole group preserves; no words in the generators
-    are needed.
+    are needed.  Each round multiplies and maps only the rows whose pivots
+    are new, which span the new space modulo the old (a semi-naive
+    closure), and it stops once every image lies in the span.
     """
     # spans are all that matter here, so every vector and map is taken up
     # to scale: as integers, eliminated over the integers until the end
     maps = [linalg.clear_matrix(m)[0] for m in maps]
-    basis, _ = linalg.integer_rref([linalg.clear_denominators(v)[0] for v in gens])
+    basis, pivots = linalg.integer_rref([linalg.clear_denominators(v)[0] for v in gens])
+    new = basis
     while True:
-        extended = list(basis)
-        for v in basis:
+        images = []
+        for v in new:
             # e_i v for every i: the columns of ad(v)
-            extended.extend(algebra._ad_columns(v))
-            extended.extend([sum(map(mul, row, v)) for row in m] for m in maps)
-        new_basis, _ = linalg.integer_rref(extended)
-        if len(new_basis) == len(basis):
-            return new_basis
-        basis = new_basis
+            images.extend(algebra._ad_columns(v))
+            images.extend([sum(map(mul, row, v)) for row in m] for m in maps)
+        # keep the images outside the span: those the projection does not kill
+        proj = linalg.complement_projection(basis, pivots, algebra.dim)[0]
+        images = [w for w in images if any(sum(map(mul, row, w)) for row in proj)]
+        if not images:
+            return basis
+        old = set(pivots)
+        basis, pivots = linalg.integer_rref(basis + images)
+        new = [row for row, c in zip(basis, pivots) if c not in old]
 
 
 def quotient(algebra: StructureAlgebra, ideal):
@@ -525,28 +532,20 @@ def quotient(algebra: StructureAlgebra, ideal):
     Raises ConsistencyError when the subspace is not an ideal or the form
     does not vanish on it, both of which signal a modelling error.
 
-    With the ideal in integer echelon form (row r with pivot entry p_r in
-    column c_r) and L the lcm of the p_r, L times the projection is an
-    integer matrix P: L at each surviving coordinate, and -row_r L / p_r
-    restricted to the survivors in column c_r.  The quotient's product
-    tensor is then P T over den L, and its Gram matrix the surviving block
-    of the integer Gram matrix.
+    L times the projection is the integer P of linalg.complement_projection
+    on the ideal's echelon rows; P kills e_i v for each i and row v exactly
+    when the ideal is closed.  The quotient's product tensor is P T over
+    den L, and its Gram matrix the surviving block of the integer one.
     """
     basis, pivots = linalg.integer_rref([linalg.clear_denominators(v)[0] for v in ideal])
-    # e_i v for every i and v: the columns of each ad(v), up to scale
+    proj, scale, complement = linalg.complement_projection(basis, pivots, algebra.dim)
+    # e_i v for every i and v, the columns of each ad(v), must project to 0
     images = [col for v in basis for col in algebra._ad_columns(v)]
-    if len(linalg.integer_rref(basis + images)[0]) != len(basis):
+    if any(sum(map(mul, row, w)) for w in images for row in proj):
         raise ConsistencyError("subspace is not closed under multiplication")
     gram = algebra.gram_table
     if any(pair(row, v) for v in basis for row in gram):
         raise ConsistencyError("the form does not vanish on the ideal")
-    complement = [c for c in range(algebra.dim) if c not in pivots]
-    scale = lcm(*(row[c] for row, c in zip(basis, pivots)))
-    proj = [[scale if j == c else 0 for j in range(algebra.dim)] for c in complement]
-    for row, c in zip(basis, pivots):
-        f = scale // row[c]
-        for out, k in zip(proj, complement):
-            out[c] = -f * row[k]
 
     m = len(complement)
     table = [[None] * m for _ in range(m)]

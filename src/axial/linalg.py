@@ -7,7 +7,8 @@ reduction, kernels, inverses and determinants eliminate over the integers
 (`integer_rref`, `integer_kernel`, `integer_inverse`, `integer_det`,
 `integer_matmul`).  A subspace is held as its canonical basis, the
 primitive integer rows of its reduced echelon form with positive pivots
-(`echelon_span`), so equal subspaces have equal bases.  Only `rref`
+(`echelon_span`), so equal subspaces have equal bases; w lies in one
+exactly when P w = 0 for its `complement_projection` P.  Only `rref`
 hands back Fractions: the monic reduced echelon form.  `matvec` and
 `matmul` are generic over the ring, each entry one `poly.dot`: they serve
 matrices over the polynomial ring, and return ints for int matrices and
@@ -219,6 +220,22 @@ def echelon_span(vectors):
     equality of these bases.
     """
     return integer_rref([clear_denominators(v)[0] for v in vectors])[0]
+
+
+def complement_projection(rows, pivots, n_cols):
+    """(P, L, complement) for canonical rows and their pivots as
+    `integer_rref` returns them, L the lcm of the pivot entries p_r: P has
+    a row for each non-pivot column k in complement, L at k and
+    -row_r[k] L / p_r at each pivot c_r.  (P w)_k is L times what is left
+    at k once the pivots of w are eliminated, so w is in the span iff P w = 0."""
+    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    complement = [c for c in range(n_cols) if c not in pivots]
+    proj = [[scale if j == c else 0 for j in range(n_cols)] for c in complement]
+    for row, c in zip(rows, pivots):
+        f = scale // row[c]
+        for out, k in zip(proj, complement):
+            out[c] = -f * row[k]
+    return proj, scale, complement
 
 
 def matrix_order(m, bound: int, den=1) -> int | None:

@@ -505,8 +505,8 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
 
     By the rational root test every root p/q in lowest terms of the
     primitive integer form has p dividing the constant and q the leading
-    coefficient.  Each such candidate with gcd(p, q) = 1 is tested exactly,
-    on the integer value of q^n f(p/q).
+    coefficient.  Each such candidate with gcd(p, q) = 1 that passes the
+    sieve at 1 and -1 is tested exactly, on the integer q^n f(p/q).
     """
     if not f:
         raise ValueError("rational_roots of the zero polynomial")
@@ -533,12 +533,16 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
     content = gcd(*coeffs)
     ints = [c // content for c in coeffs]
 
+    # a root p/q gives q - p | F(1), q + p | F(-1) (Gauss's lemma); d | v iff gcd(d, v) = |d|
+    at_one, at_minus_one = sum(ints), _horner(ints, -1)
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
             if gcd(p, q) != 1:
                 continue
             for num in (p, -p):
-                if _homogeneous(ints, num, q) == 0:
+                below, above = q - num, q + num
+                if (gcd(below, at_one) == abs(below) and gcd(above, at_minus_one) == abs(above)
+                        and _homogeneous(ints, num, q) == 0):
                     roots.add(Fraction(num, q))
     for r in roots:
         if _horner(all_coeffs, r) != 0:

@@ -374,9 +374,9 @@ def associativity_defects(uni: UniversalAlgebra):
     for i in range(8):
         for j in range(8):
             for k in range(8):
-                d = tensor[i][j][k] - tensor[j][k][i]
-                if d:
-                    out.append(((i, j, k), d))
+                lhs, rhs = tensor[i][j][k], tensor[j][k][i]
+                if lhs != rhs:
+                    out.append(((i, j, k), lhs - rhs))
     return out
 
 
@@ -460,10 +460,15 @@ def _eval_matrix(m, pt):
 
 def evaluate_point(uni: UniversalAlgebra, pt: EvalPoint) -> StructureAlgebra:
     """Substitute (lam, mu) into every structure constant and form value,
-    straight into the integer tables of the evaluated algebra."""
-    vecs, den = _eval_matrix([vec for row in uni.product for vec in row], pt)
-    return StructureAlgebra.from_integers(LABELS, linalg.split_rows(vecs, len(LABELS)), den,
-                                          *_eval_matrix(uni.gram, pt), marked=[A0, A1])
+    straight into the integer tables of the evaluated algebra.  Each list
+    object is evaluated once (_put shares one between (i, j) and (j, i)),
+    so from_integers still compares any two that are not shared."""
+    distinct = {id(vec): vec for row in uni.product for vec in row}
+    rows, den = _eval_matrix(list(distinct.values()), pt)
+    value = dict(zip(distinct, rows))
+    table = [[value[id(vec)] for vec in row] for row in uni.product]
+    return StructureAlgebra.from_integers(LABELS, table, den, *_eval_matrix(uni.gram, pt),
+                                          marked=[A0, A1])
 
 
 class Discrepancy(namedtuple("Discrepancy", "point evaluated ideal quotient projection")):

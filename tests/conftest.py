@@ -1,9 +1,12 @@
 from fractions import Fraction as Q
+from math import gcd
+from operator import mul
 
 import pytest
 
 from axial import linalg
 from axial.algebra import eigen_decompose
+from axial.poly import _divisors, _homogeneous, _univariate_nums
 from axial.sakuma import build_universal, classify, solve_points
 
 # The oracle: the Norton-Sakuma algebras in table order, each with its
@@ -107,6 +110,47 @@ def ref_form_tensor(table, gram):
                         total = total + c * g
                 tensor[i][j][k] = total
     return tensor
+
+
+# The ideal closure by full rounds, the route ideal_closure took before it
+# went semi-naive: every round multiplies and maps every basis row and
+# reduces the old rows with all their images, until the rank stops growing.
+
+
+def ref_ideal_closure(algebra, gens, maps=()):
+    """The canonical basis of the smallest subspace containing gens and
+    stable under multiplication and each matrix in maps, by full rounds."""
+    maps = [linalg.clear_matrix(m)[0] for m in maps]
+    basis, _ = linalg.integer_rref([linalg.clear_denominators(v)[0] for v in gens])
+    while True:
+        extended = list(basis)
+        for v in basis:
+            extended.extend(algebra._ad_columns(v))
+            extended.extend([sum(map(mul, row, v)) for row in m] for m in maps)
+        new_basis, _ = linalg.integer_rref(extended)
+        if len(new_basis) == len(basis):
+            return new_basis
+        basis = new_basis
+
+
+# The rational roots without the sieve at x = 1 and x = -1: every
+# rational-root-theorem candidate p/q in lowest terms is tested exactly.
+
+
+def ref_rational_roots(f):
+    """Every rational root of a nonzero univariate f, no candidate skipped."""
+    var = "lam" if f.degree("lam") > 0 else "mu"
+    if f.is_constant():
+        return set()
+    coeffs = _univariate_nums(f, var)
+    roots = {Q(0)} if coeffs[0] == 0 else set()
+    while coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    for p in _divisors(coeffs[0]):
+        for q in _divisors(coeffs[-1]):
+            if gcd(p, q) == 1:
+                roots.update(Q(num, q) for num in (p, -p) if _homogeneous(coeffs, num, q) == 0)
+    return roots
 
 
 @pytest.fixture(scope="session")

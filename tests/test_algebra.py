@@ -12,8 +12,8 @@ from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, autom
                            miyamoto, pair, quotient, resurrect, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
-from conftest import POINT_AT, associates_with_zero_eigenvectors, ref_violations
-from axial.sakuma import EvalPoint, discrepancy_quotient, evaluate_point
+from conftest import POINT_AT, associates_with_zero_eigenvectors, ref_ideal_closure, ref_violations
+from axial.sakuma import EvalPoint, _eval_matrix, discrepancy_quotient, evaluate_point
 from test_linalg import eye, rank_and_kernel, ref_reduce_vector
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "3c.json"
@@ -287,6 +287,20 @@ def test_ideal_closure_is_multiplicatively_closed(alg):
         for i in range(3):
             # closure is a canonical basis, so a vector in its span leaves it alone
             assert linalg.echelon_span(closure + [alg.multiply(e(i), v)]) == closure
+
+
+def test_semi_naive_closure_matches_full_rounds_at_the_nine_points(uni, points):
+    # the discrepancy generators with tau0 and the flip as maps, as
+    # discrepancy_quotient closes them, and with no maps at all
+    for pt in points.values():
+        evaluated = evaluate_point(uni, pt)
+        symmetries = [_eval_matrix(uni.tau0, pt), _eval_matrix(uni.flip, pt)]
+        gens = [diff for m, d in symmetries for _, diff in automorphism_defects(evaluated, m, d)]
+        maps = [m for m, _ in symmetries]
+        for chosen in (maps, []):
+            assert ideal_closure(evaluated, gens, chosen) == \
+                ref_ideal_closure(evaluated, gens, chosen), pt.name
+        assert ideal_closure(evaluated, gens, maps) == discrepancy_quotient(uni, pt).ideal
 
 
 def test_quotient_trivial_cases(alg):

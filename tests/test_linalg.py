@@ -90,6 +90,21 @@ def test_echelon_span_equality_is_subspace_equality():
         assert linalg.echelon_span(scaled) == linalg.echelon_span(m)
 
 
+def test_complement_projection_edge_cases():
+    # no rows: P = I with L = 1, so only the zero vector is a member
+    assert linalg.complement_projection([], [], 3) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1,
+                                                      [0, 1, 2])
+    # full rank: P has no rows and every vector is a member
+    full, pivots = linalg.integer_rref([[2, 1], [1, 3]])
+    assert linalg.complement_projection(full, pivots, 2) == ([], 1, [])
+    # the span of (2, 0, 1) and (0, 3, 1): P = [-3, -2, 6] over L = 6
+    basis, pivots = linalg.integer_rref([[2, 0, 1], [0, 3, 1]])
+    proj, scale, complement = linalg.complement_projection(basis, pivots, 3)
+    assert (proj, scale, complement) == ([[-3, -2, 6]], 6, [2])
+    for w, member in (([0, 0, 0], True), ([2, 3, 2], True), ([0, 0, 1], False)):
+        assert (not any(sum(a * b for a, b in zip(row, w)) for row in proj)) == member
+
+
 def test_matrix_order():
     rot = [[Q(0), Q(-1)], [Q(1), Q(0)]]  # quarter turn
     assert linalg.matrix_order(rot, 12) == 4

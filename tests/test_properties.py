@@ -2,12 +2,14 @@
 the axis checks of the 3C fixture in random bases, the fusion law on random
 algebras against annihilator polynomials, the MultiPoly ring laws
 and canonical form, MultiPoly against a Fraction-dict reference, poly.dot
-against the naive sum of products, and rational roots planted in random
-polynomials."""
+against the naive sum of products, membership by complement projection
+against the rank, the semi-naive ideal closure against full rounds, and
+rational roots planted in random polynomials, with and without the sieve."""
 
 import json
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -17,13 +19,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from axial import linalg  # noqa: E402
-from axial.algebra import (StructureAlgebra, bilinear, check_axis, defect, pair,  # noqa: E402
-                           three_c, verify_form)
+from axial.algebra import (StructureAlgebra, bilinear, check_axis, defect,  # noqa: E402
+                           ideal_closure, pair, three_c, verify_form)
 from axial.fusion import frobenius_refine, virasoro_rules  # noqa: E402
 from axial.poly import (MultiPoly, buchberger, dot, evaluate_all, leading_term,  # noqa: E402
                         rational_roots, reduce_poly, s_polynomial)
 from axial.sakuma import EvalPoint, evaluate_point  # noqa: E402
-from conftest import fraction_inverse, ref_violations  # noqa: E402
+from conftest import (fraction_inverse, ref_ideal_closure, ref_rational_roots,  # noqa: E402
+                      ref_violations)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 
@@ -172,6 +175,68 @@ def test_integer_tables_match_their_fraction_views(data):
     again = StructureAlgebra(alg.labels, product, fractions)
     assert (again.table, again.den, again.gram_table, again.gram_den) == \
         (alg.table, alg.den, alg.gram_table, alg.gram_den)
+
+
+sparse_ints = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+
+def int_matrices(rows, cols):
+    return st.lists(st.lists(sparse_ints, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def project(proj, w):
+    return [sum(map(mul, row, w)) for row in proj]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_projection_membership_matches_the_rank(data):
+    n = data.draw(st.integers(1, 5))
+    basis, pivots = linalg.integer_rref(data.draw(int_matrices(data.draw(st.integers(0, 5)), n)))
+    proj, scale, complement = linalg.complement_projection(basis, pivots, n)
+    assert len(proj) == n - len(basis)
+    assert complement == [c for c in range(n) if c not in pivots]
+    assert scale == lcm(*(row[c] for row, c in zip(basis, pivots)))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+    member = [sum(c * row[k] for c, row in zip(coeffs, basis)) for k in range(n)]
+    for w in (data.draw(st.lists(sparse_ints, min_size=n, max_size=n)), member, [0] * n):
+        in_span = len(linalg.integer_rref(basis + [w])[0]) == len(basis)
+        assert (not any(project(proj, w))) == in_span
+    # P w is L times what is left of w off the pivots once they are eliminated
+    w = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    rest = [Q(x) for x in w]
+    for row, c in zip(basis, pivots):
+        rest = [x - Q(w[c], row[c]) * y for x, y in zip(rest, row)]
+    assert project(proj, w) == [scale * x for c, x in enumerate(rest) if c not in pivots]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_semi_naive_closure_matches_full_rounds(data):
+    # when the only products are e_j e_j, a nonzero multiple of e_(j+1),
+    # and the maps take e_j into the span of e_j and e_(j+1), each round
+    # of a closure reaches one index further, so closures take several
+    # rounds and often stop short of the whole space
+    n = data.draw(st.integers(2, 6))
+    stepwise = data.draw(st.booleans())
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            vec = data.draw(st.lists(sparse_ints, min_size=n, max_size=n))
+            if stepwise:
+                vec = [(x or 1) if (i, k) == (j, j + 1) else 0 for k, x in enumerate(vec)]
+            table[i][j] = table[j][i] = vec
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    alg = StructureAlgebra.from_integers([f"e{i}" for i in range(n)], table,
+                                         data.draw(st.integers(1, 4)), identity, 1)
+    gens = data.draw(st.lists(st.lists(sparse_ints.map(Q), min_size=n, max_size=n),
+                              min_size=1, max_size=2))
+    hypothesis.assume(any(map(any, gens)))
+    maps = [[[Q(x) if k - j in (0, 1) or not stepwise else Q(0) for j, x in enumerate(row)]
+             for k, row in enumerate(m)]
+            for m in data.draw(st.lists(int_matrices(n, n), max_size=2))]
+    assert ideal_closure(alg, gens, maps) == ref_ideal_closure(alg, gens, maps)
 
 
 exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -397,3 +462,21 @@ def test_planted_rational_roots(roots, var, scale, a, b):
     for r in roots:
         f = f * (r.denominator * x - r.numerator)
     assert rational_roots(f) == roots
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(small_roots, max_size=4), st.sampled_from(["lam", "mu"]),
+       st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+def test_sieved_rational_roots_match_the_unsieved_oracle(roots, var, extra):
+    # planted roots, repeats and +-1 included, times a drawn integer cofactor
+    # that may bring rational roots of its own
+    hypothesis.assume(any(extra))
+    x = MultiPoly.variable(var)
+    f = MultiPoly.const(0)
+    for k, c in enumerate(extra):
+        f = f + c * x**k
+    for r in roots:
+        f = f * (r.denominator * x - r.numerator)
+    got = rational_roots(f)
+    assert got == ref_rational_roots(f)
+    assert set(roots) <= got

@@ -379,6 +379,24 @@ def test_evaluate_point_values(uni, points):
     assert alg_6a.gram[A0][S1] == Q(-101, 8192)
 
 
+def test_distinct_product_objects_are_evaluated_on_both_sides(uni, points):
+    # _put shares one list between (i, j) and (j, i); evaluate_point
+    # evaluates each shared list once, and each of two distinct lists apart
+    assert uni.product[A0][S1] is uni.product[S1][A0]
+    pt = points[POINT_AT["4B"]]
+    product = [list(row) for row in uni.product]
+    product[S1][A0] = list(product[A0][S1])
+    copied = UniversalAlgebra(product, uni.gram, uni.tau0, uni.flip, uni.a3, uni.a4)
+    want = evaluate_point(uni, pt)
+    got = evaluate_point(copied, pt)
+    assert (got.table, got.den) == (want.table, want.den)
+    # a distinct (j, i) list that differs is seen, and refused
+    product[S1][A0] = [c + LAM if k == A1 else c for k, c in enumerate(product[A0][S1])]
+    broken = UniversalAlgebra(product, uni.gram, uni.tau0, uni.flip, uni.a3, uni.a4)
+    with pytest.raises(ShapeError, match=rf"not commutative at \({S1}, {A0}\)"):
+        evaluate_point(broken, pt)
+
+
 def test_ideal_and_quotient_dims(uni, points):
     for name, lam, mu, ideal_dim, dim in POINT_TABLE:
         disc = discrepancy_quotient(uni, points[(lam, mu)])
