@@ -301,7 +301,6 @@ def eigen_decompose(ad, candidates):
     spaces = {}
     total = 0
     for theta in candidates:
-        theta = Fraction(theta)
         p, q = theta.numerator * d, theta.denominator
         shifted = [[q * x - (p if i == j else 0) for j, x in enumerate(row)]
                    for i, row in enumerate(mat)]

@@ -64,7 +64,7 @@ class FusionRules(namedtuple("FusionRules", "central_charge fields star")):
         return super().__new__(cls, central_charge, fields, star)
 
     def product(self, f, g) -> frozenset:
-        return self.star[(Fraction(f), Fraction(g))]
+        return self.star[(f, g)]
 
     def to_json(self) -> dict:
         pairs = []

@@ -1,5 +1,4 @@
-"""Sparse bivariate polynomials over Q, with resultants, rational roots
-and a small Buchberger engine.
+"""Sparse bivariate polynomials over Q, with resultants and rational roots.
 
 The coefficient ring used throughout the package is Q[lam, mu]: exact
 fractions in two fixed variables.  Rational scalars are plain
@@ -18,7 +17,7 @@ tables the powers of the point's numerators and denominators once for a
 whole batch and returns the values as integers over one denominator
 (`evaluate_all`), `resultant` is built on integer Bareiss determinants
 (Bareiss, Math. Comp. 1968) and exact integer interpolation (Collins,
-J. ACM 1971), and the Buchberger reduction steps are fraction-free.
+J. ACM 1971).
 """
 
 from __future__ import annotations
@@ -578,7 +577,7 @@ def univariate_gcd(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     return from_coefficients([c / lead for c in a], var)
 
 
-# -- Groebner bases (two variables, graded reverse lexicographic) ---------
+# -- leading terms (graded reverse lexicographic) ---------------------------
 
 
 def _grevlex_key(e):
@@ -594,116 +593,3 @@ def _leading_exps(f: MultiPoly):
 def leading_term(f: MultiPoly):
     e = _leading_exps(f)
     return e, Fraction(f.nums[e], f.den)
-
-
-def _divides(e, m):
-    return e[0] <= m[0] and e[1] <= m[1]
-
-
-def _combination(u, f, s, v, g, t, den) -> MultiPoly:
-    """(u x^s F - v x^t G) / den for the numerators F of f and G of g, the
-    integers u, v and den, and the monomials x^s, x^t."""
-    nums = {(i + s[0], j + s[1]): u * n for (i, j), n in f.nums.items()}
-    for (i, j), n in g.nums.items():
-        e = (i + t[0], j + t[1])
-        nums[e] = nums.get(e, 0) - v * n
-    return MultiPoly._make(nums, den)
-
-
-def reduce_poly(f: MultiPoly, basis) -> MultiPoly:
-    """Remainder of f under multivariate division by `basis`.
-
-    Each step is fraction-free: with work = W / d, leading numerator W_e at
-    e, and b = B / d' with leading numerator B_k at k dividing e, the step
-    work - (lc(work) / lc(b)) x^(e-k) b is (B_k W - W_e x^(e-k) B) / (B_k d).
-    """
-    leads = [(_leading_exps(b), b) for b in basis]
-    rem = {}
-    work = f
-    while work:
-        e = _leading_exps(work)
-        for k, b in leads:
-            if _divides(k, e):
-                q = gcd(b.nums[k], work.nums[e])
-                u, v = b.nums[k] // q, work.nums[e] // q
-                work = _combination(u, work, (0, 0), v, b, (e[0] - k[0], e[1] - k[1]),
-                                    u * work.den)
-                break
-        else:
-            rem[e] = Fraction(work.nums[e], work.den)
-            work = MultiPoly._make({x: n for x, n in work.nums.items() if x != e}, work.den)
-    return MultiPoly(rem)
-
-
-def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """f / lc(f) x^(m-e) - g / lc(g) x^(m-k) for the leading exponents e of f
-    and k of g and their lcm m: with numerators F, G and leading numerators
-    F_e = q a, G_k = q b (q their gcd) it is (b x^(m-e) F - a x^(m-k) G) / (q a b)."""
-    e, k = _leading_exps(f), _leading_exps(g)
-    m = (max(e[0], k[0]), max(e[1], k[1]))
-    q = gcd(f.nums[e], g.nums[k])
-    a, b = f.nums[e] // q, g.nums[k] // q
-    return _combination(b, f, (m[0] - e[0], m[1] - e[1]), a, g, (m[0] - k[0], m[1] - k[1]),
-                        q * a * b)
-
-
-def buchberger(gens) -> list[MultiPoly]:
-    """Reduced Groebner basis (grevlex) of the ideal generated by `gens`."""
-    basis = [g for g in gens if g]
-    if not basis:
-        return []
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-
-    def lcm_key(pair):
-        fe, ge = _leading_exps(basis[pair[0]]), _leading_exps(basis[pair[1]])
-        return _grevlex_key((max(fe[0], ge[0]), max(fe[1], ge[1])))
-
-    while pairs:
-        # the normal strategy: the pair whose leading monomials have the
-        # smallest lcm first (Buchberger 1985); taking the newest pair first
-        # instead can fill the basis with ever larger remainders
-        i, j = min(pairs, key=lcm_key)
-        pairs.remove((i, j))
-        fe = _leading_exps(basis[i])
-        ge = _leading_exps(basis[j])
-        if min(fe[0], ge[0]) == 0 and min(fe[1], ge[1]) == 0:
-            continue  # coprime leading monomials: S-polynomial reduces to zero
-        rem = reduce_poly(s_polynomial(basis[i], basis[j]), basis)
-        if rem:
-            basis.append(rem)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    # the unique reduced basis (Cox, Little and O'Shea, Ideals, Varieties,
-    # and Algorithms, 2.7): keep one element per minimal leading monomial,
-    # then reduce each by the others, which leaves its leading term alone
-    leads = [_leading_exps(b) for b in basis]
-    minimal = [b for i, b in enumerate(basis)
-               if not any(_divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
-                          for j in range(len(basis)) if j != i)]
-    final = []
-    for i, b in enumerate(minimal):
-        rem = reduce_poly(b, minimal[:i] + minimal[i + 1 :])
-        # monic: the numerators over the leading one
-        final.append(MultiPoly._make(dict(rem.nums), rem.nums[_leading_exps(rem)]))
-    final.sort(key=lambda p: _grevlex_key(_leading_exps(p)))
-    return final
-
-
-def standard_monomial_count(gens) -> int | None:
-    """Dimension of Q[lam,mu]/(gens) as a vector space; None when infinite."""
-    for g in gens:
-        if not g:
-            raise ValueError("generators must be nonzero")
-    basis = buchberger(gens)
-    if not basis:
-        return None
-    leads = [_leading_exps(b) for b in basis]
-    pure_lam = [e[0] for e in leads if e[1] == 0]
-    pure_mu = [e[1] for e in leads if e[0] == 0]
-    if not pure_lam or not pure_mu:
-        return None
-    count = 0
-    for i in range(min(pure_lam)):
-        for j in range(min(pure_mu)):
-            if not any(_divides(e, (i, j)) for e in leads):
-                count += 1
-    return count

@@ -18,7 +18,9 @@ sigma_1 * sigma_1 to be flip-symmetric.  The two associativity
 polynomials p1, p2 cut out the admissible (lam, mu).  Their common zeros
 are found by resultants in both variable orders and certified complete:
 dim_Q Q[lam, mu]/(p1, p2) counts every complex zero with multiplicity, so
-it must equal the number of distinct rational zeros found.  Evaluating at
+it must equal the number of distinct rational zeros found.  That dimension
+is the degree of the resultant in each order where one relation has a
+constant leading coefficient in the eliminated variable.  Evaluating at
 a zero leaves a rational StructureAlgebra on which tau0 and the flip need
 not be automorphisms.  Their failures m(xy) - m(x) m(y) generate an ideal,
 closed under multiplication and under both symmetries (each is its own
@@ -38,8 +40,8 @@ from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
                       ideal_closure, miyamoto, pair, quotient, resurrect)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
-from .poly import (LAM, MU, ONE, MultiPoly, evaluate_all, leading_term, rational_roots,
-                   resultant, standard_monomial_count, univariate_gcd)
+from .poly import (LAM, MU, ONE, VARS, MultiPoly, evaluate_all, leading_term,
+                   rational_roots, resultant, univariate_gcd)
 
 Q = Fraction
 
@@ -396,6 +398,12 @@ def _monic(f: MultiPoly) -> MultiPoly:
     return _c(Q(1) / lc) * f
 
 
+def _constant_lead(f: MultiPoly, var: str) -> bool:
+    """Whether f's leading coefficient in var is a nonzero constant."""
+    k, m = VARS.index(var), f.degree(var)
+    return all(e[1 - k] == 0 for e in f.terms if e[k] == m)
+
+
 def common_zeros(p1: MultiPoly, p2: MultiPoly) -> list[EvalPoint]:
     """Every common zero of p1 and p2 over the complex numbers, all of them
     rational and simple, in (lam, mu) order.
@@ -404,15 +412,23 @@ def common_zeros(p1: MultiPoly, p2: MultiPoly) -> list[EvalPoint]:
     candidate is verified exactly, and the two elimination orders must
     agree.  Completeness is certified by the finiteness theorem:
     dim_Q Q[lam, mu]/(p1, p2) counts the complex zeros with multiplicity,
-    so it must be finite and equal the number of rational zeros found.
-    Otherwise an irrational or repeated zero exists and ConsistencyError
-    names both numbers.
+    so it must equal the number of rational zeros found, or an irrational
+    or repeated zero exists and ConsistencyError names both numbers.
+
+    If p1 or p2, say f, has a constant leading coefficient in y, of degree
+    m, Q[x, y]/(f) is a free Q[x]-module on 1, ..., y^(m-1).  Multiplication
+    by the other relation g on it has determinant c Res_y(f, g), c a nonzero
+    constant (the norm of g), and Q[x, y]/(f, g) is its cokernel: by the
+    Smith normal form over Q[x], of Q-dimension deg Res_y(f, g), which is
+    nonzero as a shared factor is refused.  Every order that qualifies is
+    checked; if none does, ConsistencyError.
     """
 
     def rational_zeros(eliminate, kept):
         res = resultant(p1, p2, eliminate)
         if not res:
-            raise ConsistencyError("resultant vanishes identically; shared factor")
+            raise ConsistencyError(f"resultant eliminating {eliminate} vanishes identically; "
+                                   "shared factor")
         zeros = set()
         for r in sorted(rational_roots(res)):
             f1 = p1.substitute(**{kept: r})
@@ -429,17 +445,24 @@ def common_zeros(p1: MultiPoly, p2: MultiPoly) -> list[EvalPoint]:
                 lam_v, mu_v = (r, s) if kept == "lam" else (s, r)
                 if p1.evaluate(lam_v, mu_v) == 0 and p2.evaluate(lam_v, mu_v) == 0:
                     zeros.add(EvalPoint(lam_v, mu_v))
-        return zeros
+        return res, zeros
 
-    via_mu = rational_zeros("mu", "lam")
-    via_lam = rational_zeros("lam", "mu")
+    res_mu, via_mu = rational_zeros("mu", "lam")
+    res_lam, via_lam = rational_zeros("lam", "mu")
     if via_mu != via_lam:
-        raise ConsistencyError("the two elimination orders disagree")
-    count = standard_monomial_count([p1, p2])
-    if count != len(via_mu):
-        dim = "infinite dimension" if count is None else f"dimension {count}"
-        raise ConsistencyError(f"Q[lam, mu]/(p1, p2) has {dim}, "
-                               f"but {len(via_mu)} rational common zeros were found")
+        only = [", ".join(pt.name for pt in sorted(a - b)) or "nothing"
+                for a, b in ((via_mu, via_lam), (via_lam, via_mu))]
+        raise ConsistencyError(f"the two elimination orders disagree: only eliminating mu "
+                               f"finds {only[0]}, only eliminating lam finds {only[1]}")
+    degrees = [res.degree() for var, res in (("mu", res_mu), ("lam", res_lam))
+               if _constant_lead(p1, var) or _constant_lead(p2, var)]
+    if not degrees:
+        raise ConsistencyError("neither relation has a constant leading coefficient in lam "
+                               "or mu, so no resultant degree certifies the zeros")
+    for count in degrees:
+        if count != len(via_mu):
+            raise ConsistencyError(f"Q[lam, mu]/(p1, p2) has dimension {count}, "
+                                   f"but {len(via_mu)} rational common zeros were found")
     return sorted(via_mu)
 
 

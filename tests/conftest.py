@@ -153,6 +153,29 @@ def ref_rational_roots(f):
     return roots
 
 
+# The dimension of Q[lam, mu]/(polys) from sympy's Groebner basis: the
+# standard monomials, those no leading monomial divides, are a basis of the
+# quotient ring.  common_zeros reads the dimension off a resultant's degree
+# instead, so this is the independent count the certificate is held to.
+
+
+def ref_quotient_dimension(polys):
+    """dim_Q Q[lam, mu]/(polys) for polys generating a zero-dimensional
+    ideal, by the standard monomials of sympy's grevlex Groebner basis."""
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+    exprs = [sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * lam**i * mu**j
+                         for (i, j), c in f.terms.items())) for f in polys]
+    basis = sympy.groebner(exprs, lam, mu, order="grevlex")
+    leads = [sympy.Poly(g, lam, mu).monoms(order="grevlex")[0] for g in basis.exprs]
+    n_lam = min((i for i, j in leads if j == 0), default=None)
+    n_mu = min((j for i, j in leads if i == 0), default=None)
+    if n_lam is None or n_mu is None:
+        raise ValueError("the ideal is not zero-dimensional")
+    return sum(1 for i in range(n_lam) for j in range(n_mu)
+               if not any(a <= i and b <= j for a, b in leads))
+
+
 @pytest.fixture(scope="session")
 def uni():
     return build_universal()

@@ -9,12 +9,12 @@ from fractions import Fraction as Q
 from axial import linalg
 from axial.algebra import bilinear, check_axis, miyamoto, three_c, verify_form
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
-from axial.poly import MU, MultiPoly, standard_monomial_count
+from axial.poly import MU, MultiPoly, resultant
 from axial.sakuma import (A0, A1, AM1, LABELS, associativity_polynomials,
                           axis_eigenvectors, discrepancy_quotient,
                           rederive_products, solve_points)
 
-from conftest import POINT_AT, POINT_TABLE, TOTAL_DIM, fraction_inverse
+from conftest import POINT_AT, POINT_TABLE, TOTAL_DIM, fraction_inverse, ref_quotient_dimension
 from test_fusion import V43_TABLE, V53_TABLE
 from test_sakuma import (EXPECTED_A_S1, EXPECTED_EVEN_2, EXPECTED_NU3, EXPECTED_NU4,
                          EXPECTED_ODD_2, EXPECTED_P1, EXPECTED_P2, EXPECTED_S1_S1, e8)
@@ -111,7 +111,9 @@ def test_criterion_6_variety(uni):
     for pt in pts:
         assert p1.evaluate(pt.lam, pt.mu) == 0
         assert p2.evaluate(pt.lam, pt.mu) == 0
-    assert standard_monomial_count([p1, p2]) == 9
+    # the certificate: each resultant's degree is dim_Q Q[lam, mu]/(p1, p2)
+    assert ref_quotient_dimension([p1, p2]) == 9
+    assert [resultant(p1, p2, var).degree() for var in ("mu", "lam")] == [9, 9]
     ok("criterion 6: exactly the nine points; quotient ring dimension 9")
 
 

@@ -101,6 +101,8 @@ def test_identity_field_acts_trivially(p, q):
     assert rules.product(ONE, ONE) == {ONE}
     for f in rules.fields:
         assert rules.product(ONE, f) == {f}
+    # ints hash and compare equal to the Fraction fields they name
+    assert rules.product(0, 1) == {0}
 
 
 @pytest.mark.parametrize("p,q", [(4, 3), (5, 3), (5, 4), (7, 2)])

@@ -3,11 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _newton_interpolate, buchberger,
-                        evaluate_all, from_coefficients, leading_term,
-                        rational_roots, reduce_poly, resultant, s_polynomial,
-                        standard_monomial_count, univariate_gcd)
+from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _newton_interpolate, evaluate_all,
+                        from_coefficients, leading_term, rational_roots, resultant,
+                        univariate_gcd)
 from axial.sakuma import EvalPoint, _eval_matrix, associativity_polynomials, evaluate_point
+from conftest import ref_quotient_dimension
 from test_linalg import ref_det
 
 
@@ -374,41 +374,6 @@ def test_leading_term_grevlex():
     assert leading_term(g)[0] == (2, 1)
 
 
-def test_buchberger_s_polynomials_reduce_to_zero():
-    rng = random.Random(5)
-    for _ in range(5):
-        gens = [rand_poly(rng, max_deg=2, max_terms=3) for _ in range(2)]
-        gens = [g for g in gens if g]
-        if not gens:
-            continue
-        basis = buchberger(gens)
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                s = s_polynomial(basis[i], basis[j])
-                assert reduce_poly(s, basis) == MultiPoly()
-
-
-def test_standard_monomials_simple():
-    assert standard_monomial_count([LAM, MU]) == 1
-    assert standard_monomial_count([LAM**2]) is None
-    assert standard_monomial_count([LAM**2, MU**3]) == 6
-    assert standard_monomial_count([MultiPoly.const(1)]) == 0
-
-
-def test_buchberger_keeps_one_of_equal_leading_monomials():
-    # generators with the same leading monomial reduce each other to zero;
-    # the reduced basis keeps one of them instead of dropping both
-    assert buchberger([LAM, LAM]) == [LAM]
-    assert buchberger([2 * LAM**2 + MU, LAM**2 + MU]) == [MU, LAM**2]
-    assert standard_monomial_count([LAM, MU, LAM]) == 1
-    assert standard_monomial_count([LAM**2, MU, 2 * LAM**2]) == 2
-
-
-def test_standard_monomials_rejects_zero():
-    with pytest.raises(ValueError):
-        standard_monomial_count([MultiPoly()])
-
-
 def test_from_coefficients():
     f = from_coefficients([Q(1), Q(0), Q(-2)], "lam")
     assert f == 1 - 2 * LAM**2
@@ -459,36 +424,8 @@ def test_resultant_of_planted_pairs_against_sympy(huge):
 
 
 def test_standard_monomial_count_against_sympy(uni):
-    sympy, syms = sympy_setup()
+    # sympy's standard monomials count the quotient ring; common_zeros reads
+    # the same number off the resultant's degree in either order
     p1, p2 = associativity_polynomials(uni)
-    basis = sympy.groebner([to_sympy(sympy, syms, p) for p in (p1, p2)],
-                           syms["lam"], syms["mu"], order="grevlex")
-    assert basis.is_zero_dimensional
-    leads = [sympy.Poly(g, syms["lam"], syms["mu"]).monoms(order="grevlex")[0]
-             for g in basis.exprs]
-    n_lam = min(i for i, j in leads if j == 0)
-    n_mu = min(j for i, j in leads if i == 0)
-    count = sum(1 for i in range(n_lam) for j in range(n_mu)
-                if not any(a <= i and b <= j for a, b in leads))
-    assert standard_monomial_count([p1, p2]) == count
-
-
-def test_buchberger_takes_the_smallest_pair_first(monkeypatch):
-    # a pair drawn by the property tests: taking the newest S-pair first made
-    # 150 reductions through ever larger remainders (about 8 s); the normal
-    # strategy makes 37 and reaches sympy's reduced basis
-    sympy, syms = sympy_setup()
-    f = (3 * LAM**3 * MU**2 + LAM**3 * MU - Q(77, 12) * LAM**2 * MU**2
-         + Q(32, 5) * LAM**2 * MU - Q(43, 12) * LAM * MU**2 + 7)
-    g = Q(-29, 4) * LAM**3 * MU**2 + Q(47, 6) * LAM**2 * MU**3 + LAM**2 * MU**2
-    from axial import poly
-
-    calls = []
-    reduce = poly.reduce_poly
-    monkeypatch.setattr(poly, "reduce_poly", lambda *args: calls.append(1) or reduce(*args))
-    basis = buchberger([g, f])
-    assert len(calls) <= 50
-    theirs = sympy.groebner([to_sympy(sympy, syms, p) for p in (g, f)],
-                            syms["lam"], syms["mu"], order="grevlex")
-    assert sorted(basis, key=str) == sorted((from_sympy(sympy, syms, e) for e in theirs.exprs),
-                                            key=str)
+    count = ref_quotient_dimension([p1, p2])
+    assert [resultant(p1, p2, var).degree() for var in ("mu", "lam")] == [count, count]

@@ -4,7 +4,8 @@ algebras against annihilator polynomials, the MultiPoly ring laws
 and canonical form, MultiPoly against a Fraction-dict reference, poly.dot
 against the naive sum of products, membership by complement projection
 against the rank, the semi-naive ideal closure against full rounds, and
-rational roots planted in random polynomials, with and without the sieve."""
+rational roots planted in random polynomials, with and without the sieve,
+and the resultant's degree against sympy's dimension of the quotient ring."""
 
 import json
 from fractions import Fraction as Q
@@ -22,11 +23,10 @@ from axial import linalg  # noqa: E402
 from axial.algebra import (StructureAlgebra, bilinear, check_axis, defect,  # noqa: E402
                            ideal_closure, pair, three_c, verify_form)
 from axial.fusion import frobenius_refine, virasoro_rules  # noqa: E402
-from axial.poly import (MultiPoly, buchberger, dot, evaluate_all, leading_term,  # noqa: E402
-                        rational_roots, reduce_poly, s_polynomial)
+from axial.poly import MultiPoly, dot, evaluate_all, rational_roots, resultant  # noqa: E402
 from axial.sakuma import EvalPoint, evaluate_point  # noqa: E402
-from conftest import (fraction_inverse, ref_ideal_closure, ref_rational_roots,  # noqa: E402
-                      ref_violations)
+from conftest import (fraction_inverse, ref_ideal_closure, ref_quotient_dimension,  # noqa: E402
+                      ref_rational_roots, ref_violations)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 
@@ -301,14 +301,6 @@ def ref_evaluate(f, lam, mu):
     return sum((c * lam**i * mu**j for (i, j), c in f.items()), Q(0))
 
 
-def ref_s_polynomial(f, g):
-    fe, ge = (max(h, key=lambda e: (e[0] + e[1], -e[1])) for h in (f, g))
-    m = (max(fe[0], ge[0]), max(fe[1], ge[1]))
-    uf = {(m[0] - fe[0], m[1] - fe[1]): 1 / f[fe]}
-    ug = {(m[0] - ge[0], m[1] - ge[1]): 1 / g[ge]}
-    return ref_add(ref_mul(uf, f), ref_neg(ref_mul(ug, g)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(polys, polys, polys, st.integers(0, 3), rationals)
 def test_multipoly_ring_laws(f, g, h, n, c):
@@ -421,31 +413,22 @@ def test_to_json_of_negative_and_integral_coefficients():
                                        "2,1": "3", "3,0": "-8/3"}
 
 
-@settings(max_examples=60, deadline=None)
-@given(wide_polys, wide_polys, wide_polys)
-def test_groebner_steps_match_the_fraction_reference(f, g, h):
-    hypothesis.assume(f and g)
-    s = s_polynomial(f, g)
-    assert_clean(s)
-    assert s.terms == ref_s_polynomial(f.terms, g.terms)
-    rem = reduce_poly(h, [f, g])
-    assert_clean(rem)
-    # no term of the remainder is divisible by a leading monomial
-    leads = [leading_term(b)[0] for b in (f, g)]
-    assert not any(e[0] >= k[0] and e[1] >= k[1] for e in rem.terms for k in leads)
+low_exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
 @settings(max_examples=40, deadline=None)
-@given(polys, polys, polys)
-def test_reduced_groebner_basis(f, g, h):
-    hypothesis.assume(f and g)
-    basis = buchberger([f, g, f])
-    assert basis == buchberger([g, f])
-    for b in basis:
-        assert_clean(b)
-        assert leading_term(b)[1] == 1
-    # h minus its remainder lies in the ideal, so the basis reduces it to zero
-    assert reduce_poly(h - reduce_poly(h, [f, g]), basis) == MultiPoly()
+@given(st.integers(1, 2), small.filter(bool), st.dictionaries(low_exps, small, max_size=4),
+       st.dictionaries(low_exps, small, max_size=4), st.booleans())
+def test_resultant_degree_is_the_quotient_dimension(m, c, low, g_terms, swap):
+    # f has the constant leading coefficient c in mu, so Q[lam, mu]/(f, g) is
+    # the cokernel of multiplication by g on a free Q[lam]-module of rank m,
+    # whose determinant is Res_mu(f, g) up to a nonzero constant
+    f = MultiPoly({(0, m): c, **{e: x for e, x in low.items() if e[1] < m}})
+    g = MultiPoly(g_terms)
+    hypothesis.assume(g.degree("mu") > 0)
+    res = resultant(*((g, f) if swap else (f, g)), "mu")
+    hypothesis.assume(res)
+    assert res.degree() == ref_quotient_dimension([f, g])
 
 
 small_roots = st.fractions(min_value=-9, max_value=9, max_denominator=9)

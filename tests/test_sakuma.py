@@ -2,13 +2,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from axial import linalg
+from axial import linalg, sakuma
 from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, bilinear,
                            check_symmetric, defect, form_tensor, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
-from axial.poly import LAM, MU, MultiPoly, rational_roots, resultant, standard_monomial_count
+from axial.poly import LAM, MU, MultiPoly, rational_roots, resultant
 from axial.sakuma import (A0, A1, AM1, AM2, A2, LABELS, S1, S2E, S2O, UniversalAlgebra,
-                          _axis_sigma_form, _complete_gram, _seed,
+                          _axis_sigma_form, _complete_gram, _constant_lead, _seed,
                           associativity_defects, associativity_polynomials,
                           axis_eigenvectors, classify, common_zeros,
                           discrepancy_quotient, evaluate_point,
@@ -16,7 +16,7 @@ from axial.sakuma import (A0, A1, AM1, AM2, A2, LABELS, S1, S2E, S2O, UniversalA
                           rederive_products, solve_points)
 
 from conftest import (POINT_AT, POINT_TABLE, TOTAL_DIM, associates_with_zero_eigenvectors,
-                      fraction_inverse, ref_form_tensor)
+                      fraction_inverse, ref_form_tensor, ref_quotient_dimension)
 
 
 def e8(i):
@@ -336,7 +336,17 @@ def test_solve_points_table(uni):
 
 def test_quotient_ring_dimension(uni):
     p1, p2 = associativity_polynomials(uni)
-    assert standard_monomial_count([p1, p2]) == 9
+    assert ref_quotient_dimension([p1, p2]) == 9
+    # p1 = lam^4 + ... = mu^2/16384 + ...: both orders certify, each with degree 9
+    assert _constant_lead(p1, "lam") and _constant_lead(p1, "mu")
+    assert [resultant(p1, p2, var).degree() for var in ("mu", "lam")] == [9, 9]
+
+
+def test_constant_lead():
+    assert _constant_lead(3 * MU**2 + LAM * MU + LAM**5, "mu")
+    assert not _constant_lead(3 * MU**2 + LAM * MU**2, "mu")
+    assert _constant_lead(Q(1, 7) * LAM**2 + MU**3, "lam")
+    assert not _constant_lead(LAM * MU - 1, "lam")
 
 
 # Each p1 here, with p2 = mu - lam, generates the ideal (f(lam), mu - lam)
@@ -348,22 +358,59 @@ def test_quotient_ring_dimension(uni):
 ], ids=["irrational", "double"])
 def test_certificate_refuses_zeros_the_rational_search_misses(p1, count):
     p2 = MU - LAM
-    assert standard_monomial_count([p1, p2]) == count
+    assert ref_quotient_dimension([p1, p2]) == count
+    assert [resultant(p1, p2, var).degree() for var in ("mu", "lam")] == [count, count]
     # the rational search alone finds only (1, 1)
     assert rational_roots(resultant(p1, p2, "mu")) == {Q(1)}
     with pytest.raises(ConsistencyError, match=f"dimension {count}, but 1 rational"):
         common_zeros(p1, p2)
 
 
+# with MU - LAM, three simple rational zeros: (-1, -1), (1/3, 1/3) and (2, 2)
+THREE_ZEROS = (LAM - 2) * (LAM - Q(1, 3)) * (LAM + 1) + MU * (MU - LAM)
+
+
 def test_certificate_accepts_simple_rational_zeros():
-    p1 = (LAM - 2) * (LAM - Q(1, 3)) * (LAM + 1) + MU * (MU - LAM)
-    pts = common_zeros(p1, MU - LAM)
+    assert ref_quotient_dimension([THREE_ZEROS, MU - LAM]) == 3
+    pts = common_zeros(THREE_ZEROS, MU - LAM)
     assert [(pt.lam, pt.mu) for pt in pts] == [(-1, -1), (Q(1, 3), Q(1, 3)), (2, 2)]
+
+
+@pytest.mark.parametrize("var", ["mu", "lam"])
+def test_certificate_checks_every_qualifying_order(monkeypatch, var):
+    # a resultant one degree too high in either order is caught, though its
+    # extra root (lam = 5 eliminating mu, mu = 5 eliminating lam) is no zero
+    real = sakuma.resultant
+    extra = {"mu": LAM - 5, "lam": MU - 5}[var]
+    monkeypatch.setattr(sakuma, "resultant",
+                        lambda f, g, v: real(f, g, v) * (extra if v == var else 1))
+    with pytest.raises(ConsistencyError, match="dimension 4, but 3 rational"):
+        common_zeros(THREE_ZEROS, MU - LAM)
+
+
+def test_certificate_needs_a_constant_leading_coefficient():
+    # both orders find no rational zero and agree, but no resultant's degree
+    # is the dimension of the quotient ring, so nothing is certified
+    with pytest.raises(ConsistencyError, match="neither relation has a constant leading "
+                                               "coefficient in lam or mu"):
+        common_zeros(LAM * MU - 1, LAM * MU + LAM + MU)
+
+
+def test_common_zeros_name_what_only_one_order_finds(monkeypatch):
+    res_mu = resultant(THREE_ZEROS, MU - LAM, "mu")
+    roots = sakuma.rational_roots
+    # eliminating mu loses the root lam = 2 of its resultant
+    monkeypatch.setattr(sakuma, "rational_roots",
+                        lambda f: roots(f) - {2} if f == res_mu else roots(f))
+    with pytest.raises(ConsistencyError, match=r"disagree: only eliminating mu finds nothing, "
+                                               r"only eliminating lam finds \(2, 2\)$"):
+        common_zeros(THREE_ZEROS, MU - LAM)
 
 
 def test_common_zeros_refuse_a_shared_factor():
     shared = LAM - MU
-    with pytest.raises(ConsistencyError, match="shared factor"):
+    with pytest.raises(ConsistencyError, match="resultant eliminating mu vanishes "
+                                               "identically; shared factor"):
         common_zeros(shared * (LAM - 1), shared * (MU - 2))
 
 
