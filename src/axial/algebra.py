@@ -168,13 +168,17 @@ class StructureAlgebra:
         den = self.gram_den
         return [[Fraction(x, den) for x in row] for row in self.gram_table]
 
+    def _check_lengths(self, *vectors):
+        # the kernels zip a vector with the tables, which would cut it to fit
+        if any(len(v) != self.dim for v in vectors):
+            raise ShapeError("vector length does not match the algebra dimension")
+
     def basis_vector(self, i: int):
         return [Fraction(int(j == i)) for j in range(self.dim)]
 
     def multiply(self, x, y):
         """Bilinear extension of the structure constants."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ShapeError("vector length does not match the algebra dimension")
+        self._check_lengths(x, y)
         (x, dx), (y, dy) = linalg.clear_denominators(x), linalg.clear_denominators(y)
         den = self.den * dx * dy
         return [Fraction(c, den) for c in bilinear(self.table, x, y, self.labels)]
@@ -183,6 +187,7 @@ class StructureAlgebra:
         """(A, den) with ad(a) = A / den for an integer matrix A, the matrix of
         left multiplication by a acting on column vectors, built in one pass
         over the integer product tensor."""
+        self._check_lengths(a)
         nums, da = linalg.clear_denominators(a)
         return linalg.transpose(self._ad_columns(nums)), self.den * da
 
@@ -197,6 +202,7 @@ class StructureAlgebra:
 
     def form(self, x, y):
         """Value of the bilinear form on two coordinate vectors."""
+        self._check_lengths(x, y)
         (x, dx), (y, dy) = linalg.clear_denominators(x), linalg.clear_denominators(y)
         return Fraction(form(self.gram_table, x, y), self.gram_den * dx * dy)
 
@@ -415,17 +421,33 @@ def automorphism_defects(algebra: StructureAlgebra, mat, d):
 
     The algebra is rational with product tensor T / den, so the difference
     is d M T_ij - (M e_i)(M e_j) under T, over den d^2.
+
+    mat is applied through the nonzero entries of its columns: d M T_ij is
+    the sum of the columns k of d M with T_ij[k] != 0.  A symmetry is often
+    close to a permutation, so when columns i and j are monomial, c e_p and
+    c' e_q, the product (M e_i)(M e_j) is the scaled table row c c' T[p][q];
+    other pairs of columns are multiplied by bilinear.
     """
-    table = algebra.table
+    table, n = algebra.table, algebra.dim
     cols = linalg.transpose(mat)
-    n = algebra.dim
+    # column k of d M as its nonzero entries (row, value)
+    scaled = [[(r, d * x) for r, x in enumerate(col) if x] for col in cols]
     out = []
     for i in range(n):
         for j in range(i, n):
-            image = [d * sum(map(mul, row, table[i][j])) for row in mat]
-            diff = linalg.sub_vec(image, bilinear(table, cols[i], cols[j], algebra.labels))
-            if any(diff):
-                out.append(((i, j), diff))
+            image = [0] * n
+            for t, col in zip(table[i][j], scaled):
+                if t:
+                    for r, x in col:
+                        image[r] += t * x
+            if len(scaled[i]) == len(scaled[j]) == 1:
+                p, q = scaled[i][0][0], scaled[j][0][0]
+                c = cols[i][p] * cols[j][q]
+                product = [c * x for x in table[p][q]]
+            else:
+                product = bilinear(table, cols[i], cols[j], algebra.labels)
+            if image != product:
+                out.append(((i, j), linalg.sub_vec(image, product)))
     return out
 
 

@@ -5,7 +5,7 @@ from operator import mul
 import pytest
 
 from axial import linalg
-from axial.algebra import eigen_decompose
+from axial.algebra import bilinear, eigen_decompose
 from axial.poly import _divisors, _homogeneous, _univariate_nums
 from axial.sakuma import build_universal, classify, solve_points
 
@@ -110,6 +110,26 @@ def ref_form_tensor(table, gram):
                         total = total + c * g
                 tensor[i][j][k] = total
     return tensor
+
+
+# The automorphism defects by the dense loop automorphism_defects ran
+# before it read each matrix by its nonzero columns: n row sums for the
+# image of every pair and bilinear on the two dense columns.
+
+
+def ref_automorphism_defects(algebra, mat, d):
+    """[((i, j), d M T_ij - (M e_i)(M e_j))] over the pairs i <= j where
+    it is nonzero, for the integer tensor T of a rational algebra."""
+    table = algebra.table
+    cols = linalg.transpose(mat)
+    out = []
+    for i in range(algebra.dim):
+        for j in range(i, algebra.dim):
+            image = [d * sum(map(mul, row, table[i][j])) for row in mat]
+            diff = linalg.sub_vec(image, bilinear(table, cols[i], cols[j], algebra.labels))
+            if any(diff):
+                out.append(((i, j), diff))
+    return out
 
 
 # The ideal closure by full rounds, the route ideal_closure took before it

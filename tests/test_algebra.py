@@ -12,8 +12,9 @@ from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, autom
                            miyamoto, pair, quotient, resurrect, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
-from conftest import POINT_AT, associates_with_zero_eigenvectors, ref_ideal_closure, ref_violations
-from axial.sakuma import EvalPoint, _eval_matrix, discrepancy_quotient, evaluate_point
+from conftest import (POINT_AT, associates_with_zero_eigenvectors, ref_automorphism_defects,
+                      ref_ideal_closure, ref_violations)
+from axial.sakuma import EvalPoint, _eval_matrix, classify, discrepancy_quotient, evaluate_point
 from test_linalg import eye, rank_and_kernel, ref_reduce_vector
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "3c.json"
@@ -352,6 +353,17 @@ def test_rejects_bad_shapes():
                          [[Q(1), Q(1)], [Q(0), Q(1)]])
 
 
+def test_vectors_of_the_wrong_length_are_refused(alg):
+    # zipping with the tables would cut them to fit: form([1], [1]) read 1
+    # and form on two length-5 vectors 99/32
+    for x, y in (([Q(1)], [Q(1)]), ([Q(1)] * 5, [Q(1)] * 5), (e(0), [Q(1)] * 4)):
+        for call in (lambda: alg.form(x, y), lambda: alg.multiply(x, y),
+                     lambda: alg.ad_integer(y)):
+            with pytest.raises(ShapeError, match="vector length does not match"):
+                call()
+    assert alg.form(e(0), e(1)) == Q(1, 64)
+
+
 @pytest.mark.parametrize("entry", [0.1, True, MultiPoly({(1, 0): 1}), "1"],
                          ids=["float", "bool", "polynomial", "string"])
 @pytest.mark.parametrize("table", ["product", "gram"])
@@ -444,6 +456,29 @@ def test_integer_automorphism_failures_match_the_fraction_loop(uni, points):
         for sym in (uni.tau0, uni.flip):
             m = [[x.evaluate(lam, mu) for x in row] for row in sym]
             assert automorphism_failures(alg, m) == ref_automorphism_failures(alg, m)
+
+
+def test_every_automorphism_check_of_classify_matches_the_dense_loop(uni, monkeypatch):
+    # tau0 and the flip at the nine points, the two Miyamoto involutions of
+    # each quotient and the induced axis shift: 9 * (2 + 2 + 1) calls
+    calls = []
+
+    def recorded(algebra, mat, d):
+        calls.append((algebra, mat, d))
+        return automorphism_defects(algebra, mat, d)
+
+    monkeypatch.setattr("axial.algebra.automorphism_defects", recorded)
+    monkeypatch.setattr("axial.sakuma.automorphism_defects", recorded)
+    classify(uni)
+    assert len(calls) == 45
+    failing = 0
+    for algebra, mat, d in calls:
+        want = ref_automorphism_defects(algebra, mat, d)
+        assert automorphism_defects(algebra, mat, d) == want
+        failing += bool(want)
+    # tau0 and the flip fail on the evaluated algebras except at 6A, where
+    # the ideal is zero, and tau0 at 5A; every check on a quotient passes
+    assert failing == 15
 
 
 def test_miyamoto_reuses_the_checked_eigenspaces(quotients, rules, grading):

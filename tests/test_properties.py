@@ -3,7 +3,8 @@ the axis checks of the 3C fixture in random bases, the fusion law on random
 algebras against annihilator polynomials, the MultiPoly ring laws
 and canonical form, MultiPoly against a Fraction-dict reference, poly.dot
 against the naive sum of products, membership by complement projection
-against the rank, the semi-naive ideal closure against full rounds, and
+against the rank, the semi-naive ideal closure against full rounds, the
+automorphism defects against the dense loop on symmetries of mixed shape, and
 rational roots planted in random polynomials, with and without the sieve,
 and the resultant's degree against sympy's dimension of the quotient ring."""
 
@@ -20,13 +21,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from axial import linalg  # noqa: E402
-from axial.algebra import (StructureAlgebra, bilinear, check_axis, defect,  # noqa: E402
-                           ideal_closure, pair, three_c, verify_form)
+from axial.algebra import (StructureAlgebra, automorphism_defects, bilinear,  # noqa: E402
+                           check_axis, defect, ideal_closure, pair, three_c, verify_form)
 from axial.fusion import frobenius_refine, virasoro_rules  # noqa: E402
 from axial.poly import MultiPoly, dot, evaluate_all, rational_roots, resultant  # noqa: E402
 from axial.sakuma import EvalPoint, evaluate_point  # noqa: E402
-from conftest import (fraction_inverse, ref_ideal_closure, ref_quotient_dimension,  # noqa: E402
-                      ref_rational_roots, ref_violations)
+from conftest import (fraction_inverse, ref_automorphism_defects, ref_ideal_closure,  # noqa: E402
+                      ref_quotient_dimension, ref_rational_roots, ref_violations)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 
@@ -237,6 +238,78 @@ def test_semi_naive_closure_matches_full_rounds(data):
              for k, row in enumerate(m)]
             for m in data.draw(st.lists(int_matrices(n, n), max_size=2))]
     assert ideal_closure(alg, gens, maps) == ref_ideal_closure(alg, gens, maps)
+
+
+def symmetric_table(data, n):
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            table[i][j] = table[j][i] = data.draw(st.lists(sparse_ints, min_size=n, max_size=n))
+    return table
+
+
+def integer_algebra(table, den):
+    n = len(table)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return StructureAlgebra.from_integers([f"e{i}" for i in range(n)], table, den, identity, 1)
+
+
+# the shapes of a column of d m: a unit vector times d (a permutation when
+# every column is one), a signed and scaled unit vector, a dense or a zero
+# column; each matrix draws its columns from one of these mixes
+COLUMN_MIXES = (("unit",), ("unit", "monomial"), ("unit", "monomial", "dense", "zero"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_automorphism_defects_match_the_dense_loop(data):
+    n = data.draw(st.integers(1, 5))
+    alg = integer_algebra(symmetric_table(data, n), data.draw(st.integers(1, 4)))
+    d = data.draw(st.integers(1, 6))
+    perm = data.draw(st.permutations(range(n)))
+    kinds = st.sampled_from(data.draw(st.sampled_from(COLUMN_MIXES)))
+    cols = []
+    for c in range(n):
+        kind, col = data.draw(kinds), [0] * n
+        if kind == "unit":
+            col[perm[c]] = d
+        elif kind == "monomial":
+            col[perm[c]] = data.draw(st.integers(-9, 9).filter(bool))
+        elif kind == "dense":
+            col = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        cols.append(col)
+    mat = linalg.transpose(cols)
+    assert automorphism_defects(alg, mat, d) == ref_automorphism_defects(alg, mat, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_automorphism_defects_vanish_on_a_symmetry_of_the_table(data):
+    # summing a table over the group a signed permutation g generates, as
+    # h T(h^-1 e_i, h^-1 e_j) over its elements h, gives a table g permutes,
+    # so d g over d is an automorphism
+    n = data.draw(st.integers(1, 5))
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    g = [[signs[c] if r == perm[c] else 0 for c in range(n)] for r in range(n)]
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    group = [identity]
+    while (h := linalg.integer_matmul(g, group[-1])) != identity:
+        group.append(h)
+    base, labels = symmetric_table(data, n), [f"e{i}" for i in range(n)]
+    # h^-1 = h^t, so h^-1 e_i is row i of h
+    table = [[[sum(x) for x in zip(*(linalg.matvec(h, bilinear(base, h[i], h[j], labels))
+                                    for h in group))]
+              for j in range(n)] for i in range(n)]
+    alg = integer_algebra(table, data.draw(st.integers(1, 4)))
+    d = data.draw(st.integers(1, 6))
+    mat = [[d * x for x in row] for row in g]
+    assert automorphism_defects(alg, mat, d) == ref_automorphism_defects(alg, mat, d) == []
+    # a matrix that differs from g by a scale is not one, unless the table is zero
+    doubled = [[2 * x for x in row] for row in mat]
+    failures = automorphism_defects(alg, doubled, d)
+    assert failures == ref_automorphism_defects(alg, doubled, d)
+    assert (failures == []) == (not any(x for row in alg.table for v in row for x in v))
 
 
 exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
