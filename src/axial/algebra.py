@@ -174,6 +174,8 @@ class StructureAlgebra:
             raise ShapeError("vector length does not match the algebra dimension")
 
     def basis_vector(self, i: int):
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < self.dim:
+            raise ShapeError(f"basis index {i!r} is not in 0..{self.dim - 1}")
         return [Fraction(int(j == i)) for j in range(self.dim)]
 
     def multiply(self, x, y):

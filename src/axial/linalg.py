@@ -4,15 +4,16 @@ Matrices and vectors are plain nested lists.  The kernel works on
 integers: a rational vector or matrix is held as integer numerators over
 one common denominator (`clear_denominators`, `clear_matrix`), and row
 reduction, kernels, inverses and determinants eliminate over the integers
-(`integer_rref`, `integer_kernel`, `integer_inverse`, `integer_det`,
-`integer_matmul`).  A subspace is held as its canonical basis, the
-primitive integer rows of its reduced echelon form with positive pivots
-(`echelon_span`), so equal subspaces have equal bases; w lies in one
-exactly when P w = 0 for its `complement_projection` P.  Only `rref`
-hands back Fractions: the monic reduced echelon form.  `matvec` and
-`matmul` are generic over the ring, each entry one `poly.dot`: they serve
-matrices over the polynomial ring, and return ints for int matrices and
-Fractions for Fraction ones.
+(`integer_rref`, `integer_inverse`, `integer_det`, `integer_matmul`).
+A subspace is held as its canonical basis, the primitive integer rows of
+its reduced echelon form with positive pivots (`echelon_span`), so equal
+subspaces have equal bases; w lies in one exactly when P w = 0 for its
+`complement_projection` P, and the rows of P span the kernel of the
+basis, which is how `integer_kernel` reads a kernel off an echelon form.
+Only `rref` hands back Fractions: the monic reduced echelon form.
+`matvec` and `matmul` are generic over the ring, each entry one
+`poly.dot`: they serve matrices over the polynomial ring, and return ints
+for int matrices and Fractions for Fraction ones.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ def matmul(a, b):
 
 def integer_matmul(a, b):
     """The product of two integer matrices, as integers."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("dimension mismatch")
     bt = transpose(b)
     return [[sum(map(mul, ra, cb)) for cb in bt] for ra in a]
 
@@ -182,22 +185,10 @@ def integer_det(rows) -> int:
 
 def integer_kernel(rows):
     """Integer vectors spanning the kernel of an integer matrix, one for
-    each free column of its echelon form: with L the lcm of the pivot
-    entries p_r, the vector for free column f is L at f and
-    -row_r[f] L / p_r at the pivot column of each row r."""
+    each free column of its echelon form: the rows of its
+    `complement_projection`, which vanish on the row space."""
     n_cols = len(rows[0]) if rows else 0
-    work, pivots = integer_rref(rows)
-    scale = lcm(*(row[c] for row, c in zip(work, pivots)))
-    kernel = []
-    for f in range(n_cols):
-        if f in pivots:
-            continue
-        v = [0] * n_cols
-        v[f] = scale
-        for row, c in zip(work, pivots):
-            v[c] = -row[f] * (scale // row[c])
-        kernel.append(v)
-    return kernel
+    return complement_projection(*integer_rref(rows), n_cols)[0]
 
 
 def integer_inverse(rows):

@@ -549,34 +549,6 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
     return roots
 
 
-def univariate_gcd(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Monic gcd of two univariate polynomials in `var` over Q."""
-
-    def strip(cs):
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cs
-
-    # f and g are their numerators over a positive constant, which leaves
-    # the monic gcd alone
-    a = strip([Fraction(n) for n in _univariate_nums(f, var)])
-    b = strip([Fraction(n) for n in _univariate_nums(g, var)])
-    while b:
-        # remainder of a modulo b
-        a = a[:]
-        while len(a) >= len(b) and a:
-            factor = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for k in range(len(b)):
-                a[shift + k] -= factor * b[k]
-            strip(a)
-        a, b = b, a
-    if not a:
-        return ZERO
-    lead = a[-1]
-    return from_coefficients([c / lead for c in a], var)
-
-
 # -- leading terms (graded reverse lexicographic) ---------------------------
 
 
@@ -584,12 +556,8 @@ def _grevlex_key(e):
     return (e[0] + e[1], -e[1])
 
 
-def _leading_exps(f: MultiPoly):
+def leading_term(f: MultiPoly):
     if not f:
         raise ValueError("zero polynomial has no leading term")
-    return max(f.nums, key=_grevlex_key)
-
-
-def leading_term(f: MultiPoly):
-    e = _leading_exps(f)
+    e = max(f.nums, key=_grevlex_key)
     return e, Fraction(f.nums[e], f.den)

@@ -40,8 +40,8 @@ from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
                       ideal_closure, miyamoto, pair, quotient, resurrect)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
-from .poly import (LAM, MU, ONE, VARS, MultiPoly, evaluate_all, leading_term,
-                   rational_roots, resultant, univariate_gcd)
+from .poly import (LAM, MU, ONE, VARS, ZERO, MultiPoly, evaluate_all, leading_term,
+                   rational_roots, resultant)
 
 Q = Fraction
 
@@ -71,15 +71,12 @@ class EvalPoint(namedtuple("EvalPoint", "lam mu")):
         return {"lambda": str(self.lam), "mu": str(self.mu)}
 
 
-_ZERO = MultiPoly()  # polynomials are immutable, so one zero serves every vector
-
-
 def _c(x) -> MultiPoly:
     return x if isinstance(x, MultiPoly) else MultiPoly.const(x)
 
 
 def _vec(entries: dict) -> list[MultiPoly]:
-    out = [_ZERO] * 8
+    out = [ZERO] * 8
     for idx, val in entries.items():
         out[idx] = _c(val)
     return out
@@ -127,7 +124,7 @@ def _solve_a3(sigma1_sq):
     linear equation for a_3.
     """
     # flip on indices, with a_{-2} landing on the extra slot 8 for a_3
-    image = [_ZERO] * 9
+    image = [ZERO] * 9
     targets = {**FLIP, AM2: 8}
     for i, coeff in enumerate(sigma1_sq):
         image[targets[i]] = image[targets[i]] + coeff
@@ -140,7 +137,7 @@ def _solve_a3(sigma1_sq):
 
 
 def _permutation_matrix(perm):
-    m = [[_ZERO] * 8 for _ in range(8)]
+    m = [[ZERO] * 8 for _ in range(8)]
     for j, i in perm.items():
         m[i][j] = ONE
     return m
@@ -214,7 +211,7 @@ def build_universal() -> UniversalAlgebra:
     c = eq[S2O]
     if not c.is_constant() or c.constant_value() == 0:
         raise ConsistencyError("unexpected shape for the odd-sigma relation")
-    eq[S2O] = _ZERO
+    eq[S2O] = ZERO
     _put(prod, A0, S2O, scale_vec(Q(-1) / c.constant_value(), mult(e(A0), eq)))
 
     # partial associativity (a_0 a_1) alpha1 = a_0 (a_1 alpha1) isolates s1*s1
@@ -273,7 +270,7 @@ def build_universal() -> UniversalAlgebra:
     if a3[S2E] != -e_coeff:
         raise ConsistencyError("a_3 expansion is not balanced in the sigma_2 pair")
     e_inv = Q(1) / e_coeff.constant_value()
-    rest = [_ZERO if i in (S2E, S2O) else c for i, c in enumerate(a3)]
+    rest = [ZERO if i in (S2E, S2O) else c for i, c in enumerate(a3)]
     a3_s2e = t(flip, prod[AM2][S2O])  # a_3 * s2e is the flip of a_{-2} * s2o
     rest_s2e = mult(rest, e(S2E))
     _put(prod, S2E, S2O, add_vec(prod[S2E][S2E], scale_vec(e_inv, sub_vec(a3_s2e, rest_s2e))))
@@ -286,7 +283,7 @@ def build_universal() -> UniversalAlgebra:
 
 
 def _verify_symmetries(uni: UniversalAlgebra):
-    ident = [[ONE if i == j else _ZERO for j in range(8)] for i in range(8)]
+    ident = [[ONE if i == j else ZERO for j in range(8)] for i in range(8)]
     if linalg.matmul(uni.tau0, uni.tau0) != ident:
         raise ConsistencyError("tau0 is not an involution")
     if linalg.matmul(uni.flip, uni.flip) != ident:
@@ -435,13 +432,7 @@ def common_zeros(p1: MultiPoly, p2: MultiPoly) -> list[EvalPoint]:
             f2 = p2.substitute(**{kept: r})
             if not f1 and not f2:
                 raise ConsistencyError("both relations vanish on a whole line")
-            if not f1 or not f2:
-                g = f2 if not f1 else f1
-            else:
-                g = univariate_gcd(f1, f2, eliminate)
-            if g.is_constant():
-                continue
-            for s in rational_roots(g):
+            for s in rational_roots(f1 or f2):
                 lam_v, mu_v = (r, s) if kept == "lam" else (s, r)
                 if p1.evaluate(lam_v, mu_v) == 0 and p2.evaluate(lam_v, mu_v) == 0:
                     zeros.add(EvalPoint(lam_v, mu_v))
@@ -531,7 +522,7 @@ def discrepancy_quotient(uni: UniversalAlgebra, pt: EvalPoint) -> Discrepancy:
         quot, proj = quotient(alg, ideal)
     except ConsistencyError as err:
         raise ConsistencyError(f"{err} at {pt.name}") from None
-    radical = linalg.echelon_span(linalg.integer_kernel(alg.gram_table))
+    radical = linalg.integer_rref(linalg.integer_kernel(alg.gram_table))[0]
     if radical != ideal:
         raise ConsistencyError(f"the radical of the form has dimension {len(radical)} "
                                f"but the ideal {len(ideal)} at {pt.name}")

@@ -364,6 +364,14 @@ def test_vectors_of_the_wrong_length_are_refused(alg):
     assert alg.form(e(0), e(1)) == Q(1, 64)
 
 
+@pytest.mark.parametrize("index", [3, 5, -1, True, 1.5], ids=["3", "5", "-1", "bool", "float"])
+def test_basis_vector_refuses_an_index_out_of_range(alg, index):
+    # the index was compared with each position: basis_vector(5) read [0, 0, 0]
+    with pytest.raises(ShapeError, match="is not in 0..2"):
+        alg.basis_vector(index)
+    assert alg.basis_vector(2) == [0, 0, 1]
+
+
 @pytest.mark.parametrize("entry", [0.1, True, MultiPoly({(1, 0): 1}), "1"],
                          ids=["float", "bool", "polynomial", "string"])
 @pytest.mark.parametrize("table", ["product", "gram"])

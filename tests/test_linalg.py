@@ -121,6 +121,13 @@ def test_matvec_dimension_mismatch():
         linalg.matvec([[Q(1), Q(2)]], [Q(1)])
 
 
+def test_integer_matmul_dimension_mismatch():
+    # zip would cut the shapes to fit: this product read [[3]]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        linalg.integer_matmul([[1, 2, 3]], [[1], [1]])
+    assert linalg.integer_matmul([[1, 2, 3]], [[1], [1], [1]]) == [[6]]
+
+
 # -- the integer kernel against plain Fraction loops ----------------------------
 #
 # These are the Fraction elimination and product loops the integer kernel

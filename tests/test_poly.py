@@ -4,8 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _newton_interpolate, evaluate_all,
-                        from_coefficients, leading_term, rational_roots, resultant,
-                        univariate_gcd)
+                        from_coefficients, leading_term, rational_roots, resultant)
 from axial.sakuma import EvalPoint, _eval_matrix, associativity_polynomials, evaluate_point
 from conftest import ref_quotient_dimension
 from test_linalg import ref_det
@@ -356,13 +355,6 @@ def test_rational_roots_hard_end_coefficients(var):
     roots = {Q(0), Q(-1), Q(9, 2**20 * 1000003)}
     assert rational_roots(planted(var, roots, x**2 - 2)) == roots
     assert rational_roots(planted(var, set(), 2**20 * 1000003 * x**2 + 3)) == set()
-
-
-def test_univariate_gcd():
-    f = (MU - 1) * (MU - Q(1, 2))
-    g = (MU - 1) * (MU + 3)
-    assert univariate_gcd(f, g, "mu") == MU - 1
-    assert univariate_gcd(f, MU + 7, "mu") == MultiPoly.const(1)
 
 
 def test_leading_term_grevlex():

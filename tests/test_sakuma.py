@@ -407,6 +407,11 @@ def test_common_zeros_name_what_only_one_order_finds(monkeypatch):
         common_zeros(THREE_ZEROS, MU - LAM)
 
 
+def test_common_zeros_fall_back_to_p2_where_p1_vanishes():
+    # p1(1, mu) and p1(lam, 2) vanish identically, so each zero is read off p2
+    assert common_zeros((LAM - 1) * (MU - 2), MU - LAM) == [(1, 1), (2, 2)]
+
+
 def test_common_zeros_refuse_a_shared_factor():
     shared = LAM - MU
     with pytest.raises(ConsistencyError, match="resultant eliminating mu vanishes "
