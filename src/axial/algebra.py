@@ -6,10 +6,11 @@ only as integers: its product tensor and its Gram matrix each as integer
 numerators over one denominator.  Products, forms, ad(a), eigenspaces,
 the axis and automorphism checks, ideal closures and quotients all run on
 those integers, and `product` and `gram` are read-only Fraction views of
-them.  Whether vectors lie in a subspace (primitivity, the fusion law,
-ideal closure, the quotient's ideal test) is always decided on canonical
-integer echelon rows, by comparing them, by a rank, or by their
-complement projection (linalg.complement_projection).  The symbolic
+them.  Whether vectors lie in a subspace (primitivity, ideal closure,
+the quotient's ideal test) is always decided on canonical integer echelon
+rows, by comparing them or by their complement projection
+(linalg.complement_projection); the fusion law is decided by coordinates
+in an eigenframe of the axis, inverted once (see check_axis).  The symbolic
 algebra over Q[lam, mu] is not a StructureAlgebra: it is two bare
 MultiPoly tables (see sakuma.UniversalAlgebra), which the ring-generic
 kernel below serves as well.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from . import linalg
@@ -150,6 +152,8 @@ class StructureAlgebra:
         self.dim = len(labels)
         self.labels = list(labels)
         self.marked = list(marked)
+        if any(isinstance(m, bool) for m in self.marked):
+            raise ShapeError("a marked index is a boolean, not an integer")
         if any(not isinstance(m, int) or not 0 <= m < self.dim for m in self.marked):
             raise ShapeError(f"marked indices {self.marked} are not all in 0..{self.dim - 1}")
         check_symmetric(table, gram_table)
@@ -233,25 +237,39 @@ class StructureAlgebra:
         # the axis reports are keyed by label, so labels must tell axes apart
         if not all(isinstance(x, str) for x in labels) or len(set(labels)) != len(labels):
             raise ShapeError("labels must be distinct strings")
-        if any(isinstance(m, bool) for m in marked):
-            raise ShapeError("a marked index is a boolean, not an integer")
 
         def entries(rows, depth):
             # a string is iterable too, so every level must be a list
             if not isinstance(rows, list):
                 raise ShapeError("product and gram must be nested lists")
-            return [entries(r, depth - 1) if depth else entry(r) for r in rows]
+            return [entries(r, depth - 1) if depth else _entry_ratio(r) for r in rows]
 
-        def entry(e):
-            if isinstance(e, dict):
-                raise ShapeError("an entry is a polynomial, so the algebra is not rational")
-            try:
-                return _literal(e)
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise ShapeError(f"entry {e!r} is not a rational literal") from None
+        product, gram = entries(data["product"], 2), entries(data["gram"], 1)
+        den = lcm(*(q for row in product for vec in row for _, q in vec))
+        gram_den = lcm(*(q for row in gram for _, q in row))
+        return StructureAlgebra.from_integers(
+            labels, [[[p * (den // q) for p, q in vec] for vec in row] for row in product], den,
+            [[p * (gram_den // q) for p, q in row] for row in gram], gram_den, marked)
 
-        return StructureAlgebra(labels, entries(data["product"], 2), entries(data["gram"], 1),
-                                marked)
+
+def _entry_ratio(e):
+    """(p, q) with q > 0 and e == p / q for a rational literal entry of an
+    algebra file; ShapeError for anything else.  An int and a plain ASCII
+    "p", "-p" or "p/q" are read as integers; every other entry goes
+    through poly._literal, so the two accept the same entries."""
+    if isinstance(e, dict):
+        raise ShapeError("an entry is a polynomial, so the algebra is not rational")
+    try:
+        if type(e) is int:
+            return e, 1
+        if type(e) is str and e.isascii():
+            num, slash, den = e.partition("/")
+            q = int(den) if den.isdigit() else 0 if slash else 1
+            if q and num.removeprefix("-").isdigit():
+                return int(num), q
+        return _literal(e).as_integer_ratio()
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ShapeError(f"entry {e!r} is not a rational literal") from None
 
 
 def check_symmetric(table, gram):
@@ -351,9 +369,13 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
 
     Checks: aa = a; <a, a> = 2 * central charge; the candidate spectrum
     (the field set) exhausts the algebra; a spans its own 1-eigenspace;
-    and each eigenspace product lands in the prescribed eigenspace sum,
-    tested by span membership on the eigenspace bases.  Unrealised fields
-    are recorded with dimension 0 and skipped in the product scan.
+    and each eigenspace product lands in the prescribed eigenspace sum.
+    That law is decided in an eigenframe, inverted once: the eigenvectors,
+    completed by the unit vectors of the non-pivot columns of their echelon
+    form when they do not span.  V_f V_g lies in the sum of the V_h for h
+    in f*g exactly when each product u v, formed once per pair of frame
+    eigenvectors, has no frame coordinate outside it.  Unrealised fields
+    are recorded with dimension 0.
     """
     idempotent = algebra.multiply(a, a) == list(a)
     norm_ok = algebra.form(a, a) == 2 * rules.central_charge
@@ -363,18 +385,35 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
     # canonical bases are equal exactly when the spans are; a zero a gives []
     primitive = len(one_space) == 1 and one_space == linalg.echelon_span([a])
 
-    # eigenspaces of distinct eigenvalues are independent, so the products
-    # lie in the allowed sum exactly when they add nothing to its rank
-    table = algebra.table
-    violations = []
+    # the eigenvalues by position; where[k] is that of frame vector k, -1
+    # for a completing unit vector, which lies in no eigenspace
     realized = [theta for theta, basis in spaces.items() if basis]
-    for i, f in enumerate(realized):
-        for g in realized[i:]:
-            allowed = [v for h in rules.product(f, g) for v in spaces[h]]
-            products = [bilinear(table, u, v, algebra.labels)
-                        for u in spaces[f] for v in spaces[g]]
-            if len(linalg.integer_rref(allowed + products)[0]) != len(allowed):
-                violations.append((f, g))
+    frame = [v for theta in realized for v in spaces[theta]]
+    where = [p for p, theta in enumerate(realized) for _ in spaces[theta]]
+    n, m = algebra.dim, len(frame)
+    if not semisimple:
+        pivots = linalg.integer_rref(frame)[1]
+        frame += [[int(j == c) for j in range(n)] for c in range(n) if c not in pivots]
+        where += [-1] * (n - m)
+    try:
+        inv = linalg.integer_inverse(linalg.transpose(frame))[0]
+    except ValueError:
+        raise ConsistencyError("the eigenvectors of the axis are not independent") from None
+    # forbidden[p, q]: the coordinate rows outside the sum allowed for V_p V_q
+    position = {theta: p for p, theta in enumerate(realized)}
+    forbidden = {}
+    for p, f in enumerate(realized):
+        for q, g in enumerate(realized[p:], p):
+            allowed = {position.get(h) for h in rules.product(f, g)}
+            forbidden[p, q] = [row for row, r in zip(inv, where) if r not in allowed]
+    broken = set()
+    for i in range(m):
+        ad = linalg.transpose(algebra._ad_columns(frame[i]))
+        for j in range(i, m):
+            w = [sum(map(mul, row, frame[j])) for row in ad]
+            if any(sum(map(mul, row, w)) for row in forbidden[where[i], where[j]]):
+                broken.add((where[i], where[j]))
+    violations = [(realized[p], realized[q]) for p, q in sorted(broken)]
     return AxisReport(idempotent, norm_ok, spectrum, semisimple,
                       primitive, not violations, violations, spaces)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from axial import algebra as algebra_mod
 from axial import linalg
 from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, automorphism_defects,
                            bilinear, check_axis, defect, eigen_decompose, form, ideal_closure,
@@ -154,6 +155,15 @@ def test_check_axis_zero_vector(alg, rules):
     assert not report.norm_ok
     assert not report.primitive
     assert not report.passed
+
+
+def test_the_eigenframe_refuses_dependent_eigenvectors(alg, rules, monkeypatch):
+    # eigenspaces of distinct eigenvalues are independent, so a frame that is
+    # not invertible is a fault of the model, not a break of the fusion law
+    spaces = {Q(1): [[1, 0, 0]], Q(0): [[1, 0, 0], [0, 1, 0]]}
+    monkeypatch.setattr(algebra_mod, "eigen_decompose", lambda ad, fields: (spaces, True))
+    with pytest.raises(ConsistencyError, match="eigenvectors of the axis are not independent"):
+        check_axis(alg, e(0), rules)
 
 
 def test_primitivity_in_1a_plus_1a(rules):
@@ -370,6 +380,21 @@ def test_basis_vector_refuses_an_index_out_of_range(alg, index):
     with pytest.raises(ShapeError, match="is not in 0..2"):
         alg.basis_vector(index)
     assert alg.basis_vector(2) == [0, 0, 1]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_every_constructor_refuses_a_boolean_marked_index(alg, flag):
+    # a bool passes isinstance(m, int): the constructor kept marked == [True]
+    message = "a marked index is a boolean, not an integer"
+    with pytest.raises(ShapeError, match=message):
+        StructureAlgebra(alg.labels, alg.product, alg.gram, marked=[flag])
+    with pytest.raises(ShapeError, match=message):
+        StructureAlgebra.from_integers(alg.labels, alg.table, alg.den, alg.gram_table,
+                                       alg.gram_den, marked=[flag])
+    with pytest.raises(ShapeError, match=message):
+        StructureAlgebra.from_json({**alg.to_json(), "marked": [flag]})
+    assert StructureAlgebra(alg.labels, alg.product, alg.gram, marked=[int(flag)]).marked == \
+        [int(flag)]
 
 
 @pytest.mark.parametrize("entry", [0.1, True, MultiPoly({(1, 0): 1}), "1"],

@@ -24,6 +24,13 @@ Fraction twins of the integer entry points were removed.
 ``axial algebra check fixtures/3c.json --raw --json``, written while
 eigenspaces and ideals were still passed on as monic Fraction rows and the
 form check decomposed every axis a second time.
+``4b_dense_narrow_check.json`` and ``4b_dense_vir_5_4_check.json`` are
+``axial algebra check fixtures/4b_dense.json --json`` with
+``--fusion fixtures/ising_narrow.json`` and ``--fusion vir:5,4``, two checks
+that fail with exit code 1, written while the fusion law was still decided
+by one rank per pair of eigenvalues: under the narrowed law both axes break
+it at (1/4, 1/4) and (1/32, 1/32), and under V(5, 4) neither axis is
+semisimple.
 """
 
 import hashlib
@@ -202,3 +209,14 @@ def test_algebra_check_dense_4b_json(capsys):
                     "--json")
     assert code == 0
     assert out == (GOLDEN / "4b_dense_check.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fusion, golden", [
+    (str(ROOT / "fixtures" / "ising_narrow.json"), "4b_dense_narrow_check.json"),
+    ("vir:5,4", "4b_dense_vir_5_4_check.json"),
+], ids=["narrow", "vir_5_4"])
+def test_algebra_check_dense_4b_failing_json(capsys, fusion, golden):
+    code, out = run(capsys, "algebra", "check", str(ROOT / "fixtures" / "4b_dense.json"),
+                    "--fusion", fusion, "--json")
+    assert code == 1
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -4,11 +4,14 @@ algebras against annihilator polynomials, the MultiPoly ring laws
 and canonical form, MultiPoly against a Fraction-dict reference, poly.dot
 against the naive sum of products, membership by complement projection
 against the rank, the semi-naive ideal closure against full rounds, the
-automorphism defects against the dense loop on symmetries of mixed shape, and
+automorphism defects against the dense loop on symmetries of mixed shape,
 rational roots planted in random polynomials, with and without the sieve,
-and the resultant's degree against sympy's dimension of the quotient ring."""
+the resultant's degree against sympy's dimension of the quotient ring, the
+eigenframe fusion test against the annihilators, and the integer entry
+reader of algebra files against the Fraction literal."""
 
 import json
+import random
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
@@ -21,11 +24,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from axial import linalg  # noqa: E402
-from axial.algebra import (StructureAlgebra, automorphism_defects, bilinear,  # noqa: E402
-                           check_axis, defect, ideal_closure, pair, three_c, verify_form)
-from axial.fusion import frobenius_refine, virasoro_rules  # noqa: E402
-from axial.poly import MultiPoly, dot, evaluate_all, rational_roots, resultant  # noqa: E402
-from axial.sakuma import EvalPoint, evaluate_point  # noqa: E402
+from axial.algebra import (ShapeError, StructureAlgebra, _entry_ratio,  # noqa: E402
+                           automorphism_defects, bilinear, check_axis, defect, ideal_closure,
+                           pair, three_c, verify_form)
+from axial.fusion import FusionRules, frobenius_refine, virasoro_rules  # noqa: E402
+from axial.poly import (MultiPoly, _literal, dot, evaluate_all, rational_roots,  # noqa: E402
+                        resultant)
+from axial.sakuma import A0, A1, EvalPoint, discrepancy_quotient, evaluate_point  # noqa: E402
 from conftest import (fraction_inverse, ref_automorphism_defects, ref_ideal_closure,  # noqa: E402
                       ref_quotient_dimension, ref_rational_roots, ref_violations)
 
@@ -147,6 +152,111 @@ def test_fusion_law_matches_the_annihilators(diagonal, upper, products, v, refin
     rules = ISING if refined else virasoro_rules(4, 3)
     for a in (alg.basis_vector(0), v):
         assert check_axis(alg, a, rules).violations == ref_violations(alg, a, rules)
+
+
+# -- the eigenframe: check_axis against the annihilator polynomials ----------
+#
+# check_axis reads the fusion law off the coordinates of each eigenvector
+# product in a frame of eigenvectors; ref_violations applies the
+# annihilator of f*g to the products instead, and needs no frame.
+
+# the refined Ising law narrowed to 1/4*1/4 = {1} and 1/32*1/32 = {1, 1/4},
+# which the 3C and 4B axes break
+NARROW = FusionRules.from_json(json.loads((FIXTURE.parent / "ising_narrow.json").read_text()))
+TRICRITICAL = virasoro_rules(5, 4)
+
+
+@pytest.mark.parametrize("name", ["3c", "4b_dense"])
+def test_the_eigenframe_completes_eigenvectors_that_do_not_span(name):
+    # 1/32 is no field of V(5, 4), so the eigenvectors miss a line and the
+    # frame is completed by unit vectors; a_0 - a_1 also breaks the law there
+    alg = StructureAlgebra.from_json(json.loads((FIXTURE.parent / f"{name}.json").read_text()))
+    a0, a1 = alg.basis_vector(0), alg.basis_vector(1)
+    broken = []
+    for a in (a0, a1, linalg.sub_vec(a0, a1)):
+        for rules in (TRICRITICAL, frobenius_refine(TRICRITICAL)):
+            report = check_axis(alg, a, rules)
+            assert not report.semisimple
+            assert report.violations == ref_violations(alg, a, rules)
+            broken.append(bool(report.violations))
+    assert broken == [False] * 4 + [True] * 2
+
+
+@pytest.mark.parametrize("name", ["3c", "4b_dense"])
+def test_the_eigenframe_finds_the_breaks_of_a_narrowed_law(name):
+    alg = StructureAlgebra.from_json(json.loads((FIXTURE.parent / f"{name}.json").read_text()))
+    want = [(Q(1, 32), Q(1, 32))] if name == "3c" else [(Q(1, 4), Q(1, 4)), (Q(1, 32), Q(1, 32))]
+    for m in alg.marked:
+        a = alg.basis_vector(m)
+        assert check_axis(alg, a, ISING).violations == ref_violations(alg, a, ISING) == []
+        assert check_axis(alg, a, NARROW).violations == ref_violations(alg, a, NARROW) == want
+
+
+def test_the_eigenframe_matches_the_annihilators_on_the_nine_quotients(uni, points):
+    # each quotient in a seeded random rational basis, at the images of
+    # a_0 and a_1, under the refined Ising law and the narrowed one
+    rng = random.Random(21)
+    broken = set()
+    for pt in points.values():
+        disc = discrepancy_quotient(uni, pt)
+        n = disc.quotient.dim
+        while True:
+            p = [[Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+            try:
+                p_inv = fraction_inverse(p)
+                break
+            except ValueError:
+                continue
+        alg, to_new = change_basis(disc.quotient, p, p_inv)
+        for i in (A0, A1):
+            a = to_new(linalg.matvec(disc.projection, disc.evaluated.basis_vector(i)))
+            for rules in (ISING, NARROW):
+                report = check_axis(alg, a, rules)
+                assert report.semisimple
+                assert report.violations == ref_violations(alg, a, rules)
+                broken.add(bool(report.violations))
+    assert broken == {False, True}
+
+
+# -- the integer entry reader of algebra files -----------------------------
+
+
+def literal_value(e):
+    """poly._literal(e), or None where it refuses e."""
+    try:
+        return _literal(e)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
+def ratio_value(e):
+    """The Fraction the entry reader gives for e, or None where it refuses e."""
+    try:
+        p, q = _entry_ratio(e)
+    except ShapeError:
+        return None
+    assert type(p) is type(q) is int and q > 0
+    return Q(p, q)
+
+
+entry_values = st.one_of(
+    st.text(alphabet="0123456789+-/._e ", max_size=8), st.integers(), st.booleans(),
+    st.floats(), st.none(), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.integers(), max_size=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(entry_values)
+def test_the_entry_reader_accepts_exactly_the_rational_literals(e):
+    assert ratio_value(e) == literal_value(e)
+
+
+@pytest.mark.parametrize("e", ["0.5", "1e3", " 3/4 ", "+1", "-0", "007", "3/0", "1/-2", "--1",
+                               "\u00b2", "\u0661\u0662"])
+def test_the_entry_reader_on_named_literals(e):
+    # "\u00b2" (superscript two) passes str.isdigit, though int() refuses it;
+    # "\u0661\u0662" is 12 in Arabic-Indic digits, which Fraction reads
+    assert ratio_value(e) == literal_value(e)
 
 
 @settings(max_examples=40, deadline=None)
