@@ -1,6 +1,6 @@
-"""Command-line front end.
+"""axial: exact axial-algebra toolkit.
 
-Subcommands::
+Usage::
 
     axial fusion vir P Q [--json]
     axial algebra check FILE [--fusion vir:P,Q | --fusion FILE] [--raw] [--json]
@@ -8,6 +8,16 @@ Subcommands::
     axial sakuma solve
     axial sakuma classify [--out FILE]
     axial sakuma rederive
+
+fusion vir prints the Virasoro fusion table V(P, Q) and its Z/2-gradings.
+algebra check verifies the marked axes and the form of an algebra in JSON
+under the fusion law (default vir:4,3, Frobenius-refined unless --raw).
+sakuma table, solve, classify and rederive build the universal algebra of
+Sakuma's theorem: its symbolic table, the certified (lam, mu) points, the
+nine named quotients, and the closed formulas re-derived.
+
+Options may come before or after the positionals, as --opt value or
+--opt=value, and are spelled in full.  -h or --help prints this text.
 
 Exit codes: 0 on success/all-pass, 1 on verification failure, 2 on usage
 errors (bad arguments, unreadable input files or an unwritable output
@@ -17,10 +27,10 @@ keys, so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from functools import cache
+from types import SimpleNamespace
 
 from . import algebra as algebra_mod
 from . import fusion as fusion_mod
@@ -44,11 +54,16 @@ def _read_json(path: str):
         raise UsageError(f"cannot read {path} as JSON: {exc}") from None
 
 
+_TABLES: dict = {}  # (p, q) -> V(p, q), built once per process; nothing mutates one
+
+
 def _virasoro(p: int, q: int) -> fusion_mod.FusionRules:
-    try:
-        return fusion_mod.virasoro_rules(p, q)
-    except ValueError as exc:
-        raise UsageError(f"no Virasoro table V({p},{q}): {exc}") from None
+    if (p, q) not in _TABLES:
+        try:
+            _TABLES[p, q] = fusion_mod.virasoro_rules(p, q)
+        except ValueError as exc:
+            raise UsageError(f"no Virasoro table V({p},{q}): {exc}") from None
+    return _TABLES[p, q]
 
 
 def _load_rules(spec: str, refine: bool) -> fusion_mod.FusionRules:
@@ -185,50 +200,102 @@ def _vector_text(vec, labels) -> str:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="axial",
-                                     description="Exact axial-algebra toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fus = sub.add_parser("fusion", help="generate fusion rule tables")
-    fus.add_argument("kind", choices=["vir"], help="table family")
-    fus.add_argument("p", type=int)
-    fus.add_argument("q", type=int)
-    fus.add_argument("--json", action="store_true")
-    fus.set_defaults(func=_cmd_fusion)
-
-    alg = sub.add_parser("algebra", help="verify a structure-constant algebra")
-    alg_sub = alg.add_subparsers(dest="action", required=True)
-    chk = alg_sub.add_parser("check", help="run axis and form verification")
-    chk.add_argument("file")
-    chk.add_argument("--fusion", default="vir:4,3",
-                     help="vir:P,Q or a fusion-rules JSON file (default vir:4,3)")
-    chk.add_argument("--raw", action="store_true",
-                     help="skip the Frobenius refinement of 0*0")
-    chk.add_argument("--json", action="store_true")
-    chk.set_defaults(func=_cmd_algebra_check)
-
-    sak = sub.add_parser("sakuma", help="the two-generated classification")
-    sak_sub = sak.add_subparsers(dest="action", required=True)
-    table = sak_sub.add_parser("table", help="the symbolic product table and Gram matrix")
-    table.add_argument("--format", choices=["text", "json"], default="text")
-    sak_sub.add_parser("solve", help="the certified (lam, mu) points")
-    cls = sak_sub.add_parser("classify", help="certify and name the quotient at each point")
-    cls.add_argument("--out", help="write the classification report to a file")
-    sak_sub.add_parser("rederive", help="compare the derived products with the closed formulas")
-    sak.set_defaults(func=_cmd_sakuma)
-
-    return parser
+# command path -> (handler, positionals with their converters, flags,
+# options with their default and their choices, None for any value)
+COMMANDS = {
+    ("fusion", "vir"): (_cmd_fusion, {"p": int, "q": int}, ("json",), {}),
+    ("algebra", "check"): (_cmd_algebra_check, {"file": str}, ("raw", "json"),
+                           {"fusion": ("vir:4,3", None)}),
+    ("sakuma", "table"): (_cmd_sakuma, {}, (), {"format": ("text", ("text", "json"))}),
+    ("sakuma", "solve"): (_cmd_sakuma, {}, (), {}),
+    ("sakuma", "classify"): (_cmd_sakuma, {}, (), {"out": (None, None)}),
+    ("sakuma", "rederive"): (_cmd_sakuma, {}, (), {}),
+}
+# an option takes a value in every command that has it, so argv splits into
+# options and positionals before the command is known
+_TAKES_VALUE = {f"--{name}" for *_, options in COMMANDS.values() for name in options}
+_FLAGS = {f"--{name}" for _, _, flags, _ in COMMANDS.values() for name in flags}
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parse_args leaves it as it was."""
-    return build_parser()
+def _usage_error(message: str):
+    print(f"axial: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_option(token: str) -> bool:
+    return token.startswith("-") and token != "-" and not _NEGATIVE_NUMBER.match(token)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command and its arguments, read off COMMANDS.  Options may come
+    before or after positionals, as --opt value or --opt=value, and must be
+    spelled in full; after -- every token is a positional.  -h or --help
+    prints the synopsis and exits 0; a usage error writes one stderr line
+    and exits 2."""
+    positionals, given, unknown = [], {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            positionals.extend(tokens)
+        elif token in ("-h", "--help"):
+            sys.stdout.write(__doc__ or "")  # None under python -OO
+            raise SystemExit(0)
+        elif not _is_option(token):
+            positionals.append(token)
+        elif token in _FLAGS:
+            given[token[2:]] = True
+        else:
+            option, eq, value = token.partition("=")
+            if option not in _TAKES_VALUE:
+                unknown.append(token)
+                continue
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    _usage_error(f"argument {option}: expected one argument")
+            given[option[2:]] = value
+
+    path = ()
+    for level in ("command", "action"):
+        words = list(dict.fromkeys(key[len(path)] for key in COMMANDS
+                                   if key[:len(path)] == path))
+        if not positionals:
+            _usage_error(f"the following arguments are required: {level}")
+        word = positionals.pop(0)
+        if word not in words:
+            choices = ", ".join(f"'{w}'" for w in words)
+            _usage_error(f"argument {level}: invalid choice: '{word}' (choose from {choices})")
+        path += (word,)
+
+    func, wanted, flags, options = COMMANDS[path]
+    args = SimpleNamespace(action=path[1], func=func)
+    for (dest, convert), token in zip(wanted.items(), positionals):
+        try:
+            setattr(args, dest, convert(token))
+        except ValueError:
+            _usage_error(f"argument {dest}: invalid {convert.__name__} value: '{token}'")
+    missing = list(wanted)[len(positionals):]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    for name in flags:
+        setattr(args, name, given.pop(name, False))
+    for name, (default, choices) in options.items():
+        value = given.pop(name, default)
+        if choices and value not in choices:
+            listed = ", ".join(f"'{c}'" for c in choices)
+            _usage_error(f"argument --{name}: invalid choice: '{value}' (choose from {listed})")
+        setattr(args, name, value)
+    unknown += [f"--{name}" if value is True else f"--{name} {value}"
+                for name, value in given.items()]
+    unknown += positionals[len(wanted):]
+    if unknown:
+        _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except UsageError as exc:

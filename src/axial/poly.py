@@ -504,8 +504,9 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
 
     By the rational root test every root p/q in lowest terms of the
     primitive integer form has p dividing the constant and q the leading
-    coefficient.  Each such candidate with gcd(p, q) = 1 that passes the
-    sieve at 1 and -1 is tested exactly, on the integer q^n f(p/q).
+    coefficient.  Each such candidate with gcd(p, q) = 1 inside Cauchy's
+    bound that passes the sieve at 1 and -1 is tested exactly, on the
+    integer q^n f(p/q).
     """
     if not f:
         raise ValueError("rational_roots of the zero polynomial")
@@ -534,8 +535,14 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
 
     # a root p/q gives q - p | F(1), q + p | F(-1) (Gauss's lemma); d | v iff gcd(d, v) = |d|
     at_one, at_minus_one = sum(ints), _horner(ints, -1)
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
+    # Cauchy's bound: every root x has |x| < 1 + max_{i<n} |a_i| / |a_n|
+    lead = abs(ints[-1])
+    reach = lead + max(map(abs, ints[:-1]))
+    numerators = sorted(_divisors(ints[0]))
+    for q in _divisors(ints[-1]):
+        for p in numerators:
+            if p * lead > reach * q:
+                break
             if gcd(p, q) != 1:
                 continue
             for num in (p, -p):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from axial.algebra import ShapeError, StructureAlgebra, three_c
+from axial import cli
 from axial.cli import main
 from axial.fusion import FusionRules, virasoro_rules
 from axial.sakuma import build_universal
@@ -112,6 +113,7 @@ def _string_product_set(data):
     (["algebra", "check", str(FIXTURE), "--fusion", "vir:4"], None),
     (["algebra", "check", str(FIXTURE), "--fusion", "vir:6,4"], None),
     (["fusion", "vir", "4", "2"], None),
+    (["fusion", "vir", "-4", "3"], None),
     (["algebra", "check", "{file}"], _not_json),
     (["algebra", "check", "{file}"], _short_product),
     (["algebra", "check", "{file}"], _marked(3)),
@@ -148,7 +150,8 @@ def _string_product_set(data):
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
      _rules(lambda data: data.update(fields="1"))),
 ], ids=["fusion-one-number", "fusion-not-coprime", "fusion-table-not-coprime",
-        "algebra-not-json", "algebra-wrong-shape", "algebra-marked-too-large",
+        "fusion-table-negative-p", "algebra-not-json", "algebra-wrong-shape",
+        "algebra-marked-too-large",
         "algebra-marked-negative", "algebra-entry-not-rational", "algebra-no-gram",
         "algebra-no-product", "algebra-no-labels", "algebra-top-level-array",
         "algebra-marked-not-a-list", "algebra-labels-not-a-list", "algebra-gram-entry-float",
@@ -240,11 +243,12 @@ def test_algebra_check_polynomial_entry_exits_2(tmp_path, capsys):
 
 
 def test_startup_loads_no_dataclass_machinery():
-    # every command pays for each module `import axial.cli` loads, and
-    # dataclasses with inspect, ast, dis and tokenize cost about 8 ms
+    # every command pays for each module `import axial.cli` loads:
+    # dataclasses with inspect, ast, dis and tokenize cost about 8 ms, and
+    # argparse with gettext about 3 ms
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import axial.cli; "
             "axial.cli.main(['fusion', 'vir', '4', '3', '--json']); "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            "print(sorted({'argparse', 'dataclasses', 'inspect'} & sys.modules.keys()))")
     done = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
                           capture_output=True, text=True, check=True)
     *printed, loaded = done.stdout.splitlines(keepends=True)
@@ -252,10 +256,69 @@ def test_startup_loads_no_dataclass_machinery():
     assert loaded == "[]\n"
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize("argv, phrase", [
+    ([], "the following arguments are required"),
+    (["sakuma"], "the following arguments are required"),
+    (["fusion", "vir", "4"], "the following arguments are required"),
+    (["fusion", "vir", "a", "3"], "invalid int value"),
+    (["sakuma", "table", "--format", "xml"], "invalid choice"),
+    (["sakuma", "classify", "--out"], "expected one argument"),
+    (["sakuma", "solve", "--out", "x.json"], "unrecognized arguments"),
+    (["algebra", "check", "--json"], "the following arguments are required"),
+    # long options are spelled in full, not abbreviated
+    (["sakuma", "table", "--fo", "json"], "unrecognized arguments"),
+], ids=["no-command", "no-action", "missing-q", "p-not-an-int", "format-not-a-choice",
+        "out-without-value", "out-not-an-option-of-solve", "missing-file", "abbreviated-option"])
+def test_usage_error_writes_one_line_and_exits_2(argv, phrase, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
-        main(["fusion", "vir", "4"])
+        main(argv)
+    captured = capsys.readouterr()
     assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("axial: error: ")
+    assert phrase in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["sakuma", "--help"], ["algebra", "check", "--help"], ["fusion", "vir", "-h"],
+], ids=["top", "sakuma", "algebra-check", "fusion-vir-short"])
+def test_help_prints_the_synopsis(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 0
+    assert captured.err == ""
+    assert captured.out == cli.__doc__
+    assert "    axial sakuma classify [--out FILE]\n" in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "check", "--json", str(FIXTURE)],
+    ["algebra", "check", str(FIXTURE), "--fusion=vir:4,3", "--json"],
+    ["algebra", "check", "--fusion", "vir:4,3", "--json", "--", str(FIXTURE)],
+], ids=["option-first", "equals-sign", "double-dash"])
+def test_options_go_before_or_after_positionals(argv, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (ROOT / "tests" / "golden" / "3c_check.json").read_text(encoding="utf-8")
+
+
+def test_each_virasoro_table_is_built_once_per_process(monkeypatch, capsys):
+    # the refinement copies the cached table: a refined check before a raw
+    # one leaves the raw output as it was
+    calls = []
+    monkeypatch.setattr(cli, "_TABLES", {})
+    monkeypatch.setattr(cli.fusion_mod, "virasoro_rules",
+                        lambda p, q: calls.append((p, q)) or virasoro_rules(p, q))
+    assert run(capsys, "algebra", "check", str(FIXTURE), "--json")[0] == 0
+    code, out = run(capsys, "algebra", "check", str(FIXTURE), "--raw", "--json")
+    assert code == 0
+    assert out == (ROOT / "tests" / "golden" / "3c_raw_check.json").read_text(encoding="utf-8")
+    assert run(capsys, "fusion", "vir", "4", "3")[0] == 0
+    assert run(capsys, "fusion", "vir", "5", "4")[0] == 0
+    assert calls == [(4, 3), (5, 4)]
 
 
 def test_sakuma_solve(capsys):

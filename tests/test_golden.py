@@ -139,8 +139,9 @@ def test_algebra_check_3c_json(capsys):
 
 
 def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
-    # main parses with one cached parser: an option or a usage error of one
-    # call must not reach the next
+    # main runs many times in one process (the verify benchmark calls it
+    # nine times): an option or a usage error of one call must not reach
+    # the next
     fixture = str(ROOT / "fixtures" / "3c.json")
     code, out = run(capsys, "algebra", "check", fixture, "--raw", "--json")
     assert code == 0

@@ -121,6 +121,11 @@ def test_matvec_dimension_mismatch():
         linalg.matvec([[Q(1), Q(2)]], [Q(1)])
 
 
+def test_matmul_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        linalg.matmul([[Q(1), Q(2)]], [[Q(1)], [Q(1)], [Q(1)]])
+
+
 def test_integer_matmul_dimension_mismatch():
     # zip would cut the shapes to fit: this product read [[3]]
     with pytest.raises(ValueError, match="dimension mismatch"):

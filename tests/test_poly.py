@@ -3,8 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _newton_interpolate, evaluate_all,
-                        from_coefficients, leading_term, rational_roots, resultant)
+from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _newton_interpolate,
+                        _univariate_nums, evaluate_all, from_coefficients, leading_term,
+                        rational_roots, resultant)
 from axial.sakuma import EvalPoint, _eval_matrix, associativity_polynomials, evaluate_point
 from conftest import ref_quotient_dimension
 from test_linalg import ref_det
@@ -357,6 +358,22 @@ def test_rational_roots_hard_end_coefficients(var):
     assert rational_roots(planted(var, set(), 2**20 * 1000003 * x**2 + 3)) == set()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: rational_roots(MultiPoly()), "rational_roots of the zero polynomial"),
+    (lambda: rational_roots(LAM * MU + 1), "polynomial is not univariate"),
+    (lambda: _univariate_nums(LAM * MU, "lam"), "polynomial is not univariate"),
+    (lambda: leading_term(MultiPoly()), "zero polynomial has no leading term"),
+    (lambda: (LAM + 1).constant_value(), "polynomial is not constant"),
+    (lambda: LAM ** -1, "exponent must be a non-negative integer"),
+    (lambda: MultiPoly.variable("nu"), "unknown variable 'nu'"),
+], ids=["roots-of-zero", "roots-of-bivariate", "univariate-nums-of-bivariate",
+        "leading-term-of-zero", "constant-value-of-nonconstant", "negative-power",
+        "unknown-variable"])
+def test_argument_errors_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_leading_term_grevlex():
     f = LAM**2 + LAM * MU**2
     e, c = leading_term(f)
@@ -401,6 +418,20 @@ def test_resultant_and_roots_against_sympy(uni, eliminate, kept):
     assert ours == from_sympy(sympy, syms, theirs)
     sympy_roots = sympy.roots(sympy.Poly(theirs, syms[kept]), filter="Q")
     assert rational_roots(ours) == {Q(int(r.p), int(r.q)) for r in sympy_roots}
+
+
+@pytest.mark.parametrize("roots", [
+    # 1000 is far from the other roots, well inside Cauchy's bound of about 2319
+    {Q(1, 64), Q(1000), Q(-7, 3)},
+    # (2x + 1)(x - 2): the root 2 lies past max |a_i| / |a_n| = 3/2, inside
+    # the bound 1 + 3/2, so a bound one lower would miss it
+    {Q(-1, 2), Q(2)},
+], ids=["far-root", "root-near-the-bound"])
+def test_rational_roots_against_sympy(roots):
+    sympy, syms = sympy_setup()
+    f = planted("lam", roots, MultiPoly.const(1))
+    theirs = sympy.roots(sympy.Poly(to_sympy(sympy, syms, f), syms["lam"]), filter="Q")
+    assert rational_roots(f) == {Q(int(r.p), int(r.q)) for r in theirs} == roots
 
 
 @pytest.mark.parametrize("huge", [False, True])
