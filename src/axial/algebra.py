@@ -6,11 +6,16 @@ only as integers: its product tensor and its Gram matrix each as integer
 numerators over one denominator.  Products, forms, ad(a), eigenspaces,
 the axis and automorphism checks, ideal closures and quotients all run on
 those integers, and `product` and `gram` are read-only Fraction views of
-them.  Whether vectors lie in a subspace (primitivity, ideal closure,
+them.  ad(v) is read off the fibres of the tensor, fibre (r, j) the vector
+of T[k][j][r] over k, built once per algebra: each entry of den ad(v) is
+one dot product of v with a fibre (ad_integer, check_axis, ideal_closure,
+quotient).  Whether vectors lie in a subspace (primitivity, ideal closure,
 the quotient's ideal test) is always decided on canonical integer echelon
 rows, by comparing them or by their complement projection
 (linalg.complement_projection); the fusion law is decided by coordinates
-in an eigenframe of the axis, inverted once (see check_axis).  The symbolic
+in an eigenframe of the axis, inverted once, with the eigenspaces and the
+law (FusionRules.law) taken by field position (see check_axis); miyamoto
+reuses that inverse.  The symbolic
 algebra over Q[lam, mu] is not a StructureAlgebra: it is two bare
 MultiPoly tables (see sakuma.UniversalAlgebra), which the ring-generic
 kernel below serves as well.
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -159,6 +164,17 @@ class StructureAlgebra:
         check_symmetric(table, gram_table)
         self.table, self.den = table, den
         self.gram_table, self.gram_den = gram_table, gram_den
+        self._fibres = None
+
+    @property
+    def fibres(self):
+        """F[r][j] = (T[0][j][r], ..., T[n-1][j][r]) for the integer tensor
+        T: entry (r, j) of den ad(v) is the dot product of v with F[r][j].
+        Built on first use, by transposing each slice T[.][j]."""
+        if self._fibres is None:
+            by_column = [list(zip(*(row[j] for row in self.table))) for j in range(self.dim)]
+            self._fibres = [list(col) for col in zip(*by_column)]
+        return self._fibres
 
     @property
     def product(self):
@@ -191,20 +207,21 @@ class StructureAlgebra:
 
     def ad_integer(self, a):
         """(A, den) with ad(a) = A / den for an integer matrix A, the matrix of
-        left multiplication by a acting on column vectors, built in one pass
-        over the integer product tensor."""
+        left multiplication by a acting on column vectors, read off the
+        fibres of the integer product tensor."""
         self._check_lengths(a)
         nums, da = linalg.clear_denominators(a)
-        return linalg.transpose(self._ad_columns(nums)), self.den * da
+        return self._ad_rows(nums), self.den * da
 
-    def _ad_columns(self, nums):
+    def _ad_rows(self, v):
+        """The rows of den ad(v) for an integer vector v, one dot product
+        with a fibre per entry."""
+        return [[sum(map(mul, v, f)) for f in row] for row in self.fibres]
+
+    def _ad_columns(self, v):
         """The columns of den ad(v) for an integer vector v: den (v e_j) for
         each j, as integer vectors."""
-        cols = [[0] * self.dim for _ in range(self.dim)]
-        for x, row in zip(nums, self.table):
-            if x:
-                cols = [[c + x * t for c, t in zip(col, vec)] for col, vec in zip(cols, row)]
-        return cols
+        return [[sum(map(mul, v, f)) for f in col] for col in zip(*self.fibres)]
 
     def form(self, x, y):
         """Value of the bilinear form on two coordinate vectors."""
@@ -238,18 +255,36 @@ class StructureAlgebra:
         if not all(isinstance(x, str) for x in labels) or len(set(labels)) != len(labels):
             raise ShapeError("labels must be distinct strings")
 
-        def entries(rows, depth):
+        def nested(rows):
             # a string is iterable too, so every level must be a list
             if not isinstance(rows, list):
                 raise ShapeError("product and gram must be nested lists")
-            return [entries(r, depth - 1) if depth else _entry_ratio(r) for r in rows]
+            return rows
 
-        product, gram = entries(data["product"], 2), entries(data["gram"], 1)
+        def entries(rows, depth):
+            return [entries(r, depth - 1) if depth else _entry_ratio(r) for r in nested(rows)]
+
+        # the product commutes, so entry (i, j) reuses the parsed (j, i) when
+        # their texts agree; from_integers still compares the values of
+        # every pair, and rows are read in order, so the first bad entry
+        # is still the one reported
+        rows, product = nested(data["product"]), []
+        for i, row in enumerate(rows):
+            product.append([product[j][i] if j < i and _same_text(rows[j], i, vec)
+                            else entries(vec, 0) for j, vec in enumerate(nested(row))])
+        gram = entries(data["gram"], 1)
         den = lcm(*(q for row in product for vec in row for _, q in vec))
         gram_den = lcm(*(q for row in gram for _, q in row))
         return StructureAlgebra.from_integers(
             labels, [[[p * (den // q) for p, q in vec] for vec in row] for row in product], den,
             [[p * (gram_den // q) for p, q in row] for row in gram], gram_den, marked)
+
+
+def _same_text(row, i, vec):
+    """Whether row[i] exists and holds the same JSON entries as vec, type
+    for type: 1, 1.0 and true are equal in Python but not read alike."""
+    return (i < len(row) and row[i] == vec
+            and list(map(type, row[i])) == list(map(type, vec)))
 
 
 def _entry_ratio(e):
@@ -321,27 +356,47 @@ def eigen_decompose(ad, candidates):
     canonical integer basis of its eigenspace (see linalg.echelon_span),
     and semisimple records whether the dimensions add up to the whole
     algebra.  The kernel of ad(a) - p/q is that of the integer matrix
-    q A - p d.
+    q A - p d.  Its rows from linalg.integer_kernel are reduced once more
+    when there are two or more; a single row is made canonical by dividing
+    out its content and the sign of its leading entry.  Eigenspaces of
+    distinct eigenvalues are independent, so once those found fill the
+    algebra the remaining candidates get [] without an elimination.  The
+    spaces come in the order of the candidates, so their positions are
+    those of the candidates.
     """
     mat, d = ad
     spaces = {}
     total = 0
     for theta in candidates:
+        if total == len(mat):
+            spaces[theta] = []
+            continue
         p, q = theta.numerator * d, theta.denominator
-        shifted = [[q * x - (p if i == j else 0) for j, x in enumerate(row)]
-                   for i, row in enumerate(mat)]
-        basis, _ = linalg.integer_rref(linalg.integer_kernel(shifted))
+        shifted = [[q * x for x in row] for row in mat]
+        for i, row in enumerate(shifted):
+            row[i] -= p
+        basis = linalg.integer_kernel(shifted)
+        if len(basis) > 1:
+            basis = linalg.integer_rref(basis)[0]
+        elif basis:
+            row = basis[0]
+            g = gcd(*row)
+            if next(x for x in row if x) < 0:
+                g = -g
+            basis = [[x // g for x in row]]
         spaces[theta] = basis
         total += len(basis)
     return spaces, total == len(mat)
 
 
 class AxisReport(namedtuple("AxisReport", "idempotent norm_ok spectrum semisimple "
-                                         "primitive fusion_ok violations spaces")):
+                                         "primitive fusion_ok violations spaces inverse")):
     """Outcome of the axis conditions for one idempotent candidate.
 
     spaces holds the canonical integer eigenspace bases behind spectrum, by
-    candidate, which miyamoto and verify_form take; it is not serialised.
+    candidate, which miyamoto and verify_form take; inverse is (N, d) with
+    N / d the inverse of the eigenframe check_axis inverted, which miyamoto
+    takes too.  Neither is serialised.
     """
 
     __slots__ = ()
@@ -374,58 +429,62 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
     completed by the unit vectors of the non-pivot columns of their echelon
     form when they do not span.  V_f V_g lies in the sum of the V_h for h
     in f*g exactly when each product u v, formed once per pair of frame
-    eigenvectors, has no frame coordinate outside it.  Unrealised fields
-    are recorded with dimension 0.
+    eigenvectors, has no frame coordinate outside it.  The eigenspaces are
+    taken by field position and the law read from rules.law, so no field
+    is looked up by value.  Unrealised fields are recorded with dimension 0.
     """
     idempotent = algebra.multiply(a, a) == list(a)
     norm_ok = algebra.form(a, a) == 2 * rules.central_charge
-    spaces, semisimple = eigen_decompose(algebra.ad_integer(a), rules.fields)
+    fields = rules.fields
+    spaces, semisimple = eigen_decompose(algebra.ad_integer(a), fields)
+    bases = list(spaces.values())  # by field position
     spectrum = {theta: len(basis) for theta, basis in spaces.items()}
-    one_space = spaces.get(Fraction(1), [])
+    one_space = bases[fields.index(1)] if 1 in fields else []
     # canonical bases are equal exactly when the spans are; a zero a gives []
     primitive = len(one_space) == 1 and one_space == linalg.echelon_span([a])
 
-    # the eigenvalues by position; where[k] is that of frame vector k, -1
-    # for a completing unit vector, which lies in no eigenspace
-    realized = [theta for theta, basis in spaces.items() if basis]
-    frame = [v for theta in realized for v in spaces[theta]]
-    where = [p for p, theta in enumerate(realized) for _ in spaces[theta]]
+    # where[k] is the field position of frame vector k, -1 for a completing
+    # unit vector, which lies in no eigenspace
+    realized = [p for p, basis in enumerate(bases) if basis]
+    frame = [v for p in realized for v in bases[p]]
+    where = [p for p in realized for _ in bases[p]]
     n, m = algebra.dim, len(frame)
     if not semisimple:
         pivots = linalg.integer_rref(frame)[1]
         frame += [[int(j == c) for j in range(n)] for c in range(n) if c not in pivots]
         where += [-1] * (n - m)
     try:
-        inv = linalg.integer_inverse(linalg.transpose(frame))[0]
+        inverse = linalg.integer_inverse(linalg.transpose(frame))
     except ValueError:
         raise ConsistencyError("the eigenvectors of the axis are not independent") from None
     # forbidden[p, q]: the coordinate rows outside the sum allowed for V_p V_q
-    position = {theta: p for p, theta in enumerate(realized)}
     forbidden = {}
-    for p, f in enumerate(realized):
-        for q, g in enumerate(realized[p:], p):
-            allowed = {position.get(h) for h in rules.product(f, g)}
-            forbidden[p, q] = [row for row, r in zip(inv, where) if r not in allowed]
+    for x, p in enumerate(realized):
+        for q in realized[x:]:
+            allowed = rules.law[p][q]
+            forbidden[p, q] = [row for row, r in zip(inverse[0], where) if r not in allowed]
     broken = set()
     for i in range(m):
-        ad = linalg.transpose(algebra._ad_columns(frame[i]))
+        ad = algebra._ad_rows(frame[i])
         for j in range(i, m):
             w = [sum(map(mul, row, frame[j])) for row in ad]
             if any(sum(map(mul, row, w)) for row in forbidden[where[i], where[j]]):
                 broken.add((where[i], where[j]))
-    violations = [(realized[p], realized[q]) for p, q in sorted(broken)]
+    violations = [(fields[p], fields[q]) for p, q in sorted(broken)]
     return AxisReport(idempotent, norm_ok, spectrum, semisimple,
-                      primitive, not violations, violations, spaces)
+                      primitive, not violations, violations, spaces, inverse)
 
 
-def miyamoto(algebra: StructureAlgebra, spaces, grading: Grading):
+def miyamoto(algebra: StructureAlgebra, spaces, grading: Grading, inverse=None):
     """(T, d) with T / d the involution fixing the even eigenspaces of an
     axis and negating the odd ones, T an integer matrix.
 
     spaces are the integer eigenspace bases of the axis as eigen_decompose
     returns them (check_axis keeps them on its report).  With the
     eigenvectors as the columns of P and the signs on the diagonal of S,
-    tau = P S P^-1; P^-1 = N / d over the integers, so T = P S N.  Raises
+    tau = P S P^-1; P^-1 = N / d over the integers, so T = P S N.  inverse
+    is (N, d) when the caller has it already (AxisReport.inverse, the
+    inverse of the same P); it is computed here otherwise.  Raises
     ConsistencyError if the eigenspaces do not span, or if T / d fails to
     be an involutive automorphism preserving the form; the checks run on
     the integers: T^2 = d^2 I, T^t G T = d^2 G for the integer Gram matrix
@@ -436,7 +495,7 @@ def miyamoto(algebra: StructureAlgebra, spaces, grading: Grading):
     columns = [v for basis in spaces.values() for v in basis]
     signs = [-1 if grading.parity(theta) else 1
              for theta, basis in spaces.items() for _ in basis]
-    inv, d = linalg.integer_inverse(linalg.transpose(columns))
+    inv, d = inverse or linalg.integer_inverse(linalg.transpose(columns))
     signed = [[s * x for x in row] for s, row in zip(signs, inv)]
     tau, d = linalg.lowest_terms(linalg.integer_matmul(linalg.transpose(columns), signed), d)
 
@@ -519,8 +578,9 @@ def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
 
     spaces maps an axis label to its eigenspaces as check_axis reports
     them (AxisReport.spaces, integer bases by eigenvalue); each pair of
-    distinct eigenspaces is paired on the integer Gram matrix, whose
-    products vanish exactly when the rational ones do.
+    distinct eigenspaces is paired on the integer Gram matrix G, whose
+    products vanish exactly when the rational ones do, as u . G v with G v
+    formed once per eigenvector v.
     """
     n = algebra.dim
     gram = algebra.gram_table
@@ -531,10 +591,10 @@ def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
     perpendicular = {}
     for label, eigen in (spaces or {}).items():
         bases = list(eigen.values())
-        # u . G v on the integer Gram matrix G, for u, v in distinct eigenspaces
+        images = [[[sum(map(mul, row, v)) for row in gram] for v in basis] for basis in bases]
         perpendicular[label] = not any(
-            form(gram, u, v) for x, basis in enumerate(bases) for later in bases[x + 1:]
-            for u in basis for v in later)
+            sum(map(mul, u, gv)) for x, basis in enumerate(bases) for later in images[x + 1:]
+            for u in basis for gv in later)
     return FormReport(True, not failures, failures, perpendicular)
 
 

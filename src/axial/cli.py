@@ -54,7 +54,9 @@ def _read_json(path: str):
         raise UsageError(f"cannot read {path} as JSON: {exc}") from None
 
 
-_TABLES: dict = {}  # (p, q) -> V(p, q), built once per process; nothing mutates one
+# (p, q) -> V(p, q) and (p, q, "refined") -> its Frobenius refinement, each
+# built once per process; nothing mutates one
+_TABLES: dict = {}
 
 
 def _virasoro(p: int, q: int) -> fusion_mod.FusionRules:
@@ -66,21 +68,28 @@ def _virasoro(p: int, q: int) -> fusion_mod.FusionRules:
     return _TABLES[p, q]
 
 
+def _refined(rules: fusion_mod.FusionRules) -> fusion_mod.FusionRules:
+    if fusion_mod.ZERO in rules.fields:
+        return fusion_mod.frobenius_refine(rules)
+    return rules
+
+
 def _load_rules(spec: str, refine: bool) -> fusion_mod.FusionRules:
     if spec.startswith("vir:"):
         try:
             p, q = (int(x) for x in spec[4:].split(","))
         except ValueError:
             raise UsageError(f"--fusion {spec}: expected vir:P,Q with integers P, Q") from None
-        rules = _virasoro(p, q)
-    else:
-        try:
-            rules = fusion_mod.FusionRules.from_json(_read_json(spec))
-        except fusion_mod.RulesFormatError as exc:
-            raise UsageError(f"{spec}: {exc}") from None
-    if refine and fusion_mod.ZERO in rules.fields:
-        rules = fusion_mod.frobenius_refine(rules)
-    return rules
+        if not refine:
+            return _virasoro(p, q)
+        if (p, q, "refined") not in _TABLES:
+            _TABLES[p, q, "refined"] = _refined(_virasoro(p, q))
+        return _TABLES[p, q, "refined"]
+    try:
+        rules = fusion_mod.FusionRules.from_json(_read_json(spec))
+    except fusion_mod.RulesFormatError as exc:
+        raise UsageError(f"{spec}: {exc}") from None
+    return _refined(rules) if refine else rules
 
 
 def _cmd_fusion(args) -> int:

@@ -44,24 +44,36 @@ class Grading(namedtuple("Grading", "even odd")):
 
 class FusionRules(namedtuple("FusionRules", "central_charge fields star")):
     """Central charge, the tuple of fields, and the star table: a dict from
-    each ordered field pair to the frozenset of its product fields."""
+    each ordered field pair to the frozenset of its product fields.
 
-    __slots__ = ()
+    `law` is the same table by field position: law[p][q] is the frozenset
+    of the positions in `fields` of star(fields[p], fields[q]).  It is built
+    while the constructor checks each pair, so callers that index fields by
+    position (check_axis) decide the law on small integers and never hash a
+    Fraction.
+    """
 
     def __new__(cls, central_charge, fields, star):
-        seen = set(fields)
-        if len(seen) != len(fields):
+        position = {f: p for p, f in enumerate(fields)}
+        if len(position) != len(fields):
             raise ValueError("fields must be distinct")
+        law = []
         for f in fields:
+            row = []
             for g in fields:
                 prod = star.get((f, g))
                 if prod is None:
                     raise ValueError(f"star table is missing the pair ({f}, {g})")
                 if prod != star.get((g, f)):
                     raise ValueError(f"star table is not symmetric at ({f}, {g})")
-                if not prod <= seen:
-                    raise ValueError(f"star({f}, {g}) leaves the field set")
-        return super().__new__(cls, central_charge, fields, star)
+                try:
+                    row.append(frozenset([position[h] for h in prod]))
+                except KeyError:
+                    raise ValueError(f"star({f}, {g}) leaves the field set") from None
+            law.append(tuple(row))
+        rules = super().__new__(cls, central_charge, fields, star)
+        rules.law = tuple(law)
+        return rules
 
     def product(self, f, g) -> frozenset:
         return self.star[(f, g)]

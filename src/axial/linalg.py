@@ -5,11 +5,14 @@ integers: a rational vector or matrix is held as integer numerators over
 one common denominator (`clear_denominators`, `clear_matrix`), and row
 reduction, kernels, inverses and determinants eliminate over the integers
 (`integer_rref`, `integer_inverse`, `integer_det`, `integer_matmul`).
-A subspace is held as its canonical basis, the primitive integer rows of
-its reduced echelon form with positive pivots (`echelon_span`), so equal
-subspaces have equal bases; w lies in one exactly when P w = 0 for its
-`complement_projection` P, and the rows of P span the kernel of the
-basis, which is how `integer_kernel` reads a kernel off an echelon form.
+`integer_rref` is the innermost loop of every check, so its pivot search
+and the content division of each new row are written out in it, with no
+call per row operation.  A subspace is held as its canonical basis, the
+primitive integer rows of its reduced echelon form with positive pivots
+(`echelon_span`), so equal subspaces have equal bases; w lies in one
+exactly when P w = 0 for its `complement_projection` P, and the rows of P
+span the kernel of the basis, which is how `integer_kernel` reads a kernel
+off an echelon form.
 Only `rref` hands back Fractions: the monic reduced echelon form.
 `matvec` and `matmul` are generic over the ring, each entry one
 `poly.dot`: they serve matrices over the polynomial ring, and return ints
@@ -63,12 +66,6 @@ def lowest_terms(rows, den):
     return [[x // g for x in row] for row in rows], den // g
 
 
-def _primitive(row):
-    """The integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)]
 
@@ -114,26 +111,37 @@ def integer_rref(rows):
     Elimination replaces a row by p * row - f * pivot_row (p and f divided
     by their gcd) and divides the result by its content, so entries stay
     small.  The rows come back primitive with positive pivot entries, which
-    makes them the canonical basis of their span.
+    makes them the canonical basis of their span.  The pivot search and the
+    content division are written out in the loop: this is the innermost
+    loop of every check, and a call per row operation costs more than the
+    arithmetic of a short row.
     """
-    work = [_primitive(row) for row in rows]
+    work = []
+    for row in rows:
+        g = gcd(*row)
+        work.append([x // g for x in row] if g > 1 else row)
     n_rows = len(work)
     n_cols = len(work[0]) if n_rows else 0
     pivots = []
     r = 0
     for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if work[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, n_rows):
+            if work[pivot][c]:
+                break
+        else:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
+        prow = work[pivot]
+        work[pivot] = work[r]
+        work[r] = prow
         p = prow[c]
-        for i in range(n_rows):
-            f = work[i][c]
-            if i != r and f:
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
                 g = gcd(p, f)
                 a, b = p // g, f // g
-                work[i] = _primitive([a * x - b * y for x, y in zip(work[i], prow)])
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == n_rows:

@@ -433,6 +433,11 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
     variable (kf, kg the degrees of F, G in it); its values at that many
     integer nodes plus one are integer Bareiss determinants of Sylvester
     matrices, and Newton interpolation over the integers recovers it.
+    The number of nodes is one more than the tighter of two bounds on
+    the degree of that determinant: the row bound n kf + m kg and the
+    column bound, the sum over the Sylvester columns of the largest degree
+    of an entry in each (an all-zero column counts 0: the determinant is
+    then 0, and one node shows it).
     """
     if not f or not g:
         raise ValueError("resultant of a zero polynomial is not defined")
@@ -443,11 +448,19 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
     kept = _other_var(eliminate)
     fc, df = _integer_grid(f, eliminate)
     gc, dg = _integer_grid(g, eliminate)
-    bound = n * (len(fc[0]) - 1) + m * (len(gc[0]) - 1)
+    size = m + n
+    # the degree in the kept variable of each coefficient, -1 for a zero one
+    fdeg = [max((j for j, c in enumerate(row) if c), default=-1) for row in fc]
+    gdeg = [max((j for j, c in enumerate(row) if c), default=-1) for row in gc]
+    # column col holds f's coefficient of x^k in f-row col - m + k and g's in
+    # g-row col - n + k, for the shifts that exist
+    columns = sum(max([0] + [fdeg[k] for k in range(m + 1) if 0 <= col - m + k < n]
+                      + [gdeg[k] for k in range(n + 1) if 0 <= col - n + k < m])
+                  for col in range(size))
+    bound = min(n * (len(fc[0]) - 1) + m * (len(gc[0]) - 1), columns)
 
     # Evaluate the Sylvester determinant at bound+1 integer nodes of the kept
     # variable; this avoids polynomial-entry elimination.
-    size = m + n
     xs, ys = [], []
     t = 0
     while len(xs) < bound + 1:

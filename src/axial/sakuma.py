@@ -654,8 +654,8 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
         if not (rep0.passed and rep1.passed):
             raise ConsistencyError(f"axis verification failed at {pt.name}")
         try:
-            tau_a, da = miyamoto(quot, rep0.spaces, grading)
-            tau_b, db = miyamoto(quot, rep1.spaces, grading)
+            tau_a, da = miyamoto(quot, rep0.spaces, grading, rep0.inverse)
+            tau_b, db = miyamoto(quot, rep1.spaces, grading, rep1.inverse)
         except ConsistencyError as err:
             raise ConsistencyError(f"{err} at {pt.name}") from None
         order = linalg.matrix_order(linalg.integer_matmul(tau_a, tau_b), 12, da * db)

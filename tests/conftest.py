@@ -51,6 +51,58 @@ def associates_with_zero_eigenvectors(algebra, a) -> bool:
     return True
 
 
+# Row reduction as linalg.integer_rref wrote it before its loop was written
+# out: the pivot found by next() over a generator, and a call that divides
+# out the content per row operation.  The canonical rows and pivots must be
+# the same.
+
+
+def ref_integer_rref(rows):
+    """(rows, pivots) of the reduced echelon form of an integer matrix, each
+    row primitive with a positive pivot entry."""
+    def primitive(row):
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    work = [primitive(row) for row in rows]
+    n_rows = len(work)
+    n_cols = len(work[0]) if n_rows else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        prow = work[r]
+        p = prow[c]
+        for i in range(n_rows):
+            f = work[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                work[i] = primitive([a * x - b * y for x, y in zip(work[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(work, pivots)], pivots
+
+
+# ad(v) by the loop StructureAlgebra built it with before it kept the
+# fibres of its tensor: one scaled table row added per nonzero coordinate.
+
+
+def ref_ad_columns(algebra, nums):
+    """The columns of den ad(v) for an integer vector v, den (v e_j) for each
+    j, summed over the nonzero coordinates of v."""
+    cols = [[0] * algebra.dim for _ in range(algebra.dim)]
+    for x, row in zip(nums, algebra.table):
+        if x:
+            cols = [[c + x * t for c, t in zip(col, vec)] for col, vec in zip(cols, row)]
+    return cols
+
+
 # The fusion law by annihilator polynomials, the route check_axis took
 # before its span test: V_f V_g lies in the sum of the V_h for h in f*g
 # exactly when the product of the ad(a) - h kills every product of an f-

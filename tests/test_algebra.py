@@ -13,8 +13,8 @@ from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, autom
                            miyamoto, pair, quotient, resurrect, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
-from conftest import (POINT_AT, associates_with_zero_eigenvectors, ref_automorphism_defects,
-                      ref_ideal_closure, ref_violations)
+from conftest import (POINT_AT, associates_with_zero_eigenvectors, ref_ad_columns,
+                      ref_automorphism_defects, ref_ideal_closure, ref_violations)
 from axial.sakuma import EvalPoint, _eval_matrix, classify, discrepancy_quotient, evaluate_point
 from test_linalg import eye, rank_and_kernel, ref_reduce_vector
 
@@ -460,6 +460,24 @@ def test_ad_matrix_is_the_columns_of_multiply(quotients):
             assert ad_fractions(algebra, a) == linalg.transpose(cols)
 
 
+def test_fibres_read_ad_as_the_coordinate_loop_did(uni, points):
+    # ad_integer and _ad_columns take one dot product with a fibre per
+    # entry; ref_ad_columns adds a scaled table row per nonzero coordinate
+    algebras = [discrepancy_quotient(uni, pt).quotient for pt in points.values()]
+    algebras += [StructureAlgebra.from_json(json.loads((FIXTURE.parent / name).read_text()))
+                 for name in ("3c.json", "4b_dense.json")]
+    rng = random.Random(23)
+    for algebra in algebras:
+        n = algebra.dim
+        for v in [algebra.basis_vector(j) for j in range(n)] + \
+                [random_vector(rng, n) for _ in range(3)] + [[Q(0)] * n]:
+            nums, dv = linalg.clear_denominators(v)
+            cols = ref_ad_columns(algebra, nums)
+            assert algebra._ad_columns(nums) == cols
+            assert algebra.ad_integer(v) == (linalg.transpose(cols), algebra.den * dv)
+        assert algebra.fibres is algebra.fibres  # built once
+
+
 def test_integer_annihilators_match_the_fraction_loop(quotients, uni, points, rules):
     # check_axis's span test against the annihilator polynomials of conftest
     cases = [(algebra, a) for algebra, axes in quotients for a in axes]
@@ -522,6 +540,47 @@ def test_miyamoto_reuses_the_checked_eigenspaces(quotients, rules, grading):
                 miyamoto(algebra, spaces_of(algebra, a, rules)[0], grading)
 
 
+def dense_four_b_axis(rules):
+    """The dense 4B fixture and check_axis's report on its axis a_0."""
+    alg = StructureAlgebra.from_json(json.loads((FIXTURE.parent / "4b_dense.json").read_text()))
+    return alg, check_axis(alg, alg.basis_vector(0), rules)
+
+
+def test_miyamoto_takes_the_frame_inverse_of_check_axis(rules, grading):
+    alg, report = dense_four_b_axis(rules)
+    columns = [v for basis in report.spaces.values() for v in basis]
+    assert report.inverse == linalg.integer_inverse(linalg.transpose(columns))
+    assert miyamoto(alg, report.spaces, grading, report.inverse) == \
+        miyamoto(alg, report.spaces, grading)
+
+
+def test_miyamoto_refuses_a_map_that_is_no_involution(rules, grading):
+    # P S P^-1 squares to the identity for every invertible P, so from a true
+    # eigenframe this check cannot fire; a fault is injected instead, as an
+    # inverse with one row doubled: T^2 is then P D^2 P^-1 with D = diag(2, 1, ...)
+    alg, report = dense_four_b_axis(rules)
+    inv, d = report.inverse
+    wrong = [[2 * x for x in inv[0]]] + inv[1:]
+    with pytest.raises(ConsistencyError, match="the involution does not square to the identity"):
+        miyamoto(alg, report.spaces, grading, (wrong, d))
+
+
+def test_miyamoto_refuses_an_involution_that_moves_the_form(rules, grading):
+    # the eigenspaces of an axis of a Frobenius algebra are perpendicular,
+    # so P S P^-1 preserves the form and the check cannot fire on the
+    # fixture; a fault is injected instead, negating the row of the inverse
+    # that reads the first 0-eigenvector.  T stays an involution, but it now
+    # also reflects in that vector, which is not perpendicular to the second
+    alg, report = dense_four_b_axis(rules)
+    zero_space = report.spaces[Q(0)]
+    assert len(zero_space) == 2 and form(alg.gram_table, *zero_space) != 0
+    inv, d = report.inverse
+    first = len(report.spaces[Q(1)])  # the frame runs 1, 0, 1/4, 1/32
+    wrong = inv[:first] + [[-x for x in inv[first]]] + inv[first + 1:]
+    with pytest.raises(ConsistencyError, match="the involution does not preserve the form"):
+        miyamoto(alg, report.spaces, grading, (wrong, d))
+
+
 # -- the integer tables against the Fraction route they replaced ---------------
 #
 # ref_quotient is the former quotient: every product vector and basis vector
@@ -571,6 +630,43 @@ def test_from_integers_checks_and_reduces():
         StructureAlgebra.from_integers(["x", "y"], table, 0, gram, 1)
     with pytest.raises(ShapeError, match="wrong shape"):
         StructureAlgebra.from_integers(["x"], table, 1, gram, 1)
+
+
+def two_dim_json(v01, v10):
+    """x x = x, y y = y and the given texts at (0, 1) and (1, 0)."""
+    return {"labels": ["x", "y"], "product": [[["1", "0"], v01], [v10, ["0", "1"]]],
+            "gram": [["1", "0"], ["0", "1"]]}
+
+
+def test_a_mirrored_product_entry_is_read_by_its_value():
+    # the parsed (0, 1) is reused for (1, 0) only when the texts agree
+    alg = StructureAlgebra.from_json(two_dim_json(["1/2", "0"], ["2/4", "0"]))
+    assert alg.product[1][0] == alg.product[0][1] == [Q(1, 2), Q(0)]
+    assert StructureAlgebra.from_json(two_dim_json(["1/2", "0"], ["1/2", "0"])).table == alg.table
+    with pytest.raises(ShapeError, match=r"product is not commutative at \(1, 0\)"):
+        StructureAlgebra.from_json(two_dim_json(["1/2", "0"], ["1/3", "0"]))
+
+
+def test_a_mirrored_product_entry_keeps_the_shape_and_entry_errors():
+    ragged = two_dim_json(["1/2", "0"], ["1/2", "0"])
+    ragged["product"][1] = ragged["product"][1][:1]
+    with pytest.raises(ShapeError, match="product tensor has the wrong shape"):
+        StructureAlgebra.from_json(ragged)
+    ragged = two_dim_json(["1/2", "0"], ["1/2", "0"])
+    ragged["product"][0] = ragged["product"][0][:1]
+    with pytest.raises(ShapeError, match="product tensor has the wrong shape"):
+        StructureAlgebra.from_json(ragged)
+    short = two_dim_json(["1/2"], ["1/2"])
+    with pytest.raises(ShapeError, match="product tensor has the wrong shape"):
+        StructureAlgebra.from_json(short)
+    # the first bad entry in row order is the one named, mirrored or not
+    for v01, v10, bad in ((["1/2", "x"], ["1/2", "y"], "'x'"), (["1/2", "0"], ["z", "0"], "'z'"),
+                          (["w", "0"], ["w", "0"], "'w'")):
+        with pytest.raises(ShapeError, match=f"entry {bad} is not a rational literal"):
+            StructureAlgebra.from_json(two_dim_json(v01, v10))
+    # true == 1 in Python, but a JSON true is no rational literal
+    with pytest.raises(ShapeError, match="entry True is not a rational literal"):
+        StructureAlgebra.from_json(two_dim_json([1, 0], [True, 0]))
 
 
 def test_fraction_views_match_the_parsed_input():

@@ -9,7 +9,7 @@ import pytest
 from axial.algebra import ShapeError, StructureAlgebra, three_c
 from axial import cli
 from axial.cli import main
-from axial.fusion import FusionRules, virasoro_rules
+from axial.fusion import FusionRules, frobenius_refine, virasoro_rules
 from axial.sakuma import build_universal
 
 from conftest import POINT_AT
@@ -319,6 +319,26 @@ def test_each_virasoro_table_is_built_once_per_process(monkeypatch, capsys):
     assert run(capsys, "fusion", "vir", "4", "3")[0] == 0
     assert run(capsys, "fusion", "vir", "5", "4")[0] == 0
     assert calls == [(4, 3), (5, 4)]
+
+
+def test_each_refined_table_is_built_once_per_process(monkeypatch, capsys):
+    # the refined V(p, q) is cached next to the raw one; a fusion file is
+    # read, and so refined, on every call
+    refined = []
+    monkeypatch.setattr(cli, "_TABLES", {})
+    monkeypatch.setattr(cli.fusion_mod, "frobenius_refine",
+                        lambda rules: refined.append(rules.fields) or frobenius_refine(rules))
+    golden = ROOT / "tests" / "golden"
+    for _ in range(2):
+        assert run(capsys, "algebra", "check", str(FIXTURE), "--json") == \
+            (0, (golden / "3c_check.json").read_text(encoding="utf-8"))
+    assert len(refined) == 1
+    code, out = run(capsys, "algebra", "check", str(FIXTURE), "--raw", "--json")
+    assert (code, out) == (0, (golden / "3c_raw_check.json").read_text(encoding="utf-8"))
+    narrow = str(ROOT / "fixtures" / "ising_narrow.json")
+    for _ in range(2):
+        run(capsys, "algebra", "check", str(FIXTURE), "--fusion", narrow)
+    assert len(refined) == 3
 
 
 def test_sakuma_solve(capsys):

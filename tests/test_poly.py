@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from axial import poly as poly_mod
 from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _newton_interpolate,
                         _univariate_nums, evaluate_all, from_coefficients, leading_term,
                         rational_roots, resultant)
@@ -218,6 +219,52 @@ def test_resultant_matches_fraction_reference(huge):
             res = resultant(f, g, eliminate)
             assert res == ref_resultant(f, g, eliminate)
             assert res.evaluate(value, value) == 0
+
+
+def sympy_resultant(f, g, eliminate):
+    """Res(f, g) in the eliminated variable by sympy, as a MultiPoly."""
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+
+    def expr(h):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * lam**i * mu**j
+                           for (i, j), c in h.terms.items()))
+
+    res = sympy.Poly(sympy.resultant(expr(f), expr(g), lam if eliminate == "lam" else mu),
+                     lam, mu)
+    return MultiPoly({e: Q(int(c.p), int(c.q)) for e, c in res.terms()})
+
+
+def test_resultant_with_an_all_zero_sylvester_column():
+    # f and g both vanish on lam = 0 (on mu = 0 in the last pair), so the
+    # last Sylvester column is zero; it counts 0 in the column bound, which
+    # leaves one node where a count of -1 left none
+    cases = [(LAM * (MU * LAM + 2 * MU**2 - 1), LAM * (LAM**2 + MU + 3), "lam"),
+             (LAM**2 * MU, LAM * (LAM - MU), "lam"),
+             (3 * MU, MU, "mu"),
+             (MU * (LAM + 1), MU, "mu")]
+    for f, g, eliminate in cases:
+        assert resultant(f, g, eliminate) == sympy_resultant(f, g, eliminate) == MultiPoly()
+    # and where the column bound is the tighter one, the resultant is sympy's
+    f = LAM**2 * MU**3 + LAM * MU + 1
+    g = LAM * MU**2 + MU**3 - 2
+    for eliminate in ("lam", "mu"):
+        assert resultant(f, g, eliminate) == sympy_resultant(f, g, eliminate)
+
+
+def test_resultant_takes_the_column_bound_on_the_two_relations(uni, monkeypatch):
+    # p1 and p2: the row bound is 18 in both orders, the column bound 12
+    # eliminating lam and 14 eliminating mu, the true degree 9
+    p1, p2 = associativity_polynomials(uni)
+    dets = []
+    real_det = poly_mod.linalg.integer_det
+    monkeypatch.setattr(poly_mod.linalg, "integer_det", lambda rows: dets.append(1) or real_det(rows))
+    nodes = {}
+    for eliminate in ("lam", "mu"):
+        dets.clear()
+        assert resultant(p1, p2, eliminate).degree() == 9
+        nodes[eliminate] = len(dets)
+    assert nodes == {"lam": 13, "mu": 15}
 
 
 def test_resultant_at_a_node_where_a_leading_coefficient_vanishes():

@@ -3,7 +3,7 @@ the axis checks of the 3C fixture in random bases, the fusion law on random
 algebras against annihilator polynomials, the MultiPoly ring laws
 and canonical form, MultiPoly against a Fraction-dict reference, poly.dot
 against the naive sum of products, membership by complement projection
-against the rank, the semi-naive ideal closure against full rounds, the
+against the rank, integer_rref against its former generator loop, the semi-naive ideal closure against full rounds, the
 automorphism defects against the dense loop on symmetries of mixed shape,
 rational roots planted in random polynomials, with and without the sieve,
 the resultant's degree against sympy's dimension of the quotient ring, the
@@ -32,7 +32,8 @@ from axial.poly import (MultiPoly, _literal, dot, evaluate_all, rational_roots, 
                         resultant)
 from axial.sakuma import A0, A1, EvalPoint, discrepancy_quotient, evaluate_point  # noqa: E402
 from conftest import (fraction_inverse, ref_automorphism_defects, ref_ideal_closure,  # noqa: E402
-                      ref_quotient_dimension, ref_rational_roots, ref_violations)
+                      ref_integer_rref, ref_quotient_dimension, ref_rational_roots,
+                      ref_violations)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 
@@ -218,6 +219,32 @@ def test_the_eigenframe_matches_the_annihilators_on_the_nine_quotients(uni, poin
     assert broken == {False, True}
 
 
+@pytest.mark.parametrize("rules", [virasoro_rules(4, 3), ISING, NARROW, TRICRITICAL,
+                                   frobenius_refine(TRICRITICAL)],
+                         ids=["vir-4-3", "ising", "narrow", "vir-5-4", "vir-5-4-refined"])
+def test_the_law_by_position_is_the_star_table(rules):
+    fields = rules.fields
+    assert rules.law == tuple(tuple(frozenset(fields.index(h) for h in rules.product(f, g))
+                                    for g in fields) for f in fields)
+
+
+def test_the_law_by_position_matches_the_annihilators_off_the_ising_law(uni, points):
+    # check_axis reads the law by field position, ref_violations by value;
+    # each quotient at a_0, a_1 and a_0 - a_1 under the narrowed law and
+    # under V(5, 4), where 1/32 is no field and the frame is completed
+    broken = set()
+    for pt in points.values():
+        disc = discrepancy_quotient(uni, pt)
+        alg = disc.quotient
+        axes = [linalg.matvec(disc.projection, disc.evaluated.basis_vector(i)) for i in (A0, A1)]
+        for a in axes + [linalg.sub_vec(*axes)]:
+            for rules in (NARROW, TRICRITICAL):
+                violations = check_axis(alg, a, rules).violations
+                assert violations == ref_violations(alg, a, rules)
+                broken.add(bool(violations))
+    assert broken == {False, True}
+
+
 # -- the integer entry reader of algebra files -----------------------------
 
 
@@ -320,6 +347,27 @@ def test_projection_membership_matches_the_rank(data):
     for row, c in zip(basis, pivots):
         rest = [x - Q(w[c], row[c]) * y for x, y in zip(rest, row)]
     assert project(proj, w) == [scale * x for c, x in enumerate(rest) if c not in pivots]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_rref_matches_the_generator_loop(data):
+    # wide and tall shapes, empty ones, zero rows and zero columns, and
+    # negative entries large enough that the content divisions matter
+    n_rows, n_cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 7))
+    entries = st.one_of(sparse_ints, st.integers(-60, 60))
+    rows = data.draw(st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols),
+                              min_size=n_rows, max_size=n_rows))
+    for zero_row in data.draw(st.sets(st.integers(0, max(n_rows - 1, 0)), max_size=2)):
+        if zero_row < n_rows:
+            rows[zero_row] = [0] * n_cols
+    for zero_col in data.draw(st.sets(st.integers(0, max(n_cols - 1, 0)), max_size=2)):
+        for row in rows:
+            if zero_col < n_cols:
+                row[zero_col] = 0
+    given_rows = [list(row) for row in rows]
+    assert linalg.integer_rref(rows) == ref_integer_rref(given_rows)
+    assert rows == given_rows  # the input rows are not modified
 
 
 @settings(max_examples=60, deadline=None)
