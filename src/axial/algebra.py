@@ -119,6 +119,14 @@ def form_tensor(table, gram):
     return tensor
 
 
+def form_defects(table, gram):
+    """[((i, j, k), T[i][j][k] - T[j][k][i])] for every ordered basis triple
+    on which the form fails to associate, T the form_tensor."""
+    t, n = form_tensor(table, gram), range(len(gram))
+    return [((i, j, k), t[i][j][k] - t[j][k][i]) for i in n for j in n for k in n
+            if t[i][j][k] != t[j][k][i]]
+
+
 class StructureAlgebra:
     """Commutative algebra over Q with product tensor, Gram matrix and marked axes.
 
@@ -582,12 +590,9 @@ def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
     products vanish exactly when the rational ones do, as u . G v with G v
     formed once per eigenvector v.
     """
-    n = algebra.dim
     gram = algebra.gram_table
     # the integer defects are the rational ones times den * gram_den
-    tensor = form_tensor(algebra.table, gram)
-    failures = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
-                if tensor[i][j][k] != tensor[j][k][i]]
+    failures = [triple for triple, _ in form_defects(algebra.table, gram)]
     perpendicular = {}
     for label, eigen in (spaces or {}).items():
         bases = list(eigen.values())

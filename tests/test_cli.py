@@ -109,46 +109,59 @@ def _string_product_set(data):
                     for f, g, h in data["star"]]
 
 
-@pytest.mark.parametrize("argv, make_file", [
-    (["algebra", "check", str(FIXTURE), "--fusion", "vir:4"], None),
-    (["algebra", "check", str(FIXTURE), "--fusion", "vir:6,4"], None),
-    (["fusion", "vir", "4", "2"], None),
-    (["fusion", "vir", "-4", "3"], None),
-    (["algebra", "check", "{file}"], _not_json),
-    (["algebra", "check", "{file}"], _short_product),
-    (["algebra", "check", "{file}"], _marked(3)),
-    (["algebra", "check", "{file}"], _marked(-1)),
-    (["algebra", "check", "{file}"], _edited(lambda data: data["gram"][0].__setitem__(0, "x"))),
-    (["algebra", "check", "{file}"], _missing("gram")),
-    (["algebra", "check", "{file}"], _missing("product")),
-    (["algebra", "check", "{file}"], _missing("labels")),
-    (["algebra", "check", "{file}"], _array),
-    (["algebra", "check", "{file}"], _edited(lambda data: data.update(marked=5))),
-    (["algebra", "check", "{file}"], _edited(lambda data: data.update(labels=3))),
-    (["algebra", "check", "{file}"], _edited(lambda data: data["gram"][0].__setitem__(0, 0.1))),
+@pytest.mark.parametrize("argv, make_file, message", [
+    (["algebra", "check", str(FIXTURE), "--fusion", "vir:4"], None, None),
+    (["algebra", "check", str(FIXTURE), "--fusion", "vir:6,4"], None, None),
+    (["fusion", "vir", "4", "2"], None, None),
+    (["fusion", "vir", "-4", "3"], None, None),
+    (["algebra", "check", "{file}"], _not_json, None),
+    (["algebra", "check", "{file}"], _short_product, None),
+    (["algebra", "check", "{file}"], _marked(3), None),
+    (["algebra", "check", "{file}"], _marked(-1), None),
     (["algebra", "check", "{file}"],
-     _edited(lambda data: data["product"][0][0].__setitem__(0, True))),
+     _edited(lambda data: data["gram"][0].__setitem__(0, "x")), None),
+    (["algebra", "check", "{file}"], _missing("gram"), None),
+    (["algebra", "check", "{file}"], _missing("product"), None),
+    (["algebra", "check", "{file}"], _missing("labels"), None),
+    (["algebra", "check", "{file}"], _array, None),
+    (["algebra", "check", "{file}"], _edited(lambda data: data.update(marked=5)), None),
+    (["algebra", "check", "{file}"], _edited(lambda data: data.update(labels=3)), None),
     (["algebra", "check", "{file}"],
-     _edited(lambda data: data["gram"][0].__setitem__(0, {"0,0": 0.5}))),
-    (["algebra", "check", "{file}"], _idempotent_pair(["x", "x"])),
-    (["algebra", "check", "{file}"], _edited(lambda data: data["labels"].__setitem__(1, 1))),
+     _edited(lambda data: data["gram"][0].__setitem__(0, 0.1)), None),
+    (["algebra", "check", "{file}"],
+     _edited(lambda data: data["product"][0][0].__setitem__(0, True)), None),
+    (["algebra", "check", "{file}"],
+     _edited(lambda data: data["gram"][0].__setitem__(0, {"0,0": 0.5})), None),
+    (["algebra", "check", "{file}"], _idempotent_pair(["x", "x"]), None),
+    (["algebra", "check", "{file}"],
+     _edited(lambda data: data["labels"].__setitem__(1, 1)), None),
     (["algebra", "check", "{file}", "--json"],
-     _edited(lambda data: data["labels"].__setitem__(1, 1))),
-    (["algebra", "check", "{file}"], _edited(lambda data: data["labels"].__setitem__(1, ["b"]))),
-    (["algebra", "check", "{file}"], _edited(lambda data: data.update(marked=[True]))),
-    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"], _rules(lambda data: data.clear())),
+     _edited(lambda data: data["labels"].__setitem__(1, 1)), None),
+    (["algebra", "check", "{file}"],
+     _edited(lambda data: data["labels"].__setitem__(1, ["b"])), None),
+    (["algebra", "check", "{file}"], _edited(lambda data: data.update(marked=[True])), None),
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
-     _rules(lambda data: data["fields"].__setitem__(0, "x"))),
+     _rules(lambda data: data.clear()), None),
+    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
+     _rules(lambda data: data["fields"].__setitem__(0, "x")), None),
     # a string where a list belongs must not be read one character at a time
     (["algebra", "check", "{file}"],
-     _written({"labels": ["a"], "product": ["1"], "gram": ["1"], "marked": [0]})),
+     _written({"labels": ["a"], "product": ["1"], "gram": ["1"], "marked": [0]}), None),
     (["algebra", "check", "{file}"],
      _written({"labels": ["x", "y"],
                "product": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
-               "gram": ["10", "01"]})),
-    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"], _rules(_string_product_set)),
+               "gram": ["10", "01"]}), None),
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
-     _rules(lambda data: data.update(fields="1"))),
+     _rules(_string_product_set), None),
+    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
+     _rules(lambda data: data.update(fields="1")), None),
+    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
+     _rules(lambda data: data["fields"].append(data["fields"][1])), "fields must be distinct"),
+    # 0*0 = {1/4} in a law whose only fields are 1 and 0
+    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
+     _written({"central_charge": "1/2", "fields": ["1", "0"],
+               "star": [["1", "1", ["1"]], ["1", "0", ["0"]], ["0", "0", ["1/4"]]]}),
+     "star(0, 0) leaves the field set"),
 ], ids=["fusion-one-number", "fusion-not-coprime", "fusion-table-not-coprime",
         "fusion-table-negative-p", "algebra-not-json", "algebra-wrong-shape",
         "algebra-marked-too-large",
@@ -159,8 +172,9 @@ def _string_product_set(data):
         "algebra-duplicate-labels", "algebra-int-label", "algebra-int-label-json",
         "algebra-list-label", "algebra-marked-bool", "fusion-file-empty-object",
         "fusion-file-field-not-rational", "algebra-string-vectors", "algebra-string-gram-rows", "fusion-file-string-product-set",
-        "fusion-file-string-fields"])
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file):
+        "fusion-file-string-fields", "fusion-file-duplicate-field",
+        "fusion-file-product-outside-fields"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file, message):
     path = tmp_path / "input.json"
     if make_file is not None:
         make_file(path)
@@ -169,6 +183,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("axial: error: ")
+    if message is not None:
+        assert captured.err.rstrip("\n").endswith(message)
 
 
 def test_algebra_check_fixture(capsys):

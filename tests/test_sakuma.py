@@ -57,6 +57,16 @@ EXPECTED_NU4 = Q(1, 7) * (2**23 * LAM**4 - 2**15 * 293 * LAM**3 + 2**16 * 7 * LA
                           + 2**12 * 189 * LAM**2 - 2**7 * 5 * LAM * MU - 2**7 * MU**2
                           - 2**7 * 155 * LAM - 21 * MU + 156)
 
+# The paper's projections of a_1 and a_2 onto the eigenspaces of a_0, which
+# axis_eigenvectors derives from alpha = 1/4 and beta = 1/32
+EXPECTED_EIGENVECTORS = {
+    "alpha1": sym_vec({S1: -4, A0: 3 * LAM - Q(1, 8), A1: Q(7, 16), AM1: Q(7, 16)}),
+    "beta1": sym_vec({S1: 4, A0: -4 * LAM + Q(1, 8), A1: Q(1, 16), AM1: Q(1, 16)}),
+    "gamma1": sym_vec({A1: Q(1, 2), AM1: Q(-1, 2)}),
+    "alpha2": sym_vec({S2E: -4, A0: 3 * MU - Q(1, 8), A2: Q(7, 16), AM2: Q(7, 16)}),
+    "beta2": sym_vec({S2E: 4, A0: -4 * MU + Q(1, 8), A2: Q(1, 16), AM2: Q(1, 16)}),
+}
+
 
 def derived_gram(prod, a3, a4):
     """The Gram matrix the build derives from a finished product table."""
@@ -134,6 +144,114 @@ def test_eigenvector_identities(uni):
     assert mult(a0, ev["gamma1"]) == scaled(Q(1, 32), ev["gamma1"])
     assert mult(a0, ev["alpha2"]) == zero
     assert mult(a0, ev["beta2"]) == scaled(Q(1, 4), ev["beta2"])
+
+
+def test_axis_eigenvectors_are_derived_from_the_law():
+    law = sakuma.ising_law()
+    assert (law.alpha, law.beta) == (Q(1, 4), Q(1, 32))
+    assert axis_eigenvectors() == EXPECTED_EIGENVECTORS
+
+
+# -- the build's checks, each made to fail once ------------------------------
+
+
+def patch_law(monkeypatch, alpha, beta):
+    law = sakuma.ising_law()
+    monkeypatch.setattr(sakuma, "ising_law", lambda: law._replace(alpha=alpha, beta=beta))
+
+
+def patch_seed(monkeypatch, i, j, k, delta):
+    """Add delta to coordinate k of the seeded window product e_i e_j."""
+    real = sakuma._seed
+
+    def seed():
+        prod, gram = real()
+        vec = list(prod[i][j])
+        vec[k] = vec[k] + delta
+        prod[i][j] = prod[j][i] = vec
+        return prod, gram
+
+    monkeypatch.setattr(sakuma, "_seed", seed)
+
+
+def test_the_build_under_another_law_derives_its_eigenvectors(monkeypatch):
+    # under alpha = 1/2, beta = 1/32 every check of the build passes, and the
+    # derived projections are eigenvectors of a_0 in the derived table
+    patch_law(monkeypatch, Q(1, 2), Q(1, 32))
+    uni = sakuma.build_universal()
+    ev = axis_eigenvectors()
+    assert ev["beta1"][S1] == MultiPoly.const(2)
+    a0 = sym_vec({A0: 1})
+    for name, value in (("alpha1", 0), ("beta1", Q(1, 2)), ("gamma1", Q(1, 32)),
+                        ("alpha2", 0), ("beta2", Q(1, 2))):
+        assert bilinear(uni.product, a0, ev[name], LABELS) == [value * x for x in ev[name]]
+
+
+@pytest.mark.parametrize("alpha, beta, message", [
+    # beta = alpha/2 cancels the s2o term of the odd-sigma relation
+    (Q(1, 4), Q(1, 8), r"^the coefficient of a0\*s2o is 0, not a nonzero constant$"),
+    # beta = alpha/4 leaves no a_{-2} term in s1*s1
+    (Q(1, 2), Q(1, 8), r"^cannot solve for a_3: degenerate flip symmetry$"),
+])
+def test_a_law_that_breaks_the_build_names_the_check(monkeypatch, alpha, beta, message):
+    patch_law(monkeypatch, alpha, beta)
+    with pytest.raises(ConsistencyError, match=message):
+        sakuma.build_universal()
+
+
+def test_eigenvectors_whose_sigma_terms_do_not_cancel_are_refused(monkeypatch):
+    real = sakuma.axis_eigenvectors
+
+    def doubled():
+        ev = real()
+        ev["beta1"] = [2 * x for x in ev["beta1"]]
+        return ev
+
+    monkeypatch.setattr(sakuma, "axis_eigenvectors", doubled)
+    with pytest.raises(ConsistencyError,
+                       match=r"^s1\*s1 does not cancel from the odd-sigma relation$"):
+        sakuma.build_universal()
+
+
+def test_an_a3_expansion_without_a_constant_s2o_term_is_refused(monkeypatch):
+    patch_seed(monkeypatch, AM2, A0, S2E, LAM)
+    with pytest.raises(ConsistencyError,
+                       match=r"^the coefficient of s2o\*s2e is 16\*lam \+ 32, "
+                             r"not a nonzero constant$"):
+        sakuma.build_universal()
+
+
+def test_a_wrong_window_product_fails_the_re_association(monkeypatch):
+    patch_seed(monkeypatch, AM2, AM1, AM2, Q(1, 64))
+    with pytest.raises(ConsistencyError, match=r"^two routes disagree for <a-2, s2o>$"):
+        sakuma.build_universal()
+
+
+@pytest.mark.parametrize("call, message", [
+    (0, "tau0 is not an involution"),
+    (1, "the flip is not an involution"),
+    (3, "tau0 does not preserve the form"),
+])
+def test_the_symmetry_checks_name_what_fails(monkeypatch, call, message):
+    # only a faulty matrix product reaches these: tau0 is a permutation
+    # matrix, the flip is an involution by the way a_3 is solved for, and
+    # no fault of the law, the eigenvectors or the seed got past the
+    # re-association checks to a form tau0 does not preserve.  The build
+    # calls linalg.matmul only here: tau0 tau0, flip flip, tau0^T G and
+    # (tau0^T G) tau0, calls 0 to 3.
+    real = linalg.matmul
+    calls = []
+
+    def faulty(a, b):
+        out = real(a, b)
+        if len(calls) == call:
+            out[A0][A0] = out[A0][A0] + 1
+        calls.append(call)
+        return out
+
+    monkeypatch.setattr(linalg, "matmul", faulty)
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        sakuma.build_universal()
 
 
 def test_symmetries_are_involutions(uni):
@@ -511,7 +629,8 @@ def test_a_miyamoto_failure_in_classify_names_the_point(uni, monkeypatch):
     from axial.fusion import Grading
 
     wrong = Grading(frozenset({Q(1), Q(0), Q(1, 32)}), frozenset({Q(1, 4)}))
-    monkeypatch.setattr(sakuma, "find_z2_gradings", lambda rules: [wrong])
+    law = sakuma.ising_law()
+    monkeypatch.setattr(sakuma, "ising_law", lambda: law._replace(grading=wrong))
     with pytest.raises(ConsistencyError,
                        match=r"^the involution is not an automorphism at \(\d+, \d+\) "
                              r"at \(([-\d/]+), ([-\d/]+)\)$") as err:
@@ -612,6 +731,16 @@ def test_miyamoto_product_orders(report):
     for p in report.points:
         assert p.rho_order == expected_miyamoto_product_order(int(p.name[0]))
         assert 2 * p.shift_order <= 12
+
+
+def test_classify_refuses_symmetries_that_do_not_move_the_axes(uni):
+    ident = [[MultiPoly.const(int(i == j)) for j in range(8)] for i in range(8)]
+    for flip in (ident, uni.tau0):
+        with pytest.raises(ConsistencyError,
+                           match=r"^axis shift does not move a0 to a1 at \(0, 1\)$"):
+            classify(uni._replace(flip=flip))
+    with pytest.raises(ConsistencyError, match=r"^classification report failed verification$"):
+        classify(uni._replace(tau0=ident))
 
 
 def test_naming_rule_on_invented_invariants():
