@@ -272,27 +272,12 @@ class StructureAlgebra:
         def entries(rows, depth):
             return [entries(r, depth - 1) if depth else _entry_ratio(r) for r in nested(rows)]
 
-        # the product commutes, so entry (i, j) reuses the parsed (j, i) when
-        # their texts agree; from_integers still compares the values of
-        # every pair, and rows are read in order, so the first bad entry
-        # is still the one reported
-        rows, product = nested(data["product"]), []
-        for i, row in enumerate(rows):
-            product.append([product[j][i] if j < i and _same_text(rows[j], i, vec)
-                            else entries(vec, 0) for j, vec in enumerate(nested(row))])
-        gram = entries(data["gram"], 1)
+        product, gram = entries(data["product"], 2), entries(data["gram"], 1)
         den = lcm(*(q for row in product for vec in row for _, q in vec))
         gram_den = lcm(*(q for row in gram for _, q in row))
         return StructureAlgebra.from_integers(
             labels, [[[p * (den // q) for p, q in vec] for vec in row] for row in product], den,
             [[p * (gram_den // q) for p, q in row] for row in gram], gram_den, marked)
-
-
-def _same_text(row, i, vec):
-    """Whether row[i] exists and holds the same JSON entries as vec, type
-    for type: 1, 1.0 and true are equal in Python but not read alike."""
-    return (i < len(row) and row[i] == vec
-            and list(map(type, row[i])) == list(map(type, vec)))
 
 
 def _entry_ratio(e):

@@ -20,14 +20,17 @@ Options may come before or after the positionals, as --opt value or
 --opt=value, and are spelled in full.  -h or --help prints this text.
 
 Exit codes: 0 on success/all-pass, 1 on verification failure, 2 on usage
-errors (bad arguments, unreadable input files or an unwritable output
-file, reported on one stderr line).  All machine output is JSON with sorted
-keys, so identical inputs produce byte-identical output.
+errors (bad arguments, unreadable input files, or an unwritable output
+file or stdout such as a closed pipe or a full disk, reported on one
+stderr line).  All machine output is JSON with sorted keys, so identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -54,18 +57,17 @@ def _read_json(path: str):
         raise UsageError(f"cannot read {path} as JSON: {exc}") from None
 
 
-# (p, q) -> V(p, q) and (p, q, "refined") -> its Frobenius refinement, each
-# built once per process; nothing mutates one
-_TABLES: dict = {}
-
-
-def _virasoro(p: int, q: int) -> fusion_mod.FusionRules:
-    if (p, q) not in _TABLES:
-        try:
-            _TABLES[p, q] = fusion_mod.virasoro_rules(p, q)
-        except ValueError as exc:
-            raise UsageError(f"no Virasoro table V({p},{q}): {exc}") from None
-    return _TABLES[p, q]
+@functools.cache
+def _virasoro(p: int, q: int, refine: bool) -> fusion_mod.FusionRules:
+    """V(p, q), Frobenius-refined if refine, each built once per process and
+    the refined from the cached raw; nothing mutates either.  Pass all three
+    arguments: the cache keys f(p, q) and f(p, q, False) apart."""
+    if refine:
+        return _refined(_virasoro(p, q, False))
+    try:
+        return fusion_mod.virasoro_rules(p, q)
+    except ValueError as exc:
+        raise UsageError(f"no Virasoro table V({p},{q}): {exc}") from None
 
 
 def _refined(rules: fusion_mod.FusionRules) -> fusion_mod.FusionRules:
@@ -80,11 +82,7 @@ def _load_rules(spec: str, refine: bool) -> fusion_mod.FusionRules:
             p, q = (int(x) for x in spec[4:].split(","))
         except ValueError:
             raise UsageError(f"--fusion {spec}: expected vir:P,Q with integers P, Q") from None
-        if not refine:
-            return _virasoro(p, q)
-        if (p, q, "refined") not in _TABLES:
-            _TABLES[p, q, "refined"] = _refined(_virasoro(p, q))
-        return _TABLES[p, q, "refined"]
+        return _virasoro(p, q, refine)
     try:
         rules = fusion_mod.FusionRules.from_json(_read_json(spec))
     except fusion_mod.RulesFormatError as exc:
@@ -93,7 +91,7 @@ def _load_rules(spec: str, refine: bool) -> fusion_mod.FusionRules:
 
 
 def _cmd_fusion(args) -> int:
-    rules = _virasoro(args.p, args.q)
+    rules = _virasoro(args.p, args.q, False)
     gradings = fusion_mod.find_z2_gradings(rules)
     if args.json:
         data = rules.to_json()
@@ -249,6 +247,7 @@ def parse_args(argv) -> SimpleNamespace:
             positionals.extend(tokens)
         elif token in ("-h", "--help"):
             sys.stdout.write(__doc__ or "")  # None under python -OO
+            sys.stdout.flush()
             raise SystemExit(0)
         elif not _is_option(token):
             positionals.append(token)
@@ -304,11 +303,20 @@ def parse_args(argv) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"axial: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # the commands turn the errors of files they open into UsageError,
+        # so this is stdout: a closed pipe or a full disk.  The exit flush
+        # goes to devnull, as the signal module's note on SIGPIPE advises.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"axial: error: cannot write to stdout: {exc}", file=sys.stderr)
         return 2
 
 

@@ -480,10 +480,11 @@ def evaluate_point(uni: UniversalAlgebra, pt: EvalPoint) -> StructureAlgebra:
                                           marked=[A0, A1])
 
 
-class Discrepancy(namedtuple("Discrepancy", "point evaluated ideal quotient projection")):
+class Discrepancy(namedtuple("Discrepancy",
+                             "point evaluated ideal quotient projection symmetries")):
     """The evaluated algebra at a point, its discrepancy ideal as the
-    canonical integer basis ideal_closure returns, the quotient and the
-    projection onto it."""
+    canonical integer basis ideal_closure returns, the quotient, the projection
+    onto it, and symmetries: the evaluated tau0 and flip as (M, d) for M / d."""
 
     __slots__ = ()
 
@@ -525,7 +526,7 @@ def discrepancy_quotient(uni: UniversalAlgebra, pt: EvalPoint) -> Discrepancy:
     gram = quot.gram_table
     if any(linalg.integer_det([row[:k] for row in gram[:k]]) <= 0 for k in range(1, quot.dim + 1)):
         raise ConsistencyError(f"the form on the quotient is not positive definite at {pt.name}")
-    return Discrepancy(pt, alg, ideal, quot, proj)
+    return Discrepancy(pt, alg, ideal, quot, proj, symmetries)
 
 
 # -- the classification --------------------------------------------------------
@@ -636,7 +637,6 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
     if uni is None:
         uni = build_universal()
     rules, grading = ising_law()[:2]
-    shift_symbolic = linalg.matmul(uni.flip, uni.tau0)
 
     reports = []
     for pt in solve_points(uni):
@@ -657,7 +657,8 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
             raise ConsistencyError(f"involution product order exceeds 12 at {pt.name}")
 
         # the rotation of the axis orbit: a_i -> a_{i+1}
-        shift, d = _project_symmetry(uni, pt, disc, shift_symbolic)
+        (tau0, d0), (flip, d1) = disc.symmetries
+        shift, d = _project_symmetry(pt, disc, linalg.integer_matmul(flip, tau0), d0 * d1)
         shift_order = linalg.matrix_order(shift, 12, d)
         if shift_order is None:
             raise ConsistencyError(f"axis-shift order exceeds 12 at {pt.name}")
@@ -685,14 +686,13 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
     return report
 
 
-def _project_symmetry(uni, pt, disc, m_symbolic):
-    """Induce an evaluated symmetry on the quotient, as (S, d) with S / d
-    the induced matrix and S an integer matrix.
+def _project_symmetry(pt, disc, m, d):
+    """Induce the evaluated symmetry m / d, m an integer matrix, on the
+    quotient, as (S, den) with S / den the induced matrix in lowest terms.
 
     The matrix must preserve the discrepancy ideal and act as an algebra
     automorphism downstairs; both are verified on the integers.
     """
-    m, d = _eval_matrix(m_symbolic, pt)
     quot = disc.quotient
     proj, scale = linalg.clear_matrix(disc.projection)
     moved = linalg.integer_matmul(proj, m)

@@ -639,7 +639,7 @@ def two_dim_json(v01, v10):
 
 
 def test_a_mirrored_product_entry_is_read_by_its_value():
-    # the parsed (0, 1) is reused for (1, 0) only when the texts agree
+    # each of (0, 1) and (1, 0) is parsed, and the two are compared by value
     alg = StructureAlgebra.from_json(two_dim_json(["1/2", "0"], ["2/4", "0"]))
     assert alg.product[1][0] == alg.product[0][1] == [Q(1, 2), Q(0)]
     assert StructureAlgebra.from_json(two_dim_json(["1/2", "0"], ["1/2", "0"])).table == alg.table

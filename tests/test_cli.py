@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -283,8 +284,13 @@ def test_startup_loads_no_dataclass_machinery():
     (["algebra", "check", "--json"], "the following arguments are required"),
     # long options are spelled in full, not abbreviated
     (["sakuma", "table", "--fo", "json"], "unrecognized arguments"),
+    (["sakuma", "plot"], "argument action: invalid choice: 'plot' "
+                         "(choose from 'table', 'solve', 'classify', 'rederive')"),
+    (["frob"], "argument command: invalid choice: 'frob' "
+               "(choose from 'fusion', 'algebra', 'sakuma')"),
 ], ids=["no-command", "no-action", "missing-q", "p-not-an-int", "format-not-a-choice",
-        "out-without-value", "out-not-an-option-of-solve", "missing-file", "abbreviated-option"])
+        "out-without-value", "out-not-an-option-of-solve", "missing-file", "abbreviated-option",
+        "action-not-a-choice", "command-not-a-choice"])
 def test_usage_error_writes_one_line_and_exits_2(argv, phrase, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
@@ -325,7 +331,7 @@ def test_each_virasoro_table_is_built_once_per_process(monkeypatch, capsys):
     # the refinement copies the cached table: a refined check before a raw
     # one leaves the raw output as it was
     calls = []
-    monkeypatch.setattr(cli, "_TABLES", {})
+    cli._virasoro.cache_clear()
     monkeypatch.setattr(cli.fusion_mod, "virasoro_rules",
                         lambda p, q: calls.append((p, q)) or virasoro_rules(p, q))
     assert run(capsys, "algebra", "check", str(FIXTURE), "--json")[0] == 0
@@ -341,7 +347,7 @@ def test_each_refined_table_is_built_once_per_process(monkeypatch, capsys):
     # the refined V(p, q) is cached next to the raw one; a fusion file is
     # read, and so refined, on every call
     refined = []
-    monkeypatch.setattr(cli, "_TABLES", {})
+    cli._virasoro.cache_clear()
     monkeypatch.setattr(cli.fusion_mod, "frobenius_refine",
                         lambda rules: refined.append(rules.fields) or frobenius_refine(rules))
     golden = ROOT / "tests" / "golden"
@@ -472,3 +478,33 @@ def test_sakuma_classify_unwritable_out_exits_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"axial: error: cannot write {target}: ")
     assert not target.parent.exists()
+
+
+# the command in a fresh interpreter, with stdout where the test puts it
+AXIAL = [sys.executable, "-I", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import axial.cli; "
+         "sys.exit(axial.cli.main(sys.argv[2:]))", str(ROOT / "src")]
+
+
+def assert_stdout_error(code, err, reason):
+    # exit 1 means a failed verification; an unwritable stdout is exit 2
+    assert code == 2
+    assert err == f"axial: error: cannot write to stdout: {reason}\n"
+
+
+def test_a_reader_that_closes_early_exits_2_with_one_line():
+    # V(13, 12) as JSON is about 380 kB, far more than a pipe holds
+    proc = subprocess.Popen(AXIAL + ["fusion", "vir", "13", "12", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.read(10) == '{\n  "centr'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert_stdout_error(proc.wait(timeout=60), err, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["fusion", "vir", "4", "3"], ["--help"]], ids=["fusion", "help"])
+def test_a_full_disk_on_stdout_exits_2_with_one_line(argv):
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(AXIAL + argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert_stdout_error(done.returncode, done.stderr, "[Errno 28] No space left on device")

@@ -270,3 +270,10 @@ def test_rejects_asymmetric_table():
     }
     with pytest.raises(ValueError):
         FusionRules(Q(1, 2), (ONE, Q(0)), star)
+
+
+def test_parity_of_an_ungraded_field_is_a_key_error():
+    grading = Grading(frozenset({Q(1), Q(0)}), frozenset({Q(1, 32)}))
+    assert (grading.parity(Q(0)), grading.parity(Q(1, 32))) == (0, 1)
+    with pytest.raises(KeyError, match="1/4 is not a graded field"):
+        grading.parity(Q(1, 4))

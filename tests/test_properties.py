@@ -7,11 +7,15 @@ against the rank, integer_rref against its former generator loop, the semi-naive
 automorphism defects against the dense loop on symmetries of mixed shape,
 rational roots planted in random polynomials, with and without the sieve,
 the resultant's degree against sympy's dimension of the quotient ring, the
-eigenframe fusion test against the annihilators, and the integer entry
-reader of algebra files against the Fraction literal."""
+eigenframe fusion test against the annihilators, the integer entry
+reader of algebra files against the Fraction literal, and the command-line
+contract on mutated input files."""
 
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
@@ -23,7 +27,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from axial import linalg  # noqa: E402
+from axial import cli, linalg  # noqa: E402
 from axial.algebra import (ShapeError, StructureAlgebra, _entry_ratio,  # noqa: E402
                            automorphism_defects, bilinear, check_axis, defect, ideal_closure,
                            pair, three_c, verify_form)
@@ -694,3 +698,50 @@ def test_sieved_rational_roots_match_the_unsieved_oracle(roots, var, extra):
     got = rational_roots(f)
     assert got == ref_rational_roots(f)
     assert set(roots) <= got
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the first three are rational literals, the rest are not
+FUZZ_VALUES = [0, 2 ** 70, "1e400", "1/0", "x", None, True, 1.5, [], {}]
+
+
+def json_positions(node, path=()):
+    """The path of every entry of a JSON tree, container or leaf."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from json_positions(child, path + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["3c.json", "ising_narrow.json"]), st.data())
+def test_mutated_input_files_meet_the_cli_contract(name, data):
+    # an entry of an algebra or a fusion file replaced, deleted or duplicated:
+    # exit 0, 1 or 2, one error line exactly on exit 2, and no other exception
+    tree = json.loads((FIXTURES / name).read_text())
+    *path, key = data.draw(st.sampled_from(list(json_positions(tree))))
+    parent = tree
+    for step in path:
+        parent = parent[step]
+    action = data.draw(st.sampled_from(["delete", "duplicate", *FUZZ_VALUES]))
+    if action == "delete":
+        del parent[key]
+    elif action != "duplicate":
+        parent[key] = action
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        mutant = Path(tmp) / name
+        mutant.write_text(json.dumps(tree))
+        argv = (["algebra", "check", str(mutant), "--json"] if name == "3c.json" else
+                ["algebra", "check", str(FIXTURES / "3c.json"), "--fusion", str(mutant)])
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert len(lines) == (code == 2) and all(x.startswith("axial: error: ") for x in lines)
+    # every product or Gram entry is parsed: anything but a rational there is refused
+    if name == "3c.json" and path and path[0] in ("product", "gram"):
+        assert code == 2 or action in FUZZ_VALUES[:3]

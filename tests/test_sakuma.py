@@ -743,6 +743,59 @@ def test_classify_refuses_symmetries_that_do_not_move_the_axes(uni):
         classify(uni._replace(tau0=ident))
 
 
+# The checks below hold at every certified point, so each test faults one
+# helper of classify; the first point classify reaches is (0, 1), the 2B.
+
+
+def test_classify_refuses_an_axis_that_fails_its_check(uni, monkeypatch):
+    real = sakuma.check_axis
+    monkeypatch.setattr(sakuma, "check_axis",
+                        lambda *args: real(*args)._replace(fusion_ok=False))
+    with pytest.raises(ConsistencyError, match=r"^axis verification failed at \(0, 1\)$"):
+        classify(uni)
+
+
+@pytest.mark.parametrize("call, message", [(1, "involution product"), (2, "axis-shift")],
+                         ids=["involution-product", "axis-shift"])
+def test_classify_refuses_an_order_beyond_12(uni, monkeypatch, call, message):
+    # classify asks matrix_order for the involution product, then the shift
+    real, calls = linalg.matrix_order, []
+
+    def order(*args):
+        calls.append(args)
+        return None if len(calls) == call else real(*args)
+
+    monkeypatch.setattr(linalg, "matrix_order", order)
+    with pytest.raises(ConsistencyError, match=rf"^{message} order exceeds 12 at \(0, 1\)$"):
+        classify(uni)
+
+
+@pytest.mark.parametrize("shift, message", [
+    # every basis vector to a0: the ideal's vectors do not stay in it
+    (lambda n: [[int(i == A0) for _ in range(n)] for i in range(n)],
+     r"symmetry does not preserve the ideal at \(0, 1\)"),
+    # twice the identity keeps the ideal, but doubles a product where an
+    # automorphism would quadruple it; the 2B quotient has the basis s2e, s2o
+    (lambda n: [[2 * (i == j) for j in range(n)] for i in range(n)],
+     r"induced symmetry is not an automorphism at \(0, 1\): \(s2e, s2e\)"),
+], ids=["ideal", "automorphism"])
+def test_classify_refuses_a_shift_that_is_no_symmetry_of_the_quotient(uni, monkeypatch,
+                                                                       shift, message):
+    # the shift is flip tau0 and the flip is an involution, so tau0 := flip X
+    # makes the shift X
+    real = sakuma.discrepancy_quotient
+
+    def corrupted(uni, pt):
+        disc = real(uni, pt)
+        flip, d = disc.symmetries[1]
+        tau0 = linalg.integer_matmul(flip, shift(len(flip)))
+        return disc._replace(symmetries=[(tau0, d), (flip, d)])
+
+    monkeypatch.setattr(sakuma, "discrepancy_quotient", corrupted)
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        classify(uni)
+
+
 def test_naming_rule_on_invented_invariants():
     assert norton_sakuma_name(1, 1) == "1A"
     assert norton_sakuma_name(2, 2) == "2B"
