@@ -15,7 +15,7 @@ rows, by comparing them or by their complement projection
 (linalg.complement_projection); the fusion law is decided by coordinates
 in an eigenframe of the axis, inverted once, with the eigenspaces and the
 law (FusionRules.law) taken by field position (see check_axis); miyamoto
-reuses that inverse.  The symbolic
+takes the eigenspaces and that inverse from the axis report.  The symbolic
 algebra over Q[lam, mu] is not a StructureAlgebra: it is two bare
 MultiPoly tables (see sakuma.UniversalAlgebra), which the ring-generic
 kernel below serves as well.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from . import linalg
@@ -229,7 +229,7 @@ class StructureAlgebra:
     def _ad_columns(self, v):
         """The columns of den ad(v) for an integer vector v: den (v e_j) for
         each j, as integer vectors."""
-        return [[sum(map(mul, v, f)) for f in col] for col in zip(*self.fibres)]
+        return linalg.transpose(self._ad_rows(v))
 
     def form(self, x, y):
         """Value of the bilinear form on two coordinate vectors."""
@@ -349,13 +349,11 @@ def eigen_decompose(ad, candidates):
     canonical integer basis of its eigenspace (see linalg.echelon_span),
     and semisimple records whether the dimensions add up to the whole
     algebra.  The kernel of ad(a) - p/q is that of the integer matrix
-    q A - p d.  Its rows from linalg.integer_kernel are reduced once more
-    when there are two or more; a single row is made canonical by dividing
-    out its content and the sign of its leading entry.  Eigenspaces of
-    distinct eigenvalues are independent, so once those found fill the
-    algebra the remaining candidates get [] without an elimination.  The
-    spaces come in the order of the candidates, so their positions are
-    those of the candidates.
+    q A - p d, and linalg.integer_kernel returns its canonical basis.
+    Eigenspaces of distinct eigenvalues are independent, so once those
+    found fill the algebra the remaining candidates get [] without an
+    elimination.  The spaces come in the order of the candidates, so their
+    positions are those of the candidates.
     """
     mat, d = ad
     spaces = {}
@@ -369,14 +367,6 @@ def eigen_decompose(ad, candidates):
         for i, row in enumerate(shifted):
             row[i] -= p
         basis = linalg.integer_kernel(shifted)
-        if len(basis) > 1:
-            basis = linalg.integer_rref(basis)[0]
-        elif basis:
-            row = basis[0]
-            g = gcd(*row)
-            if next(x for x in row if x) < 0:
-                g = -g
-            basis = [[x // g for x in row]]
         spaces[theta] = basis
         total += len(basis)
     return spaces, total == len(mat)
@@ -468,36 +458,35 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
                       primitive, not violations, violations, spaces, inverse)
 
 
-def miyamoto(algebra: StructureAlgebra, spaces, grading: Grading, inverse=None):
+def miyamoto(algebra: StructureAlgebra, report: AxisReport, grading: Grading):
     """(T, d) with T / d the involution fixing the even eigenspaces of an
     axis and negating the odd ones, T an integer matrix.
 
-    spaces are the integer eigenspace bases of the axis as eigen_decompose
-    returns them (check_axis keeps them on its report).  With the
-    eigenvectors as the columns of P and the signs on the diagonal of S,
-    tau = P S P^-1; P^-1 = N / d over the integers, so T = P S N.  inverse
-    is (N, d) when the caller has it already (AxisReport.inverse, the
-    inverse of the same P); it is computed here otherwise.  Raises
+    report is check_axis's AxisReport on the axis: its spaces are the
+    integer eigenspace bases, and its inverse is (N, d) with N / d the
+    inverse of P, the matrix with those eigenvectors as columns.  With the
+    signs on the diagonal of S, tau = P S P^-1, so T = P S N.  Raises
     ConsistencyError if the eigenspaces do not span, or if T / d fails to
     be an involutive automorphism preserving the form; the checks run on
     the integers: T^2 = d^2 I, T^t G T = d^2 G for the integer Gram matrix
     G, and the automorphism defects of T / d vanish.
     """
+    spaces = report.spaces
     if sum(len(basis) for basis in spaces.values()) != algebra.dim:
         raise ConsistencyError("eigenspaces of the axis do not span the algebra")
     columns = [v for basis in spaces.values() for v in basis]
     signs = [-1 if grading.parity(theta) else 1
              for theta, basis in spaces.items() for _ in basis]
-    inv, d = inverse or linalg.integer_inverse(linalg.transpose(columns))
+    inv, d = report.inverse
     signed = [[s * x for x in row] for s, row in zip(signs, inv)]
-    tau, d = linalg.lowest_terms(linalg.integer_matmul(linalg.transpose(columns), signed), d)
+    tau, d = linalg.lowest_terms(linalg.matmul(linalg.transpose(columns), signed), d)
 
     n = algebra.dim
-    if linalg.integer_matmul(tau, tau) != [[d * d if i == j else 0 for j in range(n)]
-                                           for i in range(n)]:
+    if linalg.matmul(tau, tau) != [[d * d if i == j else 0 for j in range(n)]
+                                   for i in range(n)]:
         raise ConsistencyError("the involution does not square to the identity")
     gram = algebra.gram_table
-    image = linalg.integer_matmul(linalg.integer_matmul(linalg.transpose(tau), gram), tau)
+    image = linalg.matmul(linalg.matmul(linalg.transpose(tau), gram), tau)
     if image != [[d * d * x for x in row] for row in gram]:
         raise ConsistencyError("the involution does not preserve the form")
     failures = automorphism_defects(algebra, tau, d)

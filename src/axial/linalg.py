@@ -4,7 +4,7 @@ Matrices and vectors are plain nested lists.  The kernel works on
 integers: a rational vector or matrix is held as integer numerators over
 one common denominator (`clear_denominators`, `clear_matrix`), and row
 reduction, kernels, inverses and determinants eliminate over the integers
-(`integer_rref`, `integer_inverse`, `integer_det`, `integer_matmul`).
+(`integer_rref`, `integer_kernel`, `integer_inverse`, `integer_det`).
 `integer_rref` is the innermost loop of every check, so its pivot search
 and the content division of each new row are written out in it, with no
 call per row operation.  A subspace is held as its canonical basis, the
@@ -12,7 +12,7 @@ primitive integer rows of its reduced echelon form with positive pivots
 (`echelon_span`), so equal subspaces have equal bases; w lies in one
 exactly when P w = 0 for its `complement_projection` P, and the rows of P
 span the kernel of the basis, which is how `integer_kernel` reads a kernel
-off an echelon form.
+off an echelon form; the kernel comes back as its canonical basis too.
 Only `rref` hands back Fractions: the monic reduced echelon form.
 `matvec` and `matmul` are generic over the ring, each entry one
 `poly.dot`: they serve matrices over the polynomial ring, and return ints
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from . import poly
 
@@ -81,14 +80,6 @@ def matmul(a, b):
         raise ValueError("dimension mismatch")
     bt = transpose(b)
     return [[poly.dot(ra, cb) for cb in bt] for ra in a]
-
-
-def integer_matmul(a, b):
-    """The product of two integer matrices, as integers."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
-    bt = transpose(b)
-    return [[sum(map(mul, ra, cb)) for cb in bt] for ra in a]
 
 
 def scale_vec(c, v):
@@ -192,11 +183,11 @@ def integer_det(rows) -> int:
 
 
 def integer_kernel(rows):
-    """Integer vectors spanning the kernel of an integer matrix, one for
-    each free column of its echelon form: the rows of its
-    `complement_projection`, which vanish on the row space."""
+    """The canonical basis (see `echelon_span`) of the kernel of an integer
+    matrix: the rows of its `complement_projection`, which vanish on the
+    row space, one for each free column, reduced by `integer_rref`."""
     n_cols = len(rows[0]) if rows else 0
-    return complement_projection(*integer_rref(rows), n_cols)[0]
+    return integer_rref(complement_projection(*integer_rref(rows), n_cols)[0])[0]
 
 
 def integer_inverse(rows):
@@ -245,5 +236,5 @@ def matrix_order(m, bound: int, den=1) -> int | None:
     for k in range(1, bound + 1):
         if power == [[den ** k if i == j else 0 for j in range(n)] for i in range(n)]:
             return k
-        power = integer_matmul(power, m)
+        power = matmul(power, m)
     return None

@@ -518,7 +518,7 @@ def discrepancy_quotient(uni: UniversalAlgebra, pt: EvalPoint) -> Discrepancy:
         quot, proj = quotient(alg, ideal)
     except ConsistencyError as err:
         raise ConsistencyError(f"{err} at {pt.name}") from None
-    radical = linalg.integer_rref(linalg.integer_kernel(alg.gram_table))[0]
+    radical = linalg.integer_kernel(alg.gram_table)
     if radical != ideal:
         raise ConsistencyError(f"the radical of the form has dimension {len(radical)} "
                                f"but the ideal {len(ideal)} at {pt.name}")
@@ -623,19 +623,18 @@ class ClassificationReport(namedtuple("ClassificationReport",
         return "\n".join(lines)
 
 
-def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
-    """Build, evaluate, certify and name the quotient at every certified point.
+def classify(uni: UniversalAlgebra) -> ClassificationReport:
+    """Evaluate, certify and name the quotient of uni at every certified point.
 
-    Each point's quotient is taken once, by the ideal closed under
-    multiplication and the two symmetries (see discrepancy_quotient).
-    Both generators must verify as axes in every quotient; the axis shift
-    must move a_0 to a_1; and the product of the two Miyamoto involutions
-    must have the order the shift's orbit determines.  Any failure raises
-    ConsistencyError.  The reports come sorted by (shift order, dimension,
-    mu) and are named by norton_sakuma_name.
+    uni is the universal algebra as build_universal returns it.  Each
+    point's quotient is taken once, by the ideal closed under multiplication
+    and the two symmetries (see discrepancy_quotient).  Both generators must
+    verify as axes in every quotient; the axis shift must move a_0 to a_1;
+    and the product of the two Miyamoto involutions must have the order the
+    shift's orbit determines.  Any failure raises ConsistencyError.  The
+    reports come sorted by (shift order, dimension, mu) and are named by
+    norton_sakuma_name.
     """
-    if uni is None:
-        uni = build_universal()
     rules, grading = ising_law()[:2]
 
     reports = []
@@ -648,17 +647,17 @@ def classify(uni: UniversalAlgebra | None = None) -> ClassificationReport:
         if not (rep0.passed and rep1.passed):
             raise ConsistencyError(f"axis verification failed at {pt.name}")
         try:
-            tau_a, da = miyamoto(quot, rep0.spaces, grading, rep0.inverse)
-            tau_b, db = miyamoto(quot, rep1.spaces, grading, rep1.inverse)
+            tau_a, da = miyamoto(quot, rep0, grading)
+            tau_b, db = miyamoto(quot, rep1, grading)
         except ConsistencyError as err:
             raise ConsistencyError(f"{err} at {pt.name}") from None
-        order = linalg.matrix_order(linalg.integer_matmul(tau_a, tau_b), 12, da * db)
+        order = linalg.matrix_order(linalg.matmul(tau_a, tau_b), 12, da * db)
         if order is None:
             raise ConsistencyError(f"involution product order exceeds 12 at {pt.name}")
 
         # the rotation of the axis orbit: a_i -> a_{i+1}
         (tau0, d0), (flip, d1) = disc.symmetries
-        shift, d = _project_symmetry(pt, disc, linalg.integer_matmul(flip, tau0), d0 * d1)
+        shift, d = _project_symmetry(pt, disc, linalg.matmul(flip, tau0), d0 * d1)
         shift_order = linalg.matrix_order(shift, 12, d)
         if shift_order is None:
             raise ConsistencyError(f"axis-shift order exceeds 12 at {pt.name}")
@@ -695,8 +694,8 @@ def _project_symmetry(pt, disc, m, d):
     """
     quot = disc.quotient
     proj, scale = linalg.clear_matrix(disc.projection)
-    moved = linalg.integer_matmul(proj, m)
-    if any(any(row) for row in linalg.integer_matmul(moved, linalg.transpose(disc.ideal))):
+    moved = linalg.matmul(proj, m)
+    if any(any(row) for row in linalg.matmul(moved, linalg.transpose(disc.ideal))):
         raise ConsistencyError(f"symmetry does not preserve the ideal at {pt.name}")
     # lifting quotient coordinates to the surviving basis vectors picks columns
     comp = [LABELS.index(lbl) for lbl in quot.labels]

@@ -53,7 +53,7 @@ def test_criterion_2_three_axis_fixture():
         assert report.spectrum[Q(1, 4)] == 0
     form = verify_form(alg, {alg.labels[i]: r.spaces for i, r in enumerate(reports)})
     assert form.passed and form.assoc_failures == []
-    tau, d = miyamoto(alg, reports[0].spaces, grading)  # the involution is tau / d
+    tau, d = miyamoto(alg, reports[0], grading)  # the involution is tau / d
     b, c = alg.basis_vector(1), alg.basis_vector(2)
     assert linalg.matvec(tau, b) == linalg.scale_vec(d, c)
     assert linalg.matvec(tau, c) == linalg.scale_vec(d, b)

@@ -13,8 +13,9 @@ from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, autom
                            miyamoto, pair, quotient, resurrect, three_c, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
-from conftest import (POINT_AT, associates_with_zero_eigenvectors, ref_ad_columns,
-                      ref_automorphism_defects, ref_ideal_closure, ref_violations)
+from conftest import (POINT_AT, associates_with_zero_eigenvectors, fraction_inverse,
+                      ref_ad_columns, ref_automorphism_defects, ref_ideal_closure,
+                      ref_violations)
 from axial.sakuma import EvalPoint, _eval_matrix, classify, discrepancy_quotient, evaluate_point
 from test_linalg import eye, rank_and_kernel, ref_reduce_vector
 
@@ -59,8 +60,19 @@ def spaces_of(algebra, a, rules):
 
 def involution(algebra, a, rules, grading):
     """The Miyamoto involution of a as a Fraction matrix."""
-    tau, d = miyamoto(algebra, spaces_of(algebra, a, rules)[0], grading)
+    tau, d = miyamoto(algebra, check_axis(algebra, a, rules), grading)
     return [[Q(x, d) for x in row] for row in tau]
+
+
+def ref_involution(spaces, grading):
+    """P S P^-1 as Fractions for eigenspace bases as eigen_decompose returns
+    them: P the eigenvectors as columns, S their signs under the grading,
+    P^-1 inverted here rather than taken from a report."""
+    p = linalg.transpose([v for basis in spaces.values() for v in basis])
+    signs = [-1 if grading.parity(theta) else 1 for theta, basis in spaces.items() for _ in basis]
+    p_inv = fraction_inverse(p)
+    return [[sum(row[k] * signs[k] * p_inv[k][j] for k in range(len(signs)))
+             for j in range(len(p))] for row in p]
 
 
 def automorphism_failures(algebra, m):
@@ -183,7 +195,8 @@ def test_one_dim_algebra(rules):
     tiny = one_dim_idempotent()
     spaces, semisimple = spaces_of(tiny, [Q(1)], rules)
     assert semisimple and len(spaces[Q(1)]) == 1
-    tau = miyamoto(tiny, spaces, next(g for g in find_z2_gradings(rules) if not g.trivial))
+    grading = next(g for g in find_z2_gradings(rules) if not g.trivial)
+    tau = miyamoto(tiny, check_axis(tiny, [Q(1)], rules), grading)
     assert tau == ([[1]], 1)
 
 
@@ -533,11 +546,15 @@ def test_every_automorphism_check_of_classify_matches_the_dense_loop(uni, monkey
 
 
 def test_miyamoto_reuses_the_checked_eigenspaces(quotients, rules, grading):
+    # the report's eigenspaces and frame inverse give the involution that
+    # eigen_decompose's spaces and a separately inverted frame give
     for algebra, axes in quotients[2:]:
         for a in axes:
+            spaces = spaces_of(algebra, a, rules)[0]
             report = check_axis(algebra, a, rules)
-            assert miyamoto(algebra, report.spaces, grading) == \
-                miyamoto(algebra, spaces_of(algebra, a, rules)[0], grading)
+            assert report.spaces == spaces
+            tau, d = miyamoto(algebra, report, grading)
+            assert [[Q(x, d) for x in row] for row in tau] == ref_involution(spaces, grading)
 
 
 def dense_four_b_axis(rules):
@@ -550,8 +567,21 @@ def test_miyamoto_takes_the_frame_inverse_of_check_axis(rules, grading):
     alg, report = dense_four_b_axis(rules)
     columns = [v for basis in report.spaces.values() for v in basis]
     assert report.inverse == linalg.integer_inverse(linalg.transpose(columns))
-    assert miyamoto(alg, report.spaces, grading, report.inverse) == \
-        miyamoto(alg, report.spaces, grading)
+    tau, d = miyamoto(alg, report, grading)
+    assert [[Q(x, d) for x in row] for row in tau] == ref_involution(report.spaces, grading)
+
+
+def test_miyamoto_refuses_eigenspaces_that_do_not_span():
+    # under the refined V(5, 4) the dense 4B axis is not semisimple, so
+    # check_axis completed its frame with unit vectors and the report's
+    # eigenspaces alone do not span the algebra
+    rules = frobenius_refine(virasoro_rules(5, 4))
+    alg, report = dense_four_b_axis(rules)
+    assert not report.semisimple
+    grading = next(g for g in find_z2_gradings(rules) if not g.trivial)
+    with pytest.raises(ConsistencyError,
+                       match="^eigenspaces of the axis do not span the algebra$"):
+        miyamoto(alg, report, grading)
 
 
 def test_miyamoto_refuses_a_map_that_is_no_involution(rules, grading):
@@ -562,7 +592,7 @@ def test_miyamoto_refuses_a_map_that_is_no_involution(rules, grading):
     inv, d = report.inverse
     wrong = [[2 * x for x in inv[0]]] + inv[1:]
     with pytest.raises(ConsistencyError, match="the involution does not square to the identity"):
-        miyamoto(alg, report.spaces, grading, (wrong, d))
+        miyamoto(alg, report._replace(inverse=(wrong, d)), grading)
 
 
 def test_miyamoto_refuses_an_involution_that_moves_the_form(rules, grading):
@@ -578,7 +608,7 @@ def test_miyamoto_refuses_an_involution_that_moves_the_form(rules, grading):
     first = len(report.spaces[Q(1)])  # the frame runs 1, 0, 1/4, 1/32
     wrong = inv[:first] + [[-x for x in inv[first]]] + inv[first + 1:]
     with pytest.raises(ConsistencyError, match="the involution does not preserve the form"):
-        miyamoto(alg, report.spaces, grading, (wrong, d))
+        miyamoto(alg, report._replace(inverse=(wrong, d)), grading)
 
 
 # -- the integer tables against the Fraction route they replaced ---------------

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from axial import fusion
 from axial.fusion import (FusionRules, Grading, RulesFormatError, central_charge,
                           find_z2_gradings, frobenius_refine, highest_weights, virasoro_rules)
 
@@ -69,6 +70,16 @@ def test_highest_weights_43():
 @pytest.mark.parametrize("p,q", [(4, 3), (5, 3), (5, 4), (7, 2)])
 def test_weight_count(p, q):
     assert len(highest_weights(p, q)) == (p - 1) * (q - 1) // 2
+
+
+def test_a_wrong_weight_count_is_refused(monkeypatch):
+    # h(r, s) = h(p - r, q - s) pairs the (p - 1)(q - 1) representatives and
+    # no other two weights agree, so the count holds by construction; a
+    # faulty weight formula that gives every (r, s) weight 0 breaks it
+    monkeypatch.setattr(fusion, "_weight", lambda p, q, r, s: Q(0))
+    with pytest.raises(ArithmeticError, match=r"^found 1 distinct weights for V\(4,3\), "
+                                              r"expected \(p-1\)\(q-1\)/2$"):
+        highest_weights(4, 3)
 
 
 @pytest.mark.parametrize("p,q", [(4, 3), (5, 3), (5, 4), (7, 2)])

@@ -15,9 +15,17 @@ def det(m):
 
 
 def rank_and_kernel(m):
-    """(rank, integer kernel basis) of a rational matrix, its rows cleared."""
+    """(rank, integer kernel basis) of a rational matrix, its rows cleared.
+
+    The kernel basis must be canonical, as echelon_span makes it, and m
+    must kill each of its rows."""
     rows = [linalg.clear_denominators(row)[0] for row in m]
-    return len(linalg.integer_rref(rows)[0]), linalg.integer_kernel(rows)
+    kernel = linalg.integer_kernel(rows)
+    assert kernel == linalg.echelon_span(kernel)
+    for v in kernel:
+        assert all(type(x) is int for x in v)
+        assert not any(linalg.matvec(m, v))
+    return len(linalg.integer_rref(rows)[0]), kernel
 
 
 def eye(n):
@@ -36,7 +44,16 @@ def test_identity_has_full_rank():
 
 def test_zero_matrix_kernel():
     rank, kernel = rank_and_kernel([[Q(0)] * 2 for _ in range(2)])
-    assert rank == 0 and len(kernel) == 2
+    assert rank == 0 and kernel == eye(2)
+    # the kernel comes back in reduced echelon form, each row primitive
+    # with a positive pivot: (3, 0, 1) and (0, 3, 2) for x + 2y - 3z = 0
+    assert linalg.integer_kernel([[2, 4, -6]]) == [[3, 0, 1], [0, 3, 2]]
+    assert linalg.integer_kernel([[3, 6], [1, 2]]) == [[2, -1]] == \
+        linalg.integer_kernel([[-6, -12]])
+    # complement_projection's rows are L e_k minus a pivot part, and need
+    # the reduction: the kernel of (2, 0, 1), (0, 3, 1) is spanned by
+    # (-3, -2, 6), whose canonical form has a positive pivot
+    assert linalg.integer_kernel([[2, 0, 1], [0, 3, 1]]) == [[3, 2, -6]]
 
 
 def test_rank_nullity_and_exact_kernel():
@@ -46,9 +63,6 @@ def test_rank_nullity_and_exact_kernel():
         m = rand_matrix(rng, rows, cols)
         rank, kernel = rank_and_kernel(m)
         assert rank + len(kernel) == cols
-        for v in kernel:
-            assert all(type(x) is int for x in v)
-            assert not any(linalg.matvec(m, v))
 
 
 def test_rref_is_canonical():
@@ -67,7 +81,7 @@ def test_det_and_inverse():
     m = [[2, 1], [1, 1]]
     assert det(m) == 1
     inv, d = linalg.integer_inverse(m)  # the inverse is inv / d
-    assert linalg.integer_matmul(m, inv) == [[d * x for x in row] for row in eye(2)]
+    assert linalg.matmul(m, inv) == [[d * x for x in row] for row in eye(2)]
     singular = [[1, 2], [2, 4]]
     assert det(singular) == 0
     with pytest.raises(ValueError):
@@ -124,13 +138,12 @@ def test_matvec_dimension_mismatch():
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         linalg.matmul([[Q(1), Q(2)]], [[Q(1)], [Q(1)], [Q(1)]])
-
-
-def test_integer_matmul_dimension_mismatch():
-    # zip would cut the shapes to fit: this product read [[3]]
+    # on int matrices too: zip would cut the shapes to fit, and this
+    # product would read [[3]]
     with pytest.raises(ValueError, match="dimension mismatch"):
-        linalg.integer_matmul([[1, 2, 3]], [[1], [1]])
-    assert linalg.integer_matmul([[1, 2, 3]], [[1], [1], [1]]) == [[6]]
+        linalg.matmul([[1, 2, 3]], [[1], [1]])
+    product = linalg.matmul([[1, 2, 3]], [[1], [1], [1]])
+    assert product == [[6]] and type(product[0][0]) is int
 
 
 # -- the integer kernel against plain Fraction loops ----------------------------

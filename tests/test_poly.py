@@ -405,6 +405,16 @@ def test_rational_roots_hard_end_coefficients(var):
     assert rational_roots(planted(var, set(), 2**20 * 1000003 * x**2 + 3)) == set()
 
 
+def test_rational_roots_recheck_every_candidate(monkeypatch):
+    # a candidate is kept only when q^n f(p/q) == 0, so the re-check on the
+    # Fraction coefficients cannot fire; a faulty test that accepts every
+    # candidate lets +-2 through, which pass the sieve because f(1) and
+    # f(-1) are zero, and are no roots of (lam^2 - 1)(lam^2 - 2)
+    monkeypatch.setattr(poly_mod, "_homogeneous", lambda coeffs, p, q: 0)
+    with pytest.raises(ArithmeticError, match=r"^candidate root -?2 does not annihilate "):
+        rational_roots((LAM**2 - 1) * (LAM**2 - 2))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: rational_roots(MultiPoly()), "rational_roots of the zero polynomial"),
     (lambda: rational_roots(LAM * MU + 1), "polynomial is not univariate"),

@@ -335,8 +335,16 @@ def project(proj, w):
 @given(st.data())
 def test_projection_membership_matches_the_rank(data):
     n = data.draw(st.integers(1, 5))
-    basis, pivots = linalg.integer_rref(data.draw(int_matrices(data.draw(st.integers(0, 5)), n)))
+    m = data.draw(int_matrices(data.draw(st.integers(0, 5)), n))
+    basis, pivots = linalg.integer_rref(m)
     proj, scale, complement = linalg.complement_projection(basis, pivots, n)
+    # the kernel of m is the canonical basis of the span of P's rows, and
+    # m kills each of its rows (a matrix with no rows has no column count)
+    if m:
+        kernel = linalg.integer_kernel(m)
+        assert kernel == linalg.echelon_span(kernel) == linalg.echelon_span(proj)
+        assert len(kernel) == n - len(basis)
+        assert not any(any(project(m, v)) for v in kernel)
     assert len(proj) == n - len(basis)
     assert complement == [c for c in range(n) if c not in pivots]
     assert scale == lcm(*(row[c] for row, c in zip(basis, pivots)))
@@ -456,7 +464,7 @@ def test_automorphism_defects_vanish_on_a_symmetry_of_the_table(data):
     g = [[signs[c] if r == perm[c] else 0 for c in range(n)] for r in range(n)]
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     group = [identity]
-    while (h := linalg.integer_matmul(g, group[-1])) != identity:
+    while (h := linalg.matmul(g, group[-1])) != identity:
         group.append(h)
     base, labels = symmetric_table(data, n), [f"e{i}" for i in range(n)]
     # h^-1 = h^t, so h^-1 e_i is row i of h

@@ -17,6 +17,7 @@ from axial.sakuma import (A0, A1, AM1, AM2, A2, LABELS, S1, S2E, S2O, UniversalA
 
 from conftest import (POINT_AT, POINT_TABLE, TOTAL_DIM, associates_with_zero_eigenvectors,
                       fraction_inverse, ref_form_tensor, ref_quotient_dimension)
+from test_poly import to_sympy
 
 
 def e8(i):
@@ -506,6 +507,16 @@ def test_certificate_checks_every_qualifying_order(monkeypatch, var):
         common_zeros(THREE_ZEROS, MU - LAM)
 
 
+def test_common_zeros_refuse_relations_that_vanish_on_a_whole_line(monkeypatch):
+    # p1 and p2 share the factor lam - 1, so both vanish on the line
+    # lam = 1; the true resultant is then identically zero and the
+    # shared-factor check fires first.  Only a faulty resultant, here
+    # lam - 1 itself, hands over a root on the line
+    monkeypatch.setattr(sakuma, "resultant", lambda f, g, v: LAM - 1)
+    with pytest.raises(ConsistencyError, match="^both relations vanish on a whole line$"):
+        common_zeros((LAM - 1) * MU, (LAM - 1) * (MU - 1))
+
+
 def test_certificate_needs_a_constant_leading_coefficient():
     # both orders find no rational zero and agree, but no resultant's degree
     # is the dimension of the quotient ring, so nothing is certified
@@ -657,8 +668,101 @@ def test_2b_miyamoto_is_identity(uni, points):
     grading = next(g for g in find_z2_gradings(rules) if not g.trivial)
     disc = discrepancy_quotient(uni, points[POINT_AT["2B"]])
     ax0 = linalg.matvec(disc.projection, e8(A0))
-    spaces = check_axis(disc.quotient, ax0, rules).spaces
-    assert miyamoto(disc.quotient, spaces, grading) == ([[1, 0], [0, 1]], 1)
+    report = check_axis(disc.quotient, ax0, rules)
+    assert miyamoto(disc.quotient, report, grading) == ([[1, 0], [0, 1]], 1)
+
+
+# -- an independent oracle for the quotient pass --------------------------------
+#
+# Everything below runs in sympy on the symbolic tables: uni.product and
+# uni.gram are evaluated by substitution, not through evaluate_point, and
+# the radical, the quotient, the eigenspaces and the involutions come from
+# sympy's own nullspaces, eigenvectors and inverses, not from linalg.
+
+
+def sympy_order(sympy, m, bound=12):
+    """Least k <= bound with m**k the identity, else None."""
+    power = m
+    for k in range(1, bound + 1):
+        if power == sympy.eye(m.rows):
+            return k
+        power = power * m
+    return None
+
+
+def sympy_tables(sympy, uni):
+    """(symbols, tables): uni's product, Gram matrix, flip and tau0 by
+    name, with every entry a sympy expression in lam and mu."""
+    syms = dict(zip(("lam", "mu"), sympy.symbols("lam mu")))
+
+    def convert(node):
+        return to_sympy(sympy, syms, node) if isinstance(node, MultiPoly) else \
+            [convert(x) for x in node]
+
+    return syms, {k: convert(getattr(uni, k)) for k in ("product", "gram", "flip", "tau0")}
+
+
+def sympy_quotient_invariants(sympy, syms, tables, lam, mu, grading):
+    """(radical dim, quotient dim, axis spectra, order of tau_a tau_b, shift
+    order) at (lam, mu), all by sympy on the tables of sympy_tables.
+
+    The radical of the form is the Gram nullspace R, checked closed under
+    every ad(e_i).  Completed by unit vectors to a basis B = [R | C], every
+    map that preserves R is block triangular in B, and its block on C is
+    the map induced on the quotient: ad(a_0) and ad(a_1) there give the
+    eigenvectors P and the Miyamoto involution P S P^-1, S = -1 on the odd
+    eigenvalues, and flip tau0 gives the axis shift."""
+    at = {syms["lam"]: sympy.Rational(lam.numerator, lam.denominator),
+          syms["mu"]: sympy.Rational(mu.numerator, mu.denominator)}
+
+    def matrix(m):
+        return sympy.Matrix(8, 8, lambda i, j: m[i][j].xreplace(at))
+
+    # column j of ad(e_i) is e_i e_j
+    ads = [sympy.Matrix(8, 8, lambda k, j: tables["product"][i][j][k].xreplace(at))
+           for i in range(8)]
+    radical = matrix(tables["gram"]).nullspace()
+    r = len(radical)
+    basis = sympy.Matrix.hstack(*radical) if radical else sympy.zeros(8, 0)
+    for ad in ads:
+        assert sympy.Matrix.hstack(basis, ad * basis).rank() == r, "radical is no ideal"
+    pivots = basis.T.rref()[1] if r else ()
+    frame = sympy.Matrix.hstack(basis, *[sympy.eye(8)[:, k] for k in range(8) if k not in pivots])
+    frame_inv = frame.inv()
+
+    def induced(m):
+        return (frame_inv * m * frame)[r:, r:]
+
+    spectra, taus = [], []
+    for i in (A0, A1):
+        eigen = [(Q(int(val.p), int(val.q)), vecs)
+                 for val, _, vecs in induced(ads[i]).eigenvects()]
+        assert sum(len(vecs) for _, vecs in eigen) == 8 - r, "axis is not semisimple"
+        spectra.append({val: len(vecs) for val, vecs in eigen})
+        p = sympy.Matrix.hstack(*[v for _, vecs in eigen for v in vecs])
+        signs = sympy.diag(*[-1 if grading.parity(val) else 1 for val, vecs in eigen
+                             for _ in vecs])
+        taus.append(p * signs * p.inv())
+    shift = induced(matrix(tables["flip"]) * matrix(tables["tau0"]))
+    return (r, 8 - r, spectra, sympy_order(sympy, taus[0] * taus[1]),
+            sympy_order(sympy, shift))
+
+
+def test_the_quotients_agree_with_an_independent_sympy_oracle(uni, report):
+    sympy = pytest.importorskip("sympy")
+    rules = frobenius_refine(virasoro_rules(4, 3))
+    grading = next(g for g in find_z2_gradings(rules) if not g.trivial)
+    syms, tables = sympy_tables(sympy, uni)
+    rho_orders = []
+    for p in report.points:
+        radical, dim, spectra, rho, shift = sympy_quotient_invariants(
+            sympy, syms, tables, p.lam, p.mu, grading)
+        assert (radical, dim) == (p.ideal_dim, p.dim), p.name
+        assert spectra == [{k: v for k, v in rep.spectrum.items() if v}
+                           for rep in p.axis_reports], p.name
+        assert (rho, shift) == (p.rho_order, p.shift_order), p.name
+        rho_orders.append(rho)
+    assert rho_orders == [1, 1, 1, 3, 3, 2, 2, 5, 3]
 
 
 def test_quotient_forms_associate(uni, points):
@@ -788,7 +892,7 @@ def test_classify_refuses_a_shift_that_is_no_symmetry_of_the_quotient(uni, monke
     def corrupted(uni, pt):
         disc = real(uni, pt)
         flip, d = disc.symmetries[1]
-        tau0 = linalg.integer_matmul(flip, shift(len(flip)))
+        tau0 = linalg.matmul(flip, shift(len(flip)))
         return disc._replace(symmetries=[(tau0, d), (flip, d)])
 
     monkeypatch.setattr(sakuma, "discrepancy_quotient", corrupted)
