@@ -12,7 +12,7 @@ Subpackages:
 
 from .poly import MultiPoly, LAM, MU
 from .fusion import FusionRules, Grading, virasoro_rules, central_charge
-from .algebra import StructureAlgebra, AxisReport, check_axis, three_c
+from .algebra import StructureAlgebra, AxisReport, check_axis
 from .sakuma import build_universal, classify, solve_points
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "StructureAlgebra",
     "AxisReport",
     "check_axis",
-    "three_c",
     "build_universal",
     "classify",
     "solve_points",

@@ -319,25 +319,6 @@ def _check_shapes(n, product, gram):
         raise ShapeError("gram matrix has the wrong shape")
 
 
-def three_c() -> StructureAlgebra:
-    """The three-axis algebra with xx = x and xy = (x + y - z)/64.
-
-    Its three generators are axes for the Ising fusion rules with the
-    quarter eigenvalue unrealised; the form has <x, x> = 1, <x, y> = 1/64.
-    """
-    one, s = Fraction(1), Fraction(1, 64)
-    product = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                vec = [one if k == i else Fraction(0) for k in range(3)]
-            else:
-                vec = [s if k in (i, j) else -s for k in range(3)]
-            product[i][j] = vec
-    gram = [[one if i == j else s for j in range(3)] for i in range(3)]
-    return StructureAlgebra(["a", "b", "c"], product, gram, marked=[0, 1, 2])
-
-
 # -- eigenspaces and the axis predicates -------------------------------------
 
 
@@ -350,26 +331,18 @@ def eigen_decompose(ad, candidates):
     and semisimple records whether the dimensions add up to the whole
     algebra.  The kernel of ad(a) - p/q is that of the integer matrix
     q A - p d, and linalg.integer_kernel returns its canonical basis.
-    Eigenspaces of distinct eigenvalues are independent, so once those
-    found fill the algebra the remaining candidates get [] without an
-    elimination.  The spaces come in the order of the candidates, so their
-    positions are those of the candidates.
+    The spaces come in the order of the candidates, so their positions are
+    those of the candidates.
     """
     mat, d = ad
     spaces = {}
-    total = 0
     for theta in candidates:
-        if total == len(mat):
-            spaces[theta] = []
-            continue
         p, q = theta.numerator * d, theta.denominator
         shifted = [[q * x for x in row] for row in mat]
         for i, row in enumerate(shifted):
             row[i] -= p
-        basis = linalg.integer_kernel(shifted)
-        spaces[theta] = basis
-        total += len(basis)
-    return spaces, total == len(mat)
+        spaces[theta] = linalg.integer_kernel(shifted)
+    return spaces, sum(map(len, spaces.values())) == len(mat)
 
 
 class AxisReport(namedtuple("AxisReport", "idempotent norm_ok spectrum semisimple "

@@ -185,9 +185,11 @@ def integer_det(rows) -> int:
 def integer_kernel(rows):
     """The canonical basis (see `echelon_span`) of the kernel of an integer
     matrix: the rows of its `complement_projection`, which vanish on the
-    row space, one for each free column, reduced by `integer_rref`."""
-    n_cols = len(rows[0]) if rows else 0
-    return integer_rref(complement_projection(*integer_rref(rows), n_cols)[0])[0]
+    row space, one for each free column, reduced by `integer_rref`.  A
+    matrix with no rows raises ValueError, since its column count is unknown."""
+    if not rows:
+        raise ValueError("the kernel of a matrix with no rows is not defined")
+    return integer_rref(complement_projection(*integer_rref(rows), len(rows[0]))[0])[0]
 
 
 def integer_inverse(rows):

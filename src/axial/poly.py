@@ -22,6 +22,8 @@ J. ACM 1971).
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -40,9 +42,17 @@ def _var_index(var: str) -> int:
 def _literal(value) -> Fraction:
     """A rational literal: a Fraction, an integer, or a string such as
     "-3/64".  Floats and booleans raise TypeError, since reading them would
-    round."""
+    round.  A string's exponent, as in "1e-3", is held to the digit limit
+    int() puts on a string (sys.get_int_max_str_digits) in either sign, so
+    "1e10000000" raises ValueError instead of taking seconds to read."""
     if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
         raise TypeError(f"{value!r} is not a rational literal")
+    if isinstance(value, str):
+        exp = re.search(r"[eE]([-+]?\d[\d_]*)\s*$", value)
+        # Pythons before 3.10.7 have no digit limit: int() gives 0, which is none
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if exp and limit and abs(int(exp[1])) > limit:
+            raise ValueError(f"the exponent of {value!r} exceeds the {limit}-digit limit")
     return Fraction(value)
 
 
@@ -347,18 +357,6 @@ def from_coefficients(coeffs, var: str) -> MultiPoly:
     return MultiPoly({(k, 0) if idx == 0 else (0, k): c for k, c in enumerate(coeffs)})
 
 
-def _univariate_nums(f: MultiPoly, var: str) -> list[int]:
-    """The numerators of f in `var`, low to high: f is their polynomial over
-    f.den.  f must involve no other variable."""
-    idx = _var_index(var)
-    out = [0] * (f.degree(var) + 1)
-    for e, n in f.nums.items():
-        if e[1 - idx]:
-            raise ValueError("polynomial is not univariate")
-        out[e[idx]] = n
-    return out
-
-
 def _horner(coeffs, x):
     """Value at x of the univariate polynomial with `coeffs`, low to high;
     an integer for integer coefficients and x."""
@@ -517,9 +515,8 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
 
     By the rational root test every root p/q in lowest terms of the
     primitive integer form has p dividing the constant and q the leading
-    coefficient.  Each such candidate with gcd(p, q) = 1 inside Cauchy's
-    bound that passes the sieve at 1 and -1 is tested exactly, on the
-    integer q^n f(p/q).
+    coefficient.  Each such candidate with gcd(p, q) = 1 that passes the
+    sieve at 1 and -1 is tested exactly, on the integer q^n f(p/q).
     """
     if not f:
         raise ValueError("rational_roots of the zero polynomial")
@@ -529,7 +526,7 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
     var = "lam" if deg_l > 0 else "mu"
     if f.is_constant():
         return set()
-    all_coeffs = _univariate_nums(f, var)
+    all_coeffs = [row[0] for row in _integer_grid(f, var)[0]]
 
     roots = set()
     low = 0
@@ -548,14 +545,9 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
 
     # a root p/q gives q - p | F(1), q + p | F(-1) (Gauss's lemma); d | v iff gcd(d, v) = |d|
     at_one, at_minus_one = sum(ints), _horner(ints, -1)
-    # Cauchy's bound: every root x has |x| < 1 + max_{i<n} |a_i| / |a_n|
-    lead = abs(ints[-1])
-    reach = lead + max(map(abs, ints[:-1]))
-    numerators = sorted(_divisors(ints[0]))
+    numerators = _divisors(ints[0])
     for q in _divisors(ints[-1]):
         for p in numerators:
-            if p * lead > reach * q:
-                break
             if gcd(p, q) != 1:
                 continue
             for num in (p, -p):

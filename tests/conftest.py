@@ -1,12 +1,14 @@
+import json
 from fractions import Fraction as Q
 from math import gcd
 from operator import mul
+from pathlib import Path
 
 import pytest
 
 from axial import linalg
-from axial.algebra import bilinear, eigen_decompose
-from axial.poly import _divisors, _homogeneous, _univariate_nums
+from axial.algebra import StructureAlgebra, bilinear, eigen_decompose
+from axial.poly import _divisors, _homogeneous, _integer_grid
 from axial.sakuma import build_universal, classify, solve_points
 
 # The oracle: the Norton-Sakuma algebras in table order, each with its
@@ -28,6 +30,14 @@ TOTAL_DIM = 37
 
 # (lam, mu) of each algebra, by name
 POINT_AT = {name: (lam, mu) for name, lam, mu, _, _ in POINT_TABLE}
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def three_c():
+    """The three-axis algebra of fixtures/3c.json, with xx = x and
+    xy = (x + y - z)/64 for its generators; a fresh copy on each call."""
+    return StructureAlgebra.from_json(json.loads((FIXTURES / "3c.json").read_text()))
 
 
 def fraction_inverse(m):
@@ -214,7 +224,7 @@ def ref_rational_roots(f):
     var = "lam" if f.degree("lam") > 0 else "mu"
     if f.is_constant():
         return set()
-    coeffs = _univariate_nums(f, var)
+    coeffs = [row[0] for row in _integer_grid(f, var)[0]]
     roots = {Q(0)} if coeffs[0] == 0 else set()
     while coeffs[0] == 0:
         coeffs = coeffs[1:]

@@ -7,14 +7,15 @@ criterion.
 from fractions import Fraction as Q
 
 from axial import linalg
-from axial.algebra import bilinear, check_axis, miyamoto, three_c, verify_form
+from axial.algebra import bilinear, check_axis, miyamoto, verify_form
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MU, MultiPoly, resultant
 from axial.sakuma import (A0, A1, AM1, LABELS, associativity_polynomials,
                           axis_eigenvectors, discrepancy_quotient,
                           rederive_products, solve_points)
 
-from conftest import POINT_AT, POINT_TABLE, TOTAL_DIM, fraction_inverse, ref_quotient_dimension
+from conftest import (POINT_AT, POINT_TABLE, TOTAL_DIM, fraction_inverse, ref_quotient_dimension,
+                      three_c)
 from test_fusion import V43_TABLE, V53_TABLE
 from test_sakuma import (EXPECTED_A_S1, EXPECTED_EVEN_2, EXPECTED_NU3, EXPECTED_NU4,
                          EXPECTED_ODD_2, EXPECTED_P1, EXPECTED_P2, EXPECTED_S1_S1, e8)

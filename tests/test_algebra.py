@@ -10,12 +10,12 @@ from axial import algebra as algebra_mod
 from axial import linalg
 from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, automorphism_defects,
                            bilinear, check_axis, defect, eigen_decompose, form, ideal_closure,
-                           miyamoto, pair, quotient, resurrect, three_c, verify_form)
+                           miyamoto, pair, quotient, resurrect, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
 from conftest import (POINT_AT, associates_with_zero_eigenvectors, fraction_inverse,
                       ref_ad_columns, ref_automorphism_defects, ref_ideal_closure,
-                      ref_violations)
+                      ref_violations, three_c)
 from axial.sakuma import EvalPoint, _eval_matrix, classify, discrepancy_quotient, evaluate_point
 from test_linalg import eye, rank_and_kernel, ref_reduce_vector
 
@@ -85,8 +85,16 @@ def automorphism_failures(algebra, m):
 
 
 def test_three_c_products(alg):
-    assert alg.multiply(e(0), e(1)) == [Q(1, 64), Q(1, 64), Q(-1, 64)]
-    assert alg.multiply(e(0), e(0)) == e(0)
+    # for every pair of generators x != y and z the third: xx = x,
+    # xy = (x + y - z)/64, <x, x> = 1 and <x, y> = 1/64
+    for x in range(3):
+        assert alg.multiply(e(x), e(x)) == e(x)
+        assert alg.form(e(x), e(x)) == 1
+        for y in set(range(3)) - {x}:
+            z = 3 - x - y
+            want = [Q(i + j - k, 64) for i, j, k in zip(e(x), e(y), e(z))]
+            assert alg.multiply(e(x), e(y)) == want
+            assert alg.form(e(x), e(y)) == Q(1, 64)
     assert alg.multiply(e(0), [Q(0)] * 3) == [Q(0)] * 3
 
 

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from axial.algebra import ShapeError, StructureAlgebra, three_c
+from axial.algebra import ShapeError, StructureAlgebra
 from axial import cli
 from axial.cli import main
 from axial.fusion import FusionRules, frobenius_refine, virasoro_rules
 from axial.sakuma import build_universal
 
-from conftest import POINT_AT
+from conftest import POINT_AT, three_c
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "3c.json"
@@ -163,6 +163,13 @@ def _string_product_set(data):
      _written({"central_charge": "1/2", "fields": ["1", "0"],
                "star": [["1", "1", ["1"]], ["1", "0", ["0"]], ["0", "0", ["1/4"]]]}),
      "star(0, 0) leaves the field set"),
+    # an exponent past the int-digit limit is refused before 10**e is formed
+    (["algebra", "check", "{file}"],
+     _edited(lambda data: data["product"][0][1].__setitem__(0, "1e10000000")),
+     "entry '1e10000000' is not a rational literal"),
+    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
+     _rules(lambda data: data["fields"].__setitem__(0, "1e-10000000")),
+     f"the exponent of '1e-10000000' exceeds the {sys.get_int_max_str_digits()}-digit limit"),
 ], ids=["fusion-one-number", "fusion-not-coprime", "fusion-table-not-coprime",
         "fusion-table-negative-p", "algebra-not-json", "algebra-wrong-shape",
         "algebra-marked-too-large",
@@ -174,7 +181,8 @@ def _string_product_set(data):
         "algebra-list-label", "algebra-marked-bool", "fusion-file-empty-object",
         "fusion-file-field-not-rational", "algebra-string-vectors", "algebra-string-gram-rows", "fusion-file-string-product-set",
         "fusion-file-string-fields", "fusion-file-duplicate-field",
-        "fusion-file-product-outside-fields"])
+        "fusion-file-product-outside-fields", "algebra-entry-huge-exponent",
+        "fusion-file-field-huge-exponent"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file, message):
     path = tmp_path / "input.json"
     if make_file is not None:

@@ -1,12 +1,15 @@
 import random
+import re
+import sys
+import time
 from fractions import Fraction as Q
 
 import pytest
 
 from axial import poly as poly_mod
-from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _newton_interpolate,
-                        _univariate_nums, evaluate_all, from_coefficients, leading_term,
-                        rational_roots, resultant)
+from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _literal, _newton_interpolate,
+                        evaluate_all, from_coefficients, leading_term, rational_roots,
+                        resultant)
 from axial.sakuma import EvalPoint, _eval_matrix, associativity_polynomials, evaluate_point
 from conftest import ref_quotient_dimension
 from test_linalg import ref_det
@@ -78,6 +81,20 @@ def test_multipoly_takes_exact_literals():
     assert MultiPoly({(1, 0): "1/2", (0, 1): 3}) == Q(1, 2) * LAM + 3 * MU
     f = MultiPoly({(1, 0): "2/4", (0, 0): Q(-1, 6)})
     assert (f.nums, f.den) == ({(1, 0): 3, (0, 0): -1}, 6)
+
+
+def test_a_literal_exponent_is_held_to_the_int_digit_limit():
+    # forming 10**e for "1e10000000" takes seconds, so the exponent meets the
+    # limit int() puts on a string's digits, in either sign, before that
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    for text in ("1e10000000", "-2E-10000000", f"1e{limit + 1}", f" 3e-{limit + 1} "):
+        with pytest.raises(ValueError, match=f"^the exponent of {re.escape(repr(text))} "
+                                             f"exceeds the {limit}-digit limit$"):
+            _literal(text)
+    assert time.perf_counter() - start < 0.5
+    assert _literal(f"1e{limit}") == 10 ** limit and _literal(f"1e-{limit}") == Q(1, 10 ** limit)
+    assert _literal("1e400") == 10 ** 400
 
 
 def test_json_round_trip():
@@ -418,14 +435,12 @@ def test_rational_roots_recheck_every_candidate(monkeypatch):
 @pytest.mark.parametrize("call, message", [
     (lambda: rational_roots(MultiPoly()), "rational_roots of the zero polynomial"),
     (lambda: rational_roots(LAM * MU + 1), "polynomial is not univariate"),
-    (lambda: _univariate_nums(LAM * MU, "lam"), "polynomial is not univariate"),
     (lambda: leading_term(MultiPoly()), "zero polynomial has no leading term"),
     (lambda: (LAM + 1).constant_value(), "polynomial is not constant"),
     (lambda: LAM ** -1, "exponent must be a non-negative integer"),
     (lambda: MultiPoly.variable("nu"), "unknown variable 'nu'"),
-], ids=["roots-of-zero", "roots-of-bivariate", "univariate-nums-of-bivariate",
-        "leading-term-of-zero", "constant-value-of-nonconstant", "negative-power",
-        "unknown-variable"])
+], ids=["roots-of-zero", "roots-of-bivariate", "leading-term-of-zero",
+        "constant-value-of-nonconstant", "negative-power", "unknown-variable"])
 def test_argument_errors_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -478,10 +493,11 @@ def test_resultant_and_roots_against_sympy(uni, eliminate, kept):
 
 
 @pytest.mark.parametrize("roots", [
-    # 1000 is far from the other roots, well inside Cauchy's bound of about 2319
+    # 1000 is far from the other roots: a search that stops early at some
+    # size of candidate has to reach it
     {Q(1, 64), Q(1000), Q(-7, 3)},
-    # (2x + 1)(x - 2): the root 2 lies past max |a_i| / |a_n| = 3/2, inside
-    # the bound 1 + 3/2, so a bound one lower would miss it
+    # (2x + 1)(x - 2): the root 2 lies past every ratio |a_i| / |a_n| = 3/2
+    # of the coefficients, so a search that stops there misses it
     {Q(-1, 2), Q(2)},
 ], ids=["far-root", "root-near-the-bound"])
 def test_rational_roots_against_sympy(roots):

@@ -30,14 +30,14 @@ from hypothesis import strategies as st  # noqa: E402
 from axial import cli, linalg  # noqa: E402
 from axial.algebra import (ShapeError, StructureAlgebra, _entry_ratio,  # noqa: E402
                            automorphism_defects, bilinear, check_axis, defect, ideal_closure,
-                           pair, three_c, verify_form)
+                           pair, verify_form)
 from axial.fusion import FusionRules, frobenius_refine, virasoro_rules  # noqa: E402
 from axial.poly import (MultiPoly, _literal, dot, evaluate_all, rational_roots,  # noqa: E402
                         resultant)
 from axial.sakuma import A0, A1, EvalPoint, discrepancy_quotient, evaluate_point  # noqa: E402
 from conftest import (fraction_inverse, ref_automorphism_defects, ref_ideal_closure,  # noqa: E402
                       ref_integer_rref, ref_quotient_dimension, ref_rational_roots,
-                      ref_violations)
+                      ref_violations, three_c)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 
@@ -339,8 +339,11 @@ def test_projection_membership_matches_the_rank(data):
     basis, pivots = linalg.integer_rref(m)
     proj, scale, complement = linalg.complement_projection(basis, pivots, n)
     # the kernel of m is the canonical basis of the span of P's rows, and
-    # m kills each of its rows (a matrix with no rows has no column count)
-    if m:
+    # m kills each of its rows; a matrix with no rows has no column count
+    if not m:
+        with pytest.raises(ValueError, match="^the kernel of a matrix with no rows"):
+            linalg.integer_kernel(m)
+    else:
         kernel = linalg.integer_kernel(m)
         assert kernel == linalg.echelon_span(kernel) == linalg.echelon_span(proj)
         assert len(kernel) == n - len(basis)

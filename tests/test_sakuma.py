@@ -4,7 +4,7 @@ import pytest
 
 from axial import linalg, sakuma
 from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, bilinear,
-                           check_symmetric, defect, form_tensor, three_c, verify_form)
+                           check_symmetric, defect, form_tensor, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import LAM, MU, MultiPoly, rational_roots, resultant
 from axial.sakuma import (A0, A1, AM1, AM2, A2, LABELS, S1, S2E, S2O, UniversalAlgebra,
@@ -16,7 +16,7 @@ from axial.sakuma import (A0, A1, AM1, AM2, A2, LABELS, S1, S2E, S2O, UniversalA
                           rederive_products, solve_points)
 
 from conftest import (POINT_AT, POINT_TABLE, TOTAL_DIM, associates_with_zero_eigenvectors,
-                      fraction_inverse, ref_form_tensor, ref_quotient_dimension)
+                      fraction_inverse, ref_form_tensor, ref_quotient_dimension, three_c)
 from test_poly import to_sympy
 
 
