@@ -13,7 +13,6 @@ Subpackages:
 from .poly import MultiPoly, LAM, MU
 from .fusion import FusionRules, Grading, virasoro_rules, central_charge
 from .algebra import StructureAlgebra, AxisReport, check_axis
-from .sakuma import build_universal, classify, solve_points
 
 __all__ = [
     "MultiPoly",
@@ -26,7 +25,4 @@ __all__ = [
     "StructureAlgebra",
     "AxisReport",
     "check_axis",
-    "build_universal",
-    "classify",
-    "solve_points",
 ]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -172,17 +173,14 @@ class StructureAlgebra:
         check_symmetric(table, gram_table)
         self.table, self.den = table, den
         self.gram_table, self.gram_den = gram_table, gram_den
-        self._fibres = None
 
-    @property
+    @cached_property
     def fibres(self):
         """F[r][j] = (T[0][j][r], ..., T[n-1][j][r]) for the integer tensor
         T: entry (r, j) of den ad(v) is the dot product of v with F[r][j].
         Built on first use, by transposing each slice T[.][j]."""
-        if self._fibres is None:
-            by_column = [list(zip(*(row[j] for row in self.table))) for j in range(self.dim)]
-            self._fibres = [list(col) for col in zip(*by_column)]
-        return self._fibres
+        by_column = [list(zip(*(row[j] for row in self.table))) for j in range(self.dim)]
+        return [list(col) for col in zip(*by_column)]
 
     @property
     def product(self):
@@ -454,9 +452,7 @@ def miyamoto(algebra: StructureAlgebra, report: AxisReport, grading: Grading):
     signed = [[s * x for x in row] for s, row in zip(signs, inv)]
     tau, d = linalg.lowest_terms(linalg.matmul(linalg.transpose(columns), signed), d)
 
-    n = algebra.dim
-    if linalg.matmul(tau, tau) != [[d * d if i == j else 0 for j in range(n)]
-                                   for i in range(n)]:
+    if linalg.matrix_order(tau, 2, d) is None:
         raise ConsistencyError("the involution does not square to the identity")
     gram = algebra.gram_table
     image = linalg.matmul(linalg.matmul(linalg.transpose(tau), gram), tau)
@@ -548,18 +544,6 @@ def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
             sum(map(mul, u, gv)) for x, basis in enumerate(bases) for later in images[x + 1:]
             for u in basis for gv in later)
     return FormReport(True, not failures, failures, perpendicular)
-
-
-def resurrect(multiply, a, b_lm, b_0, lm):
-    """Recover x from its corrections b_lm, b_0 into two eigenspaces:
-    x = (1/lm) multiply(a, b_lm - b_0) - b_lm."""
-    lm = Fraction(lm)
-    if lm == 0:
-        raise ValueError("the eigenvalue must be nonzero")
-    diff = [p - q for p, q in zip(b_lm, b_0)]
-    image = multiply(a, diff)
-    inv = 1 / lm
-    return [inv * w - b for w, b in zip(image, b_lm)]
 
 
 # -- ideals and quotients -----------------------------------------------------

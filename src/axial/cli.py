@@ -37,7 +37,6 @@ from types import SimpleNamespace
 
 from . import algebra as algebra_mod
 from . import fusion as fusion_mod
-from . import sakuma as sakuma_mod
 from .algebra import ConsistencyError
 
 
@@ -53,7 +52,8 @@ def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # json.load recurses once per nesting level
         raise UsageError(f"cannot read {path} as JSON: {exc}") from None
 
 
@@ -142,6 +142,7 @@ def _cmd_algebra_check(args) -> int:
 
 
 def _cmd_sakuma(args) -> int:
+    from . import sakuma as sakuma_mod  # here, so no other command loads it
     try:
         uni = sakuma_mod.build_universal()
     except ConsistencyError as exc:

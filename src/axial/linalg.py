@@ -13,20 +13,17 @@ primitive integer rows of its reduced echelon form with positive pivots
 exactly when P w = 0 for its `complement_projection` P, and the rows of P
 span the kernel of the basis, which is how `integer_kernel` reads a kernel
 off an echelon form; the kernel comes back as its canonical basis too.
-Only `rref` hands back Fractions: the monic reduced echelon form.
-`matvec` and `matmul` are generic over the ring, each entry one
-`poly.dot`: they serve matrices over the polynomial ring, and return ints
-for int matrices and Fractions for Fraction ones.
+Echelon forms come back as integer rows only; no function here makes a
+Fraction it was not given.  `matvec` and `matmul` are generic over the
+ring, each entry one `poly.dot`: they serve matrices over the polynomial
+ring, and return ints for int matrices and Fractions for Fraction ones.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import poly
-
-_ZERO = Fraction(0)
 
 
 def clear_denominators(v):
@@ -140,20 +137,6 @@ def integer_rref(rows):
     return [row if row[c] > 0 else [-x for x in row] for row, c in zip(work, pivots)], pivots
 
 
-def rref(m):
-    """Reduced row echelon form of a rational matrix.  Returns (rref, pivot_cols).
-
-    The rows are cleared to integers and reduced by `integer_rref`; no
-    rational arithmetic happens until each pivot row is divided by its
-    pivot at the end.
-    """
-    work, pivots = integer_rref([clear_denominators(row)[0] for row in m])
-    red = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(work, pivots)]
-    n_cols = len(m[0]) if m else 0
-    red.extend([_ZERO] * n_cols for _ in range(len(m) - len(pivots)))
-    return red, pivots
-
-
 def integer_det(rows) -> int:
     """Determinant of a square integer matrix by Bareiss elimination.
 
@@ -232,7 +215,7 @@ def complement_projection(rows, pivots, n_cols):
 
 def matrix_order(m, bound: int, den=1) -> int | None:
     """Least k <= bound with (m / den)**k the identity, else None.  For an
-    integer m the powers stay integers; Fraction entries work the same way."""
+    integer m the powers stay integers; Fraction and MultiPoly entries work too."""
     n = len(m)
     power = m
     for k in range(1, bound + 1):

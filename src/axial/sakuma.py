@@ -41,7 +41,7 @@ from functools import cache, partial
 from . import linalg
 from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
                       bilinear, check_axis, check_symmetric, defect, form, form_defects,
-                      ideal_closure, miyamoto, pair, quotient, resurrect)
+                      ideal_closure, miyamoto, pair, quotient)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
 from .poly import (LAM, MU, ONE, VARS, ZERO, MultiPoly, evaluate_all, leading_term,
@@ -220,10 +220,12 @@ def build_universal() -> UniversalAlgebra:
 
     def resurrected(x, y0, y_alpha, p, q):
         """e_p e_q from x y0 in the 0-space and x y_alpha in the alpha-space
-        of a_0, for x in its 0-space: 0*0 = {0} and 0*alpha = {alpha}."""
+        of a_0, for x in its 0-space (0*0 = {0}, 0*alpha = {alpha}): if they
+        are e_p e_q + b_0 and + b_alpha, e_p e_q = a_0 (b_alpha - b_0) / alpha - b_alpha."""
         (c_alpha, r_alpha), (c0, r0) = split(x, y_alpha, p, q), split(x, y0, p, q)
-        return resurrect(mult, e(A0), scale_vec(1 / c_alpha, r_alpha),
-                         scale_vec(1 / c0, r0), alpha)
+        b_alpha = scale_vec(1 / c_alpha, r_alpha)
+        image = mult(e(A0), sub_vec(b_alpha, scale_vec(1 / c0, r0)))
+        return sub_vec(scale_vec(1 / alpha, image), b_alpha)
 
     t = linalg.matvec
     zero = _vec({})
@@ -287,10 +289,9 @@ def build_universal() -> UniversalAlgebra:
 
 
 def _verify_symmetries(uni: UniversalAlgebra):
-    ident = [[ONE if i == j else ZERO for j in range(8)] for i in range(8)]
-    if linalg.matmul(uni.tau0, uni.tau0) != ident:
+    if linalg.matrix_order(uni.tau0, 2) is None:
         raise ConsistencyError("tau0 is not an involution")
-    if linalg.matmul(uni.flip, uni.flip) != ident:
+    if linalg.matrix_order(uni.flip, 2) is None:
         raise ConsistencyError("the flip is not an involution")
     if linalg.matmul(linalg.matmul(linalg.transpose(uni.tau0), uni.gram), uni.tau0) != uni.gram:
         raise ConsistencyError("tau0 does not preserve the form")
@@ -315,14 +316,19 @@ def _axis_sigma_form(prod, g):
     """The form between the axes and the sigmas, and <s1, s1>.
 
     On a window pair, <a_p, sigma_pq> = <a_q, a_p a_p> - beta (<a_q, a_p> + 1)
-    by idempotence.  <a0, s2o> and <a1, s2e> re-associate across one window
-    product and are carried to the other axes of their parity, which
-    _complete_gram's loop checks.  <s1, s1> is <a0, a1 s1> - ..., and the
-    route through <a1, a0 s1> must agree.
+    by idempotence.  An axis in two window pairs of one sigma reaches its
+    value from both, and the two must agree.  <a0, s2o> and <a1, s2e>
+    re-associate across one window product and are carried to the other
+    axes of their parity, which _complete_gram's loop checks.  <s1, s1> is
+    <a0, a1 s1> - ..., and the route through <a1, a0 s1> must agree.
     """
     for p, q, sig in WINDOW:
-        _put(g, p, sig, _sigma_form(prod, g, q, p, p))
-        _put(g, q, sig, _sigma_form(prod, g, p, q, q))
+        for k, other in ((p, q), (q, p)):
+            value = _sigma_form(prod, g, other, k, k)
+            if g[k][sig] is None:
+                _put(g, k, sig, value)
+            elif g[k][sig] != value:
+                raise ConsistencyError(f"two routes disagree for <{LABELS[k]}, {LABELS[sig]}>")
     for k, sig, parity in ((A0, S2O, (AM2, A0, A2)), (A1, S2E, (AM1, A1))):
         value = _reassociated(prod, g, k, sig)
         for j in parity:

@@ -10,14 +10,14 @@ from axial import algebra as algebra_mod
 from axial import linalg
 from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, automorphism_defects,
                            bilinear, check_axis, defect, eigen_decompose, form, ideal_closure,
-                           miyamoto, pair, quotient, resurrect, verify_form)
+                           miyamoto, pair, quotient, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
 from conftest import (POINT_AT, associates_with_zero_eigenvectors, fraction_inverse,
                       ref_ad_columns, ref_automorphism_defects, ref_ideal_closure,
                       ref_violations, three_c)
 from axial.sakuma import EvalPoint, _eval_matrix, classify, discrepancy_quotient, evaluate_point
-from test_linalg import eye, rank_and_kernel, ref_reduce_vector
+from test_linalg import eye, rank_and_kernel, ref_reduce_vector, ref_rref
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "3c.json"
 
@@ -289,22 +289,6 @@ def test_verify_form_detects_failure(alg, rules):
 
 def test_seress_associativity(alg):
     assert associates_with_zero_eigenvectors(alg, e(0))
-
-
-def test_resurrect_recovers_vector(alg):
-    target = [Q(3), Q(-2), Q(5)]
-    gamma = [Q(0), Q(1), Q(-1)]      # 1/32-eigenvector of the first axis
-    zero_vec = [Q(1), Q(-32), Q(-32)]  # 0-eigenvector
-    b_lm = [g - t for g, t in zip(gamma, target)]
-    b_0 = [z - t for z, t in zip(zero_vec, target)]
-    assert resurrect(alg.multiply, e(0), b_lm, b_0, Q(1, 32)) == target
-
-
-def test_resurrect_zero_and_errors(alg):
-    zero = [Q(0)] * 3
-    assert resurrect(alg.multiply, e(0), zero, zero, Q(1, 4)) == zero
-    with pytest.raises(ValueError):
-        resurrect(alg.multiply, e(0), zero, zero, 0)
 
 
 def test_ideal_closure_trivial_cases(alg):
@@ -622,11 +606,12 @@ def test_miyamoto_refuses_an_involution_that_moves_the_form(rules, grading):
 # -- the integer tables against the Fraction route they replaced ---------------
 #
 # ref_quotient is the former quotient: every product vector and basis vector
-# reduced through the ideal by its monic Fraction rows (ref_reduce_vector).
+# reduced through the ideal by its monic Fraction rows (ref_rref,
+# ref_reduce_vector).
 
 
 def ref_quotient(algebra, ideal):
-    basis, pivots = linalg.rref(ideal)
+    basis, pivots = ref_rref(ideal)
     complement = [c for c in range(algebra.dim) if c not in pivots]
     proj = linalg.transpose(
         [[ref_reduce_vector(basis, algebra.basis_vector(j))[c] for c in complement]

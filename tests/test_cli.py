@@ -11,6 +11,7 @@ from axial.algebra import ShapeError, StructureAlgebra
 from axial import cli
 from axial.cli import main
 from axial.fusion import FusionRules, frobenius_refine, virasoro_rules
+from axial.poly import MultiPoly
 from axial.sakuma import build_universal
 
 from conftest import POINT_AT, three_c
@@ -104,6 +105,11 @@ def _written(data):
     return make
 
 
+def _nested(path):
+    # json.load recurses once per level, so this raises RecursionError
+    path.write_text("[" * sys.getrecursionlimit())
+
+
 def _string_product_set(data):
     # 0 * 0 = {1, 0} written as the string "01" in place of ["0", "1"]
     data["star"] = [[f, g, "".join(h) if (f, g) == ("0", "0") else h]
@@ -170,6 +176,9 @@ def _string_product_set(data):
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
      _rules(lambda data: data["fields"].__setitem__(0, "1e-10000000")),
      f"the exponent of '1e-10000000' exceeds the {sys.get_int_max_str_digits()}-digit limit"),
+    (["algebra", "check", "{file}"], _nested, "while decoding a JSON array from a unicode string"),
+    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"], _nested,
+     "while decoding a JSON array from a unicode string"),
 ], ids=["fusion-one-number", "fusion-not-coprime", "fusion-table-not-coprime",
         "fusion-table-negative-p", "algebra-not-json", "algebra-wrong-shape",
         "algebra-marked-too-large",
@@ -182,7 +191,8 @@ def _string_product_set(data):
         "fusion-file-field-not-rational", "algebra-string-vectors", "algebra-string-gram-rows", "fusion-file-string-product-set",
         "fusion-file-string-fields", "fusion-file-duplicate-field",
         "fusion-file-product-outside-fields", "algebra-entry-huge-exponent",
-        "fusion-file-field-huge-exponent"])
+        "fusion-file-field-huge-exponent", "algebra-nested-too-deep",
+        "fusion-file-nested-too-deep"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file, message):
     path = tmp_path / "input.json"
     if make_file is not None:
@@ -270,15 +280,18 @@ def test_algebra_check_polynomial_entry_exits_2(tmp_path, capsys):
 def test_startup_loads_no_dataclass_machinery():
     # every command pays for each module `import axial.cli` loads:
     # dataclasses with inspect, ast, dis and tokenize cost about 8 ms, and
-    # argparse with gettext about 3 ms
+    # argparse with gettext about 3 ms; only the sakuma commands need
+    # axial.sakuma
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import axial.cli; "
-            "axial.cli.main(['fusion', 'vir', '4', '3', '--json']); "
-            "print(sorted({'argparse', 'dataclasses', 'inspect'} & sys.modules.keys()))")
-    done = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
-                          capture_output=True, text=True, check=True)
-    *printed, loaded = done.stdout.splitlines(keepends=True)
-    assert "".join(printed) == (ROOT / "tests" / "golden" / "fusion_vir_4_3.json").read_text()
-    assert loaded == "[]\n"
+            "axial.cli.main(sys.argv[2:]); print(sorted({'argparse', 'dataclasses', "
+            "'inspect', 'axial.sakuma'} & sys.modules.keys()))")
+    for argv, golden in ((["fusion", "vir", "4", "3", "--json"], "fusion_vir_4_3.json"),
+                         (["algebra", "check", str(FIXTURE)], "3c_check.txt")):
+        done = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src"), *argv],
+                              capture_output=True, text=True, check=True)
+        *printed, loaded = done.stdout.splitlines(keepends=True)
+        assert "".join(printed) == (ROOT / "tests" / "golden" / golden).read_text()
+        assert loaded == "[]\n"
 
 
 @pytest.mark.parametrize("argv, phrase", [
@@ -369,6 +382,30 @@ def test_each_refined_table_is_built_once_per_process(monkeypatch, capsys):
     for _ in range(2):
         run(capsys, "algebra", "check", str(FIXTURE), "--fusion", narrow)
     assert len(refined) == 3
+
+
+def test_a_rules_file_without_a_zero_field_is_read_unrefined(tmp_path, monkeypatch, capsys):
+    # the Frobenius refinement splits the field 0, so a law without it is
+    # used as read, with or without --raw
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"central_charge": "1/2", "fields": ["1", "1/4"],
+                                "star": [["1", "1", ["1"]], ["1", "1/4", ["1/4"]],
+                                         ["1/4", "1/4", ["1"]]]}))
+    rules = FusionRules.from_json(json.loads(path.read_text()))
+    assert cli._refined(rules) is rules
+    monkeypatch.setattr(cli.fusion_mod, "frobenius_refine", None)  # never called
+    code, out = run(capsys, "algebra", "check", str(FIXTURE), "--fusion", str(path), "--json")
+    assert (code, out) == run(capsys, "algebra", "check", str(FIXTURE), "--fusion", str(path),
+                              "--raw", "--json")
+    assert code == 1 and json.loads(out)["axes"]["a"]["spectrum"] == {"1": 1, "1/4": 0}
+
+
+def test_vector_text_writes_minus_one_as_a_sign_and_zero_as_0():
+    one, lam = MultiPoly.const(1), MultiPoly({(1, 0): 1})
+    labels = ["a", "b", "c", "d"]
+    assert cli._vector_text([-one, 0 * one, lam - 1, -one], labels) == "-a + (lam - 1)*c - d"
+    assert cli._vector_text([one, -2 * lam, 0 * one, one], labels) == "a - 2*lam*b + d"
+    assert cli._vector_text([0 * one] * 4, labels) == "0"
 
 
 def test_sakuma_solve(capsys):

@@ -33,6 +33,14 @@ def test_ring_basics():
     assert Q(1, 2) * (2 * f) == f
 
 
+def test_str_writes_a_coefficient_of_minus_one_as_a_sign():
+    assert str(-LAM) == "-lam"
+    assert str(1 - LAM * MU**2) == "-lam*mu^2 + 1"
+    assert str(LAM - MU) == "lam - mu"
+    assert str(Q(-3, 2) * LAM**2 - 1) == "-3/2*lam^2 - 1"
+    assert str(MultiPoly()) == "0"
+
+
 def test_product_degree_adds():
     rng = random.Random(7)
     for _ in range(40):

@@ -228,6 +228,26 @@ def test_a_wrong_window_product_fails_the_re_association(monkeypatch):
         sakuma.build_universal()
 
 
+@pytest.mark.parametrize("route, value", [
+    ((AM2, AM1, AM1), "a-1, s1"),
+    ((AM1, A0, A0), "a0, s1"),
+    ((A0, A1, A1), "a1, s1"),
+    ((AM2, A0, A0), "a0, s2e"),
+], ids=["a-1-s1", "a0-s1", "a1-s1", "a0-s2e"])
+def test_the_two_window_routes_to_an_axis_sigma_value_must_agree(monkeypatch, route, value):
+    # each of these values is reached from two window pairs; the first route,
+    # shifted by 1, must be caught by the second, not overwritten by it
+    real = sakuma._sigma_form
+
+    def shifted(prod, g, p, q, w):
+        out = real(prod, g, p, q, w)
+        return out + 1 if (p, q, w) == route else out
+
+    monkeypatch.setattr(sakuma, "_sigma_form", shifted)
+    with pytest.raises(ConsistencyError, match=rf"^two routes disagree for <{value}>$"):
+        sakuma.build_universal()
+
+
 @pytest.mark.parametrize("call, message", [
     (0, "tau0 is not an involution"),
     (1, "the flip is not an involution"),
@@ -862,12 +882,16 @@ def test_classify_refuses_an_axis_that_fails_its_check(uni, monkeypatch):
 @pytest.mark.parametrize("call, message", [(1, "involution product"), (2, "axis-shift")],
                          ids=["involution-product", "axis-shift"])
 def test_classify_refuses_an_order_beyond_12(uni, monkeypatch, call, message):
-    # classify asks matrix_order for the involution product, then the shift
+    # classify asks matrix_order for the involution product, then the shift,
+    # each up to 12; miyamoto asks it whether each involution squares to 1
     real, calls = linalg.matrix_order, []
 
-    def order(*args):
-        calls.append(args)
-        return None if len(calls) == call else real(*args)
+    def order(m, bound, den=1):
+        if bound == 12:
+            calls.append(m)
+            if len(calls) == call:
+                return None
+        return real(m, bound, den)
 
     monkeypatch.setattr(linalg, "matrix_order", order)
     with pytest.raises(ConsistencyError, match=rf"^{message} order exceeds 12 at \(0, 1\)$"):
