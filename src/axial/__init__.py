@@ -12,7 +12,7 @@ Subpackages:
 
 from .poly import MultiPoly, LAM, MU
 from .fusion import FusionRules, Grading, virasoro_rules, central_charge
-from .algebra import StructureAlgebra, AxisReport, check_axis
+from .algebra import StructureAlgebra, AxisReport, certify, check_axis
 
 __all__ = [
     "MultiPoly",
@@ -24,5 +24,6 @@ __all__ = [
     "central_charge",
     "StructureAlgebra",
     "AxisReport",
+    "certify",
     "check_axis",
 ]

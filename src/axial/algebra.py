@@ -15,10 +15,10 @@ rows, by comparing them or by their complement projection
 (linalg.complement_projection); the fusion law is decided by coordinates
 in an eigenframe of the axis, inverted once, with the eigenspaces and the
 law (FusionRules.law) taken by field position (see check_axis); miyamoto
-takes the eigenspaces and that inverse from the axis report.  The symbolic
-algebra over Q[lam, mu] is not a StructureAlgebra: it is two bare
-MultiPoly tables (see sakuma.UniversalAlgebra), which the ring-generic
-kernel below serves as well.
+takes the eigenspaces and that inverse from the axis report, and certify
+passes them to verify_form.  The symbolic algebra over Q[lam, mu] is two
+bare MultiPoly tables (sakuma.UniversalAlgebra), not a StructureAlgebra;
+the ring-generic kernel below serves it as well.
 """
 
 from __future__ import annotations
@@ -348,9 +348,9 @@ class AxisReport(namedtuple("AxisReport", "idempotent norm_ok spectrum semisimpl
     """Outcome of the axis conditions for one idempotent candidate.
 
     spaces holds the canonical integer eigenspace bases behind spectrum, by
-    candidate, which miyamoto and verify_form take; inverse is (N, d) with
-    N / d the inverse of the eigenframe check_axis inverted, which miyamoto
-    takes too.  Neither is serialised.
+    candidate, which miyamoto takes and certify passes to verify_form;
+    inverse is (N, d) with N / d the inverse of the eigenframe check_axis
+    inverted, which miyamoto takes too.  Neither is serialised.
     """
 
     __slots__ = ()
@@ -520,7 +520,7 @@ class FormReport(namedtuple("FormReport",
         }
 
 
-def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
+def verify_form(algebra: StructureAlgebra, spaces) -> FormReport:
     """Check associativity <xy, z> = <x, yz> on all basis triples, and
     perpendicularity of distinct eigenspaces at each axis in spaces.
 
@@ -537,13 +537,35 @@ def verify_form(algebra: StructureAlgebra, spaces=None) -> FormReport:
     # the integer defects are the rational ones times den * gram_den
     failures = [triple for triple, _ in form_defects(algebra.table, gram)]
     perpendicular = {}
-    for label, eigen in (spaces or {}).items():
+    for label, eigen in spaces.items():
         bases = list(eigen.values())
         images = [[[sum(map(mul, row, v)) for row in gram] for v in basis] for basis in bases]
         perpendicular[label] = not any(
             sum(map(mul, u, gv)) for x, basis in enumerate(bases) for later in images[x + 1:]
             for u in basis for gv in later)
     return FormReport(True, not failures, failures, perpendicular)
+
+
+class Certificate(namedtuple("Certificate", "axes form")):
+    """Whether an algebra is a Frobenius axial algebra for a law: check_axis's
+    report on each axis, by label, and verify_form's report with their
+    eigenspaces.  It fails with no axis, for no axis generates the algebra."""
+
+    __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.axes) and self.form.passed and all(r.passed for r in self.axes.values())
+
+    def to_json(self) -> dict:
+        return {"axes": {k: r.to_json() for k, r in self.axes.items()},
+                "form": self.form.to_json(), "passed": self.passed}
+
+
+def certify(algebra: StructureAlgebra, axes, rules: FusionRules) -> Certificate:
+    """check_axis on each vector of axes, by label, then verify_form with their eigenspaces."""
+    reports = {label: check_axis(algebra, a, rules) for label, a in axes.items()}
+    return Certificate(reports, verify_form(algebra, {k: r.spaces for k, r in reports.items()}))
 
 
 # -- ideals and quotients -----------------------------------------------------

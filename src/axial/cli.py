@@ -10,7 +10,7 @@ Usage::
     axial sakuma rederive
 
 fusion vir prints the Virasoro fusion table V(P, Q) and its Z/2-gradings.
-algebra check verifies the marked axes and the form of an algebra in JSON
+algebra check certifies the marked axes and the form of an algebra in JSON
 under the fusion law (default vir:4,3, Frobenius-refined unless --raw).
 sakuma table, solve, classify and rederive build the universal algebra of
 Sakuma's theorem: its symbolic table, the certified (lam, mu) points, the
@@ -118,27 +118,18 @@ def _cmd_algebra_check(args) -> int:
     except algebra_mod.ShapeError as exc:
         raise UsageError(f"{args.file}: {exc}") from None
     rules = _load_rules(args.fusion, refine=not args.raw)
-    axis_reports = {}
-    for idx in alg.marked:
-        report = algebra_mod.check_axis(alg, alg.basis_vector(idx), rules)
-        axis_reports[alg.labels[idx]] = report
-    form_report = algebra_mod.verify_form(
-        alg, {label: report.spaces for label, report in axis_reports.items()})
-    ok = form_report.passed and all(r.passed for r in axis_reports.values())
+    cert = algebra_mod.certify(
+        alg, {alg.labels[idx]: alg.basis_vector(idx) for idx in alg.marked}, rules)
     if args.json:
-        _emit({
-            "axes": {k: r.to_json() for k, r in axis_reports.items()},
-            "form": form_report.to_json(),
-            "passed": ok,
-        })
+        _emit(cert.to_json())
     else:
-        for label, report in axis_reports.items():
+        for label, report in cert.axes.items():
             spectrum = ", ".join(f"{f}:{d}" for f, d in sorted(report.spectrum.items(),
                                                                reverse=True) if d)
             print(f"axis {label}: {'ok' if report.passed else 'FAIL'} (spectrum {spectrum})")
-        print(f"form: {'ok' if form_report.passed else 'FAIL'}")
-        print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+        print(f"form: {'ok' if cert.form.passed else 'FAIL'}")
+        print("PASS" if cert.passed else "FAIL")
+    return 0 if cert.passed else 1
 
 
 def _cmd_sakuma(args) -> int:

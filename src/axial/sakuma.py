@@ -40,7 +40,7 @@ from functools import cache, partial
 
 from . import linalg
 from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
-                      bilinear, check_axis, check_symmetric, defect, form, form_defects,
+                      bilinear, certify, check_symmetric, defect, form, form_defects,
                       ideal_closure, miyamoto, pair, quotient)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
@@ -634,12 +634,12 @@ def classify(uni: UniversalAlgebra) -> ClassificationReport:
 
     uni is the universal algebra as build_universal returns it.  Each
     point's quotient is taken once, by the ideal closed under multiplication
-    and the two symmetries (see discrepancy_quotient).  Both generators must
-    verify as axes in every quotient; the axis shift must move a_0 to a_1;
-    and the product of the two Miyamoto involutions must have the order the
-    shift's orbit determines.  Any failure raises ConsistencyError.  The
-    reports come sorted by (shift order, dimension, mu) and are named by
-    norton_sakuma_name.
+    and the two symmetries (see discrepancy_quotient).  Each quotient must
+    pass certify on the two generators, axes and form; the axis shift must
+    move a_0 to a_1; and the product of the two Miyamoto involutions must
+    have the order the shift's orbit determines.  Any failure raises
+    ConsistencyError.  The reports come sorted by (shift order, dimension,
+    mu) and are named by norton_sakuma_name.
     """
     rules, grading = ising_law()[:2]
 
@@ -648,10 +648,12 @@ def classify(uni: UniversalAlgebra) -> ClassificationReport:
         disc = discrepancy_quotient(uni, pt)
         quot, proj = disc.quotient, disc.projection
         ax0, ax1 = ([row[i] for row in proj] for i in (A0, A1))
-        rep0 = check_axis(quot, ax0, rules)
-        rep1 = check_axis(quot, ax1, rules)
+        cert = certify(quot, {LABELS[A0]: ax0, LABELS[A1]: ax1}, rules)
+        rep0, rep1 = cert.axes.values()
         if not (rep0.passed and rep1.passed):
             raise ConsistencyError(f"axis verification failed at {pt.name}")
+        if not cert.form.passed:
+            raise ConsistencyError(f"form verification failed at {pt.name}")
         try:
             tau_a, da = miyamoto(quot, rep0, grading)
             tau_b, db = miyamoto(quot, rep1, grading)
@@ -669,6 +671,9 @@ def classify(uni: UniversalAlgebra) -> ClassificationReport:
             raise ConsistencyError(f"axis-shift order exceeds 12 at {pt.name}")
         if linalg.matvec(shift, ax0) != linalg.scale_vec(d, ax1):
             raise ConsistencyError(f"axis shift does not move a0 to a1 at {pt.name}")
+        if order != expected_miyamoto_product_order(shift_order):
+            raise ConsistencyError(f"involution product order {order} does not match "
+                                   f"axis-shift order {shift_order} at {pt.name}")
 
         g, gd = disc.evaluated.gram_table, disc.evaluated.gram_den
         gram_values = {"lambda": Q(g[A0][A1], gd), "mu": Q(g[A0][A2], gd),

@@ -7,7 +7,7 @@ criterion.
 from fractions import Fraction as Q
 
 from axial import linalg
-from axial.algebra import bilinear, check_axis, miyamoto, verify_form
+from axial.algebra import bilinear, certify, miyamoto
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MU, MultiPoly, resultant
 from axial.sakuma import (A0, A1, AM1, LABELS, associativity_polynomials,
@@ -48,12 +48,12 @@ def test_criterion_2_three_axis_fixture():
     alg = three_c()
     rules = frobenius_refine(virasoro_rules(4, 3))
     grading = next(g for g in find_z2_gradings(rules) if not g.trivial)
-    reports = [check_axis(alg, alg.basis_vector(i), rules) for i in range(3)]
+    cert = certify(alg, {alg.labels[i]: alg.basis_vector(i) for i in range(3)}, rules)
+    reports = list(cert.axes.values())
     for report in reports:
         assert report.passed
         assert report.spectrum[Q(1, 4)] == 0
-    form = verify_form(alg, {alg.labels[i]: r.spaces for i, r in enumerate(reports)})
-    assert form.passed and form.assoc_failures == []
+    assert cert.passed and cert.form.assoc_failures == []
     tau, d = miyamoto(alg, reports[0], grading)  # the involution is tau / d
     b, c = alg.basis_vector(1), alg.basis_vector(2)
     assert linalg.matvec(tau, b) == linalg.scale_vec(d, c)

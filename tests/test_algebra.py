@@ -9,8 +9,8 @@ import pytest
 from axial import algebra as algebra_mod
 from axial import linalg
 from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, automorphism_defects,
-                           bilinear, check_axis, defect, eigen_decompose, form, ideal_closure,
-                           miyamoto, pair, quotient, verify_form)
+                           bilinear, certify, check_axis, defect, eigen_decompose, form,
+                           ideal_closure, miyamoto, pair, quotient, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
 from conftest import (POINT_AT, associates_with_zero_eigenvectors, fraction_inverse,
@@ -236,14 +236,14 @@ def test_miyamoto_names_the_failing_pair(alg, rules, grading):
         involution(broken, e(0), rules, grading)
 
 
-def axis_spaces(algebra, rules):
-    """{label: eigenspaces} of the marked axes, as check_axis reports them."""
-    return {algebra.labels[m]: check_axis(algebra, algebra.basis_vector(m), rules).spaces
-            for m in algebra.marked}
+def marked_certificate(algebra, rules):
+    """certify on the marked axes, by label."""
+    return certify(algebra, {algebra.labels[m]: algebra.basis_vector(m)
+                             for m in algebra.marked}, rules)
 
 
 def test_verify_form_three_c(alg, rules):
-    report = verify_form(alg, axis_spaces(alg, rules))
+    report = marked_certificate(alg, rules).form
     assert report.passed
     assert report.assoc_failures == []
     assert report.perpendicular == {"a": True, "b": True, "c": True}
@@ -259,15 +259,15 @@ def direct_failures(alg):
 def test_verify_form_matches_the_direct_loop(uni, alg):
     # off the nine points the form fails to associate
     off = evaluate_point(uni, EvalPoint(Q(1, 3), Q(1, 5)))
-    failures = verify_form(off).assoc_failures
+    failures = verify_form(off, {}).assoc_failures
     assert failures and failures == direct_failures(off)
-    assert verify_form(alg).assoc_failures == direct_failures(alg) == []
+    assert verify_form(alg, {}).assoc_failures == direct_failures(alg) == []
 
 
 def test_verify_form_trivial_product():
     zero3 = [[(([Q(0)] * 2)) for _ in range(2)] for _ in range(2)]
     diag = StructureAlgebra(["u", "v"], zero3, [[Q(2), Q(0)], [Q(0), Q(3)]])
-    assert verify_form(diag).associative
+    assert verify_form(diag, {}).associative
 
 
 def test_verify_form_detects_failure(alg, rules):
@@ -275,14 +275,14 @@ def test_verify_form_detects_failure(alg, rules):
                               [[Q(2) * alg.gram[i][j] if (i, j) == (0, 1) or (i, j) == (1, 0)
                                 else alg.gram[i][j] for j in range(3)] for i in range(3)],
                               alg.marked)
-    assert not verify_form(broken).associative
+    assert not verify_form(broken, {}).associative
     # <a, c> = 1/32 in place of 1/64 leaves the product, and so every
     # eigenspace, alone; the 0- and 1/32-eigenspaces of a and of c are then
     # no longer perpendicular, while those of b still are
     data = json.loads(FIXTURE.read_text())
     data["gram"][0][2] = data["gram"][2][0] = "1/32"
     skewed = StructureAlgebra.from_json(data)
-    report = verify_form(skewed, axis_spaces(skewed, rules))
+    report = marked_certificate(skewed, rules).form
     assert report.perpendicular == {"a": False, "b": True, "c": False}
     assert not report.passed
 

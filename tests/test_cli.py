@@ -251,6 +251,23 @@ def test_algebra_check_detects_broken_form(tmp_path, capsys):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("edit", [lambda data: data.pop("marked"),
+                                  lambda data: data.update(marked=[])],
+                         ids=["missing", "empty"])
+def test_algebra_check_with_no_marked_axis_fails(edit, tmp_path, capsys):
+    # every axis and the form pass vacuously, but no axis generates the algebra
+    data = json.loads(FIXTURE.read_text())
+    edit(data)
+    path = tmp_path / "unmarked.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "algebra", "check", str(path))
+    assert (code, out) == (1, "form: ok\nFAIL\n")
+    code, out = run(capsys, "algebra", "check", str(path), "--json")
+    report = json.loads(out)
+    assert code == 1
+    assert (report["axes"], report["form"]["passed"], report["passed"]) == ({}, True, False)
+
+
 def test_algebra_check_polynomial_entry_exits_2(tmp_path, capsys):
     # the axis checks need a rational algebra, so a polynomial entry is refused
     data = three_c().to_json()

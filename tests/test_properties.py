@@ -29,8 +29,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from axial import cli, linalg  # noqa: E402
 from axial.algebra import (ShapeError, StructureAlgebra, _entry_ratio,  # noqa: E402
-                           automorphism_defects, bilinear, check_axis, defect, ideal_closure,
-                           pair, verify_form)
+                           automorphism_defects, bilinear, certify, check_axis, defect,
+                           ideal_closure, pair)
 from axial.fusion import FusionRules, frobenius_refine, virasoro_rules  # noqa: E402
 from axial.poly import (MultiPoly, _literal, dot, evaluate_all, rational_roots,  # noqa: E402
                         resultant)
@@ -126,14 +126,11 @@ def test_check_axis_in_a_random_basis(p):
     assert [[sum((p[i][k] * p_inv[k][j] for k in range(3)), Q(0)) for j in range(3)]
             for i in range(3)] == identity
     alg, to_new = change_basis(fixture, p, p_inv)
-    spaces = {}
-    for m in fixture.marked:
-        want = check_axis(fixture, fixture.basis_vector(m), ISING)
-        got = check_axis(alg, to_new(fixture.basis_vector(m)), ISING)
-        assert want.passed and got.passed
-        assert got.spectrum == want.spectrum
-        spaces[fixture.labels[m]] = got.spaces
-    assert verify_form(alg, spaces).passed
+    axes = {fixture.labels[m]: fixture.basis_vector(m) for m in fixture.marked}
+    want = certify(fixture, axes, ISING)
+    got = certify(alg, {label: to_new(a) for label, a in axes.items()}, ISING)
+    assert want.passed and got.passed
+    assert [r.spectrum for r in got.axes.values()] == [r.spectrum for r in want.axes.values()]
 
 
 eigenvalues = st.sampled_from([Q(1), Q(0), Q(1, 4), Q(1, 32), Q(1, 2)])

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from axial import algebra as algebra_mod
 from axial import linalg, sakuma
 from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, bilinear,
                            check_symmetric, defect, form_tensor, verify_form)
@@ -662,12 +663,20 @@ def test_a_miyamoto_failure_in_classify_names_the_point(uni, monkeypatch):
     wrong = Grading(frozenset({Q(1), Q(0), Q(1, 32)}), frozenset({Q(1, 4)}))
     law = sakuma.ising_law()
     monkeypatch.setattr(sakuma, "ising_law", lambda: law._replace(grading=wrong))
+    # the 3C quotient has no 1/4-eigenspace and now no odd one, so both its
+    # involutions are the identity, and the order check refuses it first
+    with pytest.raises(ConsistencyError,
+                       match=r"^involution product order 1 does not match axis-shift order 3 "
+                             r"at \(1/64, 1/64\)$"):
+        classify(uni)
+    # the 4B quotient has a 1/4-eigenspace, where miyamoto refuses
+    real = sakuma.solve_points
+    monkeypatch.setattr(sakuma, "solve_points",
+                        lambda uni: [pt for pt in real(uni) if pt == POINT_AT["4B"]])
     with pytest.raises(ConsistencyError,
                        match=r"^the involution is not an automorphism at \(\d+, \d+\) "
-                             r"at \(([-\d/]+), ([-\d/]+)\)$") as err:
+                             r"at \(1/64, 1/8\)$"):
         classify(uni)
-    lam, mu = err.value.args[0].rsplit(" at (", 1)[1].rstrip(")").split(", ")
-    assert (Q(lam), Q(mu)) in POINT_AT.values()
 
 
 def test_2b_eigen_dims(uni, points):
@@ -788,7 +797,7 @@ def test_the_quotients_agree_with_an_independent_sympy_oracle(uni, report):
 def test_quotient_forms_associate(uni, points):
     for pt in points.values():
         disc = discrepancy_quotient(uni, pt)
-        rep = verify_form(disc.quotient)
+        rep = verify_form(disc.quotient, {})
         assert rep.symmetric and rep.associative, pt.name
 
 
@@ -863,7 +872,11 @@ def test_classify_refuses_symmetries_that_do_not_move_the_axes(uni):
         with pytest.raises(ConsistencyError,
                            match=r"^axis shift does not move a0 to a1 at \(0, 1\)$"):
             classify(uni._replace(flip=flip))
-    with pytest.raises(ConsistencyError, match=r"^classification report failed verification$"):
+    # the shift is then the flip, of order 2, while the involutions still
+    # multiply to the rotation of the orbit
+    with pytest.raises(ConsistencyError,
+                       match=r"^involution product order 3 does not match axis-shift order 2 "
+                             r"at \(1/64, 1/64\)$"):
         classify(uni._replace(tau0=ident))
 
 
@@ -872,10 +885,18 @@ def test_classify_refuses_symmetries_that_do_not_move_the_axes(uni):
 
 
 def test_classify_refuses_an_axis_that_fails_its_check(uni, monkeypatch):
-    real = sakuma.check_axis
-    monkeypatch.setattr(sakuma, "check_axis",
+    real = algebra_mod.check_axis
+    monkeypatch.setattr(algebra_mod, "check_axis",
                         lambda *args: real(*args)._replace(fusion_ok=False))
     with pytest.raises(ConsistencyError, match=r"^axis verification failed at \(0, 1\)$"):
+        classify(uni)
+
+
+def test_classify_refuses_a_form_that_fails_its_check(uni, monkeypatch):
+    real = algebra_mod.verify_form
+    monkeypatch.setattr(algebra_mod, "verify_form",
+                        lambda *args: real(*args)._replace(associative=False))
+    with pytest.raises(ConsistencyError, match=r"^form verification failed at \(0, 1\)$"):
         classify(uni)
 
 

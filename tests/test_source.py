@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "axial"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "axial"
 
 
 def test_the_package_verifies_without_assert_statements():
@@ -31,3 +33,16 @@ def test_the_build_reads_its_eigenvalues_from_the_fusion_law():
              and all(isinstance(arg, ast.Constant) for arg in node.args)
              and [arg.value for arg in node.args] in ([1, 4], [1, 32])]
     assert found == []
+
+
+def test_the_readme_library_example_runs(monkeypatch):
+    # the example under "Library entry points" reads fixtures by paths
+    # relative to the repository root; run it there, as a reader would
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library entry points\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["cert"].passed and namespace["report"].passed
