@@ -170,6 +170,9 @@ class StructureAlgebra:
             raise ShapeError("a marked index is a boolean, not an integer")
         if any(not isinstance(m, int) or not 0 <= m < self.dim for m in self.marked):
             raise ShapeError(f"marked indices {self.marked} are not all in 0..{self.dim - 1}")
+        repeated = [m for k, m in enumerate(self.marked) if m in self.marked[:k]]
+        if repeated:
+            raise ShapeError(f"marked index {repeated[0]} is repeated in {self.marked}")
         check_symmetric(table, gram_table)
         self.table, self.den = table, den
         self.gram_table, self.gram_den = gram_table, gram_den

@@ -38,14 +38,16 @@ from types import SimpleNamespace
 from . import algebra as algebra_mod
 from . import fusion as fusion_mod
 from .algebra import ConsistencyError
+from .poly import _linear_text
 
 
 class UsageError(Exception):
     """Bad command-line input; main reports it on one line and exits 2."""
 
 
-def _emit(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+def _emit(data, file=None) -> None:
+    """Every JSON document: sorted keys, indent 2 and a final newline, to file or stdout."""
+    print(json.dumps(data, indent=2, sort_keys=True), file=file)
 
 
 def _read_json(path: str):
@@ -144,14 +146,12 @@ def _cmd_sakuma(args) -> int:
             _emit(uni.to_json())
         else:
             labels = sakuma_mod.LABELS
-            for i in range(8):
-                for j in range(i, 8):
-                    text = _vector_text(uni.product[i][j], labels)
-                    print(f"{labels[i]} * {labels[j]} = {text}")
+            pairs = [(i, j) for i in range(8) for j in range(i, 8)]
+            for i, j in pairs:
+                print(f"{labels[i]} * {labels[j]} = {_vector_text(uni.product[i][j], labels)}")
             print()
-            for i in range(8):
-                for j in range(i, 8):
-                    print(f"<{labels[i]}, {labels[j]}> = {uni.gram[i][j]}")
+            for i, j in pairs:
+                print(f"<{labels[i]}, {labels[j]}> = {uni.gram[i][j]}")
         return 0
     if args.action == "solve":
         _emit([pt.to_json() for pt in sakuma_mod.solve_points(uni)])
@@ -165,8 +165,7 @@ def _cmd_sakuma(args) -> int:
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                    _emit(report.to_json(), fh)
             except OSError as exc:
                 raise UsageError(f"cannot write {args.out}: {exc}") from None
         print(report.summary())
@@ -178,25 +177,7 @@ def _cmd_sakuma(args) -> int:
 
 
 def _vector_text(vec, labels) -> str:
-    parts = []
-    for coeff, label in zip(vec, labels):
-        if not coeff:
-            continue
-        text = str(coeff)
-        if text == "1":
-            parts.append(label)
-        elif text == "-1":
-            parts.append(f"-{label}")
-        elif "+" in text or (text.count("-") > (1 if text.startswith("-") else 0)):
-            parts.append(f"({text})*{label}")
-        else:
-            parts.append(f"{text}*{label}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    return _linear_text((str(c), label) for c, label in zip(vec, labels) if c)
 
 
 # command path -> (handler, positionals with their converters, flags,

@@ -17,7 +17,8 @@ tables the powers of the point's numerators and denominators once for a
 whole batch and returns the values as integers over one denominator
 (`evaluate_all`), `resultant` is built on integer Bareiss determinants
 (Bareiss, Math. Comp. 1968) and exact integer interpolation (Collins,
-J. ACM 1971).
+J. ACM 1971).  Polynomials and the vectors of the table print through one
+`_linear_text`.
 """
 
 from __future__ import annotations
@@ -244,28 +245,10 @@ class MultiPoly:
     # -- presentation -----------------------------------------------------
 
     def __str__(self):
-        if not self.nums:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items(), key=lambda t: _grevlex_key(t[0]), reverse=True):
-            factors = []
-            if i:
-                factors.append("lam" if i == 1 else f"lam^{i}")
-            if j:
-                factors.append("mu" if j == 1 else f"mu^{j}")
-            mono = "*".join(factors)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _linear_text(
+            (str(Fraction(self.nums[ij], self.den)),
+             "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(VARS, ij) if e))
+            for ij in sorted(self.nums, key=_grevlex_key, reverse=True))
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -277,6 +260,26 @@ class MultiPoly:
             g = gcd(n, self.den)
             out[f"{i},{j}"] = f"{n // g}" if g == self.den else f"{n // g}/{self.den // g}"
         return out
+
+
+def _linear_text(pairs) -> str:
+    """The sum of (coefficient text, name) pairs, as polynomials and the table
+    print it: a coefficient 1 or -1 is a sign, one holding + or an inner - is
+    parenthesised, an empty name is a constant term, and no pair prints 0."""
+    parts = []
+    for text, name in pairs:
+        if not name:
+            parts.append(text)
+        elif text in ("1", "-1"):
+            parts.append(text[:-1] + name)
+        elif "+" in text or "-" in text[1:]:
+            parts.append(f"({text})*{name}")
+        else:
+            parts.append(f"{text}*{name}")
+    out = parts[0] if parts else "0"
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 def dot(xs, ys):

@@ -646,8 +646,8 @@ def classify(uni: UniversalAlgebra) -> ClassificationReport:
     reports = []
     for pt in solve_points(uni):
         disc = discrepancy_quotient(uni, pt)
-        quot, proj = disc.quotient, disc.projection
-        ax0, ax1 = ([row[i] for row in proj] for i in (A0, A1))
+        quot = disc.quotient
+        ax0, ax1 = ([row[i] for row in disc.projection] for i in (A0, A1))
         cert = certify(quot, {LABELS[A0]: ax0, LABELS[A1]: ax1}, rules)
         rep0, rep1 = cert.axes.values()
         if not (rep0.passed and rep1.passed):
@@ -665,11 +665,12 @@ def classify(uni: UniversalAlgebra) -> ClassificationReport:
 
         # the rotation of the axis orbit: a_i -> a_{i+1}
         (tau0, d0), (flip, d1) = disc.symmetries
-        shift, d = _project_symmetry(pt, disc, linalg.matmul(flip, tau0), d0 * d1)
+        proj, scale = linalg.clear_matrix(disc.projection)
+        shift, d = _project_symmetry(pt, disc, proj, scale, linalg.matmul(flip, tau0), d0 * d1)
         shift_order = linalg.matrix_order(shift, 12, d)
         if shift_order is None:
             raise ConsistencyError(f"axis-shift order exceeds 12 at {pt.name}")
-        if linalg.matvec(shift, ax0) != linalg.scale_vec(d, ax1):
+        if linalg.matvec(shift, [row[A0] for row in proj]) != [d * row[A1] for row in proj]:
             raise ConsistencyError(f"axis shift does not move a0 to a1 at {pt.name}")
         if order != expected_miyamoto_product_order(shift_order):
             raise ConsistencyError(f"involution product order {order} does not match "
@@ -696,15 +697,15 @@ def classify(uni: UniversalAlgebra) -> ClassificationReport:
     return report
 
 
-def _project_symmetry(pt, disc, m, d):
+def _project_symmetry(pt, disc, proj, scale, m, d):
     """Induce the evaluated symmetry m / d, m an integer matrix, on the
-    quotient, as (S, den) with S / den the induced matrix in lowest terms.
+    quotient, as (S, den) with S / den the induced matrix in lowest terms;
+    proj / scale is disc's projection, proj an integer matrix.
 
     The matrix must preserve the discrepancy ideal and act as an algebra
     automorphism downstairs; both are verified on the integers.
     """
     quot = disc.quotient
-    proj, scale = linalg.clear_matrix(disc.projection)
     moved = linalg.matmul(proj, m)
     if any(any(row) for row in linalg.matmul(moved, linalg.transpose(disc.ideal))):
         raise ConsistencyError(f"symmetry does not preserve the ideal at {pt.name}")

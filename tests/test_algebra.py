@@ -402,6 +402,19 @@ def test_every_constructor_refuses_a_boolean_marked_index(alg, flag):
         [int(flag)]
 
 
+def test_every_constructor_refuses_a_repeated_marked_index(alg):
+    # certify keeps one axis per label, so the repeat was dropped silently
+    message = r"^marked index 0 is repeated in \[0, 1, 0\]$"
+    with pytest.raises(ShapeError, match=message):
+        StructureAlgebra(alg.labels, alg.product, alg.gram, marked=[0, 1, 0])
+    with pytest.raises(ShapeError, match=message):
+        StructureAlgebra.from_integers(alg.labels, alg.table, alg.den, alg.gram_table,
+                                       alg.gram_den, marked=[0, 1, 0])
+    with pytest.raises(ShapeError, match=message):
+        StructureAlgebra.from_json({**alg.to_json(), "marked": [0, 1, 0]})
+    assert StructureAlgebra(alg.labels, alg.product, alg.gram, marked=[2, 0]).marked == [2, 0]
+
+
 @pytest.mark.parametrize("entry", [0.1, True, MultiPoly({(1, 0): 1}), "1"],
                          ids=["float", "bool", "polynomial", "string"])
 @pytest.mark.parametrize("table", ["product", "gram"])

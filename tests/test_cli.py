@@ -147,6 +147,9 @@ def _string_product_set(data):
     (["algebra", "check", "{file}"],
      _edited(lambda data: data["labels"].__setitem__(1, ["b"])), None),
     (["algebra", "check", "{file}"], _edited(lambda data: data.update(marked=[True])), None),
+    # certify keeps one axis per label, so a repeat was dropped without a word
+    (["algebra", "check", "{file}"], _edited(lambda data: data.update(marked=[0, 0, 1])),
+     "marked index 0 is repeated in [0, 0, 1]"),
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
      _rules(lambda data: data.clear()), None),
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
@@ -187,7 +190,8 @@ def _string_product_set(data):
         "algebra-marked-not-a-list", "algebra-labels-not-a-list", "algebra-gram-entry-float",
         "algebra-product-entry-bool", "algebra-polynomial-coefficient-float",
         "algebra-duplicate-labels", "algebra-int-label", "algebra-int-label-json",
-        "algebra-list-label", "algebra-marked-bool", "fusion-file-empty-object",
+        "algebra-list-label", "algebra-marked-bool", "algebra-marked-repeated",
+        "fusion-file-empty-object",
         "fusion-file-field-not-rational", "algebra-string-vectors", "algebra-string-gram-rows", "fusion-file-string-product-set",
         "fusion-file-string-fields", "fusion-file-duplicate-field",
         "fusion-file-product-outside-fields", "algebra-entry-huge-exponent",

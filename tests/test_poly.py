@@ -7,9 +7,9 @@ from fractions import Fraction as Q
 import pytest
 
 from axial import poly as poly_mod
-from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _literal, _newton_interpolate,
-                        evaluate_all, from_coefficients, leading_term, rational_roots,
-                        resultant)
+from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _linear_text, _literal,
+                        _newton_interpolate, evaluate_all, from_coefficients, leading_term,
+                        rational_roots, resultant)
 from axial.sakuma import EvalPoint, _eval_matrix, associativity_polynomials, evaluate_point
 from conftest import ref_quotient_dimension
 from test_linalg import ref_det
@@ -39,6 +39,14 @@ def test_str_writes_a_coefficient_of_minus_one_as_a_sign():
     assert str(LAM - MU) == "lam - mu"
     assert str(Q(-3, 2) * LAM**2 - 1) == "-3/2*lam^2 - 1"
     assert str(MultiPoly()) == "0"
+
+
+def test_linear_text_parenthesises_a_sum_and_prints_a_constant_as_is():
+    # the one printer of polynomials and of the table's vectors
+    assert _linear_text([("lam + 1", "a"), ("-lam + 1", "b"), ("-1", ""), ("1", "c")]) == \
+        "(lam + 1)*a + (-lam + 1)*b - 1 + c"
+    assert _linear_text([("-1/2", "a"), ("1", "")]) == "-1/2*a + 1"
+    assert _linear_text([]) == "0"
 
 
 def test_product_degree_adds():

@@ -900,6 +900,34 @@ def test_classify_refuses_a_form_that_fails_its_check(uni, monkeypatch):
         classify(uni)
 
 
+@pytest.mark.parametrize("entry, message", [("gram", "form"), ("product", "axis")])
+def test_a_fault_in_one_quotient_reaches_the_certificate(uni, monkeypatch, entry, message):
+    # a real quotient with one integer entry changed, kept symmetric, not a
+    # check's report edited after the fact: +1 on <s2e, s2o> keeps both
+    # axes but breaks the form, +1 on the s2e coordinate of s2e s2o breaks
+    # the axes
+    real = sakuma.discrepancy_quotient
+
+    def corrupted(uni, pt):
+        disc = real(uni, pt)
+        quot = disc.quotient
+        if quot.labels != ["s2e", "s2o"]:
+            return disc
+        table = [[list(vec) for vec in row] for row in quot.table]
+        gram = [list(row) for row in quot.gram_table]
+        for i, j in ((0, 1), (1, 0)):
+            if entry == "gram":
+                gram[i][j] += 1
+            else:
+                table[i][j][0] += 1
+        return disc._replace(quotient=StructureAlgebra.from_integers(
+            quot.labels, table, quot.den, gram, quot.gram_den))
+
+    monkeypatch.setattr(sakuma, "discrepancy_quotient", corrupted)
+    with pytest.raises(ConsistencyError, match=rf"^{message} verification failed at \(0, 1\)$"):
+        classify(uni)
+
+
 @pytest.mark.parametrize("call, message", [(1, "involution product"), (2, "axis-shift")],
                          ids=["involution-product", "axis-shift"])
 def test_classify_refuses_an_order_beyond_12(uni, monkeypatch, call, message):
