@@ -505,17 +505,18 @@ def automorphism_defects(algebra: StructureAlgebra, mat, d):
     return out
 
 
-class FormReport(namedtuple("FormReport",
-                            "symmetric associative assoc_failures perpendicular")):
+class FormReport(namedtuple("FormReport", "associative assoc_failures perpendicular")):
     __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return self.symmetric and self.associative and all(self.perpendicular.values())
+        return self.associative and all(self.perpendicular.values())
 
     def to_json(self) -> dict:
         return {
-            "symmetric": self.symmetric,
+            # check_symmetric refused every asymmetric Gram matrix when the
+            # algebra was built
+            "symmetric": True,
             "associative": self.associative,
             "assoc_failures": self.assoc_failures,
             "perpendicular": {str(k): v for k, v in self.perpendicular.items()},
@@ -526,9 +527,6 @@ class FormReport(namedtuple("FormReport",
 def verify_form(algebra: StructureAlgebra, spaces) -> FormReport:
     """Check associativity <xy, z> = <x, yz> on all basis triples, and
     perpendicularity of distinct eigenspaces at each axis in spaces.
-
-    The report's symmetric field is always true: check_symmetric refused
-    every asymmetric Gram matrix when the algebra was built.
 
     spaces maps an axis label to its eigenspaces as check_axis reports
     them (AxisReport.spaces, integer bases by eigenvalue); each pair of
@@ -546,7 +544,7 @@ def verify_form(algebra: StructureAlgebra, spaces) -> FormReport:
         perpendicular[label] = not any(
             sum(map(mul, u, gv)) for x, basis in enumerate(bases) for later in images[x + 1:]
             for u in basis for gv in later)
-    return FormReport(True, not failures, failures, perpendicular)
+    return FormReport(not failures, failures, perpendicular)
 
 
 class Certificate(namedtuple("Certificate", "axes form")):

@@ -580,11 +580,6 @@ class PointReport(namedtuple("PointReport", "lam mu ideal_dim dim axis_reports r
 
     __slots__ = ()
 
-    @property
-    def passed(self) -> bool:
-        return (all(r.passed for r in self.axis_reports)
-                and self.rho_order == expected_miyamoto_product_order(self.shift_order))
-
     def to_json(self) -> dict:
         return {
             "name": self.name,
@@ -596,36 +591,31 @@ class PointReport(namedtuple("PointReport", "lam mu ideal_dim dim axis_reports r
             "rho_order": self.rho_order,
             "shift_order": self.shift_order,
             "gram": {k: str(v) for k, v in self.gram_values.items()},
-            "passed": self.passed,
+            "passed": True,
         }
 
 
-class ClassificationReport(namedtuple("ClassificationReport",
-                                      "points total_dim signatures_distinct")):
-    __slots__ = ()
+class ClassificationReport(namedtuple("ClassificationReport", "points total_dim")):
+    """What classify certified.  classify returns a report only when every
+    check passed, so its verdicts are constants; the points have distinct
+    signatures (lam, mu), as solve_points returns each point once."""
 
-    @property
-    def passed(self) -> bool:
-        return all(p.passed for p in self.points) and self.signatures_distinct
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
             "points": [p.to_json() for p in self.points],
             "total_dim": self.total_dim,
-            "signatures_distinct": self.signatures_distinct,
-            "passed": self.passed,
+            "signatures_distinct": True,
+            "passed": True,
         }
 
     def summary(self) -> str:
-        lines = []
-        for p in self.points:
-            status = "ok" if p.passed else "FAIL"
-            lines.append(
-                f"{p.name or 'unnamed'}: lambda={p.lam} mu={p.mu} ideal_dim={p.ideal_dim} "
-                f"dim={p.dim} rho_order={p.rho_order} shift_order={p.shift_order} "
-                f"[{status}]")
+        lines = [f"{p.name or 'unnamed'}: lambda={p.lam} mu={p.mu} ideal_dim={p.ideal_dim} "
+                 f"dim={p.dim} rho_order={p.rho_order} shift_order={p.shift_order} [ok]"
+                 for p in self.points]
         lines.append(f"total dimension: {self.total_dim}")
-        lines.append("PASS" if self.passed else "FAIL")
+        lines.append("PASS")
         return "\n".join(lines)
 
 
@@ -638,8 +628,9 @@ def classify(uni: UniversalAlgebra) -> ClassificationReport:
     pass certify on the two generators, axes and form; the axis shift must
     move a_0 to a_1; and the product of the two Miyamoto involutions must
     have the order the shift's orbit determines.  Any failure raises
-    ConsistencyError.  The reports come sorted by (shift order, dimension,
-    mu) and are named by norton_sakuma_name.
+    ConsistencyError naming the point, so a returned report passed every
+    check.  The reports come sorted by (shift order, dimension, mu) and are
+    named by norton_sakuma_name.
     """
     rules, grading = ising_law()[:2]
 
@@ -648,33 +639,35 @@ def classify(uni: UniversalAlgebra) -> ClassificationReport:
         disc = discrepancy_quotient(uni, pt)
         quot = disc.quotient
         ax0, ax1 = ([row[i] for row in disc.projection] for i in (A0, A1))
-        cert = certify(quot, {LABELS[A0]: ax0, LABELS[A1]: ax1}, rules)
-        rep0, rep1 = cert.axes.values()
-        if not (rep0.passed and rep1.passed):
-            raise ConsistencyError(f"axis verification failed at {pt.name}")
-        if not cert.form.passed:
-            raise ConsistencyError(f"form verification failed at {pt.name}")
+        # discrepancy_quotient names the point itself; every check after it
+        # is named here, once
         try:
+            cert = certify(quot, {LABELS[A0]: ax0, LABELS[A1]: ax1}, rules)
+            rep0, rep1 = cert.axes.values()
+            if not (rep0.passed and rep1.passed):
+                raise ConsistencyError("axis verification failed")
+            if not cert.form.passed:
+                raise ConsistencyError("form verification failed")
             tau_a, da = miyamoto(quot, rep0, grading)
             tau_b, db = miyamoto(quot, rep1, grading)
+            order = linalg.matrix_order(linalg.matmul(tau_a, tau_b), 12, da * db)
+            if order is None:
+                raise ConsistencyError("involution product order exceeds 12")
+
+            # the rotation of the axis orbit: a_i -> a_{i+1}
+            (tau0, d0), (flip, d1) = disc.symmetries
+            proj, scale = linalg.clear_matrix(disc.projection)
+            shift, d = _project_symmetry(disc, proj, scale, linalg.matmul(flip, tau0), d0 * d1)
+            shift_order = linalg.matrix_order(shift, 12, d)
+            if shift_order is None:
+                raise ConsistencyError("axis-shift order exceeds 12")
+            if linalg.matvec(shift, [row[A0] for row in proj]) != [d * row[A1] for row in proj]:
+                raise ConsistencyError("axis shift does not move a0 to a1")
+            if order != expected_miyamoto_product_order(shift_order):
+                raise ConsistencyError(f"involution product order {order} does not match "
+                                       f"axis-shift order {shift_order}")
         except ConsistencyError as err:
             raise ConsistencyError(f"{err} at {pt.name}") from None
-        order = linalg.matrix_order(linalg.matmul(tau_a, tau_b), 12, da * db)
-        if order is None:
-            raise ConsistencyError(f"involution product order exceeds 12 at {pt.name}")
-
-        # the rotation of the axis orbit: a_i -> a_{i+1}
-        (tau0, d0), (flip, d1) = disc.symmetries
-        proj, scale = linalg.clear_matrix(disc.projection)
-        shift, d = _project_symmetry(pt, disc, proj, scale, linalg.matmul(flip, tau0), d0 * d1)
-        shift_order = linalg.matrix_order(shift, 12, d)
-        if shift_order is None:
-            raise ConsistencyError(f"axis-shift order exceeds 12 at {pt.name}")
-        if linalg.matvec(shift, [row[A0] for row in proj]) != [d * row[A1] for row in proj]:
-            raise ConsistencyError(f"axis shift does not move a0 to a1 at {pt.name}")
-        if order != expected_miyamoto_product_order(shift_order):
-            raise ConsistencyError(f"involution product order {order} does not match "
-                                   f"axis-shift order {shift_order} at {pt.name}")
 
         g, gd = disc.evaluated.gram_table, disc.evaluated.gram_den
         gram_values = {"lambda": Q(g[A0][A1], gd), "mu": Q(g[A0][A2], gd),
@@ -689,15 +682,10 @@ def classify(uni: UniversalAlgebra) -> ClassificationReport:
         half = names.get((p.mu, p.gram_values["nu4"]))
         name = names[(p.lam, p.mu)] = norton_sakuma_name(p.shift_order, p.dim, half)
         reports[k] = p._replace(name=name)
-    signatures = {(p.lam, p.mu) for p in reports}
-    report = ClassificationReport(reports, sum(p.dim for p in reports),
-                                  len(signatures) == len(reports))
-    if not report.passed:
-        raise ConsistencyError("classification report failed verification")
-    return report
+    return ClassificationReport(reports, sum(p.dim for p in reports))
 
 
-def _project_symmetry(pt, disc, proj, scale, m, d):
+def _project_symmetry(disc, proj, scale, m, d):
     """Induce the evaluated symmetry m / d, m an integer matrix, on the
     quotient, as (S, den) with S / den the induced matrix in lowest terms;
     proj / scale is disc's projection, proj an integer matrix.
@@ -708,15 +696,15 @@ def _project_symmetry(pt, disc, proj, scale, m, d):
     quot = disc.quotient
     moved = linalg.matmul(proj, m)
     if any(any(row) for row in linalg.matmul(moved, linalg.transpose(disc.ideal))):
-        raise ConsistencyError(f"symmetry does not preserve the ideal at {pt.name}")
+        raise ConsistencyError("symmetry does not preserve the ideal")
     # lifting quotient coordinates to the surviving basis vectors picks columns
     comp = [LABELS.index(lbl) for lbl in quot.labels]
     induced, den = linalg.lowest_terms([[row[c] for c in comp] for row in moved], scale * d)
     failures = automorphism_defects(quot, induced, den)
     if failures:
         (i, j), _ = failures[0]
-        raise ConsistencyError(f"induced symmetry is not an automorphism at {pt.name}: "
-                               f"({quot.labels[i]}, {quot.labels[j]})")
+        raise ConsistencyError("induced symmetry is not an automorphism "
+                               f"at ({quot.labels[i]}, {quot.labels[j]})")
     return induced, den
 
 

@@ -546,6 +546,17 @@ def test_sakuma_classify_unwritable_out_exits_2(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [["--out="], ["--out", ""]], ids=["joined", "separate"])
+def test_sakuma_classify_empty_out_exits_2(argv, capsys):
+    # an empty path is a path that cannot be opened, not a missing --out
+    code = main(["sakuma", "classify"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("axial: error: cannot write : ")
+
+
 # the command in a fresh interpreter, with stdout where the test puts it
 AXIAL = [sys.executable, "-I", "-c",
          "import sys; sys.path.insert(0, sys.argv[1]); import axial.cli; "
