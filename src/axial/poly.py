@@ -217,31 +217,6 @@ class MultiPoly:
         (num,), den = evaluate_all([self], lam, mu)
         return Fraction(num, den)
 
-    def substitute(self, lam=None, mu=None) -> "MultiPoly":
-        """Partially evaluate; variables left as None stay symbolic.
-
-        With lam = a/b and I the degree in lam, lam^i = a^i b^(I-i) / b^I,
-        so the result is an integer polynomial over den b^I (likewise mu).
-        """
-        rows, den = [None, None], self.den
-        for idx, value in enumerate((lam, mu)):
-            if value is not None:
-                value = _literal(value)
-                deg = max((e[idx] for e in self.nums), default=0)
-                rows[idx] = _power_row(value, deg)
-                den *= value.denominator ** deg
-        lam_row, mu_row = rows
-        nums = {}
-        for (i, j), n in self.nums.items():
-            if lam_row is not None:
-                n *= lam_row[i]
-                i = 0
-            if mu_row is not None:
-                n *= mu_row[j]
-                j = 0
-            nums[(i, j)] = nums.get((i, j), 0) + n
-        return MultiPoly._make(nums, den)
-
     # -- presentation -----------------------------------------------------
 
     def __str__(self):
@@ -379,6 +354,13 @@ def _homogeneous(coeffs, p: int, q: int) -> int:
     return val
 
 
+def _fibre(grid, p: int, q: int = 1) -> list[int]:
+    """[q^J row(p/q) for each row of grid]: for (grid, den) = _integer_grid(f, x)
+    and J the degree of f in the other variable y, the integer coefficients,
+    low to high in x, of den q^J f with y = p/q."""
+    return [_homogeneous(row, p, q) for row in grid]
+
+
 def _other_var(var: str) -> str:
     return VARS[1 - _var_index(var)]
 
@@ -424,7 +406,10 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
 
     The result is a polynomial in the remaining variable; it vanishes at
     exactly the values of that variable over which f and g share a root
-    in the eliminated one.
+    in the eliminated one.  A degree 0 in the eliminated variable gives the
+    Sylvester determinant's standard value (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 3 §6): f^n when m = 0, g^m when n = 0,
+    and 1 when both are 0.
 
     The computation stays in the integers (Collins, "The calculation of
     multivariate polynomial resultants", J. ACM 1971).  With f = F / d_f
@@ -444,8 +429,6 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
         raise ValueError("resultant of a zero polynomial is not defined")
     m = f.degree(eliminate)
     n = g.degree(eliminate)
-    if m < 1 or n < 1:
-        raise ValueError(f"inputs must have positive degree in {eliminate}")
     kept = _other_var(eliminate)
     fc, df = _integer_grid(f, eliminate)
     gc, dg = _integer_grid(g, eliminate)
@@ -465,8 +448,7 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
     xs, ys = [], []
     t = 0
     while len(xs) < bound + 1:
-        fr = [_horner(c, t) for c in fc]
-        gr = [_horner(c, t) for c in gc]
+        fr, gr = _fibre(fc, t), _fibre(gc, t)
         rows = []
         for shift in range(n):
             row = [0] * size

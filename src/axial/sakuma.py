@@ -44,8 +44,8 @@ from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
                       ideal_closure, miyamoto, pair, quotient)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
-from .poly import (LAM, MU, ONE, VARS, ZERO, MultiPoly, evaluate_all, leading_term,
-                   rational_roots, resultant)
+from .poly import (LAM, MU, ONE, ZERO, MultiPoly, _fibre, _integer_grid, evaluate_all,
+                   from_coefficients, leading_term, rational_roots, resultant)
 
 Q = Fraction
 
@@ -397,21 +397,23 @@ def _monic(f: MultiPoly) -> MultiPoly:
 
 
 def _constant_lead(f: MultiPoly, var: str) -> bool:
-    """Whether f's leading coefficient in var is a nonzero constant."""
-    k, m = VARS.index(var), f.degree(var)
-    return all(e[1 - k] == 0 for e in f.terms if e[k] == m)
+    """Whether f's leading coefficient in var, the last row of its grid, is
+    a nonzero constant."""
+    return not any(_integer_grid(f, var)[0][-1][1:])
 
 
 def common_zeros(p1: MultiPoly, p2: MultiPoly) -> list[EvalPoint]:
     """Every common zero of p1 and p2 over the complex numbers, all of them
     rational and simple, in (lam, mu) order.
 
-    Elimination goes through the resultant in each variable; each
-    candidate is verified exactly, and the two elimination orders must
-    agree.  Completeness is certified by the finiteness theorem:
-    dim_Q Q[lam, mu]/(p1, p2) counts the complex zeros with multiplicity,
-    so it must equal the number of rational zeros found, or an irrational
-    or repeated zero exists and ConsistencyError names both numbers.
+    Elimination goes through the resultant in each variable.  Each of its
+    rational roots r is lifted through the integer fibre over r of p1, or
+    of p2 where p1's vanishes; each candidate is verified exactly, and the
+    two elimination orders must agree.  Completeness is certified by the
+    finiteness theorem: dim_Q Q[lam, mu]/(p1, p2) counts the complex zeros
+    with multiplicity, so it must equal the number of rational zeros found,
+    or an irrational or repeated zero exists and ConsistencyError names
+    both numbers.
 
     If p1 or p2, say f, has a constant leading coefficient in y, of degree
     m, Q[x, y]/(f) is a free Q[x]-module on 1, ..., y^(m-1).  Multiplication
@@ -427,15 +429,15 @@ def common_zeros(p1: MultiPoly, p2: MultiPoly) -> list[EvalPoint]:
         if not res:
             raise ConsistencyError(f"resultant eliminating {eliminate} vanishes identically; "
                                    "shared factor")
+        grids = [_integer_grid(p, eliminate)[0] for p in (p1, p2)]
         zeros = set()
         for r in sorted(rational_roots(res)):
-            f1 = p1.substitute(**{kept: r})
-            f2 = p2.substitute(**{kept: r})
-            if not f1 and not f2:
+            f1, f2 = (_fibre(grid, *r.as_integer_ratio()) for grid in grids)
+            if not any(f1) and not any(f2):
                 raise ConsistencyError("both relations vanish on a whole line")
-            for s in rational_roots(f1 or f2):
+            for s in rational_roots(from_coefficients(f1 if any(f1) else f2, eliminate)):
                 lam_v, mu_v = (r, s) if kept == "lam" else (s, r)
-                if p1.evaluate(lam_v, mu_v) == 0 and p2.evaluate(lam_v, mu_v) == 0:
+                if not any(evaluate_all([p1, p2], lam_v, mu_v)[0]):
                     zeros.add(EvalPoint(lam_v, mu_v))
         return res, zeros
 

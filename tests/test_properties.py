@@ -32,8 +32,8 @@ from axial.algebra import (ShapeError, StructureAlgebra, _entry_ratio,  # noqa: 
                            automorphism_defects, bilinear, certify, check_axis, defect,
                            ideal_closure, pair)
 from axial.fusion import FusionRules, frobenius_refine, virasoro_rules  # noqa: E402
-from axial.poly import (MultiPoly, _literal, dot, evaluate_all, rational_roots,  # noqa: E402
-                        resultant)
+from axial.poly import (LAM, MU, MultiPoly, _fibre, _integer_grid, _literal,  # noqa: E402
+                        dot, evaluate_all, rational_roots, resultant)
 from axial.sakuma import A0, A1, EvalPoint, discrepancy_quotient, evaluate_point  # noqa: E402
 from conftest import (fraction_inverse, ref_automorphism_defects, ref_ideal_closure,  # noqa: E402
                       ref_integer_rref, ref_quotient_dimension, ref_rational_roots,
@@ -540,6 +540,20 @@ def ref_substitute(f, lam=None, mu=None):
     return ref_clean(out)
 
 
+def fibre(f, kept, value):
+    """f with the variable `kept` set to value, read from poly._fibre, whose
+    integers are the coefficients over den q^J for value = p/q, as a
+    {(i, j): Fraction} map."""
+    eliminate = "mu" if kept == "lam" else "lam"
+    grid, den = _integer_grid(f, eliminate)
+    p, q = Q(value).as_integer_ratio()
+    row = _fibre(grid, p, q)
+    assert all(type(n) is int for n in row)
+    scale = den * q ** (len(grid[0]) - 1) if grid else 1
+    return ref_clean({(k, 0) if eliminate == "lam" else (0, k): Q(n, scale)
+                      for k, n in enumerate(row)})
+
+
 def ref_evaluate(f, lam, mu):
     return sum((c * lam**i * mu**j for (i, j), c in f.items()), Q(0))
 
@@ -547,9 +561,15 @@ def ref_evaluate(f, lam, mu):
 @settings(max_examples=60, deadline=None)
 @given(polys, polys, polys, st.integers(0, 3), rationals)
 def test_multipoly_ring_laws(f, g, h, n, c):
-    for result in (f + g, f - f, f - g, f * g, -f, f**n, f + c, c - f, c * f,
-                   f.substitute(lam=c), f.substitute(mu=c)):
+    for result in (f + g, f - f, f - g, f * g, -f, f**n, f + c, c - f, c * f):
         assert_clean(result)
+    # a fibre, at a rational or an integer value of either variable, is a
+    # ring homomorphism
+    for kept in ("lam", "mu"):
+        for value in (c, n):
+            at_f, at_g = fibre(f, kept, value), fibre(g, kept, value)
+            assert fibre(f + g, kept, value) == ref_add(at_f, at_g)
+            assert fibre(f * g, kept, value) == ref_mul(at_f, at_g)
     assert f + g == g + f
     assert f * g == g * f
     assert (f + g) + h == f + (g + h)
@@ -561,18 +581,23 @@ def test_multipoly_ring_laws(f, g, h, n, c):
 
 
 @settings(max_examples=80, deadline=None)
-@given(wide_polys, wide_polys, st.one_of(rationals, wide), st.one_of(rationals, wide))
-def test_multipoly_matches_the_fraction_reference(f, g, lam, mu):
+@given(wide_polys, wide_polys, st.one_of(rationals, wide), st.one_of(rationals, wide),
+       st.integers(-2**70, 2**70))
+def test_multipoly_matches_the_fraction_reference(f, g, lam, mu, n):
     ft, gt = f.terms, g.terms
     cases = [(f + g, ref_add(ft, gt)), (f - g, ref_add(ft, ref_neg(gt))),
-             (-f, ref_neg(ft)), (f * g, ref_mul(ft, gt)),
-             (f.substitute(lam=lam), ref_substitute(ft, lam=lam)),
-             (f.substitute(mu=mu), ref_substitute(ft, mu=mu)),
-             (f.substitute(lam=lam, mu=mu), ref_substitute(ft, lam=lam, mu=mu))]
+             (-f, ref_neg(ft)), (f * g, ref_mul(ft, gt))]
     for got, want in cases:
         assert_clean(got)
         assert got.terms == want
         assert got == MultiPoly(want)
+    for value in (lam, n):
+        assert fibre(f, "lam", value) == ref_substitute(ft, lam=value)
+        assert fibre(f, "mu", value) == ref_substitute(ft, mu=value)
+    # a factor lam - r makes the fibre over lam = r vanish identically (and
+    # likewise mu): the input of common_zeros' "whole line" error
+    assert fibre((LAM - lam) * g, "lam", lam) == {}
+    assert fibre((MU - mu) * g, "mu", mu) == {}
     assert f.evaluate(lam, mu) == ref_evaluate(ft, lam, mu)
     nums, den = evaluate_all([f, g], lam, mu)
     assert [Q(x, den) for x in nums] == [ref_evaluate(ft, lam, mu), ref_evaluate(gt, lam, mu)]

@@ -8,9 +8,9 @@ from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, bilin
                            check_symmetric, defect, form_tensor, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import LAM, MU, MultiPoly, rational_roots, resultant
-from axial.sakuma import (A0, A1, AM1, AM2, A2, LABELS, S1, S2E, S2O, UniversalAlgebra,
-                          _axis_sigma_form, _complete_gram, _constant_lead, _seed,
-                          associativity_defects, associativity_polynomials,
+from axial.sakuma import (A0, A1, AM1, AM2, A2, LABELS, S1, S2E, S2O, EvalPoint,
+                          UniversalAlgebra, _axis_sigma_form, _complete_gram, _constant_lead,
+                          _seed, associativity_defects, associativity_polynomials,
                           axis_eigenvectors, classify, common_zeros,
                           discrepancy_quotient, evaluate_point,
                           expected_miyamoto_product_order, norton_sakuma_name,
@@ -490,8 +490,8 @@ def test_constant_lead():
 
 
 # Each p1 here, with p2 = mu - lam, generates the ideal (f(lam), mu - lam)
-# for f = p1 at mu = lam: the mu(mu - lam) term gives p1 positive degree in
-# mu, as the resultant needs, without changing the ideal.
+# for f = p1 at mu = lam: the mu(mu - lam) term makes p1 involve mu without
+# changing the ideal.
 @pytest.mark.parametrize("p1, count", [
     ((LAM**2 - 2) * (LAM - 1) + MU * (MU - LAM), 3),  # two irrational zeros
     ((LAM - 1) ** 2 + MU * (MU - LAM), 2),  # (1, 1) twice
@@ -567,6 +567,17 @@ def test_common_zeros_refuse_a_shared_factor():
     with pytest.raises(ConsistencyError, match="resultant eliminating mu vanishes "
                                                "identically; shared factor"):
         common_zeros(shared * (LAM - 1), shared * (MU - 2))
+
+
+def test_common_zeros_solve_relations_that_miss_a_variable():
+    # a relation of degree 0 in the eliminated variable gives the resultant
+    # f^n or g^m, and 1 when both are of degree 0
+    assert common_zeros(LAM - 1, MU - 2) == [EvalPoint(1, 2)]
+    assert common_zeros(LAM**2 - 1, MU - LAM) == [(-1, -1), (1, 1)]
+    assert common_zeros(LAM - 1, LAM - 2) == []
+    with pytest.raises(ConsistencyError, match="^resultant eliminating lam vanishes "
+                                               "identically; shared factor$"):
+        common_zeros(LAM - 1, LAM - 1)
 
 
 # -- evaluation and quotients ----------------------------------------------
