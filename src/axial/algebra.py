@@ -263,6 +263,9 @@ class StructureAlgebra:
         # the axis reports are keyed by label, so labels must tell axes apart
         if not all(isinstance(x, str) for x in labels) or len(set(labels)) != len(labels):
             raise ShapeError("labels must be distinct strings")
+        dim = data.get("dim", len(labels))
+        if type(dim) is not int or dim != len(labels):
+            raise ShapeError(f"dim {dim!r} is not the number of labels, {len(labels)}")
 
         def nested(rows):
             # a string is iterable too, so every level must be a list

@@ -75,6 +75,11 @@ class FusionRules(namedtuple("FusionRules", "central_charge fields star")):
         rules.law = tuple(law)
         return rules
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip the checks and the law
+        return cls(*iterable)
+
     def product(self, f, g) -> frozenset:
         return self.star[(f, g)]
 

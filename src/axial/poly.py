@@ -329,19 +329,10 @@ LAM = MultiPoly.variable("lam")
 MU = MultiPoly.variable("mu")
 
 
-def from_coefficients(coeffs, var: str) -> MultiPoly:
-    """Assemble a univariate polynomial in `var` from rational coefficients."""
+def _univariate(coeffs, var: str, den: int = 1) -> MultiPoly:
+    """The sum of coeffs[k] var^k over den, for integer coefficients low to high."""
     idx = _var_index(var)
-    return MultiPoly({(k, 0) if idx == 0 else (0, k): c for k, c in enumerate(coeffs)})
-
-
-def _horner(coeffs, x):
-    """Value at x of the univariate polynomial with `coeffs`, low to high;
-    an integer for integer coefficients and x."""
-    val = 0
-    for c in reversed(coeffs):
-        val = val * x + c
-    return val
+    return MultiPoly._make({(k, 0) if idx == 0 else (0, k): c for k, c in enumerate(coeffs)}, den)
 
 
 def _homogeneous(coeffs, p: int, q: int) -> int:
@@ -463,7 +454,7 @@ def resultant(f: MultiPoly, g: MultiPoly, eliminate: str) -> MultiPoly:
         xs.append(t)
         ys.append(linalg.integer_det(rows))
         t = -t if t > 0 else -t + 1
-    return from_coefficients(_newton_interpolate(xs, ys), kept) * Fraction(1, df ** n * dg ** m)
+    return _univariate(_newton_interpolate(xs, ys), kept, df ** n * dg ** m)
 
 
 def _prime_factors(n: int) -> dict[int, int]:
@@ -511,15 +502,11 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
     var = "lam" if deg_l > 0 else "mu"
     if f.is_constant():
         return set()
-    all_coeffs = [row[0] for row in _integer_grid(f, var)[0]]
-
-    roots = set()
-    low = 0
-    while all_coeffs[low] == 0:
-        low += 1
-    if low > 0:
-        roots.add(Fraction(0))
-    coeffs = all_coeffs[low:]
+    coeffs = [row[0] for row in _integer_grid(f, var)[0]]
+    # divide out the power of the variable: 0 is a root exactly when it is positive
+    low = next(k for k, c in enumerate(coeffs) if c)
+    roots = {Fraction(0)} if low else set()
+    coeffs = coeffs[low:]
     if len(coeffs) == 1:
         return roots
 
@@ -529,7 +516,7 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
     ints = [c // content for c in coeffs]
 
     # a root p/q gives q - p | F(1), q + p | F(-1) (Gauss's lemma); d | v iff gcd(d, v) = |d|
-    at_one, at_minus_one = sum(ints), _horner(ints, -1)
+    at_one, at_minus_one = sum(ints), _homogeneous(ints, -1, 1)
     numerators = _divisors(ints[0])
     for q in _divisors(ints[-1]):
         for p in numerators:
@@ -540,8 +527,9 @@ def rational_roots(f: MultiPoly) -> set[Fraction]:
                 if (gcd(below, at_one) == abs(below) and gcd(above, at_minus_one) == abs(above)
                         and _homogeneous(ints, num, q) == 0):
                     roots.add(Fraction(num, q))
+    # re-checked through evaluate_all, which does not use _homogeneous
     for r in roots:
-        if _horner(all_coeffs, r) != 0:
+        if evaluate_all([f], r, r)[0][0]:
             raise ArithmeticError(f"candidate root {r} does not annihilate {f}")
     return roots
 

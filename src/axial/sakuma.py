@@ -44,8 +44,8 @@ from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
                       ideal_closure, miyamoto, pair, quotient)
 from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from .linalg import add_vec, scale_vec, sub_vec
-from .poly import (LAM, MU, ONE, ZERO, MultiPoly, _fibre, _integer_grid, evaluate_all,
-                   from_coefficients, leading_term, rational_roots, resultant)
+from .poly import (LAM, MU, ONE, ZERO, MultiPoly, _fibre, _integer_grid, _univariate,
+                   evaluate_all, leading_term, rational_roots, resultant)
 
 Q = Fraction
 
@@ -435,7 +435,7 @@ def common_zeros(p1: MultiPoly, p2: MultiPoly) -> list[EvalPoint]:
             f1, f2 = (_fibre(grid, *r.as_integer_ratio()) for grid in grids)
             if not any(f1) and not any(f2):
                 raise ConsistencyError("both relations vanish on a whole line")
-            for s in rational_roots(from_coefficients(f1 if any(f1) else f2, eliminate)):
+            for s in rational_roots(_univariate(f1 if any(f1) else f2, eliminate)):
                 lam_v, mu_v = (r, s) if kept == "lam" else (s, r)
                 if not any(evaluate_all([p1, p2], lam_v, mu_v)[0]):
                     zeros.add(EvalPoint(lam_v, mu_v))

@@ -182,6 +182,10 @@ def _string_product_set(data):
     (["algebra", "check", "{file}"], _nested, "while decoding a JSON array from a unicode string"),
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"], _nested,
      "while decoding a JSON array from a unicode string"),
+    (["algebra", "check", "{file}"], _edited(lambda data: data.update(dim=7)),
+     "dim 7 is not the number of labels, 3"),
+    (["algebra", "check", "{file}"], _edited(lambda data: data.update(dim="x")),
+     "dim 'x' is not the number of labels, 3"),
 ], ids=["fusion-one-number", "fusion-not-coprime", "fusion-table-not-coprime",
         "fusion-table-negative-p", "algebra-not-json", "algebra-wrong-shape",
         "algebra-marked-too-large",
@@ -196,7 +200,8 @@ def _string_product_set(data):
         "fusion-file-string-fields", "fusion-file-duplicate-field",
         "fusion-file-product-outside-fields", "algebra-entry-huge-exponent",
         "fusion-file-field-huge-exponent", "algebra-nested-too-deep",
-        "fusion-file-nested-too-deep"])
+        "fusion-file-nested-too-deep", "algebra-dim-not-the-label-count",
+        "algebra-dim-not-an-int"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file, message):
     path = tmp_path / "input.json"
     if make_file is not None:
@@ -571,12 +576,12 @@ def assert_stdout_error(code, err, reason):
 
 def test_a_reader_that_closes_early_exits_2_with_one_line():
     # V(13, 12) as JSON is about 380 kB, far more than a pipe holds
-    proc = subprocess.Popen(AXIAL + ["fusion", "vir", "13", "12", "--json"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    assert proc.stdout.read(10) == '{\n  "centr'
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert_stdout_error(proc.wait(timeout=60), err, "[Errno 32] Broken pipe")
+    with subprocess.Popen(AXIAL + ["fusion", "vir", "13", "12", "--json"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.read(10) == '{\n  "centr'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert_stdout_error(proc.wait(timeout=60), err, "[Errno 32] Broken pipe")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

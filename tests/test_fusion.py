@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction as Q
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from axial import fusion
+from axial.algebra import StructureAlgebra, certify
 from axial.fusion import (FusionRules, Grading, RulesFormatError, central_charge,
                           find_z2_gradings, frobenius_refine, highest_weights, virasoro_rules)
 
@@ -258,6 +261,18 @@ def test_frobenius_refine_needs_zero():
 def test_json_round_trip():
     rules = virasoro_rules(5, 3)
     assert FusionRules.from_json(rules.to_json()) == rules
+
+
+def test_replace_builds_and_checks_the_law():
+    # namedtuple's _replace goes through _make, which skipped __new__
+    rules = frobenius_refine(virasoro_rules(4, 3))
+    replaced = rules._replace(central_charge=Q(1, 2))
+    assert replaced.law == rules.law
+    data = json.loads((Path(__file__).resolve().parent.parent / "fixtures" / "3c.json").read_text())
+    alg = StructureAlgebra.from_json(data)
+    assert certify(alg, {alg.labels[i]: alg.basis_vector(i) for i in alg.marked}, replaced).passed
+    with pytest.raises(ValueError, match=r"^star table is not symmetric at \(1, 0\)$"):
+        rules._replace(star={**rules.star, (ONE, Q(0)): fs(1)})
 
 
 def test_from_json_names_the_problem():

@@ -8,8 +8,8 @@ import pytest
 
 from axial import poly as poly_mod
 from axial.poly import (LAM, MU, MultiPoly, _integer_grid, _linear_text, _literal,
-                        _newton_interpolate, evaluate_all, from_coefficients, leading_term,
-                        rational_roots, resultant)
+                        _newton_interpolate, evaluate_all, leading_term, rational_roots,
+                        resultant)
 from axial.sakuma import EvalPoint, _eval_matrix, associativity_polynomials, evaluate_point
 from conftest import ref_quotient_dimension
 from test_linalg import ref_det
@@ -211,7 +211,8 @@ def ref_resultant(f, g, eliminate):
         xs.append(x)
         ys.append(ref_det(rows))
         t = -t if t > 0 else -t + 1
-    return from_coefficients(ref_lagrange(xs, ys), kept)
+    return MultiPoly({(k, 0) if kept == "lam" else (0, k): c
+                      for k, c in enumerate(ref_lagrange(xs, ys))})
 
 
 def planted_pair(rng, huge):
@@ -430,10 +431,10 @@ def test_rational_roots_hard_end_coefficients(var):
 
 
 def test_rational_roots_recheck_every_candidate(monkeypatch):
-    # a candidate is kept only when q^n f(p/q) == 0, so the re-check on the
-    # Fraction coefficients cannot fire; a faulty test that accepts every
-    # candidate lets +-2 through, which pass the sieve because f(1) and
-    # f(-1) are zero, and are no roots of (lam^2 - 1)(lam^2 - 2)
+    # a candidate is kept only when q^n f(p/q) == 0, so the re-check through
+    # evaluate_all cannot fire; a faulty _homogeneous that reads 0 everywhere
+    # lets +-2 through the sieve at -1 and the test, and they are no roots
+    # of (lam^2 - 1)(lam^2 - 2)
     monkeypatch.setattr(poly_mod, "_homogeneous", lambda coeffs, p, q: 0)
     with pytest.raises(ArithmeticError, match=r"^candidate root -?2 does not annihilate "):
         rational_roots((LAM**2 - 1) * (LAM**2 - 2))
@@ -460,11 +461,6 @@ def test_leading_term_grevlex():
     # same total degree: the smaller mu-exponent leads
     g = LAM**2 * MU + LAM * MU**2
     assert leading_term(g)[0] == (2, 1)
-
-
-def test_from_coefficients():
-    f = from_coefficients([Q(1), Q(0), Q(-2)], "lam")
-    assert f == 1 - 2 * LAM**2
 
 
 # -- sympy as an independent oracle ---------------------------------------------
