@@ -57,6 +57,9 @@ class FusionRules(namedtuple("FusionRules", "central_charge fields star")):
         position = {f: p for p, f in enumerate(fields)}
         if len(position) != len(fields):
             raise ValueError("fields must be distinct")
+        for f, g in star:
+            if f not in position or g not in position:
+                raise ValueError(f"star table has the pair ({f}, {g}) outside the fields")
         law = []
         for f in fields:
             row = []
@@ -115,7 +118,9 @@ class FusionRules(namedtuple("FusionRules", "central_charge fields star")):
                     raise RulesFormatError(f"the product set of {f} and {g} is not a list")
                 f, g = _literal(f), _literal(g)
                 value = frozenset(_literal(h) for h in prods)
-                star[(f, g)] = value
+                # a file may list both orders of a pair, but not two product sets
+                if star.setdefault((f, g), value) != value:
+                    raise RulesFormatError(f"star gives the pair ({f}, {g}) two product sets")
                 star[(g, f)] = value
             return FusionRules(_literal(data["central_charge"]), fields, star)
         except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -63,7 +63,9 @@ class MultiPoly:
     The form is canonical, so equal polynomials have equal fields: den > 0,
     no stored numerator is zero, and gcd(den, *nums) == 1.  The zero
     polynomial has no numerators and den 1.  Instances are treated as
-    immutable.  `terms` is the {(i, j): Fraction} view of the coefficients.
+    immutable.  `terms` is the {(i, j): Fraction} view of the coefficients;
+    no code of the package builds it, and the benchmark's tracer and the
+    tests read it.
     """
 
     __slots__ = ("nums", "den")
@@ -211,11 +213,6 @@ class MultiPoly:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return self.coefficient(0, 0)
-
-    def evaluate(self, lam, mu) -> Fraction:
-        """Value at a rational point; see evaluate_all."""
-        (num,), den = evaluate_all([self], lam, mu)
-        return Fraction(num, den)
 
     # -- presentation -----------------------------------------------------
 

@@ -31,7 +31,14 @@ TOTAL_DIM = 37
 # (lam, mu) of each algebra, by name
 POINT_AT = {name: (lam, mu) for name, lam, mu, _, _ in POINT_TABLE}
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+def repo_argv(args: str) -> list[str]:
+    """The axial arguments of a table row, with each path under fixtures/ or
+    tests/ made absolute, so that the row runs from any directory."""
+    return [str(ROOT / a) if a.startswith(("fixtures/", "tests/")) else a for a in args.split()]
 
 
 def three_c():
@@ -213,6 +220,11 @@ def ref_ideal_closure(algebra, gens, maps=()):
         if len(new_basis) == len(basis):
             return new_basis
         basis = new_basis
+
+
+def ref_evaluate(f, lam, mu):
+    """The value of a MultiPoly at a rational point, summed over its terms."""
+    return sum((c * Q(lam)**i * Q(mu)**j for (i, j), c in f.terms.items()), Q(0))
 
 
 # The rational roots without the sieve at x = 1 and x = -1: every

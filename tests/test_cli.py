@@ -12,11 +12,9 @@ from axial import cli
 from axial.cli import main
 from axial.fusion import FusionRules, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
-from axial.sakuma import build_universal
 
-from conftest import POINT_AT, three_c
+from conftest import POINT_AT, ROOT, repo_argv, three_c
 
-ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "3c.json"
 
 
@@ -105,11 +103,6 @@ def _written(data):
     return make
 
 
-def _nested(path):
-    # json.load recurses once per level, so this raises RecursionError
-    path.write_text("[" * sys.getrecursionlimit())
-
-
 def _string_product_set(data):
     # 0 * 0 = {1, 0} written as the string "01" in place of ["0", "1"]
     data["star"] = [[f, g, "".join(h) if (f, g) == ("0", "0") else h]
@@ -147,16 +140,11 @@ def _string_product_set(data):
     (["algebra", "check", "{file}"],
      _edited(lambda data: data["labels"].__setitem__(1, ["b"])), None),
     (["algebra", "check", "{file}"], _edited(lambda data: data.update(marked=[True])), None),
-    # certify keeps one axis per label, so a repeat was dropped without a word
-    (["algebra", "check", "{file}"], _edited(lambda data: data.update(marked=[0, 0, 1])),
-     "marked index 0 is repeated in [0, 0, 1]"),
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
      _rules(lambda data: data.clear()), None),
     (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
      _rules(lambda data: data["fields"].__setitem__(0, "x")), None),
     # a string where a list belongs must not be read one character at a time
-    (["algebra", "check", "{file}"],
-     _written({"labels": ["a"], "product": ["1"], "gram": ["1"], "marked": [0]}), None),
     (["algebra", "check", "{file}"],
      _written({"labels": ["x", "y"],
                "product": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
@@ -172,16 +160,6 @@ def _string_product_set(data):
      _written({"central_charge": "1/2", "fields": ["1", "0"],
                "star": [["1", "1", ["1"]], ["1", "0", ["0"]], ["0", "0", ["1/4"]]]}),
      "star(0, 0) leaves the field set"),
-    # an exponent past the int-digit limit is refused before 10**e is formed
-    (["algebra", "check", "{file}"],
-     _edited(lambda data: data["product"][0][1].__setitem__(0, "1e10000000")),
-     "entry '1e10000000' is not a rational literal"),
-    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"],
-     _rules(lambda data: data["fields"].__setitem__(0, "1e-10000000")),
-     f"the exponent of '1e-10000000' exceeds the {sys.get_int_max_str_digits()}-digit limit"),
-    (["algebra", "check", "{file}"], _nested, "while decoding a JSON array from a unicode string"),
-    (["algebra", "check", str(FIXTURE), "--fusion", "{file}"], _nested,
-     "while decoding a JSON array from a unicode string"),
     (["algebra", "check", "{file}"], _edited(lambda data: data.update(dim=7)),
      "dim 7 is not the number of labels, 3"),
     (["algebra", "check", "{file}"], _edited(lambda data: data.update(dim="x")),
@@ -194,14 +172,11 @@ def _string_product_set(data):
         "algebra-marked-not-a-list", "algebra-labels-not-a-list", "algebra-gram-entry-float",
         "algebra-product-entry-bool", "algebra-polynomial-coefficient-float",
         "algebra-duplicate-labels", "algebra-int-label", "algebra-int-label-json",
-        "algebra-list-label", "algebra-marked-bool", "algebra-marked-repeated",
-        "fusion-file-empty-object",
-        "fusion-file-field-not-rational", "algebra-string-vectors", "algebra-string-gram-rows", "fusion-file-string-product-set",
-        "fusion-file-string-fields", "fusion-file-duplicate-field",
-        "fusion-file-product-outside-fields", "algebra-entry-huge-exponent",
-        "fusion-file-field-huge-exponent", "algebra-nested-too-deep",
-        "fusion-file-nested-too-deep", "algebra-dim-not-the-label-count",
-        "algebra-dim-not-an-int"])
+        "algebra-list-label", "algebra-marked-bool", "fusion-file-empty-object",
+        "fusion-file-field-not-rational", "algebra-string-gram-rows",
+        "fusion-file-string-product-set", "fusion-file-string-fields",
+        "fusion-file-duplicate-field", "fusion-file-product-outside-fields",
+        "algebra-dim-not-the-label-count", "algebra-dim-not-an-int"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file, message):
     path = tmp_path / "input.json"
     if make_file is not None:
@@ -213,6 +188,53 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, make_file, mess
     assert captured.err.count("\n") == 1 and captured.err.startswith("axial: error: ")
     if message is not None:
         assert captured.err.rstrip("\n").endswith(message)
+
+
+# tests/refusals.txt, one row per input that must fail: the exit code, the
+# number of stderr lines and the arguments of axial; console_script.sh runs
+# the same rows through the installed axial
+REFUSALS = [(int(want), int(lines), args) for want, lines, args in
+            (row.split(maxsplit=2) for row in
+             (ROOT / "tests" / "refusals.txt").read_text(encoding="utf-8").splitlines())]
+
+# the end of a refusal's stderr line, by the stem of its last argument
+REFUSAL_MESSAGES = {
+    # certify keeps one axis per label, so a repeat was dropped without a word
+    "repeated_marked": "marked index 0 is repeated in [0, 0, 1]",
+    "table": "an entry is a polynomial, so the algebra is not rational",
+    # a string where a list belongs must not be read one character at a time
+    "strings": "product and gram must be nested lists",
+    # an exponent past the int-digit limit is refused before 10**e is formed
+    "exponent": "entry '1e100000000' is not a rational literal",
+    "exponent_rules":
+        f"the exponent of '1e100000000' exceeds the {sys.get_int_max_str_digits()}-digit limit",
+    # json.load recurses once per level, so 1000 levels raise RecursionError
+    "deep": "while decoding a JSON array from a unicode string",
+    # the later of two rows for 1 * 1 decided the check
+    "two_product_sets": "star gives the pair (1, 1) two product sets",
+    "pair_outside_fields": "star table has the pair (2, 2) outside the fields",
+}
+
+
+def refusal_id(args: str) -> str:
+    return "-".join(Path(a).stem if "/" in a else a.lstrip("-") for a in args.split())
+
+
+@pytest.mark.parametrize("want, lines, args", REFUSALS, ids=[refusal_id(r[2]) for r in REFUSALS])
+def test_refusal(tmp_path, monkeypatch, capsys, want, lines, args):
+    # each row runs in an empty directory, which stays empty
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(repo_argv(args))
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.err.count("\n")) == (want, lines)
+    if code == 2:
+        assert captured.out == "" and captured.err.startswith("axial: error: ")
+    message = REFUSAL_MESSAGES.get(Path(args.split()[-1]).stem, "")
+    assert captured.err.rstrip("\n").endswith(message)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_algebra_check_fixture(capsys):
@@ -291,16 +313,6 @@ def test_algebra_check_polynomial_entry_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("axial: error: ")
     assert captured.err.rstrip().endswith("not rational")
-    # so does the symbolic table, which is the universal algebra's JSON
-    code, out = run(capsys, "sakuma", "table", "--format", "json")
-    table = tmp_path / "table.json"
-    table.write_text(out)
-    assert json.loads(out) == build_universal().to_json()
-    assert main(["algebra", "check", str(table)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.count("\n") == 1
-    assert captured.err.rstrip().endswith(
-        "an entry is a polynomial, so the algebra is not rational")
 
 
 def test_startup_loads_no_dataclass_machinery():
@@ -311,7 +323,8 @@ def test_startup_loads_no_dataclass_machinery():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import axial.cli; "
             "axial.cli.main(sys.argv[2:]); print(sorted({'argparse', 'dataclasses', "
             "'inspect', 'axial.sakuma'} & sys.modules.keys()))")
-    for argv, golden in ((["fusion", "vir", "4", "3", "--json"], "fusion_vir_4_3.json"),
+    for argv, golden in ((["fusion", "vir", "4", "3"], "fusion_vir_4_3.txt"),
+                         (["fusion", "vir", "4", "3", "--json"], "fusion_vir_4_3.json"),
                          (["algebra", "check", str(FIXTURE)], "3c_check.txt")):
         done = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src"), *argv],
                               capture_output=True, text=True, check=True)

@@ -260,7 +260,11 @@ def test_frobenius_refine_needs_zero():
 
 def test_json_round_trip():
     rules = virasoro_rules(5, 3)
-    assert FusionRules.from_json(rules.to_json()) == rules
+    data = rules.to_json()
+    assert FusionRules.from_json(data) == rules
+    # a file may list both orders of a pair, each with the same product set
+    data["star"] += [[g, f, h] for f, g, h in data["star"]]
+    assert FusionRules.from_json(data) == rules
 
 
 def test_replace_builds_and_checks_the_law():
@@ -282,7 +286,8 @@ def test_from_json_names_the_problem():
     with pytest.raises(RulesFormatError):
         FusionRules.from_json([good])
     for key, value in (("fields", ["x"] + good["fields"][1:]), ("central_charge", 0.5),
-                       ("star", good["star"][1:]), ("star", [["1", "0"]])):
+                       ("star", good["star"][1:]), ("star", [["1", "0"]]),
+                       ("star", good["star"] + [["1", "1", ["0"]]])):
         with pytest.raises(RulesFormatError):
             FusionRules.from_json({**good, key: value})
 

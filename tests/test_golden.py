@@ -2,10 +2,10 @@
 
 ``golden/commands.txt`` lists the pinned commands, one row each: the exit
 code, the golden file that holds the command's stdout, and the arguments of
-``axial``.  An argument under ``fixtures/`` names a file of the repository,
-and ``sakuma classify --out report.json`` also writes the report that
-``classify.json`` holds.  The CI workflow runs the same rows through the
-installed ``axial``.
+``axial``.  An argument under ``fixtures/`` or ``tests/`` names a file of
+the repository, and ``sakuma classify --out report.json`` also writes the
+report that ``classify.json`` holds.  ``console_script.sh`` runs the same
+rows through the installed ``axial``.
 
 The files under ``golden/`` were written by those commands before the
 product/form kernel was unified and the discrepancy ideal was re-derived
@@ -17,9 +17,11 @@ points as ``{"lambda", "mu"}`` in (lambda, mu) order.  ``rederive.txt`` and
 ``axial algebra check fixtures/3c.json --json`` before the integer resultant,
 evaluation and adjoint paths replaced the Fraction ones.  The table digest,
 the associativity defects and p1, p2 are the ones the benchmark checks,
-read from its reference file.  ``fixtures/4b_dense.json`` is the 4B quotient
-re-expressed in a fixed integer basis (`dense_four_b`), so that its tables
-are dense, and ``4b_dense_check.json`` is
+read from its reference file; ``table.json``, the output of
+``axial sakuma table --format json``, has that digest.
+``fixtures/4b_dense.json`` is the 4B quotient re-expressed in a fixed
+integer basis (`dense_four_b`), so that its tables are dense, and
+``4b_dense_check.json`` is
 ``axial algebra check fixtures/4b_dense.json --json`` as the Fraction tables
 computed it before an algebra was held only as integer tables.
 ``table.txt``, ``3c_check.txt`` and ``fusion_vir_4_3.txt``/``.json`` are
@@ -43,7 +45,6 @@ semisimple.
 import hashlib
 import json
 from fractions import Fraction as Q
-from pathlib import Path
 
 import pytest
 
@@ -51,10 +52,9 @@ from axial import linalg
 from axial.cli import main
 from axial.sakuma import (A0, A1, EvalPoint, associativity_defects, associativity_polynomials,
                           discrepancy_quotient)
-from conftest import POINT_AT, fraction_inverse
+from conftest import POINT_AT, ROOT, fraction_inverse, repo_argv
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -66,10 +66,9 @@ def symbolic_reference() -> dict:
     return json.loads((ROOT / "bench" / "reference" / "symbolic.json").read_text())
 
 
-def test_table_json_digest(capsys):
-    code, out = run(capsys, "sakuma", "table", "--format", "json")
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == symbolic_reference()["table_sha256"]
+def test_table_json_digest():
+    table = (GOLDEN / "table.json").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == symbolic_reference()["table_sha256"]
 
 
 def test_associativity_defects_and_relations(uni):
@@ -81,7 +80,7 @@ def test_associativity_defects_and_relations(uni):
     assert p2.to_json() == reference["p2"]
 
 
-COMMANDS = [(int(want), golden, args.split()) for want, golden, args in
+COMMANDS = [(int(want), golden, repo_argv(args)) for want, golden, args in
             (row.split(maxsplit=2) for row in
              (GOLDEN / "commands.txt").read_text(encoding="utf-8").splitlines())]
 
@@ -89,7 +88,7 @@ COMMANDS = [(int(want), golden, args.split()) for want, golden, args in
 @pytest.mark.parametrize("want, golden, argv", COMMANDS, ids=[row[1] for row in COMMANDS])
 def test_pinned_command(tmp_path, monkeypatch, capsys, want, golden, argv):
     monkeypatch.chdir(tmp_path)
-    code, out = run(capsys, *(str(ROOT / a) if a.startswith("fixtures/") else a for a in argv))
+    code, out = run(capsys, *argv)
     assert code == want
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
     if "report.json" in argv:
