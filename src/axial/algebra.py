@@ -350,7 +350,7 @@ def eigen_decompose(ad, candidates):
 
 
 class AxisReport(namedtuple("AxisReport", "idempotent norm_ok spectrum semisimple "
-                                         "primitive fusion_ok violations spaces inverse")):
+                                         "primitive violations spaces inverse")):
     """Outcome of the axis conditions for one idempotent candidate.
 
     spaces holds the canonical integer eigenspace bases behind spectrum, by
@@ -364,7 +364,7 @@ class AxisReport(namedtuple("AxisReport", "idempotent norm_ok spectrum semisimpl
     @property
     def passed(self) -> bool:
         return (self.idempotent and self.norm_ok and self.semisimple
-                and self.primitive and self.fusion_ok)
+                and self.primitive and not self.violations)
 
     def to_json(self) -> dict:
         return {
@@ -373,7 +373,7 @@ class AxisReport(namedtuple("AxisReport", "idempotent norm_ok spectrum semisimpl
             "spectrum": {str(k): v for k, v in sorted(self.spectrum.items(), reverse=True)},
             "semisimple": self.semisimple,
             "primitive": self.primitive,
-            "fusion_ok": self.fusion_ok,
+            "fusion_ok": not self.violations,
             "violations": [[str(f), str(g)] for f, g in self.violations],
             "passed": self.passed,
         }
@@ -432,7 +432,7 @@ def check_axis(algebra: StructureAlgebra, a, rules: FusionRules) -> AxisReport:
                 broken.add((where[i], where[j]))
     violations = [(fields[p], fields[q]) for p, q in sorted(broken)]
     return AxisReport(idempotent, norm_ok, spectrum, semisimple,
-                      primitive, not violations, violations, spaces, inverse)
+                      primitive, violations, spaces, inverse)
 
 
 def miyamoto(algebra: StructureAlgebra, report: AxisReport, grading: Grading):
@@ -508,19 +508,19 @@ def automorphism_defects(algebra: StructureAlgebra, mat, d):
     return out
 
 
-class FormReport(namedtuple("FormReport", "associative assoc_failures perpendicular")):
+class FormReport(namedtuple("FormReport", "assoc_failures perpendicular")):
     __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return self.associative and all(self.perpendicular.values())
+        return not self.assoc_failures and all(self.perpendicular.values())
 
     def to_json(self) -> dict:
         return {
             # check_symmetric refused every asymmetric Gram matrix when the
             # algebra was built
             "symmetric": True,
-            "associative": self.associative,
+            "associative": not self.assoc_failures,
             "assoc_failures": self.assoc_failures,
             "perpendicular": {str(k): v for k, v in self.perpendicular.items()},
             "passed": self.passed,
@@ -547,7 +547,7 @@ def verify_form(algebra: StructureAlgebra, spaces) -> FormReport:
         perpendicular[label] = not any(
             sum(map(mul, u, gv)) for x, basis in enumerate(bases) for later in images[x + 1:]
             for u in basis for gv in later)
-    return FormReport(not failures, failures, perpendicular)
+    return FormReport(failures, perpendicular)
 
 
 class Certificate(namedtuple("Certificate", "axes form")):

@@ -28,7 +28,6 @@ inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
@@ -59,15 +58,9 @@ def _read_json(path: str):
         raise UsageError(f"cannot read {path} as JSON: {exc}") from None
 
 
-@functools.cache
-def _virasoro(p: int, q: int, refine: bool) -> fusion_mod.FusionRules:
-    """V(p, q), Frobenius-refined if refine, each built once per process and
-    the refined from the cached raw; nothing mutates either.  Pass all three
-    arguments: the cache keys f(p, q) and f(p, q, False) apart."""
-    if refine:
-        return _refined(_virasoro(p, q, False))
+def _virasoro(p: int, q: int, refined: bool) -> fusion_mod.FusionRules:
     try:
-        return fusion_mod.virasoro_rules(p, q)
+        return fusion_mod.virasoro(p, q, refined=refined)
     except ValueError as exc:
         raise UsageError(f"no Virasoro table V({p},{q}): {exc}") from None
 
@@ -176,6 +169,25 @@ def _cmd_sakuma(args) -> int:
     return 0 if report.passed else 1
 
 
+def _cmd_classify(args) -> int:
+    # an --out that does not open is refused before any work; "a" truncates
+    # nothing, and a run that fails removes the file it created
+    if args.out is None:
+        return _cmd_sakuma(args)
+    created = not os.path.lexists(args.out)
+    try:
+        open(args.out, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc}") from None
+    code = 1
+    try:
+        code = _cmd_sakuma(args)
+    finally:
+        if code and created:
+            os.remove(args.out)
+    return code
+
+
 def _vector_text(vec, labels) -> str:
     return _linear_text((str(c), label) for c, label in zip(vec, labels) if c)
 
@@ -188,7 +200,7 @@ COMMANDS = {
                            {"fusion": ("vir:4,3", None)}),
     ("sakuma", "table"): (_cmd_sakuma, {}, (), {"format": ("text", ("text", "json"))}),
     ("sakuma", "solve"): (_cmd_sakuma, {}, (), {}),
-    ("sakuma", "classify"): (_cmd_sakuma, {}, (), {"out": (None, None)}),
+    ("sakuma", "classify"): (_cmd_classify, {}, (), {"out": (None, None)}),
     ("sakuma", "rederive"): (_cmd_sakuma, {}, (), {}),
 }
 # an option takes a value in every command that has it, so argv splits into

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .poly import _literal
@@ -225,6 +226,12 @@ def virasoro_rules(p: int, q: int) -> FusionRules:
                 value.add(ONE)
             put(halved[h1], halved[h2], frozenset(value))
     return FusionRules(central_charge(p, q), fields, star)
+
+
+@cache
+def virasoro(p: int, q: int, *, refined: bool) -> FusionRules:
+    """V(p, q), or its Frobenius refinement built from the cached raw; shared, so never mutated."""
+    return frobenius_refine(virasoro(p, q, refined=False)) if refined else virasoro_rules(p, q)
 
 
 def find_z2_gradings(rules: FusionRules) -> list[Grading]:

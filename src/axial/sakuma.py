@@ -42,7 +42,7 @@ from . import linalg
 from .algebra import (ConsistencyError, StructureAlgebra, automorphism_defects,
                       bilinear, certify, check_symmetric, defect, form, form_defects,
                       ideal_closure, miyamoto, pair, quotient)
-from .fusion import find_z2_gradings, frobenius_refine, virasoro_rules
+from .fusion import find_z2_gradings, virasoro
 from .linalg import add_vec, scale_vec, sub_vec
 from .poly import (LAM, MU, ONE, ZERO, MultiPoly, _fibre, _integer_grid, _univariate,
                    evaluate_all, leading_term, rational_roots, resultant)
@@ -104,10 +104,10 @@ Law = namedtuple("Law", "rules grading alpha beta")
 
 @cache
 def ising_law() -> Law:
-    """The Frobenius-refined V(4, 3), built once per process, with its
+    """fusion.virasoro's refined V(4, 3), algebra check's default law, with its
     non-trivial Z/2-grading, alpha the even field other than 0 and 1, and
     beta the odd field: the two eigenvalues of an axis besides 1 and 0."""
-    rules = frobenius_refine(virasoro_rules(4, 3))
+    rules = virasoro(4, 3, refined=True)
     grading = next(g for g in find_z2_gradings(rules) if not g.trivial)
     (alpha,) = grading.even - {0, 1}
     (beta,) = grading.odd

@@ -267,7 +267,7 @@ def test_verify_form_matches_the_direct_loop(uni, alg):
 def test_verify_form_trivial_product():
     zero3 = [[(([Q(0)] * 2)) for _ in range(2)] for _ in range(2)]
     diag = StructureAlgebra(["u", "v"], zero3, [[Q(2), Q(0)], [Q(0), Q(3)]])
-    assert verify_form(diag, {}).associative
+    assert verify_form(diag, {}).assoc_failures == []
 
 
 def test_verify_form_detects_failure(alg, rules):
@@ -275,7 +275,7 @@ def test_verify_form_detects_failure(alg, rules):
                               [[Q(2) * alg.gram[i][j] if (i, j) == (0, 1) or (i, j) == (1, 0)
                                 else alg.gram[i][j] for j in range(3)] for i in range(3)],
                               alg.marked)
-    assert not verify_form(broken, {}).associative
+    assert verify_form(broken, {}).assoc_failures
     # <a, c> = 1/32 in place of 1/64 leaves the product, and so every
     # eigenspace, alone; the 0- and 1/32-eigenspaces of a and of c are then
     # no longer perpendicular, while those of b still are
@@ -511,7 +511,7 @@ def test_integer_annihilators_match_the_fraction_loop(quotients, uni, points, ru
     for algebra, a in cases:
         report = check_axis(algebra, a, rules)
         assert report.violations == ref_violations(algebra, a, rules)
-        seen.add((report.semisimple, report.fusion_ok))
+        seen.add((report.semisimple, not report.violations))
     # semisimple and not, obeying the fusion law and not
     assert {s for s, _ in seen} == {f for _, f in seen} == {True, False}
     # a_0 + a_1 in 3C breaks the fusion rules, so the nonzero branch runs too

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from axial.algebra import ShapeError, StructureAlgebra
-from axial import cli
+from axial.algebra import ConsistencyError, ShapeError, StructureAlgebra
+from axial import cli, fusion, sakuma
 from axial.cli import main
 from axial.fusion import FusionRules, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
@@ -213,6 +213,12 @@ REFUSAL_MESSAGES = {
     # the later of two rows for 1 * 1 decided the check
     "two_product_sets": "star gives the pair (1, 1) two product sets",
     "pair_outside_fields": "star table has the pair (2, 2) outside the fields",
+    # sakuma solve --out x.json: an option of classify alone
+    "x": "unrecognized arguments: --out x.json",
+    # an empty path is a path that cannot be opened, not a missing --out
+    "--out=": "cannot write : [Errno 2] No such file or directory: ''",
+    "report": "cannot write missing/report.json: "
+              "[Errno 2] No such file or directory: 'missing/report.json'",
 }
 
 
@@ -340,7 +346,6 @@ def test_startup_loads_no_dataclass_machinery():
     (["fusion", "vir", "a", "3"], "invalid int value"),
     (["sakuma", "table", "--format", "xml"], "invalid choice"),
     (["sakuma", "classify", "--out"], "expected one argument"),
-    (["sakuma", "solve", "--out", "x.json"], "unrecognized arguments"),
     (["algebra", "check", "--json"], "the following arguments are required"),
     # long options are spelled in full, not abbreviated
     (["sakuma", "table", "--fo", "json"], "unrecognized arguments"),
@@ -349,7 +354,7 @@ def test_startup_loads_no_dataclass_machinery():
     (["frob"], "argument command: invalid choice: 'frob' "
                "(choose from 'fusion', 'algebra', 'sakuma')"),
 ], ids=["no-command", "no-action", "missing-q", "p-not-an-int", "format-not-a-choice",
-        "out-without-value", "out-not-an-option-of-solve", "missing-file", "abbreviated-option",
+        "out-without-value", "missing-file", "abbreviated-option",
         "action-not-a-choice", "command-not-a-choice"])
 def test_usage_error_writes_one_line_and_exits_2(argv, phrase, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -387,12 +392,19 @@ def test_options_go_before_or_after_positionals(argv, capsys):
     assert out == (ROOT / "tests" / "golden" / "3c_check.json").read_text(encoding="utf-8")
 
 
-def test_each_virasoro_table_is_built_once_per_process(monkeypatch, capsys):
+@pytest.fixture
+def fresh_tables():
+    # as in a fresh process: no V(p, q) is built yet, nor the law that
+    # sakuma.ising_law reads off fusion.virasoro
+    fusion.virasoro.cache_clear()
+    sakuma.ising_law.cache_clear()
+
+
+def test_each_virasoro_table_is_built_once_per_process(fresh_tables, monkeypatch, capsys):
     # the refinement copies the cached table: a refined check before a raw
     # one leaves the raw output as it was
     calls = []
-    cli._virasoro.cache_clear()
-    monkeypatch.setattr(cli.fusion_mod, "virasoro_rules",
+    monkeypatch.setattr(fusion, "virasoro_rules",
                         lambda p, q: calls.append((p, q)) or virasoro_rules(p, q))
     assert run(capsys, "algebra", "check", str(FIXTURE), "--json")[0] == 0
     code, out = run(capsys, "algebra", "check", str(FIXTURE), "--raw", "--json")
@@ -403,12 +415,11 @@ def test_each_virasoro_table_is_built_once_per_process(monkeypatch, capsys):
     assert calls == [(4, 3), (5, 4)]
 
 
-def test_each_refined_table_is_built_once_per_process(monkeypatch, capsys):
+def test_each_refined_table_is_built_once_per_process(fresh_tables, monkeypatch, capsys):
     # the refined V(p, q) is cached next to the raw one; a fusion file is
     # read, and so refined, on every call
     refined = []
-    cli._virasoro.cache_clear()
-    monkeypatch.setattr(cli.fusion_mod, "frobenius_refine",
+    monkeypatch.setattr(fusion, "frobenius_refine",
                         lambda rules: refined.append(rules.fields) or frobenius_refine(rules))
     golden = ROOT / "tests" / "golden"
     for _ in range(2):
@@ -421,6 +432,19 @@ def test_each_refined_table_is_built_once_per_process(monkeypatch, capsys):
     for _ in range(2):
         run(capsys, "algebra", "check", str(FIXTURE), "--fusion", narrow)
     assert len(refined) == 3
+
+
+def test_algebra_check_and_classify_build_one_law(fresh_tables, monkeypatch, capsys):
+    # classify certifies under the very table algebra check defaults to
+    built, refined = [], []
+    monkeypatch.setattr(fusion, "virasoro_rules",
+                        lambda p, q: built.append((p, q)) or virasoro_rules(p, q))
+    monkeypatch.setattr(fusion, "frobenius_refine",
+                        lambda rules: refined.append(rules.fields) or frobenius_refine(rules))
+    assert run(capsys, "algebra", "check", str(FIXTURE))[0] == 0
+    assert run(capsys, "sakuma", "classify")[0] == 0
+    assert (built, len(refined)) == ([(4, 3)], 1)
+    assert sakuma.ising_law().rules is cli._load_rules("vir:4,3", refine=True)
 
 
 def test_a_rules_file_without_a_zero_field_is_read_unrefined(tmp_path, monkeypatch, capsys):
@@ -484,8 +508,6 @@ def test_sakuma_rederive(capsys):
 def test_sakuma_rederive_reports_a_wrong_closed_formula(name, line, monkeypatch, capsys):
     # the closed formulas are a route of their own: perturb one and rederive
     # names it, however right the derived table is
-    import axial.sakuma as sakuma
-
     real = sakuma._paper_formulas
 
     def perturbed():
@@ -509,8 +531,6 @@ def test_sakuma_rederive_reports_a_wrong_closed_formula(name, line, monkeypatch,
 @pytest.mark.parametrize("action", ["table", "solve", "classify", "rederive"])
 def test_sakuma_failed_build_exits_1_with_one_line(action, monkeypatch, capsys):
     # a wrong a3 expansion trips the build's second route for <a0, a3>
-    import axial.sakuma as sakuma
-
     real = sakuma._solve_a3
 
     def off(sigma1_sq):
@@ -538,11 +558,10 @@ def test_sakuma_classify(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sakuma", "solve", "--out", "{out}"],
     ["sakuma", "rederive", "--format", "json"],
     ["sakuma", "table", "--out", "{out}"],
     ["sakuma", "classify", "--format", "json"],
-], ids=["solve-out", "rederive-format", "table-out", "classify-format"])
+], ids=["rederive-format", "table-out", "classify-format"])
 def test_sakuma_options_belong_to_their_action(argv, tmp_path, capsys):
     # an option the action does not take is refused, not silently ignored
     out = tmp_path / "x.json"
@@ -553,26 +572,40 @@ def test_sakuma_options_belong_to_their_action(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sakuma_classify_unwritable_out_exits_2(tmp_path, capsys):
-    target = tmp_path / "missing" / "report.json"
-    code = main(["sakuma", "classify", "--out", str(target)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"axial: error: cannot write {target}: ")
-    assert not target.parent.exists()
-
-
-@pytest.mark.parametrize("argv", [["--out="], ["--out", ""]], ids=["joined", "separate"])
-def test_sakuma_classify_empty_out_exits_2(argv, capsys):
-    # an empty path is a path that cannot be opened, not a missing --out
+# --out= is the refusal row
+@pytest.mark.parametrize("argv", [["--out", ""]], ids=["separate"])
+def test_sakuma_classify_empty_out_exits_2(argv, monkeypatch, capsys):
+    # an empty path is a path that cannot be opened, not a missing --out,
+    # and it is refused before any work
+    monkeypatch.setattr(sakuma, "build_universal", None)  # never called
     code = main(["sakuma", "classify"] + argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("axial: error: cannot write : ")
+
+
+def test_classify_refuses_a_missing_directory_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sakuma, "build_universal", None)  # never called
+    assert main(["sakuma", "classify", "--out", "missing/report.json"]) == 2
+    assert capsys.readouterr().err.startswith("axial: error: cannot write missing/report.json: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_classify_leaves_out_as_it_found_it(tmp_path, monkeypatch, capsys):
+    # --out opens before the work, and a run that fails removes what it made
+    def broken(uni):
+        raise ConsistencyError("no point")
+
+    monkeypatch.setattr(sakuma, "classify", broken)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept")
+    for path in (new, old):
+        assert main(["sakuma", "classify", "--out", str(path)]) == 1
+    assert capsys.readouterr().err == "classification failed: no point\n" * 2
+    assert list(tmp_path.iterdir()) == [old] and old.read_text() == "kept"
 
 
 # the command in a fresh interpreter, with stdout where the test puts it

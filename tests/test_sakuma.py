@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction as Q
 
 import pytest
 
 from axial import algebra as algebra_mod
-from axial import linalg, sakuma
+from axial import cli, linalg, sakuma
 from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, bilinear,
                            check_symmetric, defect, form_tensor, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
@@ -812,7 +813,7 @@ def test_quotient_forms_associate(uni, points):
     for pt in points.values():
         disc = discrepancy_quotient(uni, pt)
         check_symmetric(disc.quotient.table, disc.quotient.gram_table)
-        assert verify_form(disc.quotient, {}).associative, pt.name
+        assert verify_form(disc.quotient, {}).assoc_failures == [], pt.name
 
 
 def test_axis_norms_in_quotients(uni, points):
@@ -867,6 +868,23 @@ def test_axis_reports_all_pass(report):
             assert rep.norm_ok
 
 
+def test_the_nine_quotients_pass_algebra_check_through_the_file_reader(uni, report):
+    # classify's in-memory certificate and algebra check's route agree: each
+    # quotient read back from its JSON, under the law algebra check loads
+    # by default, with classify's axes, the a0 and a1 columns of the projection
+    rules = cli._load_rules("vir:4,3", refine=True)
+    assert sakuma.ising_law().rules is rules
+    reported = {(p.lam, p.mu): p.axis_reports for p in report.points}
+    for pt in solve_points(uni):
+        disc = discrepancy_quotient(uni, pt)
+        read = StructureAlgebra.from_json(json.loads(json.dumps(disc.quotient.to_json())))
+        axes = {LABELS[i]: [row[i] for row in disc.projection] for i in (A0, A1)}
+        cert = algebra_mod.certify(read, axes, rules)
+        assert cert.passed, pt.name
+        assert [rep.to_json() for rep in cert.axes.values()] == \
+            [rep.to_json() for rep in reported[pt.lam, pt.mu]], pt.name
+
+
 def test_shift_orders_match_names(report):
     assert [p.shift_order for p in report.points] == [1, 2, 2, 3, 3, 4, 4, 5, 6]
 
@@ -900,7 +918,7 @@ def test_classify_refuses_symmetries_that_do_not_move_the_axes(uni):
 def test_classify_refuses_an_axis_that_fails_its_check(uni, monkeypatch):
     real = algebra_mod.check_axis
     monkeypatch.setattr(algebra_mod, "check_axis",
-                        lambda *args: real(*args)._replace(fusion_ok=False))
+                        lambda *args: real(*args)._replace(violations=[(Q(0), Q(0))]))
     with pytest.raises(ConsistencyError, match=r"^axis verification failed at \(0, 1\)$"):
         classify(uni)
 
@@ -917,7 +935,7 @@ def test_an_error_raised_inside_certify_names_the_point(uni, monkeypatch):
 def test_classify_refuses_a_form_that_fails_its_check(uni, monkeypatch):
     real = algebra_mod.verify_form
     monkeypatch.setattr(algebra_mod, "verify_form",
-                        lambda *args: real(*args)._replace(associative=False))
+                        lambda *args: real(*args)._replace(assoc_failures=[(0, 0, 0)]))
     with pytest.raises(ConsistencyError, match=r"^form verification failed at \(0, 1\)$"):
         classify(uni)
 

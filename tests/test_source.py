@@ -47,3 +47,38 @@ def test_the_readme_library_example_runs(monkeypatch):
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     # classify raises on any failed check, so a report is a pass
     assert namespace["cert"].passed and len(namespace["report"].points) == 9
+
+
+# the definitions the package keeps for readers outside it, each with the
+# reason it stays
+KEPT_FOR_OUTSIDE_READERS = {
+    "associativity_defects": "bench/child.py and bench/capture.py read it",
+}
+
+
+def test_every_definition_is_referenced_inside_the_package():
+    # a def or class that no code in src/axial names, outside its own body,
+    # serves only tests or bench; an import counts as a reference, so a name
+    # that __init__ re-exports stays, and Python calls the dunders itself
+    defined, referenced = [], {}  # name -> the definitions around each use
+
+    def walk(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node)
+            enclosing = enclosing | {node}
+        elif isinstance(node, ast.Name):
+            referenced.setdefault(node.id, []).append(enclosing)
+        elif isinstance(node, ast.Attribute):
+            referenced.setdefault(node.attr, []).append(enclosing)
+        elif isinstance(node, ast.alias):
+            name = (node.asname or node.name).rpartition(".")[2]
+            referenced.setdefault(name, []).append(enclosing)
+        for child in ast.iter_child_nodes(node):
+            walk(child, enclosing)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    unreferenced = {node.name for node in defined
+                    if not (node.name.startswith("__") and node.name.endswith("__"))
+                    and all(node in enclosing for enclosing in referenced.get(node.name, []))}
+    assert unreferenced == set(KEPT_FOR_OUTSIDE_READERS)
