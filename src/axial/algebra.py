@@ -42,8 +42,8 @@ class ShapeError(ValueError):
     """The input does not describe an algebra: a tensor or vector of the wrong
     shape, a product that is not commutative, a Gram matrix that is not
     symmetric, labels that are not distinct strings, a marked index that is
-    a boolean or out of range, a missing table or an entry that is not a
-    rational literal."""
+    a boolean or out of range, a missing table, or an entry that is not a
+    rational literal in a file or not an int given to the constructor."""
 
 
 # -- the product, form and defect kernel ---------------------------------------
@@ -136,46 +136,34 @@ class StructureAlgebra:
     positive integer coprime to its table's entries.
     """
 
-    def __init__(self, labels, product, gram, marked=()):
-        n = len(labels)
-        _check_shapes(n, product, gram)
-        vecs = [vec for row in product for vec in row]
-        for x in (x for rows in (vecs, gram) for row in rows for x in row):
-            # a float or a bool would be read as a rational without a word
-            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                raise ShapeError(f"an entry of type {type(x).__name__} is not rational")
-        vecs, den = linalg.clear_matrix(vecs)
-        self._init(labels, linalg.split_rows(vecs, n), den, *linalg.clear_matrix(gram), marked)
-
-    @staticmethod
-    def from_integers(labels, table, den, gram, gram_den, marked=()) -> "StructureAlgebra":
+    def __init__(self, labels, table, den, gram, gram_den, marked=()):
         """The rational algebra with product tensor table / den and Gram
         matrix gram / gram_den, for integer tables and nonzero integer
         denominators; each table is put in lowest terms."""
-        n = len(labels)
+        self.dim = n = len(labels)
+        self.labels, self.marked = list(labels), list(marked)
+        # the axis reports are keyed by label, so labels must tell axes apart
+        if not all(isinstance(x, str) for x in self.labels) or len(set(self.labels)) != n:
+            raise ShapeError("labels must be distinct strings")
         _check_shapes(n, table, gram)
+        vecs = [vec for row in table for vec in row]
+        for x in (den, gram_den, *(x for rows in (vecs, gram) for row in rows for x in row)):
+            # a bool would be kept as an integer, and a float or a Fraction would fail in gcd
+            if type(x) is not int:
+                raise ShapeError(f"a {type(x).__name__} is not an integer entry or denominator")
         if not den or not gram_den:
             raise ShapeError("a denominator is zero")
-        vecs, den = linalg.lowest_terms([vec for row in table for vec in row], den)
-        algebra = object.__new__(StructureAlgebra)
-        algebra._init(labels, linalg.split_rows(vecs, n), den,
-                      *linalg.lowest_terms(gram, gram_den), marked)
-        return algebra
-
-    def _init(self, labels, table, den, gram_table, gram_den, marked):
-        self.dim = len(labels)
-        self.labels = list(labels)
-        self.marked = list(marked)
         if any(isinstance(m, bool) for m in self.marked):
             raise ShapeError("a marked index is a boolean, not an integer")
-        if any(not isinstance(m, int) or not 0 <= m < self.dim for m in self.marked):
-            raise ShapeError(f"marked indices {self.marked} are not all in 0..{self.dim - 1}")
+        if any(not isinstance(m, int) or not 0 <= m < n for m in self.marked):
+            raise ShapeError(f"marked indices {self.marked} are not all in 0..{n - 1}")
         repeated = [m for k, m in enumerate(self.marked) if m in self.marked[:k]]
         if repeated:
             raise ShapeError(f"marked index {repeated[0]} is repeated in {self.marked}")
-        check_symmetric(table, gram_table)
-        self.table, self.den = table, den
-        self.gram_table, self.gram_den = gram_table, gram_den
+        vecs, self.den = linalg.lowest_terms(vecs, den)
+        self.table = linalg.split_rows(vecs, n)
+        self.gram_table, self.gram_den = linalg.lowest_terms(gram, gram_den)
+        check_symmetric(self.table, self.gram_table)
 
     @cached_property
     def fibres(self):
@@ -260,9 +248,6 @@ class StructureAlgebra:
         labels, marked = data["labels"], data.get("marked", [])
         if not isinstance(labels, list) or not isinstance(marked, list):
             raise ShapeError("labels and marked must be lists")
-        # the axis reports are keyed by label, so labels must tell axes apart
-        if not all(isinstance(x, str) for x in labels) or len(set(labels)) != len(labels):
-            raise ShapeError("labels must be distinct strings")
         dim = data.get("dim", len(labels))
         if type(dim) is not int or dim != len(labels):
             raise ShapeError(f"dim {dim!r} is not the number of labels, {len(labels)}")
@@ -279,7 +264,7 @@ class StructureAlgebra:
         product, gram = entries(data["product"], 2), entries(data["gram"], 1)
         den = lcm(*(q for row in product for vec in row for _, q in vec))
         gram_den = lcm(*(q for row in gram for _, q in row))
-        return StructureAlgebra.from_integers(
+        return StructureAlgebra(
             labels, [[[p * (den // q) for p, q in vec] for vec in row] for row in product], den,
             [[p * (gram_den // q) for p, q in row] for row in gram], gram_den, marked)
 
@@ -637,7 +622,7 @@ def quotient(algebra: StructureAlgebra, ideal):
         for s in range(r, m):
             vec = algebra.table[c1][complement[s]]
             table[r][s] = table[s][r] = [sum(map(mul, row, vec)) for row in proj]
-    quot = StructureAlgebra.from_integers(
+    quot = StructureAlgebra(
         [algebra.labels[c] for c in complement], table, algebra.den * scale,
         [[gram[c1][c2] for c2 in complement] for c1 in complement], algebra.gram_den)
     return quot, [[Fraction(x, scale) for x in row] for row in proj]

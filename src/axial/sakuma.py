@@ -479,13 +479,12 @@ def evaluate_point(uni: UniversalAlgebra, pt: EvalPoint) -> StructureAlgebra:
     """Substitute (lam, mu) into every structure constant and form value,
     straight into the integer tables of the evaluated algebra.  Each list
     object is evaluated once (_put shares one between (i, j) and (j, i)),
-    so from_integers still compares any two that are not shared."""
+    so the constructor still compares any two that are not shared."""
     distinct = {id(vec): vec for row in uni.product for vec in row}
     rows, den = _eval_matrix(list(distinct.values()), pt)
     value = dict(zip(distinct, rows))
     table = [[value[id(vec)] for vec in row] for row in uni.product]
-    return StructureAlgebra.from_integers(LABELS, table, den, *_eval_matrix(uni.gram, pt),
-                                          marked=[A0, A1])
+    return StructureAlgebra(LABELS, table, den, *_eval_matrix(uni.gram, pt), marked=[A0, A1])
 
 
 class Discrepancy(namedtuple("Discrepancy",

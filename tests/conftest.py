@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from pathlib import Path
 
@@ -8,7 +8,6 @@ import pytest
 
 from axial import linalg
 from axial.algebra import StructureAlgebra, bilinear, eigen_decompose
-from axial.poly import _divisors, _homogeneous, _integer_grid
 from axial.sakuma import build_universal, classify, solve_points
 
 # The oracle: the Norton-Sakuma algebras in table order, each with its
@@ -45,6 +44,12 @@ def three_c():
     """The three-axis algebra of fixtures/3c.json, with xx = x and
     xy = (x + y - z)/64 for its generators; a fresh copy on each call."""
     return StructureAlgebra.from_json(json.loads((FIXTURES / "3c.json").read_text()))
+
+
+def fraction_algebra(labels, product, gram, marked=()):
+    """The algebra with Fraction or int tables, read as an algebra file is."""
+    return StructureAlgebra.from_json({"labels": labels, "product": product, "gram": gram,
+                                       "marked": list(marked)})
 
 
 def fraction_inverse(m):
@@ -227,23 +232,25 @@ def ref_evaluate(f, lam, mu):
     return sum((c * Q(lam)**i * Q(mu)**j for (i, j), c in f.terms.items()), Q(0))
 
 
-# The rational roots without the sieve at x = 1 and x = -1: every
-# rational-root-theorem candidate p/q in lowest terms is tested exactly.
+# The rational roots without the sieve at x = 1 and x = -1, and without the
+# package's factorisation: every rational-root-theorem candidate p/q, p a
+# divisor of the lowest and q of the highest coefficient of the integer
+# multiple of f, both from sympy, is tested exactly by ref_evaluate.
 
 
 def ref_rational_roots(f):
     """Every rational root of a nonzero univariate f, no candidate skipped."""
-    var = "lam" if f.degree("lam") > 0 else "mu"
-    if f.is_constant():
+    sympy = pytest.importorskip("sympy")
+    axis = 0 if f.degree("lam") > 0 else 1
+    coeffs = {e[axis]: c for e, c in f.terms.items()}  # exponent -> Fraction
+    if max(coeffs) == 0:
         return set()
-    coeffs = [row[0] for row in _integer_grid(f, var)[0]]
-    roots = {Q(0)} if coeffs[0] == 0 else set()
-    while coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    for p in _divisors(coeffs[0]):
-        for q in _divisors(coeffs[-1]):
-            if gcd(p, q) == 1:
-                roots.update(Q(num, q) for num in (p, -p) if _homogeneous(coeffs, num, q) == 0)
+    scale = lcm(*(c.denominator for c in coeffs.values()))
+    low, high = (int(coeffs[k] * scale) for k in (min(coeffs), max(coeffs)))
+    roots = {Q(0)} if min(coeffs) > 0 else set()
+    for p in sympy.divisors(low):
+        for q in sympy.divisors(high):
+            roots.update(r for r in (Q(p, q), Q(-p, q)) if ref_evaluate(f, r, r) == 0)
     return roots
 
 

@@ -13,8 +13,8 @@ from axial.algebra import (ConsistencyError, ShapeError, StructureAlgebra, autom
                            ideal_closure, miyamoto, pair, quotient, verify_form)
 from axial.fusion import find_z2_gradings, frobenius_refine, virasoro_rules
 from axial.poly import MultiPoly
-from conftest import (POINT_AT, associates_with_zero_eigenvectors, fraction_inverse,
-                      ref_ad_columns, ref_automorphism_defects, ref_evaluate,
+from conftest import (POINT_AT, associates_with_zero_eigenvectors, fraction_algebra,
+                      fraction_inverse, ref_ad_columns, ref_automorphism_defects, ref_evaluate,
                       ref_ideal_closure, ref_violations, three_c)
 from axial.sakuma import EvalPoint, _eval_matrix, classify, discrepancy_quotient, evaluate_point
 from test_linalg import eye, rank_and_kernel, ref_reduce_vector, ref_rref
@@ -42,7 +42,7 @@ def e(i, n=3):
 
 
 def one_dim_idempotent():
-    return StructureAlgebra(["e"], [[[Q(1)]]], [[Q(1)]], marked=[0])
+    return StructureAlgebra(["e"], [[[1]]], 1, [[1]], 1, marked=[0])
 
 
 # Fraction views of the integer entry points, for comparing with Fraction loops
@@ -188,8 +188,8 @@ def test_the_eigenframe_refuses_dependent_eigenvectors(alg, rules, monkeypatch):
 
 def test_primitivity_in_1a_plus_1a(rules):
     # u u = u, v v = v, u v = 0
-    product = [[[Q(1), Q(0)], [Q(0), Q(0)]], [[Q(0), Q(0)], [Q(0), Q(1)]]]
-    alg = StructureAlgebra(["u", "v"], product, [[Q(1), Q(0)], [Q(0), Q(1)]])
+    product = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    alg = StructureAlgebra(["u", "v"], product, 1, [[1, 0], [0, 1]], 1)
     # u + v is idempotent, but its 1-eigenspace is the whole algebra
     both = check_axis(alg, [Q(1), Q(1)], rules)
     assert both.idempotent and both.spectrum[Q(1)] == 2 and not both.primitive
@@ -231,7 +231,7 @@ def test_miyamoto_names_the_failing_pair(alg, rules, grading):
     # of a, but the flip of b and c is no longer an automorphism
     product = [[list(v) for v in row] for row in alg.product]
     product[1][1] = [Q(1, 8), Q(1), Q(-1, 8)]
-    broken = StructureAlgebra(alg.labels, product, alg.gram, alg.marked)
+    broken = fraction_algebra(alg.labels, product, alg.gram, alg.marked)
     with pytest.raises(ConsistencyError, match=r"not an automorphism at \(1, 1\)"):
         involution(broken, e(0), rules, grading)
 
@@ -265,13 +265,13 @@ def test_verify_form_matches_the_direct_loop(uni, alg):
 
 
 def test_verify_form_trivial_product():
-    zero3 = [[(([Q(0)] * 2)) for _ in range(2)] for _ in range(2)]
-    diag = StructureAlgebra(["u", "v"], zero3, [[Q(2), Q(0)], [Q(0), Q(3)]])
+    zero = [[[0, 0] for _ in range(2)] for _ in range(2)]
+    diag = StructureAlgebra(["u", "v"], zero, 1, [[2, 0], [0, 3]], 1)
     assert verify_form(diag, {}).assoc_failures == []
 
 
 def test_verify_form_detects_failure(alg, rules):
-    broken = StructureAlgebra(alg.labels, alg.product,
+    broken = fraction_algebra(alg.labels, alg.product,
                               [[Q(2) * alg.gram[i][j] if (i, j) == (0, 1) or (i, j) == (1, 0)
                                 else alg.gram[i][j] for j in range(3)] for i in range(3)],
                               alg.marked)
@@ -323,7 +323,7 @@ def test_quotient_trivial_cases(alg):
     same, proj = quotient(alg, [])
     assert same.dim == 3 and proj == eye(3)
     # whole space as ideal: needs the form to vanish on it
-    null = StructureAlgebra(["e"], [[[Q(0)]]], [[Q(0)]])
+    null = StructureAlgebra(["e"], [[[0]]], 1, [[0]], 1)
     zero_alg, _ = quotient(null, [[Q(1)]])
     assert zero_alg.dim == 0
 
@@ -334,8 +334,8 @@ def test_quotient_rejects_non_ideal(alg):
 
 
 def test_quotient_rejects_form_violation():
-    zero3 = [[(([Q(0)] * 2)) for _ in range(2)] for _ in range(2)]
-    diag = StructureAlgebra(["u", "v"], zero3, [[Q(1), Q(0)], [Q(0), Q(1)]])
+    zero = [[[0, 0] for _ in range(2)] for _ in range(2)]
+    diag = StructureAlgebra(["u", "v"], zero, 1, [[1, 0], [0, 1]], 1)
     # every subspace is an ideal here, but the form does not vanish
     with pytest.raises(ConsistencyError):
         quotient(diag, [[Q(1), Q(0)]])
@@ -355,17 +355,13 @@ def test_fixture_file_matches_generator(alg):
 
 def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        StructureAlgebra(["x"], [[[Q(1)]]], [[Q(1), Q(0)]])
+        StructureAlgebra(["x"], [[[1]]], 1, [[1, 0]], 1)
     with pytest.raises(ShapeError, match="not commutative"):
-        StructureAlgebra(["x", "y"],
-                         [[[Q(1), Q(0)], [Q(0), Q(1)]],
-                          [[Q(1), Q(1)], [Q(0), Q(0)]]],
-                         [[Q(1), Q(0)], [Q(0), Q(1)]])
+        StructureAlgebra(["x", "y"], [[[1, 0], [0, 1]], [[1, 1], [0, 0]]], 1,
+                         [[1, 0], [0, 1]], 1)
     with pytest.raises(ShapeError, match="not symmetric"):
-        StructureAlgebra(["x", "y"],
-                         [[[Q(1), Q(0)], [Q(0), Q(0)]],
-                          [[Q(0), Q(0)], [Q(0), Q(1)]]],
-                         [[Q(1), Q(1)], [Q(0), Q(1)]])
+        StructureAlgebra(["x", "y"], [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], 1,
+                         [[1, 1], [0, 1]], 1)
 
 
 def test_vectors_of_the_wrong_length_are_refused(alg):
@@ -390,48 +386,55 @@ def test_basis_vector_refuses_an_index_out_of_range(alg, index):
 @pytest.mark.parametrize("flag", [True, False])
 def test_every_constructor_refuses_a_boolean_marked_index(alg, flag):
     # a bool passes isinstance(m, int): the constructor kept marked == [True]
+    tables = alg.table, alg.den, alg.gram_table, alg.gram_den
     message = "a marked index is a boolean, not an integer"
     with pytest.raises(ShapeError, match=message):
-        StructureAlgebra(alg.labels, alg.product, alg.gram, marked=[flag])
-    with pytest.raises(ShapeError, match=message):
-        StructureAlgebra.from_integers(alg.labels, alg.table, alg.den, alg.gram_table,
-                                       alg.gram_den, marked=[flag])
+        StructureAlgebra(alg.labels, *tables, marked=[flag])
     with pytest.raises(ShapeError, match=message):
         StructureAlgebra.from_json({**alg.to_json(), "marked": [flag]})
-    assert StructureAlgebra(alg.labels, alg.product, alg.gram, marked=[int(flag)]).marked == \
-        [int(flag)]
+    assert StructureAlgebra(alg.labels, *tables, marked=[int(flag)]).marked == [int(flag)]
 
 
 def test_every_constructor_refuses_a_repeated_marked_index(alg):
     # certify keeps one axis per label, so the repeat was dropped silently
+    tables = alg.table, alg.den, alg.gram_table, alg.gram_den
     message = r"^marked index 0 is repeated in \[0, 1, 0\]$"
     with pytest.raises(ShapeError, match=message):
-        StructureAlgebra(alg.labels, alg.product, alg.gram, marked=[0, 1, 0])
-    with pytest.raises(ShapeError, match=message):
-        StructureAlgebra.from_integers(alg.labels, alg.table, alg.den, alg.gram_table,
-                                       alg.gram_den, marked=[0, 1, 0])
+        StructureAlgebra(alg.labels, *tables, marked=[0, 1, 0])
     with pytest.raises(ShapeError, match=message):
         StructureAlgebra.from_json({**alg.to_json(), "marked": [0, 1, 0]})
-    assert StructureAlgebra(alg.labels, alg.product, alg.gram, marked=[2, 0]).marked == [2, 0]
+    assert StructureAlgebra(alg.labels, *tables, marked=[2, 0]).marked == [2, 0]
+
+
+@pytest.mark.parametrize("labels", [["a", "x", "x"], ["a", "b", 2]], ids=["repeated", "int"])
+def test_every_constructor_refuses_labels_that_are_not_distinct_strings(alg, labels):
+    # certify keys each axis report by its label: the constructor took b and
+    # c both labelled x, and the three marked axes certified as two
+    tables = alg.table, alg.den, alg.gram_table, alg.gram_den
+    message = "^labels must be distinct strings$"
+    with pytest.raises(ShapeError, match=message):
+        StructureAlgebra(labels, *tables, marked=alg.marked)
+    with pytest.raises(ShapeError, match=message):
+        StructureAlgebra.from_json({**alg.to_json(), "labels": labels})
 
 
 @pytest.mark.parametrize("entry", [0.1, True, MultiPoly({(1, 0): 1}), "1"],
                          ids=["float", "bool", "polynomial", "string"])
 @pytest.mark.parametrize("table", ["product", "gram"])
 def test_constructor_refuses_entries_that_are_not_rational(entry, table):
-    # a float or a bool would be read as a rational silently, a polynomial
-    # or a string would fail deep in the integer kernel
-    product, gram = [[[Q(1), Q(0)], [Q(0), Q(0)]], [[Q(0), Q(0)], [Q(0), 1]]], [[1, 0], [0, 1]]
+    # a bool would be kept as an integer, a float or a polynomial would
+    # fail deep in the integer kernel, and a string is text, not a number
+    product, gram = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [[1, 0], [0, 1]]
     if table == "product":
         product[1][1][1] = entry
     else:
         gram[1][1] = entry
     with pytest.raises(ShapeError) as err:
-        StructureAlgebra(["x", "y"], product, gram)
-    assert str(err.value) == f"an entry of type {type(entry).__name__} is not rational"
-    # a non-bool int is a rational
+        StructureAlgebra(["x", "y"], product, 1, gram, 1)
+    assert str(err.value) == f"a {type(entry).__name__} is not an integer entry or denominator"
+    # a non-bool int is an entry
     product[1][1][1] = gram[1][1] = 1
-    assert StructureAlgebra(["x", "y"], product, gram).product == \
+    assert StructureAlgebra(["x", "y"], product, 1, gram, 1).product == \
         [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
 
 
@@ -648,24 +651,34 @@ def test_quotients_match_the_fraction_route(uni, points):
         assert gcd(quot.den, *flat) == 1 and gcd(quot.gram_den, *sum(quot.gram_table, [])) == 1
 
 
-def test_from_integers_checks_and_reduces():
+def test_the_constructor_checks_and_reduces():
     table = [[[2, 0], [0, 4]], [[0, 4], [6, 0]]]
     gram = [[3, 0], [0, 3]]
-    alg = StructureAlgebra.from_integers(["x", "y"], table, 4, gram, -6)
+    alg = StructureAlgebra(["x", "y"], table, 4, gram, -6)
     assert (alg.den, alg.gram_den) == (2, 2)
     assert alg.table == [[[1, 0], [0, 2]], [[0, 2], [3, 0]]]
     assert alg.product == [[[Q(1, 2), Q(0)], [Q(0), Q(1)]], [[Q(0), Q(1)], [Q(3, 2), Q(0)]]]
     assert alg.gram == [[Q(-1, 2), Q(0)], [Q(0), Q(-1, 2)]]
-    assert StructureAlgebra(alg.labels, alg.product, alg.gram).table == alg.table
+    assert fraction_algebra(alg.labels, alg.product, alg.gram).table == alg.table
     with pytest.raises(ShapeError, match=r"not commutative at \(1, 0\)"):
-        StructureAlgebra.from_integers(["x", "y"], [[[1, 0], [0, 1]], [[1, 1], [0, 0]]], 1,
-                                       gram, 1)
+        StructureAlgebra(["x", "y"], [[[1, 0], [0, 1]], [[1, 1], [0, 0]]], 1, gram, 1)
     with pytest.raises(ShapeError, match="not symmetric"):
-        StructureAlgebra.from_integers(["x", "y"], table, 1, [[1, 1], [0, 1]], 1)
+        StructureAlgebra(["x", "y"], table, 1, [[1, 1], [0, 1]], 1)
     with pytest.raises(ShapeError, match="denominator is zero"):
-        StructureAlgebra.from_integers(["x", "y"], table, 0, gram, 1)
+        StructureAlgebra(["x", "y"], table, 0, gram, 1)
     with pytest.raises(ShapeError, match="wrong shape"):
-        StructureAlgebra.from_integers(["x"], table, 1, gram, 1)
+        StructureAlgebra(["x"], table, 1, gram, 1)
+    # the tables are integers over integer denominators: a Fraction, even a
+    # whole one, is refused as an entry or a denominator, as are a bool and
+    # a float; from_json is the reader of Fraction tables
+    for bad in (Q(1, 2), Q(2), True, 2.0):
+        entry = [[[bad, 0], [0, 4]], [[0, 4], [6, 0]]]
+        for args in ((entry, 1, gram, 1), (table, bad, gram, 1), (table, 1, gram, bad)):
+            with pytest.raises(ShapeError, match=rf"^a {type(bad).__name__} is not an integer"):
+                StructureAlgebra(["x", "y"], *args)
+    # the Fraction signature is gone: the call itself is short of arguments
+    with pytest.raises(TypeError):
+        StructureAlgebra(alg.labels, alg.product, alg.gram)
 
 
 def two_dim_json(v01, v10):

@@ -35,9 +35,9 @@ from axial.fusion import FusionRules, frobenius_refine, virasoro_rules  # noqa: 
 from axial.poly import (LAM, MU, MultiPoly, _fibre, _integer_grid, _literal,  # noqa: E402
                         dot, evaluate_all, rational_roots, resultant)
 from axial.sakuma import A0, A1, EvalPoint, discrepancy_quotient, evaluate_point  # noqa: E402
-from conftest import (fraction_inverse, ref_automorphism_defects, ref_ideal_closure,  # noqa: E402
-                      ref_integer_rref, ref_quotient_dimension, ref_rational_roots,
-                      ref_violations, three_c)
+from conftest import (fraction_algebra, fraction_inverse, ref_automorphism_defects,  # noqa: E402
+                      ref_ideal_closure, ref_integer_rref, ref_quotient_dimension,
+                      ref_rational_roots, ref_violations, three_c)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 
@@ -111,7 +111,7 @@ def change_basis(alg, p, p_inv):
     product = [[to_new(bilinear(table, cols[i], cols[j], alg.labels)) for j in range(n)]
                for i in range(n)]
     gram = [[generic_form(alg, cols[i], cols[j]) for j in range(n)] for i in range(n)]
-    return StructureAlgebra([f"b{i}" for i in range(n)], product, gram), to_new
+    return fraction_algebra([f"b{i}" for i in range(n)], product, gram), to_new
 
 
 @settings(max_examples=30, deadline=None)
@@ -150,7 +150,7 @@ def test_fusion_law_matches_the_annihilators(diagonal, upper, products, v, refin
     for (i, j), vec in zip(((1, 1), (1, 2), (2, 2)), products):
         product[i][j] = product[j][i] = vec
     identity = [[Q(int(i == j)) for j in range(3)] for i in range(3)]
-    alg = StructureAlgebra(["x", "y", "z"], product, identity)
+    alg = fraction_algebra(["x", "y", "z"], product, identity)
     rules = ISING if refined else virasoro_rules(4, 3)
     for a in (alg.basis_vector(0), v):
         assert check_axis(alg, a, rules).violations == ref_violations(alg, a, rules)
@@ -302,7 +302,7 @@ def test_integer_tables_match_their_fraction_views(data):
             table[i][j] = table[j][i] = [data.draw(ints) for _ in range(n)]
             gram[i][j] = gram[j][i] = data.draw(ints)
     den, gram_den = data.draw(dens), data.draw(dens)
-    alg = StructureAlgebra.from_integers([f"e{i}" for i in range(n)], table, den, gram, gram_den)
+    alg = StructureAlgebra([f"e{i}" for i in range(n)], table, den, gram, gram_den)
     product = [[[Q(x, den) for x in vec] for vec in row] for row in table]
     fractions = [[Q(x, gram_den) for x in row] for row in gram]
     assert alg.product == product and alg.gram == fractions
@@ -310,8 +310,8 @@ def test_integer_tables_match_their_fraction_views(data):
     x, y = (data.draw(vectors(n)) for _ in range(2))
     assert alg.multiply(x, y) == bilinear(product, x, y, alg.labels)
     assert alg.form(x, y) == sum((xi * pair(row, y) for xi, row in zip(x, fractions)), Q(0))
-    # and the constructor on the Fraction tables gives the same integers
-    again = StructureAlgebra(alg.labels, product, fractions)
+    # and the file reader on the Fraction tables gives the same integers
+    again = fraction_algebra(alg.labels, product, fractions)
     assert (again.table, again.den, again.gram_table, again.gram_den) == \
         (alg.table, alg.den, alg.gram_table, alg.gram_den)
 
@@ -399,8 +399,8 @@ def test_semi_naive_closure_matches_full_rounds(data):
                 vec = [(x or 1) if (i, k) == (j, j + 1) else 0 for k, x in enumerate(vec)]
             table[i][j] = table[j][i] = vec
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    alg = StructureAlgebra.from_integers([f"e{i}" for i in range(n)], table,
-                                         data.draw(st.integers(1, 4)), identity, 1)
+    alg = StructureAlgebra([f"e{i}" for i in range(n)], table,
+                           data.draw(st.integers(1, 4)), identity, 1)
     gens = data.draw(st.lists(st.lists(sparse_ints.map(Q), min_size=n, max_size=n),
                               min_size=1, max_size=2))
     hypothesis.assume(any(map(any, gens)))
@@ -421,7 +421,7 @@ def symmetric_table(data, n):
 def integer_algebra(table, den):
     n = len(table)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return StructureAlgebra.from_integers([f"e{i}" for i in range(n)], table, den, identity, 1)
+    return StructureAlgebra([f"e{i}" for i in range(n)], table, den, identity, 1)
 
 
 # the shapes of a column of d m: a unit vector times d (a permutation when

@@ -658,8 +658,7 @@ def test_a_form_that_is_not_positive_definite_names_the_point(uni, points, monke
     def negated(alg, ideal):
         quot, proj = real_quotient(alg, ideal)
         gram = [[-x for x in row] for row in quot.gram_table]
-        return StructureAlgebra.from_integers(quot.labels, quot.table, quot.den,
-                                              gram, quot.gram_den), proj
+        return StructureAlgebra(quot.labels, quot.table, quot.den, gram, quot.gram_den), proj
 
     monkeypatch.setattr(sakuma, "quotient", negated)
     pt = points[POINT_AT["3A"]]
@@ -960,7 +959,7 @@ def test_a_fault_in_one_quotient_reaches_the_certificate(uni, monkeypatch, entry
                 gram[i][j] += 1
             else:
                 table[i][j][0] += 1
-        return disc._replace(quotient=StructureAlgebra.from_integers(
+        return disc._replace(quotient=StructureAlgebra(
             quot.labels, table, quot.den, gram, quot.gram_den))
 
     monkeypatch.setattr(sakuma, "discrepancy_quotient", corrupted)
